@@ -15,11 +15,13 @@ cross term is ``2|alpha beta|`` (orthogonal) or
 ``2|alpha beta| sqrt(1 + |<phi|varphi>|^2)`` (general), and the lower
 bound picks up ``delta = min(|beta/alpha| C(varphi), |alpha/beta| C(phi))``.
 
-Component concurrences are evaluated with the spin-flip overlap on 2x2
-states and with the I-concurrence otherwise; the two agree within 1e-12
-on qubit pairs. Lower bounds are clamped at zero before reporting (the
-raw value is kept in the report diagnostics). All formulas assume the
-inverter scale nu = 1.
+The orthogonal-regime formulas are the general ones at
+``|<phi|varphi>| = 0``, so each bound family has one kernel. Concurrences
+(components and superposition alike) are evaluated with the closed form
+``2|a00 a11 - a01 a10|`` on 2x2 states and with the I-concurrence
+otherwise; the two agree within 1e-12 on qubit pairs. Lower bounds are
+clamped at zero before reporting (the raw value is kept in the report
+diagnostics). All formulas assume the inverter scale nu = 1.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,11 +57,6 @@ class Regime(enum.Enum):
     GENERAL = "general"
 
 
-def _rho(s: PureState, side: str) -> np.ndarray:
-    m = s.matrix
-    return m @ m.conj().T if side == "A" else m.T @ m.conj()
-
-
 def classify_pair(phi: PureState, varphi: PureState, tol: float = REGIME_TOL) -> Regime:
     """Classify a pair of states by reduced-support and scalar-product overlap.
 
@@ -73,8 +70,10 @@ def classify_pair(phi: PureState, varphi: PureState, tol: float = REGIME_TOL) ->
             f"states live on different spaces: {(phi.dim_a, phi.dim_b)} vs "
             f"{(varphi.dim_a, varphi.dim_b)}"
         )
-    trace_a = abs(np.trace(_rho(phi, "A") @ _rho(varphi, "A")).real)
-    trace_b = abs(np.trace(_rho(phi, "B") @ _rho(varphi, "B")).real)
+    m, n = phi.matrix, varphi.matrix
+    # Tr(rho_phi^A rho_varphi^A) = ||M^dag N||_F^2; side B: ||M N^dag||_F^2
+    trace_a = np.linalg.norm(m.conj().T @ n) ** 2
+    trace_b = np.linalg.norm(m @ n.conj().T) ** 2
     if trace_a <= tol and trace_b <= tol:
         return Regime.BIORTHOGONAL
     if abs(inner_product(phi, varphi)) <= tol:
@@ -92,45 +91,46 @@ def _weights(spec: SuperpositionSpec) -> tuple[float, float, float]:
     return aa, bb, abs(spec.alpha * spec.beta)
 
 
-def _resolve_regime(spec: SuperpositionSpec, regime: Regime | None, tol: float) -> Regime:
-    if regime is not None:
-        return regime
-    return classify_pair(spec.phi, spec.varphi, tol)
+_ORTHOGONAL_REGIMES = (Regime.BIORTHOGONAL, Regime.ORTHOGONAL)
 
 
-def _require_orthogonal(regime: Regime) -> None:
-    if regime is Regime.GENERAL:
-        raise RegimeViolation(
-            "bound requires orthogonal (or biorthogonal) component states"
-        )
+def _components(spec: SuperpositionSpec, *, qubits: bool = False,
+                allowed: tuple[Regime, ...] | None = None,
+                regime: Regime | None = None, tol: float = REGIME_TOL,
+                nonzero: bool = False) -> tuple[float, float, float, float, float]:
+    """Shared preamble of the standalone bounds.
 
-
-def _require_qubits(spec: SuperpositionSpec) -> None:
-    if spec.dims != (2, 2):
+    Checks, in this order, 2x2 dimensions (``qubits``), that the regime
+    (``regime``, else the classified one) is in ``allowed`` and that both
+    weights are nonzero (``nonzero``); returns ``(|alpha|^2, |beta|^2,
+    |alpha beta|, C(phi), C(varphi))``.
+    """
+    if qubits and spec.dims != (2, 2):
         raise NotTwoQubit(f"bound requires 2x2 components, got {spec.dims}")
-
-
-def _require_nonzero_weights(spec: SuperpositionSpec) -> None:
-    if spec.alpha == 0 or spec.beta == 0:
+    if allowed is not None:
+        if regime is None:
+            regime = classify_pair(spec.phi, spec.varphi, tol)
+        if regime not in allowed:
+            raise RegimeViolation(
+                f"bound requires {' or '.join(r.value for r in allowed)} "
+                "component states"
+            )
+    if nonzero and (spec.alpha == 0 or spec.beta == 0):
         raise DegenerateWeight(
             "alpha = 0 or beta = 0: the superposition is a single component; "
             "report its exact concurrence instead of a bound"
         )
+    return (*_weights(spec), _component_concurrence(spec.phi),
+            _component_concurrence(spec.varphi))
 
 
 # --- bound kernels ------------------------------------------------------
-# Each kernel returns (upper, lower_unclamped, delta).
+# Each kernel returns (upper, lower_unclamped, delta). The orthogonal and
+# biorthogonal regimes pass ov = 0.0, which reproduces their formulas
+# exactly: |C - 0.0| == C and sqrt(1 + 0.0) == 1.0.
 
 
-def _qubit_orth_kernel(aa, bb, ab, c_phi, c_var):
-    delta = max(c_phi, c_var)
-    root = math.sqrt(max(0.0, 1.0 - delta * delta))
-    upper = aa * c_phi + bb * c_var + 2.0 * ab * root
-    lower = abs(aa * c_phi - bb * c_var) - 2.0 * ab * root
-    return upper, lower, delta
-
-
-def _qubit_general_kernel(aa, bb, ab, c_phi, c_var, ov):
+def _qubit_kernel(aa, bb, ab, c_phi, c_var, ov):
     delta = max(abs(c_phi - ov), abs(c_var - ov))
     if delta > 1.0 + _DELTA_SLACK:
         # Unreachable for valid normalized inputs: C and |<phi|varphi>|
@@ -142,22 +142,12 @@ def _qubit_general_kernel(aa, bb, ab, c_phi, c_var, ov):
     return upper, lower, delta
 
 
-def _qudit_ratio_delta(alpha, beta, c_phi, c_var):
-    return min(abs(beta / alpha) * c_var, abs(alpha / beta) * c_phi)
-
-
-def _qudit_orth_kernel(alpha, beta, c_phi, c_var):
-    aa, bb, ab = abs(alpha) ** 2, abs(beta) ** 2, abs(alpha * beta)
-    delta = _qudit_ratio_delta(alpha, beta, c_phi, c_var)
-    upper = aa * c_phi + bb * c_var + 2.0 * ab
-    lower = abs(aa * c_phi - bb * c_var) - 2.0 * ab * (1.0 + delta)
-    return upper, lower, delta
-
-
-def _qudit_general_kernel(alpha, beta, c_phi, c_var, ov):
+def _qudit_kernel(alpha, beta, c_phi, c_var, ov):
     aa, bb, ab = abs(alpha) ** 2, abs(beta) ** 2, abs(alpha * beta)
     root = math.sqrt(1.0 + ov * ov)
-    delta = _qudit_ratio_delta(alpha, beta, c_phi, c_var)
+    # a zero weight leaves a single component, where delta -> 0
+    delta = (min(abs(beta / alpha) * c_var, abs(alpha / beta) * c_phi)
+             if alpha and beta else 0.0)
     upper = aa * c_phi + bb * c_var + 2.0 * ab * root
     lower = abs(aa * c_phi - bb * c_var) - 2.0 * ab * (root + delta)
     return upper, lower, delta
@@ -176,6 +166,8 @@ def _useful_condition(alpha, beta, c_phi, c_var) -> bool:
 
 
 # --- public bound operations ---------------------------------------------
+# Thin views over the kernels: each returns the matching field of
+# :func:`evaluate` for a pair in its regime.
 
 
 def qubit_upper_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -185,13 +177,9 @@ def qubit_upper_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
     ``|alpha|^2 C(phi) + |beta|^2 C(varphi) + 2|alpha beta| sqrt(1 - delta^2)``
     with ``delta = max(C(phi), C(varphi))``.
     """
-    _require_qubits(spec)
-    _require_orthogonal(_resolve_regime(spec, regime, tol))
-    aa, bb, ab = _weights(spec)
-    upper, _, _ = _qubit_orth_kernel(
-        aa, bb, ab, concurrence_qubit(spec.phi), concurrence_qubit(spec.varphi)
-    )
-    return upper
+    parts = _components(spec, qubits=True, allowed=_ORTHOGONAL_REGIMES,
+                        regime=regime, tol=tol)
+    return _qubit_kernel(*parts, 0.0)[0]
 
 
 def qubit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -201,13 +189,9 @@ def qubit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
     ``| |alpha|^2 C(phi) - |beta|^2 C(varphi) | - 2|alpha beta| sqrt(1 - delta^2)``
     with the same delta as :func:`qubit_upper_orth`.
     """
-    _require_qubits(spec)
-    _require_orthogonal(_resolve_regime(spec, regime, tol))
-    aa, bb, ab = _weights(spec)
-    _, lower, _ = _qubit_orth_kernel(
-        aa, bb, ab, concurrence_qubit(spec.phi), concurrence_qubit(spec.varphi)
-    )
-    return max(0.0, lower)
+    parts = _components(spec, qubits=True, allowed=_ORTHOGONAL_REGIMES,
+                        regime=regime, tol=tol)
+    return max(0.0, _qubit_kernel(*parts, 0.0)[1])
 
 
 def qubit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
@@ -217,12 +201,9 @@ def qubit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
     ``delta = max(|C(phi) - ov|, |C(varphi) - ov|)`` where
     ``ov = |<phi|varphi>|``. The lower bound is clamped at 0.
     """
-    _require_qubits(spec)
-    aa, bb, ab = _weights(spec)
+    parts = _components(spec, qubits=True)
     ov = abs(inner_product(spec.phi, spec.varphi))
-    upper, lower, _ = _qubit_general_kernel(
-        aa, bb, ab, concurrence_qubit(spec.phi), concurrence_qubit(spec.varphi), ov
-    )
+    upper, lower, _ = _qubit_kernel(*parts, ov)
     return upper, max(0.0, lower)
 
 
@@ -233,27 +214,20 @@ def exact_biorthogonal(spec: SuperpositionSpec, *, regime: Regime | None = None,
     ``sqrt(|alpha|^4 C^2(phi) + |beta|^4 C^2(varphi) + 4 |alpha beta|^2)``;
     agrees with the directly computed concurrence within 1e-12.
     """
-    resolved = _resolve_regime(spec, regime, tol)
-    if resolved is not Regime.BIORTHOGONAL:
-        raise RegimeViolation("exact formula requires biorthogonal components")
-    aa, bb, ab = _weights(spec)
-    return _biorthogonal_closed_form(
-        aa, bb, ab,
-        _component_concurrence(spec.phi),
-        _component_concurrence(spec.varphi),
-    )
+    return _biorthogonal_closed_form(*_components(
+        spec, allowed=(Regime.BIORTHOGONAL,), regime=regime, tol=tol))
 
 
 def qudit_upper_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
                      tol: float = REGIME_TOL) -> float:
     """Dimension-general upper bound for orthogonal components.
 
-    ``|alpha|^2 C(phi) + |beta|^2 C(varphi) + 2|alpha beta|``.
+    ``|alpha|^2 C(phi) + |beta|^2 C(varphi) + 2|alpha beta|``; a zero
+    weight is allowed and leaves the remaining component's term.
     """
-    _require_orthogonal(_resolve_regime(spec, regime, tol))
-    aa, bb, ab = _weights(spec)
-    return (aa * _component_concurrence(spec.phi)
-            + bb * _component_concurrence(spec.varphi) + 2.0 * ab)
+    *_, c_phi, c_var = _components(spec, allowed=_ORTHOGONAL_REGIMES,
+                                   regime=regime, tol=tol)
+    return _qudit_kernel(spec.alpha, spec.beta, c_phi, c_var, 0.0)[0]
 
 
 def qudit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -263,13 +237,9 @@ def qudit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
     ``| |alpha|^2 C(phi) - |beta|^2 C(varphi) | - 2|alpha beta| (1 + delta)``
     with ``delta = min(|beta/alpha| C(varphi), |alpha/beta| C(phi))``.
     """
-    _require_orthogonal(_resolve_regime(spec, regime, tol))
-    _require_nonzero_weights(spec)
-    _, lower, _ = _qudit_orth_kernel(
-        spec.alpha, spec.beta,
-        _component_concurrence(spec.phi), _component_concurrence(spec.varphi),
-    )
-    return max(0.0, lower)
+    *_, c_phi, c_var = _components(spec, allowed=_ORTHOGONAL_REGIMES, regime=regime,
+                                   tol=tol, nonzero=True)
+    return max(0.0, _qudit_kernel(spec.alpha, spec.beta, c_phi, c_var, 0.0)[1])
 
 
 def qudit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
@@ -279,12 +249,9 @@ def qudit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
     bound subtracts the same delta as :func:`qudit_lower_orth` and is
     clamped at 0.
     """
-    _require_nonzero_weights(spec)
+    *_, c_phi, c_var = _components(spec, nonzero=True)
     ov = abs(inner_product(spec.phi, spec.varphi))
-    upper, lower, _ = _qudit_general_kernel(
-        spec.alpha, spec.beta,
-        _component_concurrence(spec.phi), _component_concurrence(spec.varphi), ov,
-    )
+    upper, lower, _ = _qudit_kernel(spec.alpha, spec.beta, c_phi, c_var, ov)
     return upper, max(0.0, lower)
 
 
@@ -295,12 +262,9 @@ def lower_bound_useful(spec: SuperpositionSpec, *, regime: Regime | None = None,
     True iff ``C(phi) > 3 |beta/alpha|^2 C(varphi) + 2 |beta/alpha|`` or
     the same with the roles of the two components exchanged.
     """
-    _require_orthogonal(_resolve_regime(spec, regime, tol))
-    _require_nonzero_weights(spec)
-    return _useful_condition(
-        spec.alpha, spec.beta,
-        _component_concurrence(spec.phi), _component_concurrence(spec.varphi),
-    )
+    *_, c_phi, c_var = _components(spec, allowed=_ORTHOGONAL_REGIMES, regime=regime,
+                                   tol=tol, nonzero=True)
+    return _useful_condition(spec.alpha, spec.beta, c_phi, c_var)
 
 
 # --- composed report ------------------------------------------------------
@@ -344,31 +308,10 @@ class BoundReport:
     qudit_delta: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime.value,
-            "regime_tol": self.regime_tol,
-            "dim_a": self.dim_a,
-            "dim_b": self.dim_b,
-            "overlap": [self.overlap.real, self.overlap.imag],
-            "norm_squared": self.norm_squared,
-            "exact_concurrence": self.exact_concurrence,
-            "exact_formula_value": self.exact_formula_value,
-            "upper": self.upper,
-            "lower": self.lower,
-            "lower_unclamped": self.lower_unclamped,
-            "delta": self.delta,
-            "c_phi": self.c_phi,
-            "c_varphi": self.c_varphi,
-            "lower_useful": self.lower_useful,
-            "qubit_upper": self.qubit_upper,
-            "qubit_lower": self.qubit_lower,
-            "qubit_lower_unclamped": self.qubit_lower_unclamped,
-            "qubit_delta": self.qubit_delta,
-            "qudit_upper": self.qudit_upper,
-            "qudit_lower": self.qudit_lower,
-            "qudit_lower_unclamped": self.qudit_lower_unclamped,
-            "qudit_delta": self.qudit_delta,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["regime"] = self.regime.value
+        doc["overlap"] = [self.overlap.real, self.overlap.imag]
+        return doc
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -394,29 +337,22 @@ def evaluate(spec: SuperpositionSpec, *, tol: float = REGIME_TOL,
 
     regime = regime_override if regime_override is not None else \
         classify_pair(phi, var, tol)
-    qubit = phi.is_qubit_pair()
     c_phi = _component_concurrence(phi)
     c_var = _component_concurrence(var)
-    exact = i_concurrence(psi)
+    exact = _component_concurrence(psi)
     aa, bb, ab = _weights(spec)
-    ov = abs(overlap)
-    degenerate = spec.alpha == 0 or spec.beta == 0
+    ov = abs(overlap) if regime is Regime.GENERAL else 0.0
 
     exact_formula = None
     if regime is Regime.BIORTHOGONAL:
         exact_formula = _biorthogonal_closed_form(aa, bb, ab, c_phi, c_var)
 
-    qb = qd = None
-    useful = None
-    if not degenerate:
-        if regime is Regime.GENERAL:
-            qd = _qudit_general_kernel(spec.alpha, spec.beta, c_phi, c_var, ov)
-            if qubit:
-                qb = _qubit_general_kernel(aa, bb, ab, c_phi, c_var, ov)
-        else:
-            qd = _qudit_orth_kernel(spec.alpha, spec.beta, c_phi, c_var)
-            if qubit:
-                qb = _qubit_orth_kernel(aa, bb, ab, c_phi, c_var)
+    qb = qd = useful = None
+    if spec.alpha != 0 and spec.beta != 0:
+        qd = _qudit_kernel(spec.alpha, spec.beta, c_phi, c_var, ov)
+        if phi.is_qubit_pair():
+            qb = _qubit_kernel(aa, bb, ab, c_phi, c_var, ov)
+        if regime is not Regime.GENERAL:
             useful = _useful_condition(spec.alpha, spec.beta, c_phi, c_var)
 
     primary = qb if qb is not None else qd

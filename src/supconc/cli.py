@@ -57,12 +57,20 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
+def _run_or_exit(fn, *args, **kwargs):
+    """Call ``fn``; exit 3 on a :class:`SanityFailure`, 2 on any other library error."""
+    try:
+        return fn(*args, **kwargs)
+    except SanityFailure as exc:
+        _fail(str(exc), 3)
+    except SupconcError as exc:
+        _fail(str(exc), 2)
+
+
 def _load_state_or_exit(path: str) -> PureState:
     try:
         return load_state(path)
-    except SupconcError as exc:
-        _fail(f"{path}: {exc}", 2)
-    except OSError as exc:
+    except (SupconcError, OSError) as exc:
         _fail(f"{path}: {exc}", 2)
 
 
@@ -94,10 +102,7 @@ def _build_spec(phi_file: str, varphi_file: str, alpha: complex,
                 beta: complex) -> SuperpositionSpec:
     phi = _load_state_or_exit(phi_file)
     varphi = _load_state_or_exit(varphi_file)
-    try:
-        return SuperpositionSpec(alpha, beta, phi, varphi)
-    except SupconcError as exc:
-        _fail(str(exc), 2)
+    return _run_or_exit(SuperpositionSpec, alpha, beta, phi, varphi)
 
 
 @main.command("bounds")
@@ -117,12 +122,7 @@ def cmd_bounds(phi_file, varphi_file, alpha, beta, regime_override, tol):
         kwargs["tol"] = tol
     if regime_override is not None:
         kwargs["regime_override"] = Regime(regime_override)
-    try:
-        report = evaluate(spec, **kwargs)
-    except SanityFailure as exc:
-        _fail(str(exc), 3)
-    except SupconcError as exc:
-        _fail(str(exc), 2)
+    report = _run_or_exit(evaluate, spec, **kwargs)
     click.echo(report.to_json())
 
 
@@ -164,12 +164,7 @@ def cmd_sweep(phi_file, varphi_file, steps, regime_override):
     phi = _load_state_or_exit(phi_file)
     varphi = _load_state_or_exit(varphi_file)
     override = Regime(regime_override) if regime_override else None
-    try:
-        lines = _sweep_rows(phi, varphi, steps, override)
-    except SanityFailure as exc:
-        _fail(str(exc), 3)
-    except SupconcError as exc:
-        _fail(str(exc), 2)
+    lines = _run_or_exit(_sweep_rows, phi, varphi, steps, override)
     click.echo("\n".join(lines))
 
 
@@ -186,12 +181,7 @@ def cmd_figure(name, out, strict):
         raise click.UsageError("--strict applies to fig2 only")
     phi, varphi = fixture(f"{name}_pair")
     override = None if strict else Regime.ORTHOGONAL
-    try:
-        lines = _sweep_rows(phi, varphi, 99, override)
-    except SanityFailure as exc:
-        _fail(str(exc), 3)
-    except SupconcError as exc:
-        _fail(str(exc), 2)
+    lines = _run_or_exit(_sweep_rows, phi, varphi, 99, override)
     try:
         with open(out, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -224,14 +214,11 @@ def cmd_verify(trials, dims, regime, seed, tol, jobs, weights, violations_out):
             seed = int(env) if env is not None else 0
         except ValueError:
             _fail(f"SB_SEED={env!r} is not an integer", 2)
-    try:
-        config = EnsembleConfig(
-            trials=trials, dim_a=dims[0], dim_b=dims[1],
-            regime=Regime(regime), seed=seed, weight_sampling=weights, tol=tol,
-        )
-    except SupconcError as exc:
-        _fail(str(exc), 2)
-    summary = verify_ensemble(config, jobs=jobs)
+    config = _run_or_exit(
+        EnsembleConfig, trials=trials, dim_a=dims[0], dim_b=dims[1],
+        regime=Regime(regime), seed=seed, weight_sampling=weights, tol=tol,
+    )
+    summary = _run_or_exit(verify_ensemble, config, jobs=jobs)
     if violations_out is not None:
         try:
             with open(violations_out, "w", encoding="ascii") as fh:

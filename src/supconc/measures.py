@@ -1,10 +1,11 @@
 """Entanglement measures and the universal-inverter machinery.
 
 The qubit concurrence is the overlap between a two-qubit state and its
-spin-flipped image. Its dimension-general counterpart (I-concurrence)
-is defined through the universal inverter ``S(rho) = nu * (I - rho)``;
-the two agree on qubit pairs. The two-sided map ``Lambda = S (x) S``
-acts on an arbitrary operator sigma (at nu = 1) as::
+spin-flipped image, evaluated in closed form. Its dimension-general
+counterpart (I-concurrence) is defined through the universal inverter
+``S(rho) = nu * (I - rho)``; the two agree on qubit pairs. The two-sided
+map ``Lambda = S (x) S`` acts on an arbitrary operator sigma (at nu = 1)
+as::
 
     Lambda(sigma) = Tr(sigma) I(x)I - sigma_A (x) I - I (x) sigma_B + sigma
 
@@ -26,7 +27,6 @@ from .states import (
     OperatorAB,
     PureState,
     SuperpositionSpec,
-    inner_product,
     outer_operator,
     reduced_density,
     schmidt_coefficients,
@@ -70,13 +70,15 @@ def spin_flip(s: PureState) -> PureState:
 
 
 def concurrence_qubit(s: PureState) -> float:
-    """Concurrence of a two-qubit pure state: ``|<s|spin_flip(s)>|``.
+    """Concurrence of a two-qubit pure state: ``2 |a00*a11 - a01*a10|``.
 
-    Ranges from 0 (product states) to 1 (Bell states) and equals
-    ``2 |a00*a11 - a01*a10|``, which tests use as an independent oracle.
+    Ranges from 0 (product states) to 1 (Bell states) and equals the
+    spin-flip overlap ``|<s|spin_flip(s)>|``, which tests use as an
+    independent oracle.
     """
     _require_two_qubit(s)
-    return abs(inner_product(s, spin_flip(s)))
+    (a00, a01), (a10, a11) = s.matrix
+    return float(2.0 * abs(a00 * a11 - a01 * a10))
 
 
 def binary_entropy(x: float) -> float:
@@ -140,9 +142,10 @@ def lambda_map(sigma: OperatorAB, scale: InverterScale = InverterScale()) -> Ope
 def lambda_sandwich(x: PureState, sigma: OperatorAB, y: PureState) -> complex:
     """Matrix element ``<x| Lambda(sigma) |y>`` at nu = 1.
 
-    For a pure sigma = |phi><phi| this has the closed form
-    ``1 - Tr(rho_phi^A rho_x^A) ... `` used as a cross-check in tests;
-    here the map is applied explicitly.
+    For a pure sigma = |phi><phi| the diagonal element has the closed form
+    ``<x| Lambda(|phi><phi|) |x> = 1 - Tr(rho_phi^A rho_x^A)
+    - Tr(rho_phi^B rho_x^B) + |<phi|x>|^2``, used as a cross-check in
+    tests; here the map is applied explicitly.
     """
     if (x.dim_a, x.dim_b) != (sigma.dim_a, sigma.dim_b) or \
             (y.dim_a, y.dim_b) != (sigma.dim_a, sigma.dim_b):

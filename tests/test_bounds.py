@@ -1,11 +1,13 @@
 import cmath
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from supconc import (
+    BoundReport,
     DegenerateWeight,
     DimensionMismatch,
     NotTwoQubit,
@@ -316,6 +318,10 @@ def test_qudit_lower_degenerate_weight():
         qudit_lower_orth(SuperpositionSpec(1.0, 0.0, phi, var))
     with pytest.raises(DegenerateWeight):
         lower_bound_useful(SuperpositionSpec(0.0, 1.0, phi, var))
+    # the upper bound still applies and reduces to the remaining component
+    phi, var = max_entangled(3), ket(3, 3, 1)
+    assert qudit_upper_orth(SuperpositionSpec(0.0, 1.0, phi, var)) == i_concurrence(var)
+    assert qudit_upper_orth(SuperpositionSpec(1.0, 0.0, phi, var)) == i_concurrence(phi)
 
 
 def test_lower_bound_useful_unbalanced_limit():
@@ -409,6 +415,9 @@ def test_evaluate_fig2_override_reproduces_orthogonal_formulas():
     report = evaluate(spec, regime_override=Regime.ORTHOGONAL)
     assert report.regime is Regime.ORTHOGONAL
     assert report.upper == pytest.approx(0.5 * math.sqrt(1.8) + 1.0, abs=1e-12)
+    # the override ignores the true overlap of 1/sqrt(10) in the cross term
+    aa, bb, ab = abs(S2) ** 2, abs(S2) ** 2, abs(S2 * S2)
+    assert report.qudit_upper == aa * report.c_phi + bb * report.c_varphi + 2 * ab
     assert report.qubit_upper is None
     # without the override the pair classifies as general
     assert evaluate(spec).regime is Regime.GENERAL
@@ -453,7 +462,9 @@ def test_evaluate_sanity_failure_on_misapplied_override():
 
 def test_report_json_field_names():
     spec = SuperpositionSpec(0.8, 0.6, fixture("bell_plus"), fixture("ket01"))
-    doc = json.loads(evaluate(spec).to_json())
+    report = evaluate(spec)
+    assert list(report.to_dict()) == [f.name for f in fields(BoundReport)]
+    doc = json.loads(report.to_json())
     for key in ("regime", "overlap", "norm_squared", "exact_concurrence",
                 "exact_formula_value", "upper", "lower", "delta", "c_phi",
                 "c_varphi", "lower_useful"):
@@ -481,3 +492,37 @@ def test_evaluate_sandwich_per_regime():
         assert report.regime is regime
         target = report.norm_squared * report.exact_concurrence
         assert report.lower - 1e-9 <= target <= report.upper + 1e-9
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+def test_standalone_bounds_are_views_of_evaluate(dims):
+    # every standalone bound equals the matching report field exactly
+    rng = np.random.default_rng(26)
+    qubit = dims == (2, 2)
+    for _ in range(20):
+        alpha, beta = random_weights(rng)
+
+        spec = SuperpositionSpec(alpha, beta, *orthogonal_pair(*dims, rng))
+        report = evaluate(spec)
+        assert report.regime is Regime.ORTHOGONAL
+        assert qudit_upper_orth(spec) == report.qudit_upper
+        assert qudit_lower_orth(spec) == report.qudit_lower
+        assert lower_bound_useful(spec) is report.lower_useful
+        if qubit:
+            assert qubit_upper_orth(spec) == report.qubit_upper
+            assert qubit_lower_orth(spec) == report.qubit_lower
+
+        spec = SuperpositionSpec(alpha, beta, haar_state(*dims, rng),
+                                 haar_state(*dims, rng))
+        report = evaluate(spec)
+        assert report.regime is Regime.GENERAL
+        assert qudit_general_bounds(spec) == (report.qudit_upper, report.qudit_lower)
+        if qubit:
+            assert qubit_general_bounds(spec) == (report.qubit_upper,
+                                                  report.qubit_lower)
+
+        spec = SuperpositionSpec(alpha, beta, *biorthogonal_pair(*dims, 1, 1, rng))
+        report = evaluate(spec)
+        assert report.regime is Regime.BIORTHOGONAL
+        assert exact_biorthogonal(spec) == report.exact_formula_value
+        assert qudit_upper_orth(spec) == report.qudit_upper

@@ -359,3 +359,16 @@ def test_verify_flag_errors(runner):
     result = runner.invoke(main, ["verify", "--trials", "10", "--dims", "2", "2",
                                   "--regime", "sideways", "--seed", "0"])
     assert result.exit_code == 2
+
+
+def test_verify_sanity_failure_exits_three(runner, monkeypatch):
+    import supconc.ensembles
+    from supconc import SanityFailure
+
+    def broken(spec):
+        raise SanityFailure("report inconsistent")
+
+    monkeypatch.setattr(supconc.ensembles, "evaluate", broken)
+    result = runner.invoke(main, verify_args(trials=5) + ["--jobs", "1"])
+    assert result.exit_code == 3
+    assert "error: report inconsistent" in result.stderr

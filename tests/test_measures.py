@@ -68,6 +68,10 @@ def test_spin_flip_involution_up_to_phase():
         s = haar_state(2, 2, rng)
         twice = spin_flip(spin_flip(s))
         assert abs(inner_product(s, twice)) == pytest.approx(1.0, abs=1e-12)
+        # the spin-flip overlap is an independent oracle for the closed form
+        c = concurrence_qubit(s)
+        assert type(c) is float
+        assert c == pytest.approx(abs(inner_product(s, spin_flip(s))), abs=1e-12)
 
 
 def test_spin_flip_rejects_qudits():
