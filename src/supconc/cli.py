@@ -17,7 +17,7 @@ import sys
 import click
 import numpy as np
 
-from .bounds import Regime, evaluate
+from .bounds import REGIME_TOL, Regime, evaluate
 from .ensembles import EnsembleConfig, fixture, verify_ensemble
 from .errors import SanityFailure, SupconcError
 from .measures import concurrence_qubit, eof_from_concurrence, i_concurrence
@@ -112,17 +112,13 @@ def _build_spec(phi_file: str, varphi_file: str, alpha: complex,
 @click.option("--beta", type=COMPLEX, required=True, help="Weight of the second state.")
 @click.option("--regime-override", type=REGIME_CHOICE, default=None,
               help="Force the bound formulas of this regime instead of classifying.")
-@click.option("--tol", type=float, default=None,
-              help="Regime classification tolerance (default 1e-9).")
+@click.option("--tol", type=float, default=REGIME_TOL, show_default=True,
+              help="Regime classification tolerance.")
 def cmd_bounds(phi_file, varphi_file, alpha, beta, regime_override, tol):
     """Evaluate every applicable bound and print the report as JSON."""
     spec = _build_spec(phi_file, varphi_file, alpha, beta)
-    kwargs = {}
-    if tol is not None:
-        kwargs["tol"] = tol
-    if regime_override is not None:
-        kwargs["regime_override"] = Regime(regime_override)
-    report = _run_or_exit(evaluate, spec, **kwargs)
+    override = Regime(regime_override) if regime_override else None
+    report = _run_or_exit(evaluate, spec, tol=tol, regime_override=override)
     click.echo(report.to_json())
 
 

@@ -13,12 +13,12 @@ import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .bounds import Regime, evaluate
-from .errors import InternalError, InvalidSplit, UnknownFixture
+from .errors import InternalError, InvalidSplit, SanityFailure, UnknownFixture
 from .states import PureState, SuperpositionSpec, make_state
 
 _REDRAW_LIMIT = 100
@@ -170,12 +170,7 @@ class Violation:
     margin: float
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trial_index": self.trial_index,
-            "digest": self.digest,
-            "margin": self.margin,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -207,17 +202,10 @@ class VerificationSummary:
         return not self.violations
 
     def to_dict(self, include_wall_time: bool = True) -> dict:
-        doc = {
-            "trials_run": self.trials_run,
-            "violations": [v.to_dict() for v in self.violations],
-            "max_upper_slack": self.max_upper_slack,
-            "min_lower_slack": self.min_lower_slack,
-            "max_formula_error": self.max_formula_error,
-            "zero_delta_lower_excesses": self.zero_delta_lower_excesses,
-            "max_zero_delta_excess": self.max_zero_delta_excess,
-        }
-        if include_wall_time:
-            doc["wall_time"] = self.wall_time
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["violations"] = [v.to_dict() for v in self.violations]
+        if not include_wall_time:
+            del doc["wall_time"]
         return doc
 
 
@@ -276,23 +264,16 @@ def _run_range(config: EnsembleConfig, start: int, stop: int) -> _Partial:
         phi, varphi = _draw_pair(config, rng)
         alpha, beta = _draw_weights(rng, config.weight_sampling)
         spec = SuperpositionSpec(alpha, beta, phi, varphi)
-        report = evaluate(spec)
+        try:
+            report = evaluate(spec)
+        except SanityFailure as exc:
+            raise SanityFailure(f"{exc} (seed {config.seed}, trial {index}, "
+                                f"digest {_spec_digest(spec)})") from exc
         target = report.norm_squared * report.exact_concurrence
-
-        upper_slack = -math.inf
-        lower_slack = math.inf
-        for upper, lower in ((report.qubit_upper, report.qubit_lower),
-                             (report.qudit_upper, report.qudit_lower)):
-            if upper is None:
-                continue
-            upper_slack = max(upper_slack, target - upper)
-            lower_slack = min(lower_slack, target - lower)
+        upper_slack, lower_slack, formula_error = report.slack
         part.max_upper_slack = max(part.max_upper_slack, upper_slack)
         part.min_lower_slack = min(part.min_lower_slack, lower_slack)
-
-        formula_error = 0.0
-        if report.exact_formula_value is not None:
-            formula_error = abs(report.exact_formula_value - report.exact_concurrence)
+        if formula_error is not None:
             part.max_formula_error = max(part.max_formula_error, formula_error)
 
         if report.regime is not Regime.GENERAL:
@@ -304,7 +285,7 @@ def _run_range(config: EnsembleConfig, start: int, stop: int) -> _Partial:
             if excess > config.tol:
                 part.zero_delta_count += 1
 
-        margin = max(upper_slack, -lower_slack, formula_error)
+        margin = max(upper_slack, -lower_slack, formula_error or 0.0)
         if margin > config.tol:
             part.violations.append(
                 Violation(config.seed, index, _spec_digest(spec), margin)

@@ -36,6 +36,7 @@ from supconc import (
     qudit_upper_orth,
     superpose,
 )
+from supconc.bounds import REGIME_TOL
 
 S2 = math.sqrt(0.5)
 
@@ -458,6 +459,45 @@ def test_evaluate_sanity_failure_on_misapplied_override():
     spec = SuperpositionSpec(S2, S2, fixture("bell_plus"), fixture("bell_minus"))
     with pytest.raises(SanityFailure):
         evaluate(spec, regime_override=Regime.BIORTHOGONAL)
+
+
+@pytest.mark.parametrize("eps, tol, gap", [
+    (1e-5, REGIME_TOL, 1.26e-8),
+    (0.03, 1e-2, 4.1e-4),
+])
+def test_evaluate_near_biorthogonal_reports_closed_form(eps, tol, gap):
+    # a pair biorthogonal only within tolerance keeps its closed form in
+    # the report; the closed form is not held to the direct value
+    phi, var = biorthogonal_pair(3, 3, 1, 1, np.random.default_rng(1))
+    amps = var.amplitudes.copy()
+    amps[0] += eps
+    var = make_state(3, 3, amps / np.linalg.norm(amps))
+    assert classify_pair(phi, var, tol) is Regime.BIORTHOGONAL
+    report = evaluate(SuperpositionSpec(0.6, 0.8, phi, var), tol=tol)
+    assert report.regime is Regime.BIORTHOGONAL
+    upper_slack, lower_slack, formula_error = report.slack
+    assert formula_error == pytest.approx(gap, rel=0.05)
+    target = report.norm_squared * report.exact_concurrence
+    assert report.qudit_lower - 1e-9 <= target <= report.qudit_upper + 1e-9
+    assert upper_slack <= 1e-9 and lower_slack >= -1e-9
+
+
+def test_report_slack_reads_filled_families():
+    phi, var = fixture("bell_plus"), fixture("ket01")
+    report = evaluate(SuperpositionSpec(0.8, 0.6, phi, var))
+    target = report.norm_squared * report.exact_concurrence
+    upper_slack, lower_slack, formula_error = report.slack
+    assert upper_slack == max(target - report.qubit_upper, target - report.qudit_upper)
+    assert lower_slack == min(target - report.qubit_lower, target - report.qudit_lower)
+    assert formula_error is None
+    assert "slack" not in report.to_dict()
+    # no superposition to bound: no family is filled
+    single = evaluate(SuperpositionSpec(1.0, 0.0, phi, var))
+    assert single.slack == (-math.inf, math.inf, None)
+    k00 = make_state(2, 2, [1, 0, 0, 0])
+    k11 = make_state(2, 2, [0, 0, 0, 1])
+    bio = evaluate(SuperpositionSpec(S2, S2, k00, k11))
+    assert bio.slack[2] == abs(bio.exact_formula_value - bio.exact_concurrence)
 
 
 def test_report_json_field_names():

@@ -115,6 +115,7 @@ def test_bounds_psi1_saturation(runner, state_files):
     assert doc["upper"] == pytest.approx(0.64, abs=1e-12)
     assert doc["upper"] == pytest.approx(
         doc["norm_squared"] * doc["exact_concurrence"], abs=1e-12)
+    assert doc["regime_tol"] == 1e-9
 
 
 def test_bounds_biorthogonal_formula(runner, tmp_path):
@@ -372,3 +373,5 @@ def test_verify_sanity_failure_exits_three(runner, monkeypatch):
     result = runner.invoke(main, verify_args(trials=5) + ["--jobs", "1"])
     assert result.exit_code == 3
     assert "error: report inconsistent" in result.stderr
+    assert "trial 0" in result.stderr
+    assert "seed 42" in result.stderr
