@@ -16,7 +16,10 @@ cross term is ``2|alpha beta|`` (orthogonal) or
 bound picks up ``delta = min(|beta/alpha| C(varphi), |alpha/beta| C(phi))``.
 
 The orthogonal-regime formulas are the general ones at
-``|<phi|varphi>| = 0``, so each bound family has one kernel. Concurrences
+``|<phi|varphi>| = 0``, so each bound family has one kernel, and every
+bound takes the measured overlap unless the caller names an orthogonal
+regime (``regime_override``, or ``regime=`` of a standalone bound); the
+tolerance sets the regime label, never a bound's formula. Concurrences
 (components and superposition alike) are evaluated with the closed form
 ``2|a00 a11 - a01 a10|`` on 2x2 states and with the I-concurrence
 otherwise; the two agree within 1e-12 on qubit pairs. Lower bounds are
@@ -36,13 +39,19 @@ import numpy as np
 from .errors import (
     DegenerateWeight,
     DeltaOutOfRange,
-    DimensionMismatch,
     NotTwoQubit,
     RegimeViolation,
     SanityFailure,
 )
 from .measures import concurrence_qubit, i_concurrence
-from .states import PureState, SuperpositionSpec, inner_product, normalize, superpose
+from .states import (
+    PureState,
+    SuperpositionSpec,
+    _require_same_space,
+    inner_product,
+    normalize,
+    superpose,
+)
 
 REGIME_TOL = 1e-9    # default tolerance on |<phi|varphi>| and the trace overlaps
 SANITY_TOL = 1e-9    # exact value may escape its bounds by at most this much
@@ -65,11 +74,7 @@ def classify_pair(phi: PureState, varphi: PureState, tol: float = REGIME_TOL) ->
     reduced overlaps force orthogonal local supports, biorthogonality
     implies plain orthogonality, and the classifier checks it first.
     """
-    if (phi.dim_a, phi.dim_b) != (varphi.dim_a, varphi.dim_b):
-        raise DimensionMismatch(
-            f"states live on different spaces: {(phi.dim_a, phi.dim_b)} vs "
-            f"{(varphi.dim_a, varphi.dim_b)}"
-        )
+    _require_same_space(phi, varphi)
     m, n = phi.matrix, varphi.matrix
     # Tr(rho_phi^A rho_varphi^A) = ||M^dag N||_F^2; side B: ||M N^dag||_F^2
     trace_a = np.linalg.norm(m.conj().T @ n) ** 2
@@ -94,40 +99,43 @@ def _weights(spec: SuperpositionSpec) -> tuple[float, float, float]:
 _ORTHOGONAL_REGIMES = (Regime.BIORTHOGONAL, Regime.ORTHOGONAL)
 
 
+def _kernel_overlap(overlap: complex, named_regime: Regime | None) -> float:
+    """``|<phi|varphi>|`` for the kernels: 0 only under a named orthogonal regime."""
+    return 0.0 if named_regime in _ORTHOGONAL_REGIMES else abs(overlap)
+
+
 def _components(spec: SuperpositionSpec, *, qubits: bool = False,
                 allowed: tuple[Regime, ...] | None = None,
                 regime: Regime | None = None, tol: float = REGIME_TOL,
-                nonzero: bool = False) -> tuple[float, float, float, float, float]:
+                nonzero: bool = False) -> tuple[float, float, float, float, float, float]:
     """Shared preamble of the standalone bounds.
 
     Checks, in this order, 2x2 dimensions (``qubits``), that the regime
     (``regime``, else the classified one) is in ``allowed`` and that both
     weights are nonzero (``nonzero``); returns ``(|alpha|^2, |beta|^2,
-    |alpha beta|, C(phi), C(varphi))``.
+    |alpha beta|, C(phi), C(varphi), ov)``.
     """
     if qubits and spec.dims != (2, 2):
         raise NotTwoQubit(f"bound requires 2x2 components, got {spec.dims}")
-    if allowed is not None:
-        if regime is None:
-            regime = classify_pair(spec.phi, spec.varphi, tol)
-        if regime not in allowed:
-            raise RegimeViolation(
-                f"bound requires {' or '.join(r.value for r in allowed)} "
-                "component states"
-            )
+    if allowed is not None and \
+            (regime or classify_pair(spec.phi, spec.varphi, tol)) not in allowed:
+        raise RegimeViolation(
+            f"bound requires {' or '.join(r.value for r in allowed)} component states"
+        )
     if nonzero and (spec.alpha == 0 or spec.beta == 0):
         raise DegenerateWeight(
             "alpha = 0 or beta = 0: the superposition is a single component; "
             "report its exact concurrence instead of a bound"
         )
     return (*_weights(spec), _component_concurrence(spec.phi),
-            _component_concurrence(spec.varphi))
+            _component_concurrence(spec.varphi),
+            _kernel_overlap(inner_product(spec.phi, spec.varphi), regime))
 
 
 # --- bound kernels ------------------------------------------------------
-# Each kernel returns (upper, lower_unclamped, delta). The orthogonal and
-# biorthogonal regimes pass ov = 0.0, which reproduces their formulas
-# exactly: |C - 0.0| == C and sqrt(1 + 0.0) == 1.0.
+# Each kernel returns (upper, lower_unclamped, delta). At ov = 0.0 they
+# reproduce the orthogonal-regime formulas exactly: |C - 0.0| == C and
+# sqrt(1 + 0.0) == 1.0.
 
 
 def _qubit_kernel(aa, bb, ab, c_phi, c_var, ov):
@@ -167,7 +175,7 @@ def _useful_condition(alpha, beta, c_phi, c_var) -> bool:
 
 # --- public bound operations ---------------------------------------------
 # Thin views over the kernels: each returns the matching field of
-# :func:`evaluate` for a pair in its regime.
+# :func:`evaluate` for a pair in its regime, at the same ``tol``.
 
 
 def qubit_upper_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -175,11 +183,11 @@ def qubit_upper_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
     """Upper bound on C(Psi) for orthogonal qubit components.
 
     ``|alpha|^2 C(phi) + |beta|^2 C(varphi) + 2|alpha beta| sqrt(1 - delta^2)``
-    with ``delta = max(C(phi), C(varphi))``.
+    with ``delta = max(|C(phi) - ov|, |C(varphi) - ov|)``; ``ov`` is the
+    measured overlap on a classified pair, 0 when ``regime`` is named.
     """
-    parts = _components(spec, qubits=True, allowed=_ORTHOGONAL_REGIMES,
-                        regime=regime, tol=tol)
-    return _qubit_kernel(*parts, 0.0)[0]
+    return _qubit_kernel(*_components(spec, qubits=True, allowed=_ORTHOGONAL_REGIMES,
+                                      regime=regime, tol=tol))[0]
 
 
 def qubit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -189,9 +197,8 @@ def qubit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
     ``| |alpha|^2 C(phi) - |beta|^2 C(varphi) | - 2|alpha beta| sqrt(1 - delta^2)``
     with the same delta as :func:`qubit_upper_orth`.
     """
-    parts = _components(spec, qubits=True, allowed=_ORTHOGONAL_REGIMES,
-                        regime=regime, tol=tol)
-    return max(0.0, _qubit_kernel(*parts, 0.0)[1])
+    return max(0.0, _qubit_kernel(*_components(
+        spec, qubits=True, allowed=_ORTHOGONAL_REGIMES, regime=regime, tol=tol))[1])
 
 
 def qubit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
@@ -201,9 +208,7 @@ def qubit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
     ``delta = max(|C(phi) - ov|, |C(varphi) - ov|)`` where
     ``ov = |<phi|varphi>|``. The lower bound is clamped at 0.
     """
-    parts = _components(spec, qubits=True)
-    ov = abs(inner_product(spec.phi, spec.varphi))
-    upper, lower, _ = _qubit_kernel(*parts, ov)
+    upper, lower, _ = _qubit_kernel(*_components(spec, qubits=True))
     return upper, max(0.0, lower)
 
 
@@ -214,32 +219,34 @@ def exact_biorthogonal(spec: SuperpositionSpec, *, regime: Regime | None = None,
     ``sqrt(|alpha|^4 C^2(phi) + |beta|^4 C^2(varphi) + 4 |alpha beta|^2)``;
     agrees with the directly computed concurrence within 1e-12.
     """
-    return _biorthogonal_closed_form(*_components(
-        spec, allowed=(Regime.BIORTHOGONAL,), regime=regime, tol=tol))
+    *parts, _ = _components(spec, allowed=(Regime.BIORTHOGONAL,), regime=regime, tol=tol)
+    return _biorthogonal_closed_form(*parts)
 
 
 def qudit_upper_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
                      tol: float = REGIME_TOL) -> float:
     """Dimension-general upper bound for orthogonal components.
 
-    ``|alpha|^2 C(phi) + |beta|^2 C(varphi) + 2|alpha beta|``; a zero
-    weight is allowed and leaves the remaining component's term.
+    ``|alpha|^2 C(phi) + |beta|^2 C(varphi) + 2|alpha beta| sqrt(1 + ov^2)``,
+    ``ov`` as in :func:`qubit_upper_orth`; a zero weight is allowed and
+    leaves the remaining component's term.
     """
-    *_, c_phi, c_var = _components(spec, allowed=_ORTHOGONAL_REGIMES,
-                                   regime=regime, tol=tol)
-    return _qudit_kernel(spec.alpha, spec.beta, c_phi, c_var, 0.0)[0]
+    *_, c_phi, c_var, ov = _components(spec, allowed=_ORTHOGONAL_REGIMES,
+                                       regime=regime, tol=tol)
+    return _qudit_kernel(spec.alpha, spec.beta, c_phi, c_var, ov)[0]
 
 
 def qudit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
                      tol: float = REGIME_TOL) -> float:
     """Dimension-general lower bound for orthogonal components, clamped at 0.
 
-    ``| |alpha|^2 C(phi) - |beta|^2 C(varphi) | - 2|alpha beta| (1 + delta)``
-    with ``delta = min(|beta/alpha| C(varphi), |alpha/beta| C(phi))``.
+    ``| |alpha|^2 C(phi) - |beta|^2 C(varphi) | - 2|alpha beta| (sqrt(1 + ov^2) + delta)``
+    with ``delta = min(|beta/alpha| C(varphi), |alpha/beta| C(phi))`` and
+    ``ov`` as in :func:`qubit_upper_orth`.
     """
-    *_, c_phi, c_var = _components(spec, allowed=_ORTHOGONAL_REGIMES, regime=regime,
-                                   tol=tol, nonzero=True)
-    return max(0.0, _qudit_kernel(spec.alpha, spec.beta, c_phi, c_var, 0.0)[1])
+    *_, c_phi, c_var, ov = _components(spec, allowed=_ORTHOGONAL_REGIMES,
+                                       regime=regime, tol=tol, nonzero=True)
+    return max(0.0, _qudit_kernel(spec.alpha, spec.beta, c_phi, c_var, ov)[1])
 
 
 def qudit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
@@ -249,8 +256,7 @@ def qudit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
     bound subtracts the same delta as :func:`qudit_lower_orth` and is
     clamped at 0.
     """
-    *_, c_phi, c_var = _components(spec, nonzero=True)
-    ov = abs(inner_product(spec.phi, spec.varphi))
+    *_, c_phi, c_var, ov = _components(spec, nonzero=True)
     upper, lower, _ = _qudit_kernel(spec.alpha, spec.beta, c_phi, c_var, ov)
     return upper, max(0.0, lower)
 
@@ -262,8 +268,8 @@ def lower_bound_useful(spec: SuperpositionSpec, *, regime: Regime | None = None,
     True iff ``C(phi) > 3 |beta/alpha|^2 C(varphi) + 2 |beta/alpha|`` or
     the same with the roles of the two components exchanged.
     """
-    *_, c_phi, c_var = _components(spec, allowed=_ORTHOGONAL_REGIMES, regime=regime,
-                                   tol=tol, nonzero=True)
+    *_, c_phi, c_var, _ = _components(spec, allowed=_ORTHOGONAL_REGIMES,
+                                      regime=regime, tol=tol, nonzero=True)
     return _useful_condition(spec.alpha, spec.beta, c_phi, c_var)
 
 
@@ -341,29 +347,30 @@ def evaluate(spec: SuperpositionSpec, *, tol: float = REGIME_TOL,
              regime_override: Regime | None = None) -> BoundReport:
     """Classify, compute the exact concurrence, and fill every applicable bound.
 
-    ``regime_override`` forces the bound formulas of a chosen regime
-    regardless of classification (used to reproduce reference figures
-    whose source applies orthogonal-regime formulas to a slightly
-    non-orthogonal pair). The report is sanity-checked before returning:
-    if the exact value escapes any filled bound by more than
-    ``SANITY_TOL`` a :class:`SanityFailure` is raised, which signals an
-    implementation bug (or an override misapplied far outside its
-    formulas' validity), never a user error. The closed form is checked
-    only under ``regime_override``: on a pair classified biorthogonal within
-    ``tol`` it is off by O(sqrt(tol)), reported in :attr:`BoundReport.slack`.
+    The bounds use the measured overlap unless ``regime_override`` names
+    an orthogonal regime, which takes them at overlap 0 (used to reproduce
+    reference figures whose source applies orthogonal-regime formulas to a
+    slightly non-orthogonal pair); ``tol`` only sets the regime label,
+    ``exact_formula_value`` and ``lower_useful``. The report is
+    sanity-checked before returning: if the exact value escapes any filled
+    bound by more than ``SANITY_TOL`` a :class:`SanityFailure` is raised,
+    which signals an implementation bug (or an override misapplied far
+    outside its formulas' validity), never a user error. The closed form is
+    checked only under ``regime_override``: on a pair classified
+    biorthogonal within ``tol`` it is off by O(sqrt(tol)), reported in
+    :attr:`BoundReport.slack`.
     """
     phi, var = spec.phi, spec.varphi
     overlap = inner_product(phi, var)
     raw, norm_sq = superpose(spec)
     psi, _ = normalize(raw)
 
-    regime = regime_override if regime_override is not None else \
-        classify_pair(phi, var, tol)
+    regime = regime_override or classify_pair(phi, var, tol)
     c_phi = _component_concurrence(phi)
     c_var = _component_concurrence(var)
     exact = _component_concurrence(psi)
     aa, bb, ab = _weights(spec)
-    ov = abs(overlap) if regime is Regime.GENERAL else 0.0
+    ov = _kernel_overlap(overlap, regime_override)
 
     exact_formula = None
     if regime is Regime.BIORTHOGONAL:

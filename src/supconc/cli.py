@@ -17,8 +17,8 @@ import sys
 import click
 import numpy as np
 
-from .bounds import REGIME_TOL, Regime, evaluate
-from .ensembles import EnsembleConfig, fixture, verify_ensemble
+from .bounds import REGIME_TOL, SANITY_TOL, Regime, evaluate
+from .ensembles import WEIGHT_MODES, EnsembleConfig, fixture, verify_ensemble
 from .errors import SanityFailure, SupconcError
 from .measures import concurrence_qubit, eof_from_concurrence, i_concurrence
 from .states import (
@@ -193,11 +193,11 @@ def cmd_figure(name, out, strict):
               help="Regime the generated pairs must land in.")
 @click.option("--seed", type=int, default=None,
               help="Campaign seed (default: env SB_SEED, else 0).")
-@click.option("--tol", type=float, default=1e-9, show_default=True,
+@click.option("--tol", type=float, default=SANITY_TOL, show_default=True,
               help="Violation tolerance on the bound sandwich.")
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Worker processes; does not affect the output.")
-@click.option("--weights", type=click.Choice(["real-grid", "complex-random"]),
+@click.option("--weights", type=click.Choice(WEIGHT_MODES),
               default="real-grid", show_default=True,
               help="Weight sampling mode.")
 @click.option("--violations-out", type=click.Path(dir_okay=False), default=None,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bounds import Regime, evaluate
+from .bounds import SANITY_TOL, Regime, evaluate
 from .errors import InternalError, InvalidSplit, SanityFailure, UnknownFixture
 from .states import PureState, SuperpositionSpec, make_state
 
@@ -27,11 +27,14 @@ _COLLINEAR_TOL = 1e-6   # residual norm below which a Gram-Schmidt draw is retri
 WEIGHT_MODES = ("real-grid", "complex-random")
 
 
+def _haar_vector(n: int, rng: np.random.Generator) -> np.ndarray:
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return z / np.linalg.norm(z)
+
+
 def haar_state(dim_a: int, dim_b: int, rng: np.random.Generator) -> PureState:
     """Haar-random pure state: a normalized vector of standard complex Gaussians."""
-    n = dim_a * dim_b
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return PureState(dim_a, dim_b, z / np.linalg.norm(z))
+    return PureState(dim_a, dim_b, _haar_vector(dim_a * dim_b, rng))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -53,8 +56,8 @@ def orthogonal_pair(dim_a: int, dim_b: int,
         raise InvalidSplit("need a joint dimension of at least 2 for an orthogonal pair")
     phi = haar_state(dim_a, dim_b, rng)
     for _ in range(_REDRAW_LIMIT):
-        cand = haar_state(dim_a, dim_b, rng)
-        v = cand.amplitudes - np.vdot(phi.amplitudes, cand.amplitudes) * phi.amplitudes
+        cand = _haar_vector(dim_a * dim_b, rng)
+        v = cand - np.vdot(phi.amplitudes, cand) * phi.amplitudes
         norm = np.linalg.norm(v)
         if norm < _COLLINEAR_TOL:
             continue
@@ -80,11 +83,10 @@ def biorthogonal_pair(dim_a: int, dim_b: int, split_a: int, split_b: int,
     if not (1 <= split_b < dim_b):
         raise InvalidSplit(f"split_b = {split_b} not in [1, {dim_b - 1}]")
     phi_m = np.zeros((dim_a, dim_b), dtype=np.complex128)
-    phi_m[:split_a, :split_b] = haar_state(split_a, split_b, rng).matrix
     var_m = np.zeros((dim_a, dim_b), dtype=np.complex128)
-    var_m[split_a:, split_b:] = haar_state(dim_a - split_a, dim_b - split_b, rng).matrix
-    return (PureState(dim_a, dim_b, phi_m.reshape(-1)),
-            PureState(dim_a, dim_b, var_m.reshape(-1)))
+    for block in (phi_m[:split_a, :split_b], var_m[split_a:, split_b:]):
+        block[...] = _haar_vector(block.size, rng).reshape(block.shape)
+    return PureState(dim_a, dim_b, phi_m), PureState(dim_a, dim_b, var_m)
 
 
 # --- reference fixtures ----------------------------------------------------
@@ -146,7 +148,7 @@ class EnsembleConfig:
     regime: Regime
     seed: int
     weight_sampling: str = "real-grid"
-    tol: float = 1e-9
+    tol: float = SANITY_TOL
 
     def __post_init__(self):
         if self.trials < 1:

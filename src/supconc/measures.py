@@ -27,6 +27,7 @@ from .states import (
     OperatorAB,
     PureState,
     SuperpositionSpec,
+    _require_same_space,
     outer_operator,
     reduced_density,
     schmidt_coefficients,
@@ -147,9 +148,8 @@ def lambda_sandwich(x: PureState, sigma: OperatorAB, y: PureState) -> complex:
     - Tr(rho_phi^B rho_x^B) + |<phi|x>|^2``, used as a cross-check in
     tests; here the map is applied explicitly.
     """
-    if (x.dim_a, x.dim_b) != (sigma.dim_a, sigma.dim_b) or \
-            (y.dim_a, y.dim_b) != (sigma.dim_a, sigma.dim_b):
-        raise DimensionMismatch("sandwich arguments live on different spaces")
+    _require_same_space(x, sigma)
+    _require_same_space(y, sigma)
     lam = lambda_map(sigma)
     return complex(np.vdot(x.amplitudes, lam.entries @ y.amplitudes))
 

@@ -33,18 +33,44 @@ PSD_TOL = -1e-10     # eigenvalues of a density matrix may dip this far
 UNITARY_TOL = 1e-10
 
 
-def _frozen_complex_vector(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128, copy=True).reshape(-1)
-    arr.setflags(write=False)
-    return arr
+def _frozen(values, shape: tuple[int, ...]) -> np.ndarray:
+    """Read-only complex copy of ``values`` with the given shape.
 
-
-def _frozen_complex_matrix(values) -> np.ndarray:
+    A one-dimensional ``shape`` flattens the input first, so amplitudes may
+    arrive in coefficient-matrix form.
+    """
     arr = np.array(values, dtype=np.complex128, copy=True)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got ndim={arr.ndim}")
+    if len(shape) == 1:
+        arr = arr.reshape(-1)
+    if arr.shape != shape:
+        raise DimensionMismatch(
+            f"shape {arr.shape} does not match the dimensions {shape}")
     arr.setflags(write=False)
     return arr
+
+
+def _require_positive(*dims: int) -> None:
+    if min(dims) < 1:
+        raise DimensionMismatch(f"dimensions must be positive, got {dims}")
+
+
+def _require_hermitian(entries: np.ndarray) -> None:
+    dev = np.max(np.abs(entries - entries.conj().T))
+    if dev > HERMITIAN_TOL:
+        raise NotHermitian(f"max |rho - rho^dagger| = {dev!r}")
+
+
+def _require_same_space(a, b) -> None:
+    """Raise :class:`DimensionMismatch` unless ``a`` and ``b`` share ``(dim_a, dim_b)``."""
+    if (a.dim_a, a.dim_b) != (b.dim_a, b.dim_b):
+        raise DimensionMismatch(f"states live on different spaces: "
+                                f"{(a.dim_a, a.dim_b)} vs {(b.dim_a, b.dim_b)}")
+
+
+def _freeze_amplitudes(v: RawVector | PureState) -> None:
+    """Validate the dims of ``v`` and freeze its amplitudes to length ``dim_a*dim_b``."""
+    _require_positive(v.dim_a, v.dim_b)
+    object.__setattr__(v, "amplitudes", _frozen(v.amplitudes, (v.dim_a * v.dim_b,)))
 
 
 @dataclass(frozen=True)
@@ -61,14 +87,7 @@ class RawVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise DimensionMismatch("local dimensions must be positive")
-        object.__setattr__(self, "amplitudes", _frozen_complex_vector(self.amplitudes))
-        n = self.dim_a * self.dim_b
-        if self.amplitudes.shape != (n,):
-            raise DimensionMismatch(
-                f"amplitude length {self.amplitudes.shape[0]} != dim_a*dim_b = {n}"
-            )
+        _freeze_amplitudes(self)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -94,14 +113,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise DimensionMismatch("local dimensions must be positive")
-        object.__setattr__(self, "amplitudes", _frozen_complex_vector(self.amplitudes))
-        n = self.dim_a * self.dim_b
-        if self.amplitudes.shape != (n,):
-            raise DimensionMismatch(
-                f"amplitude length {self.amplitudes.shape[0]} != dim_a*dim_b = {n}"
-            )
+        _freeze_amplitudes(self)
         norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise NotNormalized(norm_sq)
@@ -129,16 +141,9 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DimensionMismatch("dimension must be positive")
-        object.__setattr__(self, "entries", _frozen_complex_matrix(self.entries))
-        if self.entries.shape != (self.dim, self.dim):
-            raise DimensionMismatch(
-                f"entries shape {self.entries.shape} != ({self.dim}, {self.dim})"
-            )
-        dev = np.max(np.abs(self.entries - self.entries.conj().T))
-        if dev > HERMITIAN_TOL:
-            raise NotHermitian(f"max |rho - rho^dagger| = {dev!r}")
+        _require_positive(self.dim)
+        object.__setattr__(self, "entries", _frozen(self.entries, (self.dim, self.dim)))
+        _require_hermitian(self.entries)
         eigmin = float(np.linalg.eigvalsh(self.entries)[0])
         if eigmin < PSD_TOL:
             raise NotHermitian(
@@ -159,14 +164,9 @@ class OperatorAB:
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise DimensionMismatch("local dimensions must be positive")
-        object.__setattr__(self, "entries", _frozen_complex_matrix(self.entries))
+        _require_positive(self.dim_a, self.dim_b)
         n = self.dim_a * self.dim_b
-        if self.entries.shape != (n, n):
-            raise DimensionMismatch(
-                f"entries shape {self.entries.shape} != ({n}, {n})"
-            )
+        object.__setattr__(self, "entries", _frozen(self.entries, (n, n)))
 
 
 @dataclass(frozen=True)
@@ -181,12 +181,7 @@ class SuperpositionSpec:
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
-        if (self.phi.dim_a, self.phi.dim_b) != (self.varphi.dim_a, self.varphi.dim_b):
-            raise DimensionMismatch(
-                "component states live on different spaces: "
-                f"{(self.phi.dim_a, self.phi.dim_b)} vs "
-                f"{(self.varphi.dim_a, self.varphi.dim_b)}"
-            )
+        _require_same_space(self.phi, self.varphi)
         wsum = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(wsum - 1.0) > NORM_TOL:
             raise WeightsNotNormalized(
@@ -248,11 +243,7 @@ def normalize(v: RawVector) -> tuple[PureState, float]:
 
 def inner_product(a: PureState | RawVector, b: PureState | RawVector) -> complex:
     """Hermitian inner product <a|b>, conjugate-linear in ``a``."""
-    if (a.dim_a, a.dim_b) != (b.dim_a, b.dim_b):
-        raise DimensionMismatch(
-            f"states live on different spaces: {(a.dim_a, a.dim_b)} vs "
-            f"{(b.dim_a, b.dim_b)}"
-        )
+    _require_same_space(a, b)
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
@@ -304,9 +295,7 @@ def purity(rho: DensityMatrix | np.ndarray) -> float:
         entries = np.asarray(rho, dtype=np.complex128)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got {entries.shape}")
-        dev = np.max(np.abs(entries - entries.conj().T))
-        if dev > HERMITIAN_TOL:
-            raise NotHermitian(f"max |rho - rho^dagger| = {dev!r}")
+        _require_hermitian(entries)
     return float(np.trace(entries @ entries).real)
 
 
@@ -330,11 +319,7 @@ def apply_local_unitary(s: PureState, u_a, u_b) -> PureState:
 
 def outer_operator(x: PureState, y: PureState) -> OperatorAB:
     """The (generally non-Hermitian) operator ``|x><y|``."""
-    if (x.dim_a, x.dim_b) != (y.dim_a, y.dim_b):
-        raise DimensionMismatch(
-            f"states live on different spaces: {(x.dim_a, x.dim_b)} vs "
-            f"{(y.dim_a, y.dim_b)}"
-        )
+    _require_same_space(x, y)
     return OperatorAB(x.dim_a, x.dim_b, np.outer(x.amplitudes, y.amplitudes.conj()))
 
 

@@ -36,7 +36,7 @@ from supconc import (
     qudit_upper_orth,
     superpose,
 )
-from supconc.bounds import REGIME_TOL
+from supconc.bounds import REGIME_TOL, SANITY_TOL
 
 S2 = math.sqrt(0.5)
 
@@ -482,6 +482,31 @@ def test_evaluate_near_biorthogonal_reports_closed_form(eps, tol, gap):
     assert upper_slack <= 1e-9 and lower_slack >= -1e-9
 
 
+def near_orthogonal(phi, base, eps):
+    """``normalize(base + eps * phi)``: overlap ~eps with ``phi``."""
+    v = base.amplitudes + eps * phi.amplitudes
+    return make_state(phi.dim_a, phi.dim_b, v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-3])
+@pytest.mark.parametrize("phi_name, base_name", [("bell_plus", "ket01"),
+                                                 ("bell_minus", "ket01")])
+def test_loose_tol_bounds_hold_at_measured_overlap(phi_name, base_name, eps):
+    # classified orthogonal within tol=1e-2, these saturating pairs keep
+    # their small overlap in the bounds; at overlap 0 the exact value escapes
+    phi = fixture(phi_name)
+    var = near_orthogonal(phi, fixture(base_name), eps)
+    for k in range(1, 100):
+        a_sq = k / 100.0
+        report = evaluate(SuperpositionSpec(math.sqrt(a_sq), math.sqrt(1 - a_sq),
+                                            phi, var), tol=1e-2)
+        assert report.regime is Regime.ORTHOGONAL
+        target = report.norm_squared * report.exact_concurrence
+        for upper, lower in ((report.qubit_upper, report.qubit_lower),
+                             (report.qudit_upper, report.qudit_lower)):
+            assert lower - SANITY_TOL <= target <= upper + SANITY_TOL
+
+
 def test_report_slack_reads_filled_families():
     phi, var = fixture("bell_plus"), fixture("ket01")
     report = evaluate(SuperpositionSpec(0.8, 0.6, phi, var))
@@ -538,6 +563,7 @@ def test_evaluate_sandwich_per_regime():
 def test_standalone_bounds_are_views_of_evaluate(dims):
     # every standalone bound equals the matching report field exactly
     rng = np.random.default_rng(26)
+    loose_rng = np.random.default_rng(27)
     qubit = dims == (2, 2)
     for _ in range(20):
         alpha, beta = random_weights(rng)
@@ -566,3 +592,15 @@ def test_standalone_bounds_are_views_of_evaluate(dims):
         assert report.regime is Regime.BIORTHOGONAL
         assert exact_biorthogonal(spec) == report.exact_formula_value
         assert qudit_upper_orth(spec) == report.qudit_upper
+
+        # overlap ~1e-3: orthogonal within a loose tol, kept by the bounds
+        phi, var = orthogonal_pair(*dims, loose_rng)
+        spec = SuperpositionSpec(alpha, beta, phi, near_orthogonal(phi, var, 1e-3))
+        report = evaluate(spec, tol=1e-2)
+        assert report.regime is Regime.ORTHOGONAL
+        assert qudit_upper_orth(spec, tol=1e-2) == report.qudit_upper
+        assert qudit_lower_orth(spec, tol=1e-2) == report.qudit_lower
+        assert lower_bound_useful(spec, tol=1e-2) is report.lower_useful
+        if qubit:
+            assert qubit_upper_orth(spec, tol=1e-2) == report.qubit_upper
+            assert qubit_lower_orth(spec, tol=1e-2) == report.qubit_lower

@@ -165,6 +165,21 @@ def test_bounds_sanity_failure_exits_three(runner, state_files):
     assert result.exit_code == 3
 
 
+def test_bounds_loose_tol_near_orthogonal_exit_zero(runner, state_files, tmp_path):
+    # overlap 1e-3 is orthogonal within --tol 1e-2; the bounds keep it
+    from supconc import make_state
+    amps = fixture("ket01").amplitudes + 1e-3 * fixture("bell_plus").amplitudes
+    var = tmp_path / "var.json"
+    save_state(make_state(2, 2, amps / np.linalg.norm(amps)), var)
+    result = runner.invoke(main, ["bounds", state_files["bell_plus"], str(var),
+                                  "--alpha", "0.8", "--beta", "0.6", "--tol", "1e-2"])
+    assert result.exit_code == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["regime"] == "orthogonal"
+    target = doc["norm_squared"] * doc["exact_concurrence"]
+    assert doc["qubit_lower"] <= target <= doc["qubit_upper"]
+
+
 def test_bounds_lower_vacuous_still_exit_zero(runner, tmp_path):
     from supconc import make_state
     k00 = tmp_path / "k00.json"

@@ -51,6 +51,32 @@ def test_haar_state_component_mean():
     assert np.all(np.abs(mean - 1 / n) < 3 * sigma / math.sqrt(samples))
 
 
+# <W|s> of the draws from default_rng([20240901, i]) at 2x3, in the order
+# haar_state, orthogonal_pair, biorthogonal_pair(split 1, 2). Campaign
+# trials are these draws, so a change here changes every campaign summary.
+_W = np.arange(1, 7) + 1j * np.arange(6, 0, -1)
+_DRAW_FINGERPRINTS = [
+    [5.657769159626486 - 1.212684046661347j, -5.466893177558267 - 3.1700992618415773j,
+     0.06599401623346868 + 0.9844315718464833j, -1.9344112442395496 - 2.828728452996196j,
+     4.59075746541303 - 3.9906072086531563j],
+    [3.4267695391439434 - 1.0881898519787159j, -2.0829982273748717 + 2.355981359072623j,
+     -1.7631222577288233 - 7.248901629775022j, 4.1041841671831225 + 2.6167660836143574j,
+     -6.011603486276912 + 0.9276979701299726j],
+    [-2.5233882653317727 + 5.75516708723344j, 2.251910149125268 + 1.6807177020385689j,
+     1.707261079920868 - 0.04410238836026803j, -3.0553012345969206 - 3.041029686226709j,
+     1.0046240461127793 + 5.999227494100553j],
+]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_draws_keep_trial_identity(index):
+    rng = np.random.default_rng([20240901, index])
+    states = [haar_state(2, 3, rng), *orthogonal_pair(2, 3, rng),
+              *biorthogonal_pair(2, 3, 1, 2, rng)]
+    got = [complex(np.vdot(_W, s.amplitudes)) for s in states]
+    assert np.max(np.abs(np.subtract(got, _DRAW_FINGERPRINTS[index]))) <= 1e-14
+
+
 def test_haar_unitary_is_unitary():
     rng = np.random.default_rng(1)
     for d in (2, 3, 6):

@@ -1,5 +1,6 @@
-"""Property tests for numerics near their edges: near-biorthogonal pairs
-and near cancellation of the superposition."""
+"""Property tests for numerics near their edges: near-biorthogonal pairs,
+near-orthogonal saturating pairs under a loose tolerance, and near
+cancellation of the superposition."""
 
 import cmath
 import math
@@ -15,6 +16,7 @@ from supconc import (
     biorthogonal_pair,
     classify_pair,
     evaluate,
+    fixture,
     haar_state,
     make_state,
 )
@@ -58,6 +60,25 @@ def test_near_biorthogonal_pairs_evaluate_and_bracket(seed, da, db, log_eps,
     report = evaluate(SuperpositionSpec(alpha, math.sqrt(1.0 - a_sq), phi, var))
     assert report.regime is Regime.BIORTHOGONAL
     assert_brackets(report)
+
+
+# (phi, base) pairs whose qubit bounds are saturated at overlap 0
+SATURATING = [("bell_plus", "ket01"), ("bell_minus", "ket01"),
+              ("bell_plus", "bell_minus")]
+
+
+@PROPERTY
+@given(family=st.sampled_from(SATURATING), log_eps=st.floats(-12.0, -2.0),
+       a_sq=st.floats(1e-4, 1.0 - 1e-4), theta=st.floats(0.0, 2.0 * math.pi))
+def test_loose_tol_saturating_pairs_bracket(family, log_eps, a_sq, theta):
+    # varphi = normalize(base + eps phi) has overlap ~eps; at tol = 1e-2 it
+    # may classify orthogonal, and the bounds must still hold
+    phi, base = fixture(family[0]), fixture(family[1])
+    amps = base.amplitudes + 10.0 ** log_eps * phi.amplitudes
+    var = make_state(2, 2, amps / np.linalg.norm(amps))
+    alpha = math.sqrt(a_sq) * cmath.exp(1j * theta)
+    assert_brackets(evaluate(SuperpositionSpec(alpha, math.sqrt(1.0 - a_sq), phi, var),
+                             tol=1e-2))
 
 
 @PROPERTY

@@ -14,11 +14,13 @@ from supconc import (
     WeightsNotNormalized,
     ZeroVector,
     apply_local_unitary,
+    classify_pair,
     concurrence_qubit,
     fixture,
     haar_state,
     haar_unitary,
     inner_product,
+    lambda_sandwich,
     make_state,
     normalize,
     outer_operator,
@@ -130,6 +132,24 @@ def test_inner_product_conjugate_linear_first():
 def test_inner_product_dim_mismatch():
     with pytest.raises(DimensionMismatch):
         inner_product(bell_plus(), make_state(3, 3, [1] + [0] * 8))
+
+
+_SAME_SPACE_CALLS = {
+    "SuperpositionSpec": lambda a, b: SuperpositionSpec(S2, S2, a, b),
+    "inner_product": inner_product,
+    "outer_operator": outer_operator,
+    "classify_pair": classify_pair,
+    "lambda_sandwich_x": lambda a, b: lambda_sandwich(b, outer_operator(a, a), a),
+    "lambda_sandwich_y": lambda a, b: lambda_sandwich(a, outer_operator(a, a), b),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_SAME_SPACE_CALLS))
+def test_same_space_required_everywhere(call):
+    other = make_state(2, 3, [1, 0, 0, 0, 0, 0])
+    with pytest.raises(DimensionMismatch, match="different spaces") as info:
+        _SAME_SPACE_CALLS[call](bell_plus(), other)
+    assert "(2, 2)" in str(info.value) and "(2, 3)" in str(info.value)
 
 
 def test_reduced_density_bell():
