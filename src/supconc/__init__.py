@@ -13,10 +13,12 @@ The package is organized as:
 """
 
 from .bounds import (
+    BatchReport,
     BoundReport,
     Regime,
     classify_pair,
     evaluate,
+    evaluate_batch,
     exact_biorthogonal,
     lower_bound_useful,
     qubit_general_bounds,
@@ -92,7 +94,8 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "Regime", "classify_pair", "evaluate",
+    "BatchReport", "BoundReport", "Regime", "classify_pair", "evaluate",
+    "evaluate_batch",
     "exact_biorthogonal", "lower_bound_useful", "qubit_general_bounds",
     "qubit_lower_orth", "qubit_upper_orth", "qudit_general_bounds",
     "qudit_lower_orth", "qudit_upper_orth",

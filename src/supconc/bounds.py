@@ -39,17 +39,20 @@ import numpy as np
 from .errors import (
     DegenerateWeight,
     DeltaOutOfRange,
+    DimensionMismatch,
     NotTwoQubit,
     RegimeViolation,
     SanityFailure,
 )
-from .measures import concurrence_qubit, i_concurrence
+from .measures import _concurrence
 from .states import (
     PureState,
     SuperpositionSpec,
-    _require_same_space,
+    _first,
+    _require_nonzero_norm,
+    _require_unit_norm,
+    _require_unit_weights,
     inner_product,
-    normalize,
     superpose,
 )
 
@@ -66,6 +69,25 @@ class Regime(enum.Enum):
     GENERAL = "general"
 
 
+# regime codes index this tuple; each regime implies the next
+_REGIMES = (Regime.BIORTHOGONAL, Regime.ORTHOGONAL, Regime.GENERAL)
+
+
+def _frobenius_sq(x: np.ndarray) -> np.ndarray:
+    return np.einsum("...ij,...ij->...", x.conj(), x).real
+
+
+def _regime_codes(m: np.ndarray, n: np.ndarray, overlap, tol: float):
+    """Index into ``_REGIMES`` of coefficient matrices ``m``, ``n`` (or stacks
+    of them) with scalar product ``overlap``."""
+    # Tr(rho_phi^A rho_varphi^A) = ||M^dag N||_F^2; side B: ||M N^dag||_F^2
+    trace_a = _frobenius_sq(m.conj().swapaxes(-1, -2) @ n)
+    trace_b = _frobenius_sq(m @ n.conj().swapaxes(-1, -2))
+    biorthogonal = (trace_a <= tol) & (trace_b <= tol)
+    # 0 if biorthogonal, else 1 if orthogonal, else 2
+    return (1 - biorthogonal) * (2 - (abs(overlap) <= tol))
+
+
 def classify_pair(phi: PureState, varphi: PureState, tol: float = REGIME_TOL) -> Regime:
     """Classify a pair of states by reduced-support and scalar-product overlap.
 
@@ -74,26 +96,17 @@ def classify_pair(phi: PureState, varphi: PureState, tol: float = REGIME_TOL) ->
     reduced overlaps force orthogonal local supports, biorthogonality
     implies plain orthogonality, and the classifier checks it first.
     """
-    _require_same_space(phi, varphi)
-    m, n = phi.matrix, varphi.matrix
-    # Tr(rho_phi^A rho_varphi^A) = ||M^dag N||_F^2; side B: ||M N^dag||_F^2
-    trace_a = np.linalg.norm(m.conj().T @ n) ** 2
-    trace_b = np.linalg.norm(m @ n.conj().T) ** 2
-    if trace_a <= tol and trace_b <= tol:
-        return Regime.BIORTHOGONAL
-    if abs(inner_product(phi, varphi)) <= tol:
-        return Regime.ORTHOGONAL
-    return Regime.GENERAL
+    return _REGIMES[_regime_codes(phi.matrix, varphi.matrix,
+                                  inner_product(phi, varphi), tol)]
 
 
-def _component_concurrence(s: PureState) -> float:
-    return concurrence_qubit(s) if s.is_qubit_pair() else i_concurrence(s)
+def _component_concurrence(m: np.ndarray) -> float:
+    return float(_concurrence(m))
 
 
-def _weights(spec: SuperpositionSpec) -> tuple[float, float, float]:
-    aa = abs(spec.alpha) ** 2
-    bb = abs(spec.beta) ** 2
-    return aa, bb, abs(spec.alpha * spec.beta)
+def _weights(alpha, beta):
+    """``(|alpha|^2, |beta|^2, |alpha beta|)`` of scalar or stacked weights."""
+    return abs(alpha) ** 2, abs(beta) ** 2, abs(alpha * beta)
 
 
 _ORTHOGONAL_REGIMES = (Regime.BIORTHOGONAL, Regime.ORTHOGONAL)
@@ -127,42 +140,75 @@ def _components(spec: SuperpositionSpec, *, qubits: bool = False,
             "alpha = 0 or beta = 0: the superposition is a single component; "
             "report its exact concurrence instead of a bound"
         )
-    return (*_weights(spec), _component_concurrence(spec.phi),
-            _component_concurrence(spec.varphi),
+    return (*_weights(spec.alpha, spec.beta), _component_concurrence(spec.phi.matrix),
+            _component_concurrence(spec.varphi.matrix),
             _kernel_overlap(inner_product(spec.phi, spec.varphi), regime))
 
 
 # --- bound kernels ------------------------------------------------------
-# Each kernel returns (upper, lower_unclamped, delta). At ov = 0.0 they
-# reproduce the orthogonal-regime formulas exactly: |C - 0.0| == C and
-# sqrt(1 + 0.0) == 1.0.
+# Each kernel takes (|alpha|^2, |beta|^2, |alpha beta|, C(phi), C(varphi),
+# ov) as scalars or as equal-length arrays (one entry per stacked pair)
+# and returns (upper, lower_unclamped, delta) in the same form. At ov = 0.0
+# they reproduce the orthogonal-regime formulas exactly: |C - 0.0| == C
+# and sqrt(1 + 0.0) == 1.0.
 
 
 def _qubit_kernel(aa, bb, ab, c_phi, c_var, ov):
-    delta = max(abs(c_phi - ov), abs(c_var - ov))
-    if delta > 1.0 + _DELTA_SLACK:
+    delta = np.maximum(abs(c_phi - ov), abs(c_var - ov))
+    if _first(delta > 1.0 + _DELTA_SLACK) is not None:
         # Unreachable for valid normalized inputs: C and |<phi|varphi>|
         # both lie in [0, 1], so |C - |<phi|varphi>|| <= 1.
-        raise DeltaOutOfRange(f"delta = {delta!r} > 1")
-    root = math.sqrt(max(0.0, 1.0 - delta * delta))
+        raise DeltaOutOfRange(f"delta = {float(np.max(delta))!r} > 1")
+    root = np.sqrt(np.maximum(0.0, 1.0 - delta * delta))
     upper = aa * c_phi + bb * c_var + 2.0 * ab * root
     lower = abs(aa * c_phi - bb * c_var) - 2.0 * ab * root
     return upper, lower, delta
 
 
-def _qudit_kernel(alpha, beta, c_phi, c_var, ov):
-    aa, bb, ab = abs(alpha) ** 2, abs(beta) ** 2, abs(alpha * beta)
-    root = math.sqrt(1.0 + ov * ov)
-    # a zero weight leaves a single component, where delta -> 0
-    delta = (min(abs(beta / alpha) * c_var, abs(alpha / beta) * c_phi)
-             if alpha and beta else 0.0)
+def _qudit_kernel(aa, bb, ab, c_phi, c_var, ov):
+    root = np.sqrt(1.0 + ov * ov)
+    # delta = min(|beta/alpha| C(varphi), |alpha/beta| C(phi)); a zero
+    # weight zeroes the numerator as well, leaving the single-component
+    # limit delta = 0 (5e-324 is the smallest positive double)
+    delta = np.minimum(bb * c_var, aa * c_phi) / np.maximum(ab, 5e-324)
     upper = aa * c_phi + bb * c_var + 2.0 * ab * root
     lower = abs(aa * c_phi - bb * c_var) - 2.0 * ab * (root + delta)
     return upper, lower, delta
 
 
 def _biorthogonal_closed_form(aa, bb, ab, c_phi, c_var):
-    return math.sqrt(aa * aa * c_phi * c_phi + bb * bb * c_var * c_var + 4.0 * ab * ab)
+    return np.sqrt(aa * aa * c_phi * c_phi + bb * bb * c_var * c_var + 4.0 * ab * ab)
+
+
+def _slack(target, families):
+    """Largest ``target - upper`` and smallest ``target - lower`` over the
+    ``(upper, lower)`` pairs of ``families`` (``-inf``/``inf`` for none)."""
+    upper, lower = -math.inf, math.inf
+    for u, lo in families:
+        upper, lower = np.maximum(upper, target - u), np.minimum(lower, target - lo)
+    return upper, lower
+
+
+def _check_claims(d: int, exact, upper_slack, lower_slack, formula_error) -> None:
+    """Raise :class:`SanityFailure` for the first report that escapes its claims.
+
+    A report escapes when its concurrence leaves ``[0, sqrt(2 (d-1)/d)]``
+    (``d = min(dim_a, dim_b)``) or one of its slacks or the closed-form error
+    passes ``SANITY_TOL``. The arguments are one report's values or arrays
+    with one entry per stacked pair; the raised error names its ``row``.
+    """
+    cap = math.sqrt(2.0 * (d - 1) / d)
+    # stated as what holds, so that a NaN anywhere escapes
+    holds = ((exact >= -SANITY_TOL) & (exact <= cap + SANITY_TOL)
+             & (upper_slack <= SANITY_TOL) & (lower_slack >= -SANITY_TOL)
+             & (formula_error <= SANITY_TOL))
+    row = _first(np.logical_not(holds))
+    if row is not None:
+        c, u, lo, f = (float(np.broadcast_to(v, np.shape(holds)).flat[row])
+                       for v in (exact, upper_slack, lower_slack, formula_error))
+        raise SanityFailure(
+            f"report escapes its claims: concurrence {c!r} (cap {cap!r}), upper slack "
+            f"{u!r}, lower slack {lo!r}, closed-form error {f!r}", row=row)
 
 
 def _useful_condition(alpha, beta, c_phi, c_var) -> bool:
@@ -186,8 +232,8 @@ def qubit_upper_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
     with ``delta = max(|C(phi) - ov|, |C(varphi) - ov|)``; ``ov`` is the
     measured overlap on a classified pair, 0 when ``regime`` is named.
     """
-    return _qubit_kernel(*_components(spec, qubits=True, allowed=_ORTHOGONAL_REGIMES,
-                                      regime=regime, tol=tol))[0]
+    return float(_qubit_kernel(*_components(spec, qubits=True, allowed=_ORTHOGONAL_REGIMES,
+                                            regime=regime, tol=tol))[0])
 
 
 def qubit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -197,8 +243,8 @@ def qubit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
     ``| |alpha|^2 C(phi) - |beta|^2 C(varphi) | - 2|alpha beta| sqrt(1 - delta^2)``
     with the same delta as :func:`qubit_upper_orth`.
     """
-    return max(0.0, _qubit_kernel(*_components(
-        spec, qubits=True, allowed=_ORTHOGONAL_REGIMES, regime=regime, tol=tol))[1])
+    return max(0.0, float(_qubit_kernel(*_components(
+        spec, qubits=True, allowed=_ORTHOGONAL_REGIMES, regime=regime, tol=tol))[1]))
 
 
 def qubit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
@@ -209,7 +255,7 @@ def qubit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
     ``ov = |<phi|varphi>|``. The lower bound is clamped at 0.
     """
     upper, lower, _ = _qubit_kernel(*_components(spec, qubits=True))
-    return upper, max(0.0, lower)
+    return float(upper), max(0.0, float(lower))
 
 
 def exact_biorthogonal(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -220,7 +266,7 @@ def exact_biorthogonal(spec: SuperpositionSpec, *, regime: Regime | None = None,
     agrees with the directly computed concurrence within 1e-12.
     """
     *parts, _ = _components(spec, allowed=(Regime.BIORTHOGONAL,), regime=regime, tol=tol)
-    return _biorthogonal_closed_form(*parts)
+    return float(_biorthogonal_closed_form(*parts))
 
 
 def qudit_upper_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -231,9 +277,8 @@ def qudit_upper_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
     ``ov`` as in :func:`qubit_upper_orth`; a zero weight is allowed and
     leaves the remaining component's term.
     """
-    *_, c_phi, c_var, ov = _components(spec, allowed=_ORTHOGONAL_REGIMES,
-                                       regime=regime, tol=tol)
-    return _qudit_kernel(spec.alpha, spec.beta, c_phi, c_var, ov)[0]
+    return float(_qudit_kernel(*_components(spec, allowed=_ORTHOGONAL_REGIMES,
+                                            regime=regime, tol=tol))[0])
 
 
 def qudit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -244,9 +289,8 @@ def qudit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
     with ``delta = min(|beta/alpha| C(varphi), |alpha/beta| C(phi))`` and
     ``ov`` as in :func:`qubit_upper_orth`.
     """
-    *_, c_phi, c_var, ov = _components(spec, allowed=_ORTHOGONAL_REGIMES,
-                                       regime=regime, tol=tol, nonzero=True)
-    return max(0.0, _qudit_kernel(spec.alpha, spec.beta, c_phi, c_var, ov)[1])
+    return max(0.0, float(_qudit_kernel(*_components(
+        spec, allowed=_ORTHOGONAL_REGIMES, regime=regime, tol=tol, nonzero=True))[1]))
 
 
 def qudit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
@@ -256,9 +300,8 @@ def qudit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
     bound subtracts the same delta as :func:`qudit_lower_orth` and is
     clamped at 0.
     """
-    *_, c_phi, c_var, ov = _components(spec, nonzero=True)
-    upper, lower, _ = _qudit_kernel(spec.alpha, spec.beta, c_phi, c_var, ov)
-    return upper, max(0.0, lower)
+    upper, lower, _ = _qudit_kernel(*_components(spec, nonzero=True))
+    return float(upper), max(0.0, float(lower))
 
 
 def lower_bound_useful(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -332,15 +375,13 @@ class BoundReport:
         ``|exact_formula_value - exact_concurrence|`` (``None`` outside the
         biorthogonal regime).
         """
-        target = self.norm_squared * self.exact_concurrence
-        filled = [(u, lo) for u, lo in ((self.qubit_upper, self.qubit_lower),
-                                        (self.qudit_upper, self.qudit_lower))
-                  if u is not None]
+        upper, lower = _slack(self.norm_squared * self.exact_concurrence,
+                              [(u, lo) for u, lo in ((self.qubit_upper, self.qubit_lower),
+                                                     (self.qudit_upper, self.qudit_lower))
+                               if u is not None])
         formula_error = (None if self.exact_formula_value is None else
                          abs(self.exact_formula_value - self.exact_concurrence))
-        return (max((target - u for u, _ in filled), default=-math.inf),
-                min((target - lo for _, lo in filled), default=math.inf),
-                formula_error)
+        return float(upper), float(lower), formula_error
 
 
 def evaluate(spec: SuperpositionSpec, *, tol: float = REGIME_TOL,
@@ -363,24 +404,25 @@ def evaluate(spec: SuperpositionSpec, *, tol: float = REGIME_TOL,
     phi, var = spec.phi, spec.varphi
     overlap = inner_product(phi, var)
     raw, norm_sq = superpose(spec)
-    psi, _ = normalize(raw)
+    norm = math.sqrt(norm_sq)
+    _require_nonzero_norm(norm)
 
-    regime = regime_override or classify_pair(phi, var, tol)
-    c_phi = _component_concurrence(phi)
-    c_var = _component_concurrence(var)
-    exact = _component_concurrence(psi)
-    aa, bb, ab = _weights(spec)
-    ov = _kernel_overlap(overlap, regime_override)
+    regime = regime_override or _REGIMES[_regime_codes(phi.matrix, var.matrix, overlap, tol)]
+    c_phi = _component_concurrence(phi.matrix)
+    c_var = _component_concurrence(var.matrix)
+    exact = _component_concurrence(raw.matrix / norm)
+    weights = _weights(spec.alpha, spec.beta)
+    parts = (*weights, c_phi, c_var, _kernel_overlap(overlap, regime_override))
 
     exact_formula = None
     if regime is Regime.BIORTHOGONAL:
-        exact_formula = _biorthogonal_closed_form(aa, bb, ab, c_phi, c_var)
+        exact_formula = float(_biorthogonal_closed_form(*weights, c_phi, c_var))
 
     qb = qd = useful = None
     if spec.alpha != 0 and spec.beta != 0:
-        qd = _qudit_kernel(spec.alpha, spec.beta, c_phi, c_var, ov)
+        qd = tuple(map(float, _qudit_kernel(*parts)))
         if phi.is_qubit_pair():
-            qb = _qubit_kernel(aa, bb, ab, c_phi, c_var, ov)
+            qb = tuple(map(float, _qubit_kernel(*parts)))
         if regime is not Regime.GENERAL:
             useful = _useful_condition(spec.alpha, spec.beta, c_phi, c_var)
 
@@ -415,15 +457,90 @@ def evaluate(spec: SuperpositionSpec, *, tol: float = REGIME_TOL,
 
 
 def _check_report(report: BoundReport, *, closed_form: bool) -> None:
-    d = min(report.dim_a, report.dim_b)
-    cap = math.sqrt(2.0 * (d - 1) / d)
-    if not -SANITY_TOL <= report.exact_concurrence <= cap + SANITY_TOL:
-        raise SanityFailure(
-            f"exact concurrence {report.exact_concurrence!r} outside [0, {cap!r}]"
-        )
     upper, lower, formula = report.slack
     # only an override can misapply the closed form; on a classified pair
     # its error is the pair's distance from exact biorthogonality
-    if max(upper, -lower, (formula or 0.0) if closed_form else 0.0) > SANITY_TOL:
-        raise SanityFailure(f"report escapes its claims: upper slack {upper!r}, "
-                            f"lower slack {lower!r}, closed-form error {formula!r}")
+    _check_claims(min(report.dim_a, report.dim_b), report.exact_concurrence, upper,
+                  lower, (formula or 0.0) if closed_form else 0.0)
+
+
+# --- stacked pairs ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BatchReport:
+    """Per-pair arrays from :func:`evaluate_batch`, one entry per stacked pair.
+
+    Each field holds, per pair, the :class:`BoundReport` field of the same
+    name (``regime`` as an object array of :class:`Regime`);
+    ``upper_slack``, ``lower_slack`` and ``formula_error`` are the three
+    values of :attr:`BoundReport.slack`, with NaN where that has ``None``.
+    """
+
+    regime: np.ndarray
+    norm_squared: np.ndarray
+    exact_concurrence: np.ndarray
+    c_phi: np.ndarray
+    c_varphi: np.ndarray
+    upper_slack: np.ndarray
+    lower_slack: np.ndarray
+    formula_error: np.ndarray
+
+
+def evaluate_batch(alpha, beta, phi, varphi) -> BatchReport:
+    """:func:`evaluate` at its defaults on stacked pairs, one array pass for all.
+
+    Pair ``t`` is ``alpha[t] * phi[t] + beta[t] * varphi[t]``, with ``phi``
+    and ``varphi`` of shape ``(T, dim_a, dim_b)`` (coefficient matrices) and
+    the weights of length ``T``. Raises what building each
+    :class:`SuperpositionSpec` and evaluating it would, for the first
+    offending pair: :class:`NotNormalized` (a component),
+    :class:`WeightsNotNormalized`, :class:`ZeroVector`,
+    :class:`DeltaOutOfRange`, and :class:`SanityFailure` with the pair's
+    index in ``row``.
+    """
+    phi = np.asarray(phi, dtype=np.complex128)
+    varphi = np.asarray(varphi, dtype=np.complex128)
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    beta = np.asarray(beta, dtype=np.complex128)
+    if phi.ndim != 3 or varphi.shape != phi.shape or \
+            alpha.shape != (len(phi),) or beta.shape != alpha.shape:
+        raise DimensionMismatch(
+            f"expected (T, dim_a, dim_b) stacks and length-T weights, got phi "
+            f"{phi.shape}, varphi {varphi.shape}, alpha {alpha.shape}, beta {beta.shape}")
+    _require_unit_norm(_frobenius_sq(phi))
+    _require_unit_norm(_frobenius_sq(varphi))
+    _require_unit_weights(alpha, beta)
+
+    overlap = np.einsum("tij,tij->t", phi.conj(), varphi)
+    raw = alpha[:, None, None] * phi + beta[:, None, None] * varphi
+    norm_sq = _frobenius_sq(raw)
+    norm = np.sqrt(norm_sq)
+    _require_nonzero_norm(norm)
+
+    regime = np.array(_REGIMES, dtype=object)[_regime_codes(phi, varphi, overlap, REGIME_TOL)]
+    c_phi, c_var, exact = (_concurrence(m) for m in (phi, varphi, raw / norm[:, None, None]))
+    aa, bb, ab = _weights(alpha, beta)
+    parts = (aa, bb, ab, c_phi, c_var, np.abs(overlap))
+    families = [_qudit_kernel(*parts)]
+    if phi.shape[1:] == (2, 2):
+        families.append(_qubit_kernel(*parts))
+    upper, lower = _slack(norm_sq * exact,
+                          [(u, np.maximum(0.0, lo)) for u, lo, _ in families])
+    # a zero weight leaves no superposition, and no bound, to check
+    weighted = (alpha != 0) & (beta != 0)
+    upper = np.where(weighted, upper, -math.inf)
+    lower = np.where(weighted, lower, math.inf)
+    formula_error = np.where(regime == Regime.BIORTHOGONAL, np.abs(
+        _biorthogonal_closed_form(aa, bb, ab, c_phi, c_var) - exact), np.nan)
+    _check_claims(min(phi.shape[1:]), exact, upper, lower, 0.0)
+    return BatchReport(
+        regime=regime,
+        norm_squared=norm_sq,
+        exact_concurrence=exact,
+        c_phi=c_phi,
+        c_varphi=c_var,
+        upper_slack=upper,
+        lower_slack=lower,
+        formula_error=formula_error,
+    )

@@ -11,20 +11,26 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bounds import SANITY_TOL, Regime, evaluate
+from .bounds import SANITY_TOL, Regime, evaluate_batch
 from .errors import InternalError, InvalidSplit, SanityFailure, UnknownFixture
-from .states import PureState, SuperpositionSpec, make_state
+from .states import PureState, make_state
 
 _REDRAW_LIMIT = 100
 _COLLINEAR_TOL = 1e-6   # residual norm below which a Gram-Schmidt draw is retried
 
 WEIGHT_MODES = ("real-grid", "complex-random")
+
+# Campaign trials are evaluated in blocks of at most this many amplitudes per
+# stacked array: larger blocks raise the peak memory of a 32x32 campaign,
+# smaller ones give back the per-call savings at large dimensions.
+_BLOCK_AMPLITUDES = 4096
 
 
 def _haar_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -45,6 +51,24 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _orthogonal_vectors(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    if n < 2:
+        raise InvalidSplit("need a joint dimension of at least 2 for an orthogonal pair")
+    phi = _haar_vector(n, rng)
+    for _ in range(_REDRAW_LIMIT):
+        cand = _haar_vector(n, rng)
+        v = cand - np.vdot(phi, cand) * phi
+        norm = np.linalg.norm(v)
+        if norm < _COLLINEAR_TOL:
+            continue
+        v = v / norm
+        v = v - np.vdot(phi, v) * phi
+        return phi, v / np.linalg.norm(v)
+    raise InternalError(
+        f"no orthogonal partner found in {_REDRAW_LIMIT} redraws"
+    )
+
+
 def orthogonal_pair(dim_a: int, dim_b: int,
                     rng: np.random.Generator) -> tuple[PureState, PureState]:
     """Two Haar-random states with ``|<phi|varphi>| <= 1e-12``.
@@ -52,22 +76,21 @@ def orthogonal_pair(dim_a: int, dim_b: int,
     Gram-Schmidt on two independent draws, re-orthogonalized once for
     good measure; near-collinear second draws are retried.
     """
-    if dim_a * dim_b < 2:
-        raise InvalidSplit("need a joint dimension of at least 2 for an orthogonal pair")
-    phi = haar_state(dim_a, dim_b, rng)
-    for _ in range(_REDRAW_LIMIT):
-        cand = _haar_vector(dim_a * dim_b, rng)
-        v = cand - np.vdot(phi.amplitudes, cand) * phi.amplitudes
-        norm = np.linalg.norm(v)
-        if norm < _COLLINEAR_TOL:
-            continue
-        v = v / norm
-        v = v - np.vdot(phi.amplitudes, v) * phi.amplitudes
-        v = v / np.linalg.norm(v)
-        return phi, PureState(dim_a, dim_b, v)
-    raise InternalError(
-        f"no orthogonal partner found in {_REDRAW_LIMIT} redraws"
-    )
+    phi, varphi = _orthogonal_vectors(dim_a * dim_b, rng)
+    return PureState(dim_a, dim_b, phi), PureState(dim_a, dim_b, varphi)
+
+
+def _biorthogonal_matrices(dim_a: int, dim_b: int, split_a: int, split_b: int,
+                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    if not (1 <= split_a < dim_a):
+        raise InvalidSplit(f"split_a = {split_a} not in [1, {dim_a - 1}]")
+    if not (1 <= split_b < dim_b):
+        raise InvalidSplit(f"split_b = {split_b} not in [1, {dim_b - 1}]")
+    phi_m = np.zeros((dim_a, dim_b), dtype=np.complex128)
+    var_m = np.zeros((dim_a, dim_b), dtype=np.complex128)
+    for block in (phi_m[:split_a, :split_b], var_m[split_a:, split_b:]):
+        block[...] = _haar_vector(block.size, rng).reshape(block.shape)
+    return phi_m, var_m
 
 
 def biorthogonal_pair(dim_a: int, dim_b: int, split_a: int, split_b: int,
@@ -78,14 +101,7 @@ def biorthogonal_pair(dim_a: int, dim_b: int, split_a: int, split_b: int,
     bases, ``varphi`` on the complementary block, so both reduced-overlap
     traces vanish identically.
     """
-    if not (1 <= split_a < dim_a):
-        raise InvalidSplit(f"split_a = {split_a} not in [1, {dim_a - 1}]")
-    if not (1 <= split_b < dim_b):
-        raise InvalidSplit(f"split_b = {split_b} not in [1, {dim_b - 1}]")
-    phi_m = np.zeros((dim_a, dim_b), dtype=np.complex128)
-    var_m = np.zeros((dim_a, dim_b), dtype=np.complex128)
-    for block in (phi_m[:split_a, :split_b], var_m[split_a:, split_b:]):
-        block[...] = _haar_vector(block.size, rng).reshape(block.shape)
+    phi_m, var_m = _biorthogonal_matrices(dim_a, dim_b, split_a, split_b, rng)
     return PureState(dim_a, dim_b, phi_m), PureState(dim_a, dim_b, var_m)
 
 
@@ -230,22 +246,25 @@ def _draw_weights(rng: np.random.Generator, mode: str) -> tuple[complex, complex
 
 
 def _draw_pair(config: EnsembleConfig,
-               rng: np.random.Generator) -> tuple[PureState, PureState]:
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes of one trial's pair (vectors or coefficient matrices)."""
+    n = config.dim_a * config.dim_b
     if config.regime is Regime.ORTHOGONAL:
-        return orthogonal_pair(config.dim_a, config.dim_b, rng)
+        return _orthogonal_vectors(n, rng)
     if config.regime is Regime.BIORTHOGONAL:
         split_a = int(rng.integers(1, config.dim_a))
         split_b = int(rng.integers(1, config.dim_b))
-        return biorthogonal_pair(config.dim_a, config.dim_b, split_a, split_b, rng)
-    return (haar_state(config.dim_a, config.dim_b, rng),
-            haar_state(config.dim_a, config.dim_b, rng))
+        return _biorthogonal_matrices(config.dim_a, config.dim_b, split_a, split_b, rng)
+    return _haar_vector(n, rng), _haar_vector(n, rng)
 
 
-def _spec_digest(spec: SuperpositionSpec) -> str:
+def _digest(phi: np.ndarray, varphi: np.ndarray, alpha: complex, beta: complex) -> str:
+    """Short hash of one trial's amplitudes (row-major) and weights."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(spec.phi.amplitudes).tobytes())
-    h.update(np.ascontiguousarray(spec.varphi.amplitudes).tobytes())
-    h.update(repr((spec.alpha, spec.beta)).encode())
+    h.update(np.ascontiguousarray(phi).tobytes())
+    h.update(np.ascontiguousarray(varphi).tobytes())
+    # repr of Python complex: numpy 2 writes np.complex128(...) instead
+    h.update(repr((complex(alpha), complex(beta))).encode())
     return h.hexdigest()[:12]
 
 
@@ -259,47 +278,66 @@ class _Partial:
     max_zero_delta_excess: float = -math.inf
 
 
+def _run_block(config: EnsembleConfig, start: int, stop: int, part: _Partial) -> None:
+    """Draw trials ``[start, stop)``, evaluate them as one stack, fold into ``part``."""
+    size, n = stop - start, config.dim_a * config.dim_b
+    phi = np.empty((size, n), dtype=np.complex128)
+    varphi = np.empty((size, n), dtype=np.complex128)
+    alpha = np.empty(size, dtype=np.complex128)
+    beta = np.empty(size, dtype=np.complex128)
+    for row, index in enumerate(range(start, stop)):
+        rng = _trial_rng(config.seed, index)
+        pair = _draw_pair(config, rng)
+        phi[row], varphi[row] = (v.reshape(-1) for v in pair)
+        alpha[row], beta[row] = _draw_weights(rng, config.weight_sampling)
+
+    def digest(row: int) -> str:
+        return _digest(phi[row], varphi[row], alpha[row], beta[row])
+
+    shape = (size, config.dim_a, config.dim_b)
+    try:
+        batch = evaluate_batch(alpha, beta, phi.reshape(shape), varphi.reshape(shape))
+    except SanityFailure as exc:
+        raise SanityFailure(f"{exc} (seed {config.seed}, trial {start + exc.row}, "
+                            f"digest {digest(exc.row)})") from exc
+    target = batch.norm_squared * batch.exact_concurrence
+    upper, lower, formula = batch.upper_slack, batch.lower_slack, batch.formula_error
+    part.max_upper_slack = max(part.max_upper_slack, float(upper.max()))
+    part.min_lower_slack = min(part.min_lower_slack, float(lower.min()))
+    # fmax skips the NaN of trials outside the biorthogonal regime
+    part.max_formula_error = max(part.max_formula_error,
+                                 float(np.fmax.reduce(formula, initial=-math.inf)))
+
+    zero_delta_lower = (abs(abs(alpha) ** 2 * batch.c_phi - abs(beta) ** 2 * batch.c_varphi)
+                        - 2.0 * abs(alpha * beta))
+    excess = (zero_delta_lower - target)[batch.regime != Regime.GENERAL]
+    part.max_zero_delta_excess = max(part.max_zero_delta_excess,
+                                     float(excess.max(initial=-math.inf)))
+    part.zero_delta_count += int(np.count_nonzero(excess > config.tol))
+
+    margin = np.maximum(np.maximum(upper, -lower), np.nan_to_num(formula, nan=0.0))
+    for row in np.flatnonzero(margin > config.tol):
+        part.violations.append(
+            Violation(config.seed, start + int(row), digest(row), float(margin[row])))
+
+
 def _run_range(config: EnsembleConfig, start: int, stop: int) -> _Partial:
     part = _Partial()
-    for index in range(start, stop):
-        rng = _trial_rng(config.seed, index)
-        phi, varphi = _draw_pair(config, rng)
-        alpha, beta = _draw_weights(rng, config.weight_sampling)
-        spec = SuperpositionSpec(alpha, beta, phi, varphi)
-        try:
-            report = evaluate(spec)
-        except SanityFailure as exc:
-            raise SanityFailure(f"{exc} (seed {config.seed}, trial {index}, "
-                                f"digest {_spec_digest(spec)})") from exc
-        target = report.norm_squared * report.exact_concurrence
-        upper_slack, lower_slack, formula_error = report.slack
-        part.max_upper_slack = max(part.max_upper_slack, upper_slack)
-        part.min_lower_slack = min(part.min_lower_slack, lower_slack)
-        if formula_error is not None:
-            part.max_formula_error = max(part.max_formula_error, formula_error)
-
-        if report.regime is not Regime.GENERAL:
-            aa, bb = abs(alpha) ** 2, abs(beta) ** 2
-            zero_delta_lower = (abs(aa * report.c_phi - bb * report.c_varphi)
-                                - 2.0 * abs(alpha * beta))
-            excess = zero_delta_lower - target
-            part.max_zero_delta_excess = max(part.max_zero_delta_excess, excess)
-            if excess > config.tol:
-                part.zero_delta_count += 1
-
-        margin = max(upper_slack, -lower_slack, formula_error or 0.0)
-        if margin > config.tol:
-            part.violations.append(
-                Violation(config.seed, index, _spec_digest(spec), margin)
-            )
+    block = max(1, _BLOCK_AMPLITUDES // (config.dim_a * config.dim_b))
+    for lo in range(start, stop, block):
+        _run_block(config, lo, min(lo + block, stop), part)
     return part
 
 
 def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummary:
     """Run a campaign: draw pairs and weights, evaluate, record violations.
 
-    Deterministic for a given config regardless of ``jobs``: each trial
-    seeds its own generator from ``(seed, trial_index)`` and the
+    Trials are drawn one by one and evaluated in blocks of stacked arrays
+    (:func:`supconc.bounds.evaluate_batch`). With ``jobs > 1`` the trials
+    are split into ranges run by worker processes, at most one per range
+    and per CPU. Deterministic for a given config regardless of ``jobs``:
+    each trial seeds its own generator from ``(seed, trial_index)``, its
+    values do not depend on the block it is evaluated in, and the
     reduction is order-insensitive.
     """
     t0 = time.perf_counter()
@@ -309,7 +347,9 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
         chunk = max(1, -(-config.trials // (jobs * 4)))
         ranges = [(lo, min(lo + chunk, config.trials))
                   for lo in range(0, config.trials, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork-started pool forks every worker at the first submit
+        workers = min(jobs, len(ranges), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_range, [config] * len(ranges),
                                   *zip(*ranges)))
     violations: list[Violation] = []

@@ -79,4 +79,12 @@ class InternalError(SupconcError, RuntimeError):
 
 
 class SanityFailure(SupconcError, RuntimeError):
-    """Computed exact value escaped its own bounds: implementation bug."""
+    """Computed exact value escaped its own bounds: implementation bug.
+
+    ``row`` is the index of the offending row when stacked pairs were
+    evaluated together, ``None`` for a single report.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row

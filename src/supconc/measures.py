@@ -78,8 +78,7 @@ def concurrence_qubit(s: PureState) -> float:
     independent oracle.
     """
     _require_two_qubit(s)
-    (a00, a01), (a10, a11) = s.matrix
-    return float(2.0 * abs(a00 * a11 - a01 * a10))
+    return float(_concurrence(s.matrix))
 
 
 def binary_entropy(x: float) -> float:
@@ -111,10 +110,26 @@ def i_concurrence(s: PureState) -> float:
     states. Ranges from 0 to ``sqrt(2 (d-1)/d)`` with
     ``d = min(dim_a, dim_b)``.
     """
-    lam_sq = schmidt_coefficients(s) ** 2
-    cross = np.outer(lam_sq, lam_sq)
-    pair_sum = float(np.sum(np.triu(cross, k=1)))
-    return 2.0 * math.sqrt(max(0.0, pair_sum))
+    return float(_schmidt_concurrence(schmidt_coefficients(s)))
+
+
+def _schmidt_concurrence(lam: np.ndarray) -> np.ndarray:
+    """``2 sqrt(sum_{i<j} lambda_i^2 lambda_j^2)`` over the last axis of ``lam``."""
+    lam_sq = lam ** 2
+    cross = lam_sq[..., :, None] * lam_sq[..., None, :]
+    return 2.0 * np.sqrt(np.sum(np.triu(cross, k=1), axis=(-2, -1)))
+
+
+def _concurrence(m: np.ndarray) -> np.ndarray:
+    """Concurrence of a coefficient matrix, or of each matrix of a stack.
+
+    The closed form ``2|a00 a11 - a01 a10|`` on 2x2 matrices, the
+    I-concurrence of the singular values otherwise; the two agree within
+    1e-12 on qubit pairs.
+    """
+    if m.shape[-2:] == (2, 2):
+        return 2.0 * np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+    return _schmidt_concurrence(np.linalg.svd(m, compute_uv=False))
 
 
 def universal_inverter(rho: DensityMatrix | np.ndarray,

@@ -67,6 +67,39 @@ def _require_same_space(a, b) -> None:
                                 f"{(a.dim_a, a.dim_b)} vs {(b.dim_a, b.dim_b)}")
 
 
+def _first(bad) -> int | None:
+    """Index of the first true entry of ``bad``, else ``None``.
+
+    ``bad`` is one flag (index 0) or a flag array, so one check serves a
+    single state and a stack of them; a single flag takes no numpy call.
+    """
+    if isinstance(bad, np.ndarray):
+        return int(np.argmax(bad)) if bad.any() else None
+    return 0 if bad else None
+
+
+def _raise_first(values, bad, error) -> None:
+    """Raise ``error(v)`` for the first ``v`` of ``values`` where ``bad`` holds."""
+    row = _first(bad)
+    if row is not None:
+        raise error(float(np.ravel(values)[row]))
+
+
+def _require_unit_norm(norm_sq) -> None:
+    _raise_first(norm_sq, abs(norm_sq - 1.0) > NORM_TOL, NotNormalized)
+
+
+def _require_unit_weights(alpha, beta) -> None:
+    wsum = abs(alpha) ** 2 + abs(beta) ** 2
+    _raise_first(wsum, abs(wsum - 1.0) > NORM_TOL, lambda v: WeightsNotNormalized(
+        f"|alpha|^2 + |beta|^2 = {v!r}, expected 1"))
+
+
+def _require_nonzero_norm(norm) -> None:
+    _raise_first(norm, norm <= ZERO_TOL,
+                 lambda v: ZeroVector(f"vector norm {v!r} is below {ZERO_TOL}"))
+
+
 def _freeze_amplitudes(v: RawVector | PureState) -> None:
     """Validate the dims of ``v`` and freeze its amplitudes to length ``dim_a*dim_b``."""
     _require_positive(v.dim_a, v.dim_b)
@@ -114,9 +147,7 @@ class PureState:
 
     def __post_init__(self):
         _freeze_amplitudes(self)
-        norm_sq = float(np.vdot(self.amplitudes, self.amplitudes).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise NotNormalized(norm_sq)
+        _require_unit_norm(np.vdot(self.amplitudes, self.amplitudes).real)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -182,11 +213,7 @@ class SuperpositionSpec:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         _require_same_space(self.phi, self.varphi)
-        wsum = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(wsum - 1.0) > NORM_TOL:
-            raise WeightsNotNormalized(
-                f"|alpha|^2 + |beta|^2 = {wsum!r}, expected 1"
-            )
+        _require_unit_weights(self.alpha, self.beta)
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -236,8 +263,7 @@ def normalize(v: RawVector) -> tuple[PureState, float]:
     (the alpha*phi = -beta*varphi cancellation).
     """
     norm = float(np.linalg.norm(v.amplitudes))
-    if norm <= ZERO_TOL:
-        raise ZeroVector(f"vector norm {norm!r} is below {ZERO_TOL}")
+    _require_nonzero_norm(norm)
     return PureState(v.dim_a, v.dim_b, v.amplitudes / norm), norm
 
 

@@ -10,15 +10,19 @@ from supconc import (
     BoundReport,
     DegenerateWeight,
     DimensionMismatch,
+    NotNormalized,
     NotTwoQubit,
     Regime,
     RegimeViolation,
     SanityFailure,
     SuperpositionSpec,
+    WeightsNotNormalized,
+    ZeroVector,
     biorthogonal_pair,
     classify_pair,
     concurrence_qubit,
     evaluate,
+    evaluate_batch,
     exact_biorthogonal,
     fixture,
     haar_state,
@@ -604,3 +608,36 @@ def test_standalone_bounds_are_views_of_evaluate(dims):
         if qubit:
             assert qubit_upper_orth(spec, tol=1e-2) == report.qubit_upper
             assert qubit_lower_orth(spec, tol=1e-2) == report.qubit_lower
+
+
+@pytest.mark.parametrize("row", [0, 2])
+def test_evaluate_batch_rejects_what_a_spec_would(row):
+    # each input check of SuperpositionSpec + evaluate, on one row of a stack
+    rng = np.random.default_rng(8)
+    phi = np.stack([haar_state(2, 3, rng).matrix for _ in range(3)])
+    var = np.stack([haar_state(2, 3, rng).matrix for _ in range(3)])
+    alpha, beta = np.full(3, 0.6 + 0j), np.full(3, 0.8 + 0j)
+    assert len(evaluate_batch(alpha, beta, phi, var).regime) == 3
+
+    bad = phi.copy()
+    bad[row] *= 1.1
+    with pytest.raises(NotNormalized) as info:
+        evaluate_batch(alpha, beta, bad, var)
+    assert info.value.norm_squared == pytest.approx(1.21)
+    with pytest.raises(NotNormalized):
+        evaluate_batch(alpha, beta, phi, bad)
+
+    bad = beta.copy()
+    bad[row] = 0.9
+    with pytest.raises(WeightsNotNormalized, match="1.17"):
+        evaluate_batch(alpha, bad, phi, var)
+
+    cancel, a, b = var.copy(), alpha.copy(), beta.copy()
+    cancel[row], a[row], b[row] = -phi[row], S2, S2
+    with pytest.raises(ZeroVector):
+        evaluate_batch(a, b, phi, cancel)
+
+    with pytest.raises(DimensionMismatch):
+        evaluate_batch(alpha, beta, phi, var.transpose(0, 2, 1))
+    with pytest.raises(DimensionMismatch):
+        evaluate_batch(alpha[:2], beta[:2], phi, var)

@@ -381,12 +381,47 @@ def test_verify_sanity_failure_exits_three(runner, monkeypatch):
     import supconc.ensembles
     from supconc import SanityFailure
 
-    def broken(spec):
-        raise SanityFailure("report inconsistent")
+    def broken(alpha, beta, phi, varphi):
+        raise SanityFailure("report inconsistent", row=0)
 
-    monkeypatch.setattr(supconc.ensembles, "evaluate", broken)
+    monkeypatch.setattr(supconc.ensembles, "evaluate_batch", broken)
     result = runner.invoke(main, verify_args(trials=5) + ["--jobs", "1"])
     assert result.exit_code == 3
     assert "error: report inconsistent" in result.stderr
     assert "trial 0" in result.stderr
     assert "seed 42" in result.stderr
+
+
+@pytest.mark.parametrize("dims,bad_block,bad_row,trial", [
+    ((2, 2), 1, 3, 3),     # only trial 3 of one 5-trial block
+    ((32, 32), 2, 0, 4),   # first row of the second block: a 32x32 block holds 4 trials
+])
+def test_verify_sanity_failure_names_first_bad_trial_of_block(runner, monkeypatch, dims,
+                                                              bad_block, bad_row, trial):
+    # one row escapes; the real check must find it, and the error must name
+    # its trial and the digest a violation record gives for that trial
+    import supconc.ensembles
+    from supconc import bounds
+
+    evaluate_batch = bounds.evaluate_batch
+    blocks = []
+
+    def one_row_escapes(alpha, beta, phi, varphi):
+        batch = evaluate_batch(alpha, beta, phi, varphi)
+        blocks.append(len(alpha))
+        upper = batch.upper_slack.copy()
+        if len(blocks) == bad_block:
+            upper[bad_row] = 1.0
+        bounds._check_claims(min(dims), batch.exact_concurrence, upper,
+                             batch.lower_slack, 0.0)
+        return batch
+
+    args = verify_args(trials=5, dims=dims)
+    records = json.loads(runner.invoke(main, args + ["--tol", "-1"]).stdout)
+    monkeypatch.setattr(supconc.ensembles, "evaluate_batch", one_row_escapes)
+    result = runner.invoke(main, args + ["--jobs", "1"])
+    assert result.exit_code == 3
+    assert "error: report escapes its claims" in result.stderr
+    assert f"trial {trial}," in result.stderr
+    assert "seed 42" in result.stderr
+    assert f"digest {records['violations'][trial]['digest']}" in result.stderr

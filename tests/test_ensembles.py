@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import supconc.ensembles as ensembles
+
 from supconc import (
     EnsembleConfig,
     InvalidSplit,
@@ -232,3 +234,95 @@ def test_ensemble_config_validation():
     with pytest.raises(InvalidSplit):
         EnsembleConfig(trials=10, dim_a=2, dim_b=2,
                        regime=Regime.GENERAL, seed=0, weight_sampling="bogus")
+
+
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers``, maps inline."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("trials,jobs,cpus,workers", [
+    (5, 5000, 64, 5),     # one worker per range: 5 one-trial ranges
+    (100, 4, 2, 2),       # one worker per CPU
+    (100, 3, None, 1),    # unknown CPU count
+])
+def test_verify_ensemble_clamps_workers(monkeypatch, trials, jobs, cpus, workers):
+    # a fork-started pool forks all max_workers processes at the first
+    # submit, so --jobs must not reach the pool unclamped
+    monkeypatch.setattr(_InlineExecutor, "created", [])
+    monkeypatch.setattr(ensembles, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(ensembles.os, "cpu_count", lambda: cpus)
+    config = EnsembleConfig(trials=trials, dim_a=2, dim_b=2,
+                            regime=Regime.GENERAL, seed=3)
+    summary = verify_ensemble(config, jobs=jobs)
+    assert _InlineExecutor.created == [workers]
+    assert _summary_key(summary) == _summary_key(verify_ensemble(config))
+
+
+# (digest, margin) of every trial of `verify --tol -1 --trials 20`, recorded
+# with the per-trial evaluation path: block evaluation must keep each
+# trial's inputs bit for bit and its margin within 1e-12
+_VIOLATION_RECORDS = {
+    ((2, 2), Regime.GENERAL, "real-grid", 42): list(zip(
+        ["e993451a09ef", "123f1ceabef5", "97ec3734aaf8", "1f247f78bcb5", "c75828e23cbb",
+         "21964f2cb304", "50714bcc6316", "6d8f0e10b407", "f976ecb14b78", "2616bf70f6fa",
+         "a97cadeae78f", "34bb226fd04d", "563de4417cc7", "7f95d95a757a", "82d647463279",
+         "965826b6d977", "c03bfceecb1e", "face8d9ea6fc", "53f553e0be5a", "79e8512dedee"],
+        [0.0] * 20)),
+    ((3, 3), Regime.BIORTHOGONAL, "complex-random", 7): list(zip(
+        ["87ba777f9fe7", "6cf57398ab24", "da042f7ca07f", "5c599fe4ac74", "de6f5c30f4a9",
+         "2165f02169da", "18ccadd1d154", "ed69ed9f6b82", "7640a94f9264", "2c34ad5fd6ba",
+         "cd969e306a46", "7da1ddc57fe1", "c3b4a89d1d27", "da2b284fe825", "b9ebfed38302",
+         "13d05bc76726", "342d9b2f20ac", "1d6aa9079481", "46dddcfcd9c1", "804e875a5661"],
+        [5.551115123125783e-16, 5.551115123125783e-17, 4.440892098500626e-16, 0.0,
+         5.551115123125783e-16, 1.1102230246251565e-16, 1.1102230246251565e-16,
+         2.220446049250313e-16, 2.220446049250313e-16, 3.3306690738754696e-16,
+         1.1102230246251565e-16, 1.1102230246251565e-16, 3.3306690738754696e-16,
+         4.440892098500626e-16, 3.3306690738754696e-16, 5.551115123125783e-17,
+         1.1102230246251565e-16, 2.220446049250313e-16, 0.0, 5.551115123125783e-16])),
+}
+
+
+@pytest.mark.parametrize("campaign", list(_VIOLATION_RECORDS), ids=str)
+def test_violation_records_are_pinned(campaign):
+    dims, regime, weights, seed = campaign
+    config = EnsembleConfig(trials=20, dim_a=dims[0], dim_b=dims[1], regime=regime,
+                            seed=seed, weight_sampling=weights, tol=-1.0)
+    violations = verify_ensemble(config).violations
+    records = _VIOLATION_RECORDS[campaign]
+    assert [v.trial_index for v in violations] == list(range(20))
+    assert [v.digest for v in violations] == [digest for digest, _ in records]
+    assert max(abs(v.margin - margin) for v, (_, margin) in zip(violations, records)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims,trials", [((2, 2), 30), ((3, 3), 30), ((10, 10), 50),
+                                         ((32, 32), 11)])
+@pytest.mark.parametrize("regime", list(Regime))
+def test_run_range_split_matches_one_range(dims, trials, regime):
+    # a trial's values do not depend on the block it lands in: [0, 7) + [7, T)
+    # cuts blocks differently from [0, T) (a 32x32 block holds 4 trials)
+    config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1], regime=regime,
+                            seed=20240901, weight_sampling="complex-random", tol=-1.0)
+    whole = ensembles._run_range(config, 0, trials)
+    head, tail = ensembles._run_range(config, 0, 7), ensembles._run_range(config, 7, trials)
+    assert whole.violations == head.violations + tail.violations
+    assert len(whole.violations) == trials
+    assert whole.max_upper_slack == max(head.max_upper_slack, tail.max_upper_slack)
+    assert whole.min_lower_slack == min(head.min_lower_slack, tail.min_lower_slack)
+    assert whole.max_formula_error == max(head.max_formula_error, tail.max_formula_error)
+    assert whole.max_zero_delta_excess == max(head.max_zero_delta_excess,
+                                              tail.max_zero_delta_excess)
+    assert whole.zero_delta_count == head.zero_delta_count + tail.zero_delta_count

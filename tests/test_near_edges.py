@@ -1,6 +1,6 @@
 """Property tests for numerics near their edges: near-biorthogonal pairs,
-near-orthogonal saturating pairs under a loose tolerance, and near
-cancellation of the superposition."""
+near-orthogonal saturating pairs under a loose tolerance, near
+cancellation of the superposition, and stacked evaluation of all three."""
 
 import cmath
 import math
@@ -16,6 +16,7 @@ from supconc import (
     biorthogonal_pair,
     classify_pair,
     evaluate,
+    evaluate_batch,
     fixture,
     haar_state,
     make_state,
@@ -93,3 +94,38 @@ def test_near_cancellation_brackets_or_zero_vector(seed, da, db, log_eps):
     except ZeroVector:
         return
     assert_brackets(report)
+
+
+@PROPERTY
+@given(seed=SEEDS, da=DIMS, db=DIMS, log_eps=st.floats(-12.0, -2.0),
+       a_sq=st.lists(st.floats(1e-4, 1.0 - 1e-4), min_size=4, max_size=4),
+       theta=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=4, max_size=4))
+def test_evaluate_batch_rows_match_evaluate(seed, da, db, log_eps, a_sq, theta):
+    # one stack of a Haar pair, a near-biorthogonal pair, a near-cancelling
+    # pair and an exactly biorthogonal one; every row is the scalar report
+    rng = np.random.default_rng(seed)
+    eps = 10.0 ** log_eps
+    split_a, split_b = int(rng.integers(1, da)), int(rng.integers(1, db))
+    phi_b, var_b = biorthogonal_pair(da, db, split_a, split_b, rng)
+    phi_c = haar_state(da, db, rng)
+    pairs = [(haar_state(da, db, rng), haar_state(da, db, rng)),
+             (phi_b, perturbed(var_b, eps, rng)),
+             # eps >= 1e-10 keeps norm(Psi) above ZERO_TOL
+             (phi_c, perturbed(make_state(da, db, -phi_c.amplitudes), max(eps, 1e-10), rng)),
+             biorthogonal_pair(da, db, split_a, split_b, rng)]
+    alphas = [math.sqrt(a) * cmath.exp(1j * t) for a, t in zip(a_sq, theta)]
+    betas = [math.sqrt(1.0 - a) for a in a_sq]
+    batch = evaluate_batch(alphas, betas, [p.matrix for p, _ in pairs],
+                           [v.matrix for _, v in pairs])
+    for row, ((phi, var), alpha, beta) in enumerate(zip(pairs, alphas, betas)):
+        report = evaluate(SuperpositionSpec(alpha, beta, phi, var))
+        assert batch.regime[row] is report.regime
+        for name in ("norm_squared", "exact_concurrence", "c_phi", "c_varphi"):
+            assert abs(getattr(batch, name)[row] - getattr(report, name)) <= 1e-12, name
+        upper, lower, formula = report.slack
+        assert abs(batch.upper_slack[row] - upper) <= 1e-12
+        assert abs(batch.lower_slack[row] - lower) <= 1e-12
+        if formula is None:
+            assert math.isnan(batch.formula_error[row])
+        else:
+            assert abs(batch.formula_error[row] - formula) <= 1e-12
