@@ -25,6 +25,10 @@ tolerance sets the regime label, never a bound's formula. Concurrences
 otherwise; the two agree within 1e-12 on qubit pairs. Lower bounds are
 clamped at zero before reporting (the raw value is kept in the report
 diagnostics). All formulas assume the inverter scale nu = 1.
+
+Every quantity is computed once, by one evaluation core over stacked
+pairs: :func:`evaluate` is the one-pair call of :func:`evaluate_batch`,
+and the standalone bounds read the core's values for their one pair.
 """
 
 from __future__ import annotations
@@ -41,11 +45,13 @@ from .errors import (
     DeltaOutOfRange,
     DimensionMismatch,
     NotTwoQubit,
+    OutOfRange,
     RegimeViolation,
     SanityFailure,
 )
 from .measures import _concurrence
 from .states import (
+    ZERO_TOL,
     PureState,
     SuperpositionSpec,
     _first,
@@ -53,7 +59,6 @@ from .states import (
     _require_unit_norm,
     _require_unit_weights,
     inner_product,
-    superpose,
 )
 
 REGIME_TOL = 1e-9    # default tolerance on |<phi|varphi>| and the trace overlaps
@@ -69,8 +74,8 @@ class Regime(enum.Enum):
     GENERAL = "general"
 
 
-# regime codes index this tuple; each regime implies the next
-_REGIMES = (Regime.BIORTHOGONAL, Regime.ORTHOGONAL, Regime.GENERAL)
+# regime codes index this array; each regime implies the next
+_REGIMES = np.array([Regime.BIORTHOGONAL, Regime.ORTHOGONAL, Regime.GENERAL], dtype=object)
 
 
 def _frobenius_sq(x: np.ndarray) -> np.ndarray:
@@ -100,38 +105,24 @@ def classify_pair(phi: PureState, varphi: PureState, tol: float = REGIME_TOL) ->
                                   inner_product(phi, varphi), tol)]
 
 
-def _component_concurrence(m: np.ndarray) -> float:
-    return float(_concurrence(m))
-
-
-def _weights(alpha, beta):
-    """``(|alpha|^2, |beta|^2, |alpha beta|)`` of scalar or stacked weights."""
-    return abs(alpha) ** 2, abs(beta) ** 2, abs(alpha * beta)
-
-
 _ORTHOGONAL_REGIMES = (Regime.BIORTHOGONAL, Regime.ORTHOGONAL)
-
-
-def _kernel_overlap(overlap: complex, named_regime: Regime | None) -> float:
-    """``|<phi|varphi>|`` for the kernels: 0 only under a named orthogonal regime."""
-    return 0.0 if named_regime in _ORTHOGONAL_REGIMES else abs(overlap)
 
 
 def _components(spec: SuperpositionSpec, *, qubits: bool = False,
                 allowed: tuple[Regime, ...] | None = None,
                 regime: Regime | None = None, tol: float = REGIME_TOL,
-                nonzero: bool = False) -> tuple[float, float, float, float, float, float]:
+                nonzero: bool = False) -> BatchReport:
     """Shared preamble of the standalone bounds.
 
     Checks, in this order, 2x2 dimensions (``qubits``), that the regime
     (``regime``, else the classified one) is in ``allowed`` and that both
-    weights are nonzero (``nonzero``); returns ``(|alpha|^2, |beta|^2,
-    |alpha beta|, C(phi), C(varphi), ov)``.
+    weights are nonzero (``nonzero``); returns the unchecked one-row
+    evaluation of ``spec`` that :func:`evaluate` reports from.
     """
     if qubits and spec.dims != (2, 2):
         raise NotTwoQubit(f"bound requires 2x2 components, got {spec.dims}")
-    if allowed is not None and \
-            (regime or classify_pair(spec.phi, spec.varphi, tol)) not in allowed:
+    batch = _evaluate_rows(*_one_row(spec), regime_override=regime, tol=tol)
+    if allowed is not None and batch.regime[0] not in allowed:
         raise RegimeViolation(
             f"bound requires {' or '.join(r.value for r in allowed)} component states"
         )
@@ -140,9 +131,7 @@ def _components(spec: SuperpositionSpec, *, qubits: bool = False,
             "alpha = 0 or beta = 0: the superposition is a single component; "
             "report its exact concurrence instead of a bound"
         )
-    return (*_weights(spec.alpha, spec.beta), _component_concurrence(spec.phi.matrix),
-            _component_concurrence(spec.varphi.matrix),
-            _kernel_overlap(inner_product(spec.phi, spec.varphi), regime))
+    return batch
 
 
 # --- bound kernels ------------------------------------------------------
@@ -211,16 +200,8 @@ def _check_claims(d: int, exact, upper_slack, lower_slack, formula_error) -> Non
             f"{u!r}, lower slack {lo!r}, closed-form error {f!r}", row=row)
 
 
-def _useful_condition(alpha, beta, c_phi, c_var) -> bool:
-    r1 = abs(beta / alpha)
-    r2 = abs(alpha / beta)
-    return (c_phi > 3.0 * r1 * r1 * c_var + 2.0 * r1) or (
-        c_var > 3.0 * r2 * r2 * c_phi + 2.0 * r2
-    )
-
-
 # --- public bound operations ---------------------------------------------
-# Thin views over the kernels: each returns the matching field of
+# Thin views over the evaluation core: each returns the matching field of
 # :func:`evaluate` for a pair in its regime, at the same ``tol``.
 
 
@@ -232,8 +213,8 @@ def qubit_upper_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
     with ``delta = max(|C(phi) - ov|, |C(varphi) - ov|)``; ``ov`` is the
     measured overlap on a classified pair, 0 when ``regime`` is named.
     """
-    return float(_qubit_kernel(*_components(spec, qubits=True, allowed=_ORTHOGONAL_REGIMES,
-                                            regime=regime, tol=tol))[0])
+    return _family(_components(spec, qubits=True, allowed=_ORTHOGONAL_REGIMES,
+                               regime=regime, tol=tol).qubit)[0]
 
 
 def qubit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -243,8 +224,8 @@ def qubit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
     ``| |alpha|^2 C(phi) - |beta|^2 C(varphi) | - 2|alpha beta| sqrt(1 - delta^2)``
     with the same delta as :func:`qubit_upper_orth`.
     """
-    return max(0.0, float(_qubit_kernel(*_components(
-        spec, qubits=True, allowed=_ORTHOGONAL_REGIMES, regime=regime, tol=tol))[1]))
+    return _family(_components(spec, qubits=True, allowed=_ORTHOGONAL_REGIMES,
+                               regime=regime, tol=tol).qubit)[1]
 
 
 def qubit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
@@ -254,8 +235,7 @@ def qubit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
     ``delta = max(|C(phi) - ov|, |C(varphi) - ov|)`` where
     ``ov = |<phi|varphi>|``. The lower bound is clamped at 0.
     """
-    upper, lower, _ = _qubit_kernel(*_components(spec, qubits=True))
-    return float(upper), max(0.0, float(lower))
+    return _family(_components(spec, qubits=True).qubit)[:2]
 
 
 def exact_biorthogonal(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -265,8 +245,8 @@ def exact_biorthogonal(spec: SuperpositionSpec, *, regime: Regime | None = None,
     ``sqrt(|alpha|^4 C^2(phi) + |beta|^4 C^2(varphi) + 4 |alpha beta|^2)``;
     agrees with the directly computed concurrence within 1e-12.
     """
-    *parts, _ = _components(spec, allowed=(Regime.BIORTHOGONAL,), regime=regime, tol=tol)
-    return float(_biorthogonal_closed_form(*parts))
+    return float(_components(spec, allowed=(Regime.BIORTHOGONAL,), regime=regime,
+                             tol=tol).exact_formula_value[0])
 
 
 def qudit_upper_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -277,8 +257,8 @@ def qudit_upper_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
     ``ov`` as in :func:`qubit_upper_orth`; a zero weight is allowed and
     leaves the remaining component's term.
     """
-    return float(_qudit_kernel(*_components(spec, allowed=_ORTHOGONAL_REGIMES,
-                                            regime=regime, tol=tol))[0])
+    return _family(_components(spec, allowed=_ORTHOGONAL_REGIMES, regime=regime,
+                               tol=tol).qudit)[0]
 
 
 def qudit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -289,8 +269,8 @@ def qudit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
     with ``delta = min(|beta/alpha| C(varphi), |alpha/beta| C(phi))`` and
     ``ov`` as in :func:`qubit_upper_orth`.
     """
-    return max(0.0, float(_qudit_kernel(*_components(
-        spec, allowed=_ORTHOGONAL_REGIMES, regime=regime, tol=tol, nonzero=True))[1]))
+    return _family(_components(spec, allowed=_ORTHOGONAL_REGIMES, regime=regime,
+                               tol=tol, nonzero=True).qudit)[1]
 
 
 def qudit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
@@ -300,8 +280,7 @@ def qudit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
     bound subtracts the same delta as :func:`qudit_lower_orth` and is
     clamped at 0.
     """
-    upper, lower, _ = _qudit_kernel(*_components(spec, nonzero=True))
-    return float(upper), max(0.0, float(lower))
+    return _family(_components(spec, nonzero=True).qudit)[:2]
 
 
 def lower_bound_useful(spec: SuperpositionSpec, *, regime: Regime | None = None,
@@ -311,12 +290,11 @@ def lower_bound_useful(spec: SuperpositionSpec, *, regime: Regime | None = None,
     True iff ``C(phi) > 3 |beta/alpha|^2 C(varphi) + 2 |beta/alpha|`` or
     the same with the roles of the two components exchanged.
     """
-    *_, c_phi, c_var, _ = _components(spec, allowed=_ORTHOGONAL_REGIMES,
-                                      regime=regime, tol=tol, nonzero=True)
-    return _useful_condition(spec.alpha, spec.beta, c_phi, c_var)
+    return bool(_components(spec, allowed=_ORTHOGONAL_REGIMES, regime=regime, tol=tol,
+                            nonzero=True).lower_useful[0])
 
 
-# --- composed report ------------------------------------------------------
+# --- reports ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -384,163 +362,188 @@ class BoundReport:
         return float(upper), float(lower), formula_error
 
 
-def evaluate(spec: SuperpositionSpec, *, tol: float = REGIME_TOL,
-             regime_override: Regime | None = None) -> BoundReport:
-    """Classify, compute the exact concurrence, and fill every applicable bound.
-
-    The bounds use the measured overlap unless ``regime_override`` names
-    an orthogonal regime, which takes them at overlap 0 (used to reproduce
-    reference figures whose source applies orthogonal-regime formulas to a
-    slightly non-orthogonal pair); ``tol`` only sets the regime label,
-    ``exact_formula_value`` and ``lower_useful``. The report is
-    sanity-checked before returning: if the exact value escapes any filled
-    bound by more than ``SANITY_TOL`` a :class:`SanityFailure` is raised,
-    which signals an implementation bug (or an override misapplied far
-    outside its formulas' validity), never a user error. The closed form is
-    checked only under ``regime_override``: on a pair classified
-    biorthogonal within ``tol`` it is off by O(sqrt(tol)), reported in
-    :attr:`BoundReport.slack`.
-    """
-    phi, var = spec.phi, spec.varphi
-    overlap = inner_product(phi, var)
-    raw, norm_sq = superpose(spec)
-    norm = math.sqrt(norm_sq)
-    _require_nonzero_norm(norm)
-
-    regime = regime_override or _REGIMES[_regime_codes(phi.matrix, var.matrix, overlap, tol)]
-    c_phi = _component_concurrence(phi.matrix)
-    c_var = _component_concurrence(var.matrix)
-    exact = _component_concurrence(raw.matrix / norm)
-    weights = _weights(spec.alpha, spec.beta)
-    parts = (*weights, c_phi, c_var, _kernel_overlap(overlap, regime_override))
-
-    exact_formula = None
-    if regime is Regime.BIORTHOGONAL:
-        exact_formula = float(_biorthogonal_closed_form(*weights, c_phi, c_var))
-
-    qb = qd = useful = None
-    if spec.alpha != 0 and spec.beta != 0:
-        qd = tuple(map(float, _qudit_kernel(*parts)))
-        if phi.is_qubit_pair():
-            qb = tuple(map(float, _qubit_kernel(*parts)))
-        if regime is not Regime.GENERAL:
-            useful = _useful_condition(spec.alpha, spec.beta, c_phi, c_var)
-
-    primary = qb if qb is not None else qd
-    report = BoundReport(
-        regime=regime,
-        regime_tol=tol,
-        dim_a=phi.dim_a,
-        dim_b=phi.dim_b,
-        overlap=overlap,
-        norm_squared=norm_sq,
-        exact_concurrence=exact,
-        exact_formula_value=exact_formula,
-        upper=primary[0] if primary else None,
-        lower=max(0.0, primary[1]) if primary else None,
-        lower_unclamped=primary[1] if primary else None,
-        delta=primary[2] if primary else None,
-        c_phi=c_phi,
-        c_varphi=c_var,
-        lower_useful=useful,
-        qubit_upper=qb[0] if qb else None,
-        qubit_lower=max(0.0, qb[1]) if qb else None,
-        qubit_lower_unclamped=qb[1] if qb else None,
-        qubit_delta=qb[2] if qb else None,
-        qudit_upper=qd[0] if qd else None,
-        qudit_lower=max(0.0, qd[1]) if qd else None,
-        qudit_lower_unclamped=qd[1] if qd else None,
-        qudit_delta=qd[2] if qd else None,
-    )
-    _check_report(report, closed_form=regime_override is not None)
-    return report
-
-
-def _check_report(report: BoundReport, *, closed_form: bool) -> None:
-    upper, lower, formula = report.slack
-    # only an override can misapply the closed form; on a classified pair
-    # its error is the pair's distance from exact biorthogonality
-    _check_claims(min(report.dim_a, report.dim_b), report.exact_concurrence, upper,
-                  lower, (formula or 0.0) if closed_form else 0.0)
-
-
-# --- stacked pairs ----------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class BatchReport:
     """Per-pair arrays from :func:`evaluate_batch`, one entry per stacked pair.
 
-    Each field holds, per pair, the :class:`BoundReport` field of the same
-    name (``regime`` as an object array of :class:`Regime`);
-    ``upper_slack``, ``lower_slack`` and ``formula_error`` are the three
-    values of :attr:`BoundReport.slack`, with NaN where that has ``None``.
+    Fields hold, per pair, the :class:`BoundReport` field of the same name
+    (``regime_tol`` and the dims once; NaN for a missing closed form) or a
+    value of :attr:`BoundReport.slack` (NaN for ``None``); ``qubit`` and
+    ``qudit`` are each family's ``(upper, lower_unclamped, delta)``
+    (``qubit`` is ``None`` above 2x2). Bounds and ``lower_useful`` are filled
+    on every pair; :meth:`report` gives ``None`` where a weight is zero
+    (``weighted`` false, skipped by the slacks), and ``lower_useful`` also
+    in the general regime.
     """
 
     regime: np.ndarray
+    regime_tol: float
+    dim_a: int
+    dim_b: int
+    overlap: np.ndarray
     norm_squared: np.ndarray
     exact_concurrence: np.ndarray
+    exact_formula_value: np.ndarray
     c_phi: np.ndarray
     c_varphi: np.ndarray
+    weighted: np.ndarray
+    lower_useful: np.ndarray
+    qubit: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    qudit: tuple[np.ndarray, np.ndarray, np.ndarray]
     upper_slack: np.ndarray
     lower_slack: np.ndarray
     formula_error: np.ndarray
 
+    def report(self, row: int) -> BoundReport:
+        """The :class:`BoundReport` of pair ``row``."""
+        regime, weighted = self.regime[row], bool(self.weighted[row])
+        qubit = _family(self.qubit if weighted else None, row)
+        qudit = _family(self.qudit if weighted else None, row)
+        formula = float(self.exact_formula_value[row])
+        # positional, in field order; the untagged bound fields repeat the
+        # tightest filled family (qubit on 2x2 components)
+        return BoundReport(
+            regime, self.regime_tol, self.dim_a, self.dim_b, complex(self.overlap[row]),
+            float(self.norm_squared[row]), float(self.exact_concurrence[row]),
+            None if math.isnan(formula) else formula,
+            *(qubit if qubit[0] is not None else qudit),
+            float(self.c_phi[row]), float(self.c_varphi[row]),
+            bool(self.lower_useful[row]) if weighted and regime is not Regime.GENERAL else None,
+            *qubit, *qudit)
 
-def evaluate_batch(alpha, beta, phi, varphi) -> BatchReport:
-    """:func:`evaluate` at its defaults on stacked pairs, one array pass for all.
 
-    Pair ``t`` is ``alpha[t] * phi[t] + beta[t] * varphi[t]``, with ``phi``
-    and ``varphi`` of shape ``(T, dim_a, dim_b)`` (coefficient matrices) and
-    the weights of length ``T``. Raises what building each
-    :class:`SuperpositionSpec` and evaluating it would, for the first
-    offending pair: :class:`NotNormalized` (a component),
-    :class:`WeightsNotNormalized`, :class:`ZeroVector`,
-    :class:`DeltaOutOfRange`, and :class:`SanityFailure` with the pair's
-    index in ``row``.
+def _family(arrays, row: int = 0) -> tuple:
+    """``(upper, lower, lower_unclamped, delta)`` of a bound family at ``row``
+    from its ``(upper, lower_unclamped, delta)`` arrays; four ``None`` for ``None``."""
+    if arrays is None:
+        return None, None, None, None
+    upper, lower, delta = (float(a[row]) for a in arrays)
+    return upper, max(0.0, lower), lower, delta
+
+
+# --- the evaluation core --------------------------------------------------------
+
+# Stacked evaluations run in blocks of at most this many amplitudes per
+# stacked array: larger blocks raise the peak memory of a 32x32 campaign
+# or sweep, smaller ones give back the per-call savings at large dimensions.
+_BLOCK_AMPLITUDES = 4096
+
+
+def _blocks(start: int, stop: int, dim_a: int, dim_b: int):
+    """``(lo, hi)`` ranges that cover ``[start, stop)`` in evaluation blocks."""
+    size = max(1, _BLOCK_AMPLITUDES // (dim_a * dim_b))
+    return ((lo, min(lo + size, stop)) for lo in range(start, stop, size))
+
+
+def _one_row(spec: SuperpositionSpec):
+    """``spec`` as the arguments of a one-pair stack."""
+    return (np.array([spec.alpha]), np.array([spec.beta]),
+            spec.phi.matrix[None], spec.varphi.matrix[None])
+
+
+def _evaluate_rows(alpha, beta, phi, varphi, *, tol: float,
+                   regime_override: Regime | None) -> BatchReport:
+    """Every report quantity of the validated complex arrays of
+    :func:`evaluate_batch`, unchecked."""
+    overlap = np.einsum("tij,tij->t", phi.conj(), varphi)
+    raw = alpha[:, None, None] * phi + beta[:, None, None] * varphi
+    norm_sq = _frobenius_sq(raw)
+    # a cancelled pair gets a finite stand-in norm; evaluate_batch rejects it
+    norm = np.maximum(np.sqrt(norm_sq), ZERO_TOL)
+    codes = (_regime_codes(phi, varphi, overlap, tol) if regime_override is None
+             else np.flatnonzero(_REGIMES == regime_override))
+    c_phi, c_var, exact = (_concurrence(m) for m in (phi, varphi, raw / norm[:, None, None]))
+    # one entry per pair from here on
+    overlap, codes, c_phi, c_var = np.broadcast_arrays(overlap, codes, c_phi, c_var, alpha)[:4]
+
+    ov = 0.0 if regime_override in _ORTHOGONAL_REGIMES else np.abs(overlap)
+    aa, bb, ab = abs(alpha) ** 2, abs(beta) ** 2, abs(alpha * beta)
+    qudit = _qudit_kernel(aa, bb, ab, c_phi, c_var, ov)
+    qubit = _qubit_kernel(aa, bb, ab, c_phi, c_var, ov) if phi.shape[1:] == (2, 2) else None
+    closed_form = np.where(codes == 0, _biorthogonal_closed_form(aa, bb, ab, c_phi, c_var),
+                           np.nan)
+    # the usefulness condition C(phi) > 3 |beta/alpha|^2 C(varphi) + 2 |beta/alpha|
+    # (or the same exchanged), multiplied through by the weights
+    useful = ((aa * c_phi > 3.0 * bb * c_var + 2.0 * ab)
+              | (bb * c_var > 3.0 * aa * c_phi + 2.0 * ab))
+    weighted = (alpha != 0) & (beta != 0)
+    upper, lower = _slack(norm_sq * exact, [(u, np.maximum(0.0, lo)) for u, lo, _ in
+                                            ([qudit] if qubit is None else [qudit, qubit])])
+    return BatchReport(
+        regime=_REGIMES[codes],
+        regime_tol=tol,
+        dim_a=phi.shape[1],
+        dim_b=phi.shape[2],
+        overlap=overlap,
+        norm_squared=norm_sq,
+        exact_concurrence=exact,
+        exact_formula_value=closed_form,
+        c_phi=c_phi,
+        c_varphi=c_var,
+        weighted=weighted,
+        lower_useful=useful,
+        qubit=qubit,
+        qudit=qudit,
+        upper_slack=np.where(weighted, upper, -math.inf),
+        lower_slack=np.where(weighted, lower, math.inf),
+        formula_error=np.abs(closed_form - exact),
+    )
+
+
+def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
+                   regime_override: Regime | None = None) -> BatchReport:
+    """Classify, compute the exact concurrence and fill every bound of stacked pairs.
+
+    Pair ``t`` is ``alpha[t] * phi[t] + beta[t] * varphi[t]``: weights of
+    length ``T``, coefficient-matrix stacks of shape ``(T, dim_a, dim_b)``
+    or ``(1, dim_a, dim_b)``; a one-matrix stack is the same component in
+    every pair, and its concurrence, the overlap and the regime are then
+    computed once. The bounds take the measured overlap unless
+    ``regime_override`` names an orthogonal regime (overlap 0, as in
+    reference figures that apply orthogonal-regime formulas to a slightly
+    non-orthogonal pair); ``tol`` only sets the regime label,
+    ``exact_formula_value`` and ``lower_useful``.
+
+    Bad input raises, for the first offending pair, what building its
+    :class:`SuperpositionSpec` would (:class:`DimensionMismatch`,
+    :class:`NotNormalized` and :class:`WeightsNotNormalized`, NaN
+    included), :class:`ZeroVector`, or :class:`OutOfRange` for a
+    non-finite ``tol``. Then every pair is checked, and a
+    :class:`SanityFailure` naming it in ``row`` signals a bug (or an
+    override misapplied far outside its formulas' validity): a concurrence
+    out of range or past a filled bound by more than ``SANITY_TOL``, or,
+    under ``regime_override`` only, a closed form that far from the direct
+    value (on a pair biorthogonal within ``tol`` it is off by
+    O(sqrt(tol)), reported in ``formula_error``).
     """
-    phi = np.asarray(phi, dtype=np.complex128)
-    varphi = np.asarray(varphi, dtype=np.complex128)
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    beta = np.asarray(beta, dtype=np.complex128)
-    if phi.ndim != 3 or varphi.shape != phi.shape or \
-            alpha.shape != (len(phi),) or beta.shape != alpha.shape:
+    alpha, beta, phi, varphi = (np.asarray(x, dtype=np.complex128)
+                                for x in (alpha, beta, phi, varphi))
+    if phi.ndim != 3 or varphi.shape[1:] != phi.shape[1:] or alpha.ndim != 1 or \
+            beta.shape != alpha.shape or {len(phi), len(varphi)} - {1, len(alpha)}:
         raise DimensionMismatch(
-            f"expected (T, dim_a, dim_b) stacks and length-T weights, got phi "
+            f"expected (T or 1, dim_a, dim_b) stacks and length-T weights, got phi "
             f"{phi.shape}, varphi {varphi.shape}, alpha {alpha.shape}, beta {beta.shape}")
+    if not math.isfinite(tol):
+        raise OutOfRange(f"regime tolerance must be finite, got {tol!r}")
     _require_unit_norm(_frobenius_sq(phi))
     _require_unit_norm(_frobenius_sq(varphi))
     _require_unit_weights(alpha, beta)
 
-    overlap = np.einsum("tij,tij->t", phi.conj(), varphi)
-    raw = alpha[:, None, None] * phi + beta[:, None, None] * varphi
-    norm_sq = _frobenius_sq(raw)
-    norm = np.sqrt(norm_sq)
-    _require_nonzero_norm(norm)
+    batch = _evaluate_rows(alpha, beta, phi, varphi, tol=tol, regime_override=regime_override)
+    _require_nonzero_norm(np.sqrt(batch.norm_squared))
+    # only an override can misapply the closed form; on a classified pair
+    # its error is the pair's distance from exact biorthogonality
+    formula_error = 0.0 if regime_override is None else np.nan_to_num(batch.formula_error)
+    _check_claims(min(batch.dim_a, batch.dim_b), batch.exact_concurrence,
+                  batch.upper_slack, batch.lower_slack, formula_error)
+    return batch
 
-    regime = np.array(_REGIMES, dtype=object)[_regime_codes(phi, varphi, overlap, REGIME_TOL)]
-    c_phi, c_var, exact = (_concurrence(m) for m in (phi, varphi, raw / norm[:, None, None]))
-    aa, bb, ab = _weights(alpha, beta)
-    parts = (aa, bb, ab, c_phi, c_var, np.abs(overlap))
-    families = [_qudit_kernel(*parts)]
-    if phi.shape[1:] == (2, 2):
-        families.append(_qubit_kernel(*parts))
-    upper, lower = _slack(norm_sq * exact,
-                          [(u, np.maximum(0.0, lo)) for u, lo, _ in families])
-    # a zero weight leaves no superposition, and no bound, to check
-    weighted = (alpha != 0) & (beta != 0)
-    upper = np.where(weighted, upper, -math.inf)
-    lower = np.where(weighted, lower, math.inf)
-    formula_error = np.where(regime == Regime.BIORTHOGONAL, np.abs(
-        _biorthogonal_closed_form(aa, bb, ab, c_phi, c_var) - exact), np.nan)
-    _check_claims(min(phi.shape[1:]), exact, upper, lower, 0.0)
-    return BatchReport(
-        regime=regime,
-        norm_squared=norm_sq,
-        exact_concurrence=exact,
-        c_phi=c_phi,
-        c_varphi=c_var,
-        upper_slack=upper,
-        lower_slack=lower,
-        formula_error=formula_error,
-    )
+
+def evaluate(spec: SuperpositionSpec, *, tol: float = REGIME_TOL,
+             regime_override: Regime | None = None) -> BoundReport:
+    """Classify, compute the exact concurrence and fill every bound of one pair.
+
+    The one-pair call of :func:`evaluate_batch`, with the same options,
+    checks and errors (a :class:`SanityFailure` names row 0).
+    """
+    return evaluate_batch(*_one_row(spec), tol=tol, regime_override=regime_override).report(0)

@@ -4,20 +4,20 @@ Exit codes: 0 success, 1 verification found violations, 2 bad input
 (flags, files, validation), 3 internal sanity failure, 4 output I/O
 failure. All output is locale-independent; floats are printed with 17
 significant digits, and identical flags plus seed produce byte-identical
-stdout (wall-clock timing goes to stderr).
+stdout (wall-clock timing goes to stderr). Output goes through ``print``,
+since ``click.echo`` keeps every stream it wrote to, text and all, alive.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 
 import click
 import numpy as np
 
-from .bounds import REGIME_TOL, SANITY_TOL, Regime, evaluate
+from .bounds import REGIME_TOL, SANITY_TOL, Regime, _blocks, evaluate, evaluate_batch
 from .ensembles import WEIGHT_MODES, EnsembleConfig, fixture, verify_ensemble
 from .errors import SanityFailure, SupconcError
 from .measures import concurrence_qubit, eof_from_concurrence, i_concurrence
@@ -53,7 +53,7 @@ REGIME_CHOICE = click.Choice([r.value for r in Regime])
 
 
 def _fail(message: str, code: int):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -85,17 +85,17 @@ def cmd_state_info(state_file):
     """Print dimensions, norm, Schmidt data, and entanglement of a state file."""
     state = _load_state_or_exit(state_file)
     norm = float(np.linalg.norm(state.amplitudes))
-    click.echo(f"dims: {state.dim_a} x {state.dim_b}")
-    click.echo(f"norm: {_fmt(norm)}")
+    print(f"dims: {state.dim_a} x {state.dim_b}")
+    print(f"norm: {_fmt(norm)}")
     coeffs = ", ".join(_fmt(c) for c in schmidt_coefficients(state))
-    click.echo(f"schmidt_coefficients: {coeffs}")
+    print(f"schmidt_coefficients: {coeffs}")
     if state.is_qubit_pair():
         c = concurrence_qubit(state)
-        click.echo(f"concurrence_qubit: {_fmt(c)}")
-        click.echo(f"i_concurrence: {_fmt(i_concurrence(state))}")
-        click.echo(f"eof: {_fmt(eof_from_concurrence(min(1.0, c)))}")
+        print(f"concurrence_qubit: {_fmt(c)}")
+        print(f"i_concurrence: {_fmt(i_concurrence(state))}")
+        print(f"eof: {_fmt(eof_from_concurrence(min(1.0, c)))}")
     else:
-        click.echo(f"i_concurrence: {_fmt(i_concurrence(state))}")
+        print(f"i_concurrence: {_fmt(i_concurrence(state))}")
 
 
 def _build_spec(phi_file: str, varphi_file: str, alpha: complex,
@@ -119,39 +119,40 @@ def cmd_bounds(phi_file, varphi_file, alpha, beta, regime_override, tol):
     spec = _build_spec(phi_file, varphi_file, alpha, beta)
     override = Regime(regime_override) if regime_override else None
     report = _run_or_exit(evaluate, spec, tol=tol, regime_override=override)
-    click.echo(report.to_json())
+    print(report.to_json())
 
 
 def _sweep_rows(phi: PureState, varphi: PureState, steps: int,
                 regime_override: Regime | None) -> list[str]:
     qubit = phi.is_qubit_pair()
+    a_sq = np.arange(1, steps + 1) / (steps + 1)
     lines = [CSV_HEADER]
-    for k in range(1, steps + 1):
-        a_sq = k / (steps + 1)
-        spec = SuperpositionSpec(math.sqrt(a_sq), math.sqrt(1.0 - a_sq), phi, varphi)
-        report = evaluate(spec, regime_override=regime_override)
-        exact = report.exact_concurrence
-        upper, lower, norm_sq = report.upper, report.lower, report.norm_squared
-        if qubit:
-            # EoF bounds apply to the normalized superposition, so the
-            # bound columns are rescaled by the squared norm first.
-            def _eof(c):
-                return eof_from_concurrence(min(1.0, max(0.0, c)))
-            eof_cols = [_fmt(_eof(exact)), _fmt(_eof(upper / norm_sq)),
-                        _fmt(_eof(lower / norm_sq))]
-        else:
-            eof_cols = ["", "", ""]
-        lines.append(",".join([
-            _fmt(a_sq), _fmt(exact), _fmt(upper), _fmt(lower),
-            *eof_cols, _fmt(norm_sq),
-        ]))
+    for lo, hi in _blocks(0, steps, phi.dim_a, phi.dim_b):
+        batch = evaluate_batch(np.sqrt(a_sq[lo:hi]), np.sqrt(1.0 - a_sq[lo:hi]),
+                               phi.matrix[None], varphi.matrix[None],
+                               regime_override=regime_override)
+        for row in range(hi - lo):
+            report = batch.report(row)
+            exact = report.exact_concurrence
+            upper, lower, norm_sq = report.upper, report.lower, report.norm_squared
+            if qubit:
+                # EoF bounds apply to the normalized superposition, so the
+                # bound columns are rescaled by the squared norm first.
+                eof_cols = [_fmt(eof_from_concurrence(min(1.0, max(0.0, c))))
+                            for c in (exact, upper / norm_sq, lower / norm_sq)]
+            else:
+                eof_cols = ["", "", ""]
+            lines.append(",".join([
+                _fmt(a_sq[lo + row]), _fmt(exact), _fmt(upper), _fmt(lower),
+                *eof_cols, _fmt(norm_sq),
+            ]))
     return lines
 
 
 @main.command("sweep")
 @click.argument("phi_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("varphi_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--steps", type=int, default=99, show_default=True,
+@click.option("--steps", type=click.IntRange(min=1), default=99, show_default=True,
               help="Number of grid points; alpha^2 runs over k/(steps+1).")
 @click.option("--regime-override", type=REGIME_CHOICE, default=None,
               help="Force the bound formulas of this regime instead of classifying.")
@@ -161,7 +162,7 @@ def cmd_sweep(phi_file, varphi_file, steps, regime_override):
     varphi = _load_state_or_exit(varphi_file)
     override = Regime(regime_override) if regime_override else None
     lines = _run_or_exit(_sweep_rows, phi, varphi, steps, override)
-    click.echo("\n".join(lines))
+    print("\n".join(lines))
 
 
 @main.command("figure")
@@ -223,8 +224,8 @@ def cmd_verify(trials, dims, regime, seed, tol, jobs, weights, violations_out):
         except OSError as exc:
             _fail(f"cannot write {violations_out}: {exc}", 4)
     # wall_time goes to stderr so stdout stays byte-identical across runs
-    click.echo(json.dumps(summary.to_dict(include_wall_time=False), indent=2))
-    click.echo(f"wall_time: {summary.wall_time:.3f}s", err=True)
+    print(json.dumps(summary.to_dict(include_wall_time=False), indent=2))
+    print(f"wall_time: {summary.wall_time:.3f}s", file=sys.stderr)
     if summary.violations:
         sys.exit(1)
 

@@ -18,19 +18,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bounds import SANITY_TOL, Regime, evaluate_batch
-from .errors import InternalError, InvalidSplit, SanityFailure, UnknownFixture
+from .bounds import SANITY_TOL, Regime, _blocks, evaluate_batch
+from .errors import InternalError, InvalidSplit, OutOfRange, SanityFailure, UnknownFixture
 from .states import PureState, make_state
 
 _REDRAW_LIMIT = 100
 _COLLINEAR_TOL = 1e-6   # residual norm below which a Gram-Schmidt draw is retried
 
 WEIGHT_MODES = ("real-grid", "complex-random")
-
-# Campaign trials are evaluated in blocks of at most this many amplitudes per
-# stacked array: larger blocks raise the peak memory of a 32x32 campaign,
-# smaller ones give back the per-call savings at large dimensions.
-_BLOCK_AMPLITUDES = 4096
 
 
 def _haar_vector(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -176,6 +171,8 @@ class EnsembleConfig:
                 f"weight_sampling must be one of {WEIGHT_MODES}, "
                 f"got {self.weight_sampling!r}"
             )
+        if not math.isfinite(self.tol):
+            raise OutOfRange(f"violation tolerance must be finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -323,9 +320,8 @@ def _run_block(config: EnsembleConfig, start: int, stop: int, part: _Partial) ->
 
 def _run_range(config: EnsembleConfig, start: int, stop: int) -> _Partial:
     part = _Partial()
-    block = max(1, _BLOCK_AMPLITUDES // (config.dim_a * config.dim_b))
-    for lo in range(start, stop, block):
-        _run_block(config, lo, min(lo + block, stop), part)
+    for lo, hi in _blocks(start, stop, config.dim_a, config.dim_b):
+        _run_block(config, lo, hi, part)
     return part
 
 

@@ -81,8 +81,8 @@ class InternalError(SupconcError, RuntimeError):
 class SanityFailure(SupconcError, RuntimeError):
     """Computed exact value escaped its own bounds: implementation bug.
 
-    ``row`` is the index of the offending row when stacked pairs were
-    evaluated together, ``None`` for a single report.
+    ``row`` is the index of the offending pair in the evaluated stack (0
+    for a single report), ``None`` when no stack is named.
     """
 
     def __init__(self, message: str, row: int | None = None):

@@ -71,32 +71,31 @@ def _first(bad) -> int | None:
     """Index of the first true entry of ``bad``, else ``None``.
 
     ``bad`` is one flag (index 0) or a flag array, so one check serves a
-    single state and a stack of them; a single flag takes no numpy call.
+    single state and a stack of them.
     """
-    if isinstance(bad, np.ndarray):
-        return int(np.argmax(bad)) if bad.any() else None
-    return 0 if bad else None
+    bad = np.ravel(bad)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
-def _raise_first(values, bad, error) -> None:
-    """Raise ``error(v)`` for the first ``v`` of ``values`` where ``bad`` holds."""
-    row = _first(bad)
+def _raise_first(values, holds, error) -> None:
+    """Raise ``error(v)`` for the first ``v`` of ``values`` where ``holds`` fails (as NaN does)."""
+    row = _first(np.logical_not(holds))
     if row is not None:
         raise error(float(np.ravel(values)[row]))
 
 
 def _require_unit_norm(norm_sq) -> None:
-    _raise_first(norm_sq, abs(norm_sq - 1.0) > NORM_TOL, NotNormalized)
+    _raise_first(norm_sq, abs(norm_sq - 1.0) <= NORM_TOL, NotNormalized)
 
 
 def _require_unit_weights(alpha, beta) -> None:
     wsum = abs(alpha) ** 2 + abs(beta) ** 2
-    _raise_first(wsum, abs(wsum - 1.0) > NORM_TOL, lambda v: WeightsNotNormalized(
+    _raise_first(wsum, abs(wsum - 1.0) <= NORM_TOL, lambda v: WeightsNotNormalized(
         f"|alpha|^2 + |beta|^2 = {v!r}, expected 1"))
 
 
 def _require_nonzero_norm(norm) -> None:
-    _raise_first(norm, norm <= ZERO_TOL,
+    _raise_first(norm, norm > ZERO_TOL,
                  lambda v: ZeroVector(f"vector norm {v!r} is below {ZERO_TOL}"))
 
 

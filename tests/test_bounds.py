@@ -641,3 +641,11 @@ def test_evaluate_batch_rejects_what_a_spec_would(row):
         evaluate_batch(alpha, beta, phi, var.transpose(0, 2, 1))
     with pytest.raises(DimensionMismatch):
         evaluate_batch(alpha[:2], beta[:2], phi, var)
+    with pytest.raises(DimensionMismatch):
+        evaluate_batch(alpha, beta, phi[:2], var[:2])
+
+    bad = phi.copy()
+    bad[row, 0, 0] = np.nan
+    with pytest.raises(NotNormalized) as info:
+        evaluate_batch(alpha, beta, bad, var)
+    assert math.isnan(info.value.norm_squared)

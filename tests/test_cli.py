@@ -1,12 +1,17 @@
+import contextlib
+import gc
+import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from supconc import fixture, save_state
-from supconc.cli import CSV_HEADER, main
+from supconc import Regime, SuperpositionSpec, evaluate, fixture, haar_state, save_state
+from supconc.bounds import _blocks
+from supconc.cli import CSV_HEADER, _sweep_rows, main
 
 S2 = math.sqrt(0.5)
 
@@ -144,6 +149,20 @@ def test_bounds_fig2_override(runner, state_files):
     assert abs(complex(*doc["overlap"])) == pytest.approx(1 / math.sqrt(10), abs=1e-12)
 
 
+def test_cli_keeps_no_reference_to_its_output_stream(state_files):
+    # an in-process call must not keep its stdout (and all text written to
+    # it) alive: click.echo caches a wrapper for each stream it writes to
+    out = io.StringIO()
+    stream = weakref.ref(out)
+    with contextlib.redirect_stdout(out):
+        main.main(args=["bounds", state_files["bell_plus"], state_files["ket01"],
+                        "--alpha", "0.8", "--beta", "0.6"], standalone_mode=False)
+    assert json.loads(out.getvalue())["regime"] == "orthogonal"
+    del out
+    gc.collect()
+    assert stream() is None
+
+
 def test_bounds_exit_codes(runner, state_files):
     result = runner.invoke(main, ["bounds", state_files["bell_plus"],
                                   state_files["ket01"],
@@ -234,6 +253,37 @@ def test_sweep_fig2_endpoint_trend(runner, state_files):
     # the alpha^2 -> 0 end of the grid
     assert rows[0]["exact"] == pytest.approx(math.sqrt(1.8), abs=0.05)
     assert rows[-1]["exact"] < 0.3
+
+
+@pytest.mark.parametrize("steps", ["0", "-4"])
+def test_sweep_steps_must_be_positive(runner, state_files, steps):
+    result = runner.invoke(main, ["sweep", state_files["bell_plus"],
+                                  state_files["ket01"], "--steps", steps])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("pair, override, block", [
+    ("fig2", Regime.ORTHOGONAL, 40),   # 99 rows in blocks of 40, 40, 19
+    ("haar32", None, 4),               # 25 blocks, the last one of 3 rows
+])
+def test_sweep_rows_across_blocks_match_evaluate(pair, override, block):
+    if pair == "fig2":
+        phi, var = fixture("fig2_pair")
+    else:
+        rng = np.random.default_rng(32)
+        phi, var = haar_state(32, 32, rng), haar_state(32, 32, rng)
+    assert next(_blocks(0, 99, phi.dim_a, phi.dim_b)) == (0, block)
+    rows = parse_csv("\n".join(_sweep_rows(phi, var, 99, override)))
+    assert len(rows) == 99
+    for k, row in enumerate(rows, 1):
+        a_sq = k / 100
+        report = evaluate(SuperpositionSpec(math.sqrt(a_sq), math.sqrt(1.0 - a_sq), phi, var),
+                          regime_override=override)
+        assert row["alpha_squared"] == a_sq
+        for column, value in (("exact", report.exact_concurrence), ("upper", report.upper),
+                              ("lower", report.lower), ("norm_squared", report.norm_squared)):
+            assert abs(row[column] - value) <= 1e-12, (k, column)
 
 
 def test_sweep_dim_mismatch(runner, state_files):
@@ -366,6 +416,21 @@ def test_verify_negative_tol_forces_violations(runner, tmp_path):
     assert len(lines) == 20
     first = json.loads(lines[0])
     assert first["trial_index"] == 0 and first["seed"] == 42
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds"])
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_is_bad_input(runner, state_files, command, tol):
+    # a comparison with a NaN tolerance is always false: it would pass every
+    # campaign and label every pair general
+    if command == "verify":
+        args = verify_args(trials=20, regime="general")
+    else:
+        args = ["bounds", state_files["bell_plus"], state_files["ket01"],
+                "--alpha", "0.6", "--beta", "0.8"]
+    result = runner.invoke(main, args + ["--tol", tol])
+    assert result.exit_code == 2
+    assert "error: " in result.stderr and "tolerance must be finite" in result.stderr
 
 
 def test_verify_flag_errors(runner):

@@ -1,11 +1,16 @@
 """Property tests for numerics near their edges: near-biorthogonal pairs,
 near-orthogonal saturating pairs under a loose tolerance, near
-cancellation of the superposition, and stacked evaluation of all three."""
+cancellation of the superposition, stacked evaluation of all three, and
+non-finite input."""
 
 import cmath
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +25,10 @@ from supconc import (
     fixture,
     haar_state,
     make_state,
+    save_state,
 )
-from supconc.bounds import SANITY_TOL
+from supconc.bounds import REGIME_TOL, SANITY_TOL
+from supconc.cli import main
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -96,13 +103,27 @@ def test_near_cancellation_brackets_or_zero_vector(seed, da, db, log_eps):
     assert_brackets(report)
 
 
+def assert_same_report(got, want):
+    for name in want.__dataclass_fields__:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, (float, complex)):
+            assert abs(a - b) <= 1e-12, name
+        else:
+            assert a == b, name
+
+
 @PROPERTY
 @given(seed=SEEDS, da=DIMS, db=DIMS, log_eps=st.floats(-12.0, -2.0),
        a_sq=st.lists(st.floats(1e-4, 1.0 - 1e-4), min_size=4, max_size=4),
-       theta=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=4, max_size=4))
-def test_evaluate_batch_rows_match_evaluate(seed, da, db, log_eps, a_sq, theta):
+       theta=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=4, max_size=4),
+       shared=st.sampled_from([None, 0, 1, 2, 3]), tol=st.sampled_from([REGIME_TOL, 1e-2]),
+       override=st.sampled_from([None, *Regime]))
+def test_evaluate_batch_rows_match_evaluate(seed, da, db, log_eps, a_sq, theta, shared,
+                                            tol, override):
     # one stack of a Haar pair, a near-biorthogonal pair, a near-cancelling
-    # pair and an exactly biorthogonal one; every row is the scalar report
+    # pair and an exactly biorthogonal one, or one of them given once as
+    # (1, dim_a, dim_b) components of all four pairs; every row is the
+    # one-pair report at the same tol and override
     rng = np.random.default_rng(seed)
     eps = 10.0 ** log_eps
     split_a, split_b = int(rng.integers(1, da)), int(rng.integers(1, db))
@@ -113,15 +134,22 @@ def test_evaluate_batch_rows_match_evaluate(seed, da, db, log_eps, a_sq, theta):
              # eps >= 1e-10 keeps norm(Psi) above ZERO_TOL
              (phi_c, perturbed(make_state(da, db, -phi_c.amplitudes), max(eps, 1e-10), rng)),
              biorthogonal_pair(da, db, split_a, split_b, rng)]
+    if override in (Regime.ORTHOGONAL, Regime.BIORTHOGONAL):
+        # the formulas at overlap 0 hold on the exactly biorthogonal pair
+        pairs = [pairs[3]] * 4
+    if shared is not None:
+        pairs = [pairs[shared]] * 4
+        phis, varphis = pairs[0][0].matrix[None], pairs[0][1].matrix[None]
+    else:
+        phis, varphis = [p.matrix for p, _ in pairs], [v.matrix for _, v in pairs]
     alphas = [math.sqrt(a) * cmath.exp(1j * t) for a, t in zip(a_sq, theta)]
     betas = [math.sqrt(1.0 - a) for a in a_sq]
-    batch = evaluate_batch(alphas, betas, [p.matrix for p, _ in pairs],
-                           [v.matrix for _, v in pairs])
+    batch = evaluate_batch(alphas, betas, phis, varphis, tol=tol, regime_override=override)
     for row, ((phi, var), alpha, beta) in enumerate(zip(pairs, alphas, betas)):
-        report = evaluate(SuperpositionSpec(alpha, beta, phi, var))
+        report = evaluate(SuperpositionSpec(alpha, beta, phi, var), tol=tol,
+                          regime_override=override)
         assert batch.regime[row] is report.regime
-        for name in ("norm_squared", "exact_concurrence", "c_phi", "c_varphi"):
-            assert abs(getattr(batch, name)[row] - getattr(report, name)) <= 1e-12, name
+        assert_same_report(batch.report(row), report)
         upper, lower, formula = report.slack
         assert abs(batch.upper_slack[row] - upper) <= 1e-12
         assert abs(batch.lower_slack[row] - lower) <= 1e-12
@@ -129,3 +157,36 @@ def test_evaluate_batch_rows_match_evaluate(seed, da, db, log_eps, a_sq, theta):
             assert math.isnan(batch.formula_error[row])
         else:
             assert abs(batch.formula_error[row] - formula) <= 1e-12
+
+
+def assert_bad_input(result):
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.output
+
+
+@PROPERTY
+@given(da=DIMS, db=DIMS, index=st.integers(0, 15), imag=st.booleans(),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]), bad_phi=st.booleans(),
+       weight=st.sampled_from(["nan", "inf", "-inf", "nanj", "1+infj", "nan+0.6j"]),
+       on_alpha=st.booleans())
+def test_non_finite_input_is_bad_input(da, db, index, imag, value, bad_phi, weight,
+                                       on_alpha):
+    # a NaN or infinite amplitude anywhere in a state file, or a non-finite
+    # weight, is bad input (exit 2), never a failed self-check (exit 3)
+    n = da * db
+    amps = [[1.0 / math.sqrt(n), 0.0] for _ in range(n)]
+    amps[index % n][imag] = value
+    runner = CliRunner()
+    with tempfile.TemporaryDirectory() as tmp:
+        bad, good = Path(tmp) / "bad.json", Path(tmp) / "good.json"
+        bad.write_text(json.dumps({"dim_a": da, "dim_b": db, "amplitudes": amps}))
+        save_state(make_state(da, db, np.eye(1, n, 0)[0]), good)
+        files = [str(bad), str(good)] if bad_phi else [str(good), str(bad)]
+        assert_bad_input(runner.invoke(main, ["bounds", *files, "--alpha", "0.6",
+                                              "--beta", "0.8"]))
+        assert_bad_input(runner.invoke(main, ["sweep", *files, "--steps", "3"]))
+        assert_bad_input(runner.invoke(main, ["state-info", str(bad)]))
+        weights = [f"--alpha={weight}", "--beta=0.8"] if on_alpha else \
+            ["--alpha=0.6", f"--beta={weight}"]
+        assert_bad_input(runner.invoke(main, ["bounds", str(good), str(good), *weights]))
