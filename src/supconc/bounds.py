@@ -82,6 +82,13 @@ def _frobenius_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", x.conj(), x).real
 
 
+def _require_regime_tol(tol: float) -> None:
+    # trace overlaps and |<phi|varphi>| lie in [0, 1]: any other tolerance
+    # labels every pair alike or none (NaN included)
+    if not 0.0 <= tol < 1.0:
+        raise OutOfRange(f"regime tolerance must be finite and in [0, 1), got {tol!r}")
+
+
 def _regime_codes(m: np.ndarray, n: np.ndarray, overlap, tol: float):
     """Index into ``_REGIMES`` of coefficient matrices ``m``, ``n`` (or stacks
     of them) with scalar product ``overlap``."""
@@ -100,7 +107,9 @@ def classify_pair(phi: PureState, varphi: PureState, tol: float = REGIME_TOL) ->
     ``Tr(rho_phi^B rho_varphi^B)`` are at most ``tol``; since vanishing
     reduced overlaps force orthogonal local supports, biorthogonality
     implies plain orthogonality, and the classifier checks it first.
+    A ``tol`` outside [0, 1) raises :class:`OutOfRange`.
     """
+    _require_regime_tol(tol)
     return _REGIMES[_regime_codes(phi.matrix, varphi.matrix,
                                   inner_product(phi, varphi), tol)]
 
@@ -117,8 +126,10 @@ def _components(spec: SuperpositionSpec, *, qubits: bool = False,
     Checks, in this order, 2x2 dimensions (``qubits``), that the regime
     (``regime``, else the classified one) is in ``allowed`` and that both
     weights are nonzero (``nonzero``); returns the unchecked one-row
-    evaluation of ``spec`` that :func:`evaluate` reports from.
+    evaluation of ``spec`` that :func:`evaluate` reports from. A ``tol``
+    outside [0, 1) raises :class:`OutOfRange` first.
     """
+    _require_regime_tol(tol)
     if qubits and spec.dims != (2, 2):
         raise NotTwoQubit(f"bound requires 2x2 components, got {spec.dims}")
     batch = _evaluate_rows(*_one_row(spec), regime_override=regime, tol=tol)
@@ -508,7 +519,7 @@ def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
     :class:`SuperpositionSpec` would (:class:`DimensionMismatch`,
     :class:`NotNormalized` and :class:`WeightsNotNormalized`, NaN
     included), :class:`ZeroVector`, or :class:`OutOfRange` for a
-    non-finite ``tol``. Then every pair is checked, and a
+    ``tol`` outside [0, 1). Then every pair is checked, and a
     :class:`SanityFailure` naming it in ``row`` signals a bug (or an
     override misapplied far outside its formulas' validity): a concurrence
     out of range or past a filled bound by more than ``SANITY_TOL``, or,
@@ -523,8 +534,7 @@ def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
         raise DimensionMismatch(
             f"expected (T or 1, dim_a, dim_b) stacks and length-T weights, got phi "
             f"{phi.shape}, varphi {varphi.shape}, alpha {alpha.shape}, beta {beta.shape}")
-    if not math.isfinite(tol):
-        raise OutOfRange(f"regime tolerance must be finite, got {tol!r}")
+    _require_regime_tol(tol)
     _require_unit_norm(_frobenius_sq(phi))
     _require_unit_norm(_frobenius_sq(varphi))
     _require_unit_weights(alpha, beta)

@@ -113,7 +113,7 @@ def _build_spec(phi_file: str, varphi_file: str, alpha: complex,
 @click.option("--regime-override", type=REGIME_CHOICE, default=None,
               help="Force the bound formulas of this regime instead of classifying.")
 @click.option("--tol", type=float, default=REGIME_TOL, show_default=True,
-              help="Regime classification tolerance.")
+              help="Regime classification tolerance, in [0, 1).")
 def cmd_bounds(phi_file, varphi_file, alpha, beta, regime_override, tol):
     """Evaluate every applicable bound and print the report as JSON."""
     spec = _build_spec(phi_file, varphi_file, alpha, beta)

@@ -28,7 +28,6 @@ from .states import (
     PureState,
     SuperpositionSpec,
     _require_same_space,
-    outer_operator,
     reduced_density,
     schmidt_coefficients,
 )
@@ -144,15 +143,18 @@ def universal_inverter(rho: DensityMatrix | np.ndarray,
 def lambda_map(sigma: OperatorAB, scale: InverterScale = InverterScale()) -> OperatorAB:
     """Two-sided inverter ``(S (x) S)(sigma)``; nu enters squared."""
     da, db = sigma.dim_a, sigma.dim_b
+    n = da * db
     sig_a = reduced_density(sigma, "A")
     sig_b = reduced_density(sigma, "B")
-    entries = (
-        np.trace(sigma.entries) * np.eye(da * db)
-        - np.kron(sig_a, np.eye(db))
-        - np.kron(np.eye(da), sig_b)
-        + sigma.entries
-    )
-    return OperatorAB(da, db, scale.nu ** 2 * entries)
+    # entries[i, j, k, l] = <i j| Lambda(sigma) |k l>
+    entries = sigma.entries.reshape(da, db, da, db).copy()
+    ia, ib = np.arange(da), np.arange(db)
+    entries[:, ib, :, ib] -= sig_a  # sigma_A (x) I: sig_a[i, k] where j == l
+    entries[ia, :, ia, :] -= sig_b  # I (x) sigma_B: sig_b[j, l] where i == k
+    entries = entries.reshape(n, n)
+    entries.flat[::n + 1] += np.trace(sigma.entries)
+    entries *= scale.nu ** 2
+    return OperatorAB(da, db, entries)
 
 
 def lambda_sandwich(x: PureState, sigma: OperatorAB, y: PureState) -> complex:
@@ -161,7 +163,11 @@ def lambda_sandwich(x: PureState, sigma: OperatorAB, y: PureState) -> complex:
     For a pure sigma = |phi><phi| the diagonal element has the closed form
     ``<x| Lambda(|phi><phi|) |x> = 1 - Tr(rho_phi^A rho_x^A)
     - Tr(rho_phi^B rho_x^B) + |<phi|x>|^2``, used as a cross-check in
-    tests; here the map is applied explicitly.
+    tests; here the map is applied explicitly. A rank-one sigma = |u><v|
+    has the O(d^3) form ``<v|u><x|y> - tr(X^dag U V^dag Y)
+    - tr(X^dag Y V^dag U) + <x|u><v|y>`` in the coefficient matrices,
+    which the cross-checks :func:`concurrence_sq_via_lambda` and
+    :func:`superposition_csq_expansion` use; this function is its oracle.
     """
     _require_same_space(x, sigma)
     _require_same_space(y, sigma)
@@ -169,13 +175,34 @@ def lambda_sandwich(x: PureState, sigma: OperatorAB, y: PureState) -> complex:
     return complex(np.vdot(x.amplitudes, lam.entries @ y.amplitudes))
 
 
+def _rank_one_sandwich(x: PureState, u: PureState, v: PureState, y: PureState) -> complex:
+    """``<x| Lambda(|u><v|) |y>`` at nu = 1, without building Lambda.
+
+    With coefficient matrices X, U, V, Y, ``|u><v|`` has the partial
+    traces ``U V^dag`` (side A) and ``U^T V^*`` (side B), so the four
+    terms of Lambda give
+    ``<v|u><x|y> - tr(X^dag U V^dag Y) - tr(X^dag Y V^dag U) + <x|u><v|y>``;
+    the side-B term sandwiches the transpose ``V^dag U`` of ``U^T V^*``.
+    Each trace is ``vdot`` of two d_b x d_b products: O(d_a d_b^2).
+    """
+    for s in (u, v, y):
+        _require_same_space(x, s)
+    xm, um, vm, ym = x.matrix, u.matrix, v.matrix, y.matrix
+    v_dag = vm.conj().T
+    return complex(np.vdot(vm, um) * np.vdot(xm, ym)
+                   - np.vdot(um.conj().T @ xm, v_dag @ ym)
+                   - np.vdot(ym.conj().T @ xm, v_dag @ um)
+                   + np.vdot(xm, um) * np.vdot(vm, ym))
+
+
 def concurrence_sq_via_lambda(s: PureState) -> float:
     """Squared concurrence via ``<s| Lambda(|s><s|) |s>``.
 
-    O(d^4) verification route; its square root equals
+    O(d^3) verification route through the rank-one form of the sandwich,
+    independent of the Schmidt coefficients; its square root equals
     :func:`i_concurrence` within 1e-10.
     """
-    value = lambda_sandwich(s, outer_operator(s, s), s).real
+    value = _rank_one_sandwich(s, s, s, s).real
     return max(0.0, value)
 
 
@@ -184,30 +211,34 @@ def superposition_csq_expansion(spec: SuperpositionSpec) -> float:
 
     Expands ``<Psi| Lambda(|Psi><Psi|) |Psi>`` for
     ``Psi = alpha*phi + beta*varphi`` into sandwich terms, with the
-    sixteen raw terms collapsed via the trace symmetry of Lambda. The
+    sixteen raw terms collapsed via the trace symmetry of Lambda into
+    nine, each evaluated in its O(d^3) rank-one form. The
     result equals ``norm(Psi)^4 * C^2(Psi/norm(Psi))``; this is a
     cross-check path, not the production concurrence path.
     """
     al, be = spec.alpha, spec.beta
     phi, var = spec.phi, spec.varphi
-    pp = outer_operator(phi, phi)
-    vv = outer_operator(var, var)
-    pv = outer_operator(phi, var)
-    vp = outer_operator(var, phi)
+
+    def pp(x, y):
+        return _rank_one_sandwich(x, phi, phi, y)
+
+    def vv(x, y):
+        return _rank_one_sandwich(x, var, var, y)
 
     total = (
-        abs(al) ** 4 * lambda_sandwich(phi, pp, phi)
-        + abs(be) ** 4 * lambda_sandwich(var, vv, var)
-        + 4.0 * abs(al * be) ** 2 * lambda_sandwich(var, pp, var)
+        abs(al) ** 4 * pp(phi, phi)
+        + abs(be) ** 4 * vv(var, var)
+        + 4.0 * abs(al * be) ** 2 * pp(var, var)
         + 2.0 * abs(al) ** 2 * (
-            al.conjugate() * be * lambda_sandwich(phi, pp, var)
-            + al * be.conjugate() * lambda_sandwich(var, pp, phi)
+            al.conjugate() * be * pp(phi, var)
+            + al * be.conjugate() * pp(var, phi)
         )
         + 2.0 * abs(be) ** 2 * (
-            al.conjugate() * be * lambda_sandwich(phi, vv, var)
-            + al * be.conjugate() * lambda_sandwich(var, vv, phi)
+            al.conjugate() * be * vv(phi, var)
+            + al * be.conjugate() * vv(var, phi)
         )
-        + (al.conjugate() * be) ** 2 * lambda_sandwich(phi, vp, var)
-        + (al * be.conjugate()) ** 2 * lambda_sandwich(var, pv, phi)
+        # sandwiches of |varphi><phi| and |phi><varphi|
+        + (al.conjugate() * be) ** 2 * _rank_one_sandwich(phi, var, phi, var)
+        + (al * be.conjugate()) ** 2 * _rank_one_sandwich(var, phi, var, phi)
     )
     return total.real

@@ -12,6 +12,7 @@ from supconc import (
     DimensionMismatch,
     NotNormalized,
     NotTwoQubit,
+    OutOfRange,
     Regime,
     RegimeViolation,
     SanityFailure,
@@ -463,6 +464,18 @@ def test_evaluate_sanity_failure_on_misapplied_override():
     spec = SuperpositionSpec(S2, S2, fixture("bell_plus"), fixture("bell_minus"))
     with pytest.raises(SanityFailure):
         evaluate(spec, regime_override=Regime.BIORTHOGONAL)
+
+
+@pytest.mark.parametrize("tol", [-1e-12, 1.0, 5.0, math.nan, -math.inf])
+def test_regime_tol_outside_unit_interval_raises(tol):
+    phi, var = fixture("bell_plus"), fixture("ket01")
+    spec = SuperpositionSpec(0.6, 0.8, phi, var)
+    for call in (lambda: classify_pair(phi, var, tol), lambda: evaluate(spec, tol=tol),
+                 lambda: qudit_upper_orth(spec, tol=tol),
+                 lambda: evaluate(spec, tol=tol, regime_override=Regime.GENERAL)):
+        with pytest.raises(OutOfRange, match=r"\[0, 1\)"):
+            call()
+    assert classify_pair(phi, var, 0.0) is Regime.ORTHOGONAL
 
 
 @pytest.mark.parametrize("eps, tol, gap", [

@@ -433,6 +433,19 @@ def test_non_finite_tol_is_bad_input(runner, state_files, command, tol):
     assert "error: " in result.stderr and "tolerance must be finite" in result.stderr
 
 
+@pytest.mark.parametrize("tol, code", [("5", 2), ("-1", 2), ("nan", 2), ("0", 0), ("0.5", 0)])
+def test_bounds_regime_tol_range(runner, state_files, tol, code):
+    # trace overlaps and |<phi|varphi>| lie in [0, 1]: only 0 <= tol < 1 classifies
+    result = runner.invoke(main, ["bounds", state_files["bell_plus"], state_files["ket01"],
+                                  "--alpha", "0.6", "--beta", "0.8", "--tol", tol])
+    assert result.exit_code == code, result.output
+    assert "Traceback" not in result.output
+    if code:
+        assert "error: " in result.stderr and "[0, 1)" in result.stderr
+    else:
+        assert json.loads(result.stdout)["regime"] == "orthogonal"
+
+
 def test_verify_flag_errors(runner):
     result = runner.invoke(main, ["verify", "--trials", "10", "--dims", "1", "2",
                                   "--regime", "general", "--seed", "0"])

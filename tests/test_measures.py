@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supconc import (
     InverterScale,
@@ -33,6 +35,7 @@ from supconc import (
     superposition_csq_expansion,
     universal_inverter,
 )
+from supconc.measures import _rank_one_sandwich
 
 S2 = math.sqrt(0.5)
 
@@ -206,6 +209,22 @@ def test_lambda_map_trace_scaling(d):
             (d - 1) ** 2 * np.trace(entries), abs=1e-10)
 
 
+@pytest.mark.parametrize("da,db", [(2, 3), (3, 5)])
+@pytest.mark.parametrize("nu", [1.0, 0.5])
+def test_lambda_map_matches_kron_definition(da, db, nu):
+    rng = np.random.default_rng(10 * da + db)
+    n = da * db
+    for _ in range(10):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        sigma = OperatorAB(da, db, z)
+        sig_a = reduced_density(sigma, "A")
+        sig_b = reduced_density(sigma, "B")
+        definition = nu ** 2 * (np.trace(z) * np.eye(n) - np.kron(sig_a, np.eye(db))
+                                - np.kron(np.eye(da), sig_b) + z)
+        out = lambda_map(sigma, InverterScale(nu))
+        assert np.abs(out.entries - definition).max() <= 1e-12
+
+
 def test_lambda_map_scale_enters_squared():
     rng = np.random.default_rng(12)
     entries = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -280,6 +299,16 @@ def test_lambda_sandwich_fig2_value():
     assert value == pytest.approx(0.9, abs=1e-12)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(1, 3), (2, 3), (3, 5), (4, 7)]))
+def test_rank_one_sandwich_matches_explicit_map(seed, dims):
+    # non-square dims: a d_a/d_b transposition would not survive them
+    rng = np.random.default_rng(seed)
+    x, u, v, y = (haar_state(*dims, rng) for _ in range(4))
+    explicit = lambda_sandwich(x, outer_operator(u, v), y)
+    assert abs(_rank_one_sandwich(x, u, v, y) - explicit) <= 1e-12
+
+
 def test_csq_via_lambda_examples():
     assert concurrence_sq_via_lambda(fixture("bell_plus")) == pytest.approx(1.0, abs=1e-12)
     assert concurrence_sq_via_lambda(make_state(2, 2, [1, 0, 0, 0])) == pytest.approx(
@@ -315,7 +344,7 @@ def test_expansion_matches_biorthogonal_formula():
             exact_biorthogonal(spec) ** 2, abs=1e-10)
 
 
-@pytest.mark.parametrize("da,db", [(2, 2), (3, 3)])
+@pytest.mark.parametrize("da,db", [(2, 2), (3, 3), (2, 3), (3, 5), (10, 10)])
 def test_expansion_matches_direct_norm4_csq(da, db):
     rng = np.random.default_rng(da + db)
     for _ in range(20):

@@ -31,6 +31,7 @@ from supconc import (
     state_to_json,
     superpose,
 )
+from supconc.measures import _rank_one_sandwich
 
 S2 = math.sqrt(0.5)
 
@@ -141,6 +142,10 @@ _SAME_SPACE_CALLS = {
     "classify_pair": classify_pair,
     "lambda_sandwich_x": lambda a, b: lambda_sandwich(b, outer_operator(a, a), a),
     "lambda_sandwich_y": lambda a, b: lambda_sandwich(a, outer_operator(a, a), b),
+    "rank_one_sandwich_x": lambda a, b: _rank_one_sandwich(b, a, a, a),
+    "rank_one_sandwich_u": lambda a, b: _rank_one_sandwich(a, b, a, a),
+    "rank_one_sandwich_v": lambda a, b: _rank_one_sandwich(a, a, b, a),
+    "rank_one_sandwich_y": lambda a, b: _rank_one_sandwich(a, a, a, b),
 }
 
 
