@@ -14,13 +14,13 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bounds import SANITY_TOL, Regime, _blocks, evaluate_batch
 from .errors import InternalError, InvalidSplit, OutOfRange, SanityFailure, UnknownFixture
-from .states import PureState, make_state
+from .states import PureState, RawVector, make_state, normalize
 
 _REDRAW_LIMIT = 100
 _COLLINEAR_TOL = 1e-6   # residual norm below which a Gram-Schmidt draw is retried
@@ -111,11 +111,6 @@ _FIG1_PHI = (-0.264, 0.528, 0.487, -0.643)
 _FIG1_VARPHI = (-0.034, 0.675, -0.734, 0.010)
 
 
-def _renormalized(dim_a: int, dim_b: int, values) -> PureState:
-    v = np.asarray(values, dtype=np.complex128)
-    return PureState(dim_a, dim_b, v / np.linalg.norm(v))
-
-
 def _fig2_phi() -> PureState:
     return make_state(10, 10, np.full(100, 0.1, dtype=np.complex128))
 
@@ -134,7 +129,7 @@ def fixture(name: str) -> PureState | tuple[PureState, PureState]:
     """
     s2 = math.sqrt(0.5)  # correctly rounded 1/sqrt(2)
     if name == "fig1_pair":
-        return (_renormalized(2, 2, _FIG1_PHI), _renormalized(2, 2, _FIG1_VARPHI))
+        return tuple(normalize(RawVector(2, 2, v))[0] for v in (_FIG1_PHI, _FIG1_VARPHI))
     if name == "bell_plus":
         return make_state(2, 2, [s2, 0.0, 0.0, s2])
     if name == "bell_minus":
@@ -265,18 +260,15 @@ def _digest(phi: np.ndarray, varphi: np.ndarray, alpha: complex, beta: complex) 
     return h.hexdigest()[:12]
 
 
-@dataclass
-class _Partial:
-    violations: list[Violation] = field(default_factory=list)
-    max_upper_slack: float = -math.inf
-    min_lower_slack: float = math.inf
-    max_formula_error: float = -math.inf
-    zero_delta_count: int = 0
-    max_zero_delta_excess: float = -math.inf
+def _run_block(config: EnsembleConfig, start: int,
+               stop: int) -> tuple[np.ndarray, list[Violation]]:
+    """Draw trials ``[start, stop)`` and evaluate them as one stack.
 
-
-def _run_block(config: EnsembleConfig, start: int, stop: int, part: _Partial) -> None:
-    """Draw trials ``[start, stop)``, evaluate them as one stack, fold into ``part``."""
+    Returns one row per trial, ``(upper slack, lower slack, closed-form
+    error, zero-delta excess)`` (the error is NaN outside the
+    biorthogonal regime, the excess NaN on trials classified general),
+    and the block's violations in trial order.
+    """
     size, n = stop - start, config.dim_a * config.dim_b
     phi = np.empty((size, n), dtype=np.complex128)
     varphi = np.empty((size, n), dtype=np.complex128)
@@ -299,30 +291,30 @@ def _run_block(config: EnsembleConfig, start: int, stop: int, part: _Partial) ->
                             f"digest {digest(exc.row)})") from exc
     target = batch.norm_squared * batch.exact_concurrence
     upper, lower, formula = batch.upper_slack, batch.lower_slack, batch.formula_error
-    part.max_upper_slack = max(part.max_upper_slack, float(upper.max()))
-    part.min_lower_slack = min(part.min_lower_slack, float(lower.min()))
-    # fmax skips the NaN of trials outside the biorthogonal regime
-    part.max_formula_error = max(part.max_formula_error,
-                                 float(np.fmax.reduce(formula, initial=-math.inf)))
-
     zero_delta_lower = (abs(abs(alpha) ** 2 * batch.c_phi - abs(beta) ** 2 * batch.c_varphi)
                         - 2.0 * abs(alpha * beta))
-    excess = (zero_delta_lower - target)[batch.regime != Regime.GENERAL]
-    part.max_zero_delta_excess = max(part.max_zero_delta_excess,
-                                     float(excess.max(initial=-math.inf)))
-    part.zero_delta_count += int(np.count_nonzero(excess > config.tol))
+    excess = np.where(batch.regime != Regime.GENERAL, zero_delta_lower - target, np.nan)
 
     margin = np.maximum(np.maximum(upper, -lower), np.nan_to_num(formula, nan=0.0))
-    for row in np.flatnonzero(margin > config.tol):
-        part.violations.append(
-            Violation(config.seed, start + int(row), digest(row), float(margin[row])))
+    violations = [Violation(config.seed, start + int(row), digest(row), float(margin[row]))
+                  for row in np.flatnonzero(margin > config.tol)]
+    return np.column_stack((upper, lower, formula, excess)), violations
 
 
-def _run_range(config: EnsembleConfig, start: int, stop: int) -> _Partial:
-    part = _Partial()
-    for lo, hi in _blocks(start, stop, config.dim_a, config.dim_b):
-        _run_block(config, lo, hi, part)
-    return part
+def _run_range(config: EnsembleConfig, start: int,
+               stop: int) -> tuple[np.ndarray, list[Violation]]:
+    """:func:`_run_block` over ``[start, stop)``, its blocks concatenated."""
+    blocks = [_run_block(config, lo, hi)
+              for lo, hi in _blocks(start, stop, config.dim_a, config.dim_b)]
+    return (np.concatenate([rows for rows, _ in blocks]),
+            [v for _, found in blocks for v in found])
+
+
+def _fmax_or_none(values: np.ndarray) -> float | None:
+    """Largest non-NaN entry of ``values``; ``None`` when there is none."""
+    # fmax skips NaN; np.nanmax would warn on an all-NaN column
+    top = float(np.fmax.reduce(values, initial=-math.inf))
+    return None if top == -math.inf else top
 
 
 def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummary:
@@ -332,9 +324,11 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     (:func:`supconc.bounds.evaluate_batch`). With ``jobs > 1`` the trials
     are split into ranges run by worker processes, at most one per range
     and per CPU. Deterministic for a given config regardless of ``jobs``:
-    each trial seeds its own generator from ``(seed, trial_index)``, its
-    values do not depend on the block it is evaluated in, and the
-    reduction is order-insensitive.
+    each trial seeds its own generator from ``(seed, trial_index)``, and
+    its values do not depend on the block it is evaluated in. Every range
+    returns its per-trial rows and violations in trial order, and the
+    ranges come back in order, so the summary is one max, min or count
+    over the rows of all trials, and the violations need no sorting.
     """
     t0 = time.perf_counter()
     if jobs <= 1:
@@ -348,20 +342,14 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_range, [config] * len(ranges),
                                   *zip(*ranges)))
-    violations: list[Violation] = []
-    for part in parts:
-        violations.extend(part.violations)
-    violations.sort(key=lambda v: v.trial_index)
-
-    max_formula = max(p.max_formula_error for p in parts)
-    max_zero_delta = max(p.max_zero_delta_excess for p in parts)
+    upper, lower, formula, excess = np.concatenate([rows for rows, _ in parts]).T
     return VerificationSummary(
         trials_run=config.trials,
-        violations=tuple(violations),
-        max_upper_slack=max(p.max_upper_slack for p in parts),
-        min_lower_slack=min(p.min_lower_slack for p in parts),
-        max_formula_error=None if max_formula == -math.inf else max_formula,
-        zero_delta_lower_excesses=sum(p.zero_delta_count for p in parts),
-        max_zero_delta_excess=None if max_zero_delta == -math.inf else max_zero_delta,
+        violations=tuple(v for _, found in parts for v in found),
+        max_upper_slack=float(upper.max()),
+        min_lower_slack=float(lower.min()),
+        max_formula_error=_fmax_or_none(formula),
+        zero_delta_lower_excesses=int(np.count_nonzero(excess > config.tol)),
+        max_zero_delta_excess=_fmax_or_none(excess),
         wall_time=time.perf_counter() - t0,
     )

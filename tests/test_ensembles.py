@@ -316,13 +316,85 @@ def test_run_range_split_matches_one_range(dims, trials, regime):
     # cuts blocks differently from [0, T) (a 32x32 block holds 4 trials)
     config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1], regime=regime,
                             seed=20240901, weight_sampling="complex-random", tol=-1.0)
-    whole = ensembles._run_range(config, 0, trials)
-    head, tail = ensembles._run_range(config, 0, 7), ensembles._run_range(config, 7, trials)
-    assert whole.violations == head.violations + tail.violations
-    assert len(whole.violations) == trials
-    assert whole.max_upper_slack == max(head.max_upper_slack, tail.max_upper_slack)
-    assert whole.min_lower_slack == min(head.min_lower_slack, tail.min_lower_slack)
-    assert whole.max_formula_error == max(head.max_formula_error, tail.max_formula_error)
-    assert whole.max_zero_delta_excess == max(head.max_zero_delta_excess,
-                                              tail.max_zero_delta_excess)
-    assert whole.zero_delta_count == head.zero_delta_count + tail.zero_delta_count
+    whole_rows, whole_violations = ensembles._run_range(config, 0, trials)
+    head_rows, head_violations = ensembles._run_range(config, 0, 7)
+    tail_rows, tail_violations = ensembles._run_range(config, 7, trials)
+    assert whole_rows.shape == (trials, 4)
+    assert np.array_equal(whole_rows, np.concatenate([head_rows, tail_rows]), equal_nan=True)
+    assert whole_violations == head_violations + tail_violations
+    assert [v.trial_index for v in whole_violations] == list(range(trials))
+
+
+# to_dict(include_wall_time=False) of small campaigns, recorded: ints and
+# Nones must match exactly, floats within 1e-12; the zero-delta fields are
+# pinned nowhere else
+_SUMMARY_RECORDS = [
+    (dict(trials=5, dim_a=2, dim_b=2, regime=Regime.GENERAL, seed=42, tol=-1.0),
+     {"trials_run": 5,
+      "violations": [{"seed": 42, "trial_index": i, "digest": digest, "margin": 0.0}
+                     for i, digest in enumerate(["e993451a09ef", "123f1ceabef5",
+                                                 "97ec3734aaf8", "1f247f78bcb5",
+                                                 "c75828e23cbb"])],
+      "max_upper_slack": -0.11052053184801913, "min_lower_slack": 0.27878292998239884,
+      "max_formula_error": None, "zero_delta_lower_excesses": 0,
+      "max_zero_delta_excess": None}),
+    (dict(trials=60, dim_a=3, dim_b=3, regime=Regime.BIORTHOGONAL, seed=7,
+          weight_sampling="complex-random"),
+     {"trials_run": 60, "violations": [],
+      "max_upper_slack": 4.440892098500626e-16, "min_lower_slack": 0.3628851779842178,
+      "max_formula_error": 6.661338147750939e-16, "zero_delta_lower_excesses": 0,
+      "max_zero_delta_excess": -0.47137257390363096}),
+    (dict(trials=30, dim_a=10, dim_b=10, regime=Regime.ORTHOGONAL, seed=3),
+     {"trials_run": 30, "violations": [],
+      "max_upper_slack": -0.1969232899585429, "min_lower_slack": 0.2516695190661469,
+      "max_formula_error": None, "zero_delta_lower_excesses": 0,
+      "max_zero_delta_excess": -0.22637060197512593}),
+    (dict(trials=40, dim_a=3, dim_b=4, regime=Regime.GENERAL, seed=11,
+          weight_sampling="complex-random"),
+     {"trials_run": 40, "violations": [],
+      "max_upper_slack": -0.42972103739324263, "min_lower_slack": 0.48346104675932483,
+      "max_formula_error": None, "zero_delta_lower_excesses": 0,
+      "max_zero_delta_excess": None}),
+]
+
+
+def _assert_matches_record(value, expected):
+    if isinstance(expected, dict):
+        assert value.keys() == expected.keys()
+        for key in expected:
+            _assert_matches_record(value[key], expected[key])
+    elif isinstance(expected, list):
+        assert len(value) == len(expected)
+        for item, want in zip(value, expected):
+            _assert_matches_record(item, want)
+    elif isinstance(expected, float):
+        assert type(value) is float
+        assert abs(value - expected) <= 1e-12
+    else:
+        assert type(value) is type(expected)
+        assert value == expected
+
+
+@pytest.mark.parametrize("kwargs,expected", _SUMMARY_RECORDS,
+                         ids=[f"{k['dim_a']}x{k['dim_b']}-{k['regime'].value}-seed{k['seed']}"
+                              for k, _ in _SUMMARY_RECORDS])
+def test_summaries_are_pinned(kwargs, expected):
+    _assert_matches_record(_summary_key(verify_ensemble(EnsembleConfig(**kwargs))), expected)
+
+
+def test_ranges_keep_violations_in_trial_order(monkeypatch):
+    # jobs=4 on 4 CPUs cuts 57 trials into 15 ranges of at most 4; the
+    # inline executor maps them in order without starting a process
+    monkeypatch.setattr(_InlineExecutor, "created", [])
+    monkeypatch.setattr(ensembles, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(ensembles.os, "cpu_count", lambda: 4)
+    config = EnsembleConfig(trials=57, dim_a=3, dim_b=5, regime=Regime.ORTHOGONAL,
+                            seed=-5, weight_sampling="complex-random", tol=-1.0)
+    ranged = verify_ensemble(config, jobs=4)
+    serial = verify_ensemble(config)
+    assert _InlineExecutor.created == [4]
+    assert ranged.violations == serial.violations
+    assert [v.trial_index for v in ranged.violations] == list(range(57))
+    assert _summary_key(ranged) == _summary_key(serial)
+    # recorded: 17 of the 57 zero-delta excesses lie above tol = -1
+    assert ranged.zero_delta_lower_excesses == 17
