@@ -148,9 +148,15 @@ def _components(spec: SuperpositionSpec, *, qubits: bool = False,
 # --- bound kernels ------------------------------------------------------
 # Each kernel takes (|alpha|^2, |beta|^2, |alpha beta|, C(phi), C(varphi),
 # ov) as scalars or as equal-length arrays (one entry per stacked pair)
-# and returns (upper, lower_unclamped, delta) in the same form. At ov = 0.0
-# they reproduce the orthogonal-regime formulas exactly: |C - 0.0| == C
-# and sqrt(1 + 0.0) == 1.0.
+# and returns its family's columns (upper, lower, lower_unclamped, delta)
+# in the same form. At ov = 0.0 they reproduce the orthogonal-regime
+# formulas exactly: |C - 0.0| == C and sqrt(1 + 0.0) == 1.0.
+
+
+def _clamped(upper, lower, delta) -> tuple:
+    """Family columns ``(upper, lower, lower_unclamped, delta)``: the one
+    place a lower bound is clamped at 0."""
+    return upper, np.maximum(0.0, lower), lower, delta
 
 
 def _qubit_kernel(aa, bb, ab, c_phi, c_var, ov):
@@ -162,7 +168,7 @@ def _qubit_kernel(aa, bb, ab, c_phi, c_var, ov):
     root = np.sqrt(np.maximum(0.0, 1.0 - delta * delta))
     upper = aa * c_phi + bb * c_var + 2.0 * ab * root
     lower = abs(aa * c_phi - bb * c_var) - 2.0 * ab * root
-    return upper, lower, delta
+    return _clamped(upper, lower, delta)
 
 
 def _qudit_kernel(aa, bb, ab, c_phi, c_var, ov):
@@ -173,7 +179,7 @@ def _qudit_kernel(aa, bb, ab, c_phi, c_var, ov):
     delta = np.minimum(bb * c_var, aa * c_phi) / np.maximum(ab, 5e-324)
     upper = aa * c_phi + bb * c_var + 2.0 * ab * root
     lower = abs(aa * c_phi - bb * c_var) - 2.0 * ab * (root + delta)
-    return upper, lower, delta
+    return _clamped(upper, lower, delta)
 
 
 def _biorthogonal_closed_form(aa, bb, ab, c_phi, c_var):
@@ -380,11 +386,14 @@ class BatchReport:
     Fields hold, per pair, the :class:`BoundReport` field of the same name
     (``regime_tol`` and the dims once; NaN for a missing closed form) or a
     value of :attr:`BoundReport.slack` (NaN for ``None``); ``qubit`` and
-    ``qudit`` are each family's ``(upper, lower_unclamped, delta)``
-    (``qubit`` is ``None`` above 2x2). Bounds and ``lower_useful`` are filled
-    on every pair; :meth:`report` gives ``None`` where a weight is zero
-    (``weighted`` false, skipped by the slacks), and ``lower_useful`` also
-    in the general regime.
+    ``qudit`` are each family's ``(upper, lower, lower_unclamped, delta)``
+    columns, ``lower`` clamped at 0 (``qubit`` is ``None`` above 2x2), and
+    :attr:`tightest` is the family behind the untagged bound fields. Bounds
+    and ``lower_useful`` are filled on every pair; :meth:`report` gives
+    ``None`` where a weight is zero (``weighted`` false, skipped by the
+    slacks), and ``lower_useful`` also in the general regime. Callers that
+    need a few columns of many pairs, as a sweep does, read them here
+    instead of building a report per pair.
     """
 
     regime: np.ndarray
@@ -399,37 +408,39 @@ class BatchReport:
     c_varphi: np.ndarray
     weighted: np.ndarray
     lower_useful: np.ndarray
-    qubit: tuple[np.ndarray, np.ndarray, np.ndarray] | None
-    qudit: tuple[np.ndarray, np.ndarray, np.ndarray]
+    qubit: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+    qudit: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     upper_slack: np.ndarray
     lower_slack: np.ndarray
     formula_error: np.ndarray
 
+    @property
+    def tightest(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The tightest filled family: ``qubit`` on 2x2 components, else ``qudit``."""
+        return self.qubit if self.qubit is not None else self.qudit
+
     def report(self, row: int) -> BoundReport:
         """The :class:`BoundReport` of pair ``row``."""
         regime, weighted = self.regime[row], bool(self.weighted[row])
-        qubit = _family(self.qubit if weighted else None, row)
-        qudit = _family(self.qudit if weighted else None, row)
         formula = float(self.exact_formula_value[row])
-        # positional, in field order; the untagged bound fields repeat the
-        # tightest filled family (qubit on 2x2 components)
+        # positional, in field order
         return BoundReport(
             regime, self.regime_tol, self.dim_a, self.dim_b, complex(self.overlap[row]),
             float(self.norm_squared[row]), float(self.exact_concurrence[row]),
             None if math.isnan(formula) else formula,
-            *(qubit if qubit[0] is not None else qudit),
+            *_family(self.tightest if weighted else None, row),
             float(self.c_phi[row]), float(self.c_varphi[row]),
             bool(self.lower_useful[row]) if weighted and regime is not Regime.GENERAL else None,
-            *qubit, *qudit)
+            *_family(self.qubit if weighted else None, row),
+            *_family(self.qudit if weighted else None, row))
 
 
-def _family(arrays, row: int = 0) -> tuple:
-    """``(upper, lower, lower_unclamped, delta)`` of a bound family at ``row``
-    from its ``(upper, lower_unclamped, delta)`` arrays; four ``None`` for ``None``."""
-    if arrays is None:
+def _family(columns, row: int = 0) -> tuple:
+    """``(upper, lower, lower_unclamped, delta)`` of a bound family at ``row``;
+    four ``None`` for ``None``."""
+    if columns is None:
         return None, None, None, None
-    upper, lower, delta = (float(a[row]) for a in arrays)
-    return upper, max(0.0, lower), lower, delta
+    return tuple(float(c[row]) for c in columns)
 
 
 # --- the evaluation core --------------------------------------------------------
@@ -478,7 +489,7 @@ def _evaluate_rows(alpha, beta, phi, varphi, *, tol: float,
     useful = ((aa * c_phi > 3.0 * bb * c_var + 2.0 * ab)
               | (bb * c_var > 3.0 * aa * c_phi + 2.0 * ab))
     weighted = (alpha != 0) & (beta != 0)
-    upper, lower = _slack(norm_sq * exact, [(u, np.maximum(0.0, lo)) for u, lo, _ in
+    upper, lower = _slack(norm_sq * exact, [family[:2] for family in
                                             ([qudit] if qubit is None else [qudit, qubit])])
     return BatchReport(
         regime=_REGIMES[codes],

@@ -211,11 +211,10 @@ class VerificationSummary:
     def passed(self) -> bool:
         return not self.violations
 
-    def to_dict(self, include_wall_time: bool = True) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+    def to_dict(self) -> dict:
+        """Every field but ``wall_time``, which differs from run to run."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_time"}
         doc["violations"] = [v.to_dict() for v in self.violations]
-        if not include_wall_time:
-            del doc["wall_time"]
         return doc
 
 
@@ -239,15 +238,29 @@ def _draw_weights(rng: np.random.Generator, mode: str) -> tuple[complex, complex
 
 def _draw_pair(config: EnsembleConfig,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes of one trial's pair (vectors or coefficient matrices)."""
+    """Amplitudes of one trial's pair, as flat row-major vectors."""
     n = config.dim_a * config.dim_b
     if config.regime is Regime.ORTHOGONAL:
         return _orthogonal_vectors(n, rng)
     if config.regime is Regime.BIORTHOGONAL:
         split_a = int(rng.integers(1, config.dim_a))
         split_b = int(rng.integers(1, config.dim_b))
-        return _biorthogonal_matrices(config.dim_a, config.dim_b, split_a, split_b, rng)
+        phi_m, var_m = _biorthogonal_matrices(config.dim_a, config.dim_b, split_a, split_b, rng)
+        return phi_m.reshape(-1), var_m.reshape(-1)
     return _haar_vector(n, rng), _haar_vector(n, rng)
+
+
+def _draw_trial(config: EnsembleConfig,
+                index: int) -> tuple[np.ndarray, np.ndarray, complex, complex]:
+    """Trial ``index`` of a campaign: ``(phi, varphi, alpha, beta)``.
+
+    The one definition of a trial: its generator is seeded from
+    ``(seed, index)`` alone, so the same trial is redrawn, bit for bit, in
+    whatever block or process evaluates it and whenever it is digested.
+    """
+    rng = _trial_rng(config.seed, index)
+    phi, varphi = _draw_pair(config, rng)
+    return (phi, varphi, *_draw_weights(rng, config.weight_sampling))
 
 
 def _digest(phi: np.ndarray, varphi: np.ndarray, alpha: complex, beta: complex) -> str:
@@ -260,14 +273,15 @@ def _digest(phi: np.ndarray, varphi: np.ndarray, alpha: complex, beta: complex) 
     return h.hexdigest()[:12]
 
 
-def _run_block(config: EnsembleConfig, start: int,
-               stop: int) -> tuple[np.ndarray, list[Violation]]:
+def _run_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
     """Draw trials ``[start, stop)`` and evaluate them as one stack.
 
     Returns one row per trial, ``(upper slack, lower slack, closed-form
-    error, zero-delta excess)`` (the error is NaN outside the
-    biorthogonal regime, the excess NaN on trials classified general),
-    and the block's violations in trial order.
+    error, zero-delta excess)``; the error is NaN outside the biorthogonal
+    regime and the excess NaN on trials classified general. A trial's row
+    does not depend on the block it is evaluated in. Violations are not
+    judged here: :func:`verify_ensemble` finds them in the rows of all
+    trials.
     """
     size, n = stop - start, config.dim_a * config.dim_b
     phi = np.empty((size, n), dtype=np.complex128)
@@ -275,39 +289,20 @@ def _run_block(config: EnsembleConfig, start: int,
     alpha = np.empty(size, dtype=np.complex128)
     beta = np.empty(size, dtype=np.complex128)
     for row, index in enumerate(range(start, stop)):
-        rng = _trial_rng(config.seed, index)
-        pair = _draw_pair(config, rng)
-        phi[row], varphi[row] = (v.reshape(-1) for v in pair)
-        alpha[row], beta[row] = _draw_weights(rng, config.weight_sampling)
-
-    def digest(row: int) -> str:
-        return _digest(phi[row], varphi[row], alpha[row], beta[row])
+        phi[row], varphi[row], alpha[row], beta[row] = _draw_trial(config, index)
 
     shape = (size, config.dim_a, config.dim_b)
     try:
         batch = evaluate_batch(alpha, beta, phi.reshape(shape), varphi.reshape(shape))
     except SanityFailure as exc:
-        raise SanityFailure(f"{exc} (seed {config.seed}, trial {start + exc.row}, "
-                            f"digest {digest(exc.row)})") from exc
+        index = start + exc.row
+        raise SanityFailure(f"{exc} (seed {config.seed}, trial {index}, "
+                            f"digest {_digest(*_draw_trial(config, index))})") from exc
     target = batch.norm_squared * batch.exact_concurrence
-    upper, lower, formula = batch.upper_slack, batch.lower_slack, batch.formula_error
     zero_delta_lower = (abs(abs(alpha) ** 2 * batch.c_phi - abs(beta) ** 2 * batch.c_varphi)
                         - 2.0 * abs(alpha * beta))
     excess = np.where(batch.regime != Regime.GENERAL, zero_delta_lower - target, np.nan)
-
-    margin = np.maximum(np.maximum(upper, -lower), np.nan_to_num(formula, nan=0.0))
-    violations = [Violation(config.seed, start + int(row), digest(row), float(margin[row]))
-                  for row in np.flatnonzero(margin > config.tol)]
-    return np.column_stack((upper, lower, formula, excess)), violations
-
-
-def _run_range(config: EnsembleConfig, start: int,
-               stop: int) -> tuple[np.ndarray, list[Violation]]:
-    """:func:`_run_block` over ``[start, stop)``, its blocks concatenated."""
-    blocks = [_run_block(config, lo, hi)
-              for lo, hi in _blocks(start, stop, config.dim_a, config.dim_b)]
-    return (np.concatenate([rows for rows, _ in blocks]),
-            [v for _, found in blocks for v in found])
+    return np.column_stack((batch.upper_slack, batch.lower_slack, batch.formula_error, excess))
 
 
 def _fmax_or_none(values: np.ndarray) -> float | None:
@@ -321,31 +316,39 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     """Run a campaign: draw pairs and weights, evaluate, record violations.
 
     Trials are drawn one by one and evaluated in blocks of stacked arrays
-    (:func:`supconc.bounds.evaluate_batch`). With ``jobs > 1`` the trials
-    are split into ranges run by worker processes, at most one per range
-    and per CPU. Deterministic for a given config regardless of ``jobs``:
-    each trial seeds its own generator from ``(seed, trial_index)``, and
-    its values do not depend on the block it is evaluated in. Every range
-    returns its per-trial rows and violations in trial order, and the
-    ranges come back in order, so the summary is one max, min or count
-    over the rows of all trials, and the violations need no sorting.
+    (:func:`supconc.bounds.evaluate_batch`, blocks cut by
+    :func:`supconc.bounds._blocks`). The blocks are also the unit of work
+    for processes: with ``jobs > 1`` and more than one block and CPU they
+    are mapped, in chunks, onto at most ``jobs`` worker processes, never
+    more than there are blocks or CPUs; otherwise they run in this
+    process. Deterministic for a given config regardless of ``jobs``: each
+    trial seeds its own generator from ``(seed, trial_index)``, and its row
+    does not depend on its block. The blocks' rows come back in trial
+    order, and the summary is one reduction over them: a max, min or count
+    per column, and the violations, in trial order, where the margin
+    ``max(upper slack, -lower slack, closed-form error)`` passes
+    ``config.tol``. A violation's digest is taken from its trial redrawn
+    by :func:`_draw_trial`.
     """
     t0 = time.perf_counter()
-    if jobs <= 1:
-        parts = [_run_range(config, 0, config.trials)]
+    blocks = list(_blocks(0, config.trials, config.dim_a, config.dim_b))
+    args = ([config] * len(blocks), *zip(*blocks))
+    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    if workers <= 1:
+        parts = list(map(_run_block, *args))
     else:
-        chunk = max(1, -(-config.trials // (jobs * 4)))
-        ranges = [(lo, min(lo + chunk, config.trials))
-                  for lo in range(0, config.trials, chunk)]
-        # a fork-started pool forks every worker at the first submit
-        workers = min(jobs, len(ranges), os.cpu_count() or 1)
+        # a fork-started pool forks every worker at the first submit; a few
+        # chunks per worker keep the per-task overhead off small blocks
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_range, [config] * len(ranges),
-                                  *zip(*ranges)))
-    upper, lower, formula, excess = np.concatenate([rows for rows, _ in parts]).T
+            parts = list(pool.map(_run_block, *args,
+                                  chunksize=math.ceil(len(blocks) / (4 * workers))))
+    upper, lower, formula, excess = np.concatenate(parts).T
+    margin = np.maximum(np.maximum(upper, -lower), np.nan_to_num(formula, nan=0.0))
     return VerificationSummary(
         trials_run=config.trials,
-        violations=tuple(v for _, found in parts for v in found),
+        violations=tuple(Violation(config.seed, index, _digest(*_draw_trial(config, index)),
+                                   float(margin[index]))
+                         for index in np.flatnonzero(margin > config.tol).tolist()),
         max_upper_slack=float(upper.max()),
         min_lower_slack=float(lower.min()),
         max_formula_error=_fmax_or_none(formula),

@@ -371,27 +371,32 @@ def state_to_json(s: PureState | RawVector) -> str:
 
 
 def state_from_json(text: str) -> PureState:
-    """Parse and validate a state from the JSON state-file format."""
+    """Parse and validate a state from the JSON state-file format.
+
+    A document that does not follow the format raises
+    :class:`DimensionMismatch` with an ``invalid state file`` message.
+    """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise DimensionMismatch(f"invalid state file: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise DimensionMismatch("invalid state file: top level must be an object")
     for key in ("dim_a", "dim_b", "amplitudes"):
         if key not in doc:
             raise DimensionMismatch(f"invalid state file: missing key {key!r}")
-    dim_a, dim_b = doc["dim_a"], doc["dim_b"]
-    if not isinstance(dim_a, int) or not isinstance(dim_b, int):
+    dim_a, dim_b, amps = doc["dim_a"], doc["dim_b"], doc["amplitudes"]
+    # exact types: JSON true and false parse to bools, which are ints too
+    if type(dim_a) is not int or type(dim_b) is not int:
         raise DimensionMismatch("invalid state file: dims must be integers")
-    amps = []
-    for entry in doc["amplitudes"]:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise DimensionMismatch(
-                "invalid state file: amplitudes must be [re, im] pairs"
-            )
-        amps.append(complex(entry[0], entry[1]))
-    return make_state(dim_a, dim_b, amps)
+    try:
+        # amplitudes that are not a list of pairs of two numbers fail to
+        # unpack or to convert; an integer past the float range overflows
+        values = [complex(re, im) for re, im in amps]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionMismatch(
+            f"invalid state file: amplitudes must be [re, im] number pairs ({exc})") from exc
+    return make_state(dim_a, dim_b, values)
 
 
 def save_state(s: PureState | RawVector, path) -> None:
@@ -400,5 +405,10 @@ def save_state(s: PureState | RawVector, path) -> None:
 
 
 def load_state(path) -> PureState:
+    """Read a state file; a file that is not ASCII text is an invalid state file."""
     with open(path, encoding="ascii") as fh:
-        return state_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DimensionMismatch(f"invalid state file: not ASCII text ({exc})") from exc
+    return state_from_json(text)

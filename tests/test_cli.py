@@ -107,6 +107,36 @@ def test_state_info_missing_file(runner, tmp_path):
     assert result.exit_code == 2
 
 
+_MALFORMED_STATE_FILES = {
+    "string_part": b'{"dim_a": 2, "dim_b": 2, "amplitudes": [["1", 0], [0, 0], [0, 0], [0, 0]]}',
+    "null_part": b'{"dim_a": 2, "dim_b": 2, "amplitudes": [[1, null], [0, 0], [0, 0], [0, 0]]}',
+    "amplitudes_number": b'{"dim_a": 2, "dim_b": 2, "amplitudes": 5}',
+    "bool_dim": b'{"dim_a": true, "dim_b": 2, "amplitudes": [[1, 0], [0, 0]]}',
+    "huge_part": b'{"dim_a": 2, "dim_b": 2, "amplitudes": [[1' + b"0" * 400
+                 + b', 0], [0, 0], [0, 0], [0, 0]]}',
+    "non_ascii": ('{"dim_a": 2, "dim_b": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]], '
+                  '"note": "\u00e9"}').encode("latin-1"),
+}
+
+
+@pytest.mark.parametrize("command", ["state-info", "bounds", "sweep"])
+@pytest.mark.parametrize("content", list(_MALFORMED_STATE_FILES.values()),
+                         ids=list(_MALFORMED_STATE_FILES))
+def test_malformed_state_file_is_bad_input(runner, tmp_path, command, content):
+    # exit 1 means "violations found": a malformed file must exit 2, not crash
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    args = {"state-info": ["state-info", str(bad)],
+            "bounds": ["bounds", str(bad), str(bad), "--alpha", "0.6", "--beta", "0.8"],
+            "sweep": ["sweep", str(bad), str(bad)]}[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {bad}: invalid state file: " in result.stderr
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+
+
 # --- bounds -----------------------------------------------------------------
 
 

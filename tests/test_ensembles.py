@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import supconc.bounds as bounds
 import supconc.ensembles as ensembles
 
 from supconc import (
@@ -174,7 +175,7 @@ def test_fixture_json_roundtrip_bit_exact():
 
 
 def _summary_key(summary):
-    return summary.to_dict(include_wall_time=False)
+    return summary.to_dict()
 
 
 @pytest.mark.parametrize("regime,dims", [
@@ -237,9 +238,11 @@ def test_ensemble_config_validation():
 
 
 class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records ``max_workers``, maps inline."""
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and each
+    ``chunksize``, maps inline."""
 
     created: list[int] = []
+    chunksizes: list[int] = []
 
     def __init__(self, max_workers):
         self.created.append(max_workers)
@@ -250,25 +253,39 @@ class _InlineExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
+    def map(self, fn, *iterables, chunksize=1):
+        self.chunksizes.append(chunksize)
         return map(fn, *iterables)
 
 
+def _inline_pool(monkeypatch, cpus, block_amplitudes):
+    """Route verify_ensemble's pool through _InlineExecutor on ``cpus`` CPUs,
+    with evaluation blocks of ``block_amplitudes`` amplitudes."""
+    monkeypatch.setattr(_InlineExecutor, "created", [])
+    monkeypatch.setattr(_InlineExecutor, "chunksizes", [])
+    monkeypatch.setattr(ensembles, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(ensembles.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", block_amplitudes)
+
+
 @pytest.mark.parametrize("trials,jobs,cpus,workers", [
-    (5, 5000, 64, 5),     # one worker per range: 5 one-trial ranges
+    (5, 5000, 64, 5),     # one worker per block: 5 one-trial blocks
     (100, 4, 2, 2),       # one worker per CPU
     (100, 3, None, 1),    # unknown CPU count
+    (1, 2, 4, 1),         # --jobs 2 on a one-block campaign
 ])
 def test_verify_ensemble_clamps_workers(monkeypatch, trials, jobs, cpus, workers):
     # a fork-started pool forks all max_workers processes at the first
-    # submit, so --jobs must not reach the pool unclamped
-    monkeypatch.setattr(_InlineExecutor, "created", [])
-    monkeypatch.setattr(ensembles, "ProcessPoolExecutor", _InlineExecutor)
-    monkeypatch.setattr(ensembles.os, "cpu_count", lambda: cpus)
+    # submit, so --jobs must not reach the pool unclamped; one-trial blocks
+    # make one block per trial, and a clamp to one worker runs inline
+    _inline_pool(monkeypatch, cpus, 4)
     config = EnsembleConfig(trials=trials, dim_a=2, dim_b=2,
                             regime=Regime.GENERAL, seed=3)
     summary = verify_ensemble(config, jobs=jobs)
-    assert _InlineExecutor.created == [workers]
+    pooled = workers > 1
+    assert _InlineExecutor.created == ([workers] if pooled else [])
+    # a few chunks of blocks per worker: 5 -> chunks of 1, 100 -> of 13
+    assert _InlineExecutor.chunksizes == ([math.ceil(trials / (4 * workers))] if pooled else [])
     assert _summary_key(summary) == _summary_key(verify_ensemble(config))
 
 
@@ -312,17 +329,14 @@ def test_violation_records_are_pinned(campaign):
                                          ((32, 32), 11)])
 @pytest.mark.parametrize("regime", list(Regime))
 def test_run_range_split_matches_one_range(dims, trials, regime):
-    # a trial's values do not depend on the block it lands in: [0, 7) + [7, T)
-    # cuts blocks differently from [0, T) (a 32x32 block holds 4 trials)
+    # a trial's row does not depend on the block it lands in: the trial
+    # range [0, T) as one block gives the rows of the blocks [0, 7) and [7, T)
     config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1], regime=regime,
                             seed=20240901, weight_sampling="complex-random", tol=-1.0)
-    whole_rows, whole_violations = ensembles._run_range(config, 0, trials)
-    head_rows, head_violations = ensembles._run_range(config, 0, 7)
-    tail_rows, tail_violations = ensembles._run_range(config, 7, trials)
+    whole_rows = ensembles._run_block(config, 0, trials)
+    split_rows = [ensembles._run_block(config, 0, 7), ensembles._run_block(config, 7, trials)]
     assert whole_rows.shape == (trials, 4)
-    assert np.array_equal(whole_rows, np.concatenate([head_rows, tail_rows]), equal_nan=True)
-    assert whole_violations == head_violations + tail_violations
-    assert [v.trial_index for v in whole_violations] == list(range(trials))
+    assert np.array_equal(whole_rows, np.concatenate(split_rows), equal_nan=True)
 
 
 # to_dict(include_wall_time=False) of small campaigns, recorded: ints and
@@ -383,16 +397,16 @@ def test_summaries_are_pinned(kwargs, expected):
 
 
 def test_ranges_keep_violations_in_trial_order(monkeypatch):
-    # jobs=4 on 4 CPUs cuts 57 trials into 15 ranges of at most 4; the
-    # inline executor maps them in order without starting a process
-    monkeypatch.setattr(_InlineExecutor, "created", [])
-    monkeypatch.setattr(ensembles, "ProcessPoolExecutor", _InlineExecutor)
-    monkeypatch.setattr(ensembles.os, "cpu_count", lambda: 4)
+    # blocks of 60 amplitudes cut 57 3x5 trials into 15 blocks of at most
+    # 4; jobs=4 on 4 CPUs maps them in chunks of one, and the inline
+    # executor runs them in order without starting a process
+    _inline_pool(monkeypatch, 4, 60)
     config = EnsembleConfig(trials=57, dim_a=3, dim_b=5, regime=Regime.ORTHOGONAL,
                             seed=-5, weight_sampling="complex-random", tol=-1.0)
     ranged = verify_ensemble(config, jobs=4)
     serial = verify_ensemble(config)
     assert _InlineExecutor.created == [4]
+    assert _InlineExecutor.chunksizes == [1]
     assert ranged.violations == serial.violations
     assert [v.trial_index for v in ranged.violations] == list(range(57))
     assert _summary_key(ranged) == _summary_key(serial)
