@@ -195,23 +195,24 @@ def _slack(target, families):
     return upper, lower
 
 
-def _check_claims(d: int, exact, upper_slack, lower_slack, formula_error) -> None:
-    """Raise :class:`SanityFailure` for the first report that escapes its claims.
+def _check_claims(batch: BatchReport, formula_error, limit: float = SANITY_TOL) -> None:
+    """Raise :class:`SanityFailure` for the first pair of ``batch`` that escapes its claims.
 
-    A report escapes when its concurrence leaves ``[0, sqrt(2 (d-1)/d)]``
-    (``d = min(dim_a, dim_b)``) or one of its slacks or the closed-form error
-    passes ``SANITY_TOL``. The arguments are one report's values or arrays
-    with one entry per stacked pair; the raised error names its ``row``.
+    A pair escapes when its concurrence leaves ``[0, sqrt(2 (d-1)/d)]``
+    (``d = min(dim_a, dim_b)``) by more than ``SANITY_TOL``, or one of its
+    slacks or ``formula_error`` (a value, or one per pair) passes ``limit``;
+    at ``limit = inf`` only a NaN does. The raised error names its ``row``.
     """
+    d = min(batch.dim_a, batch.dim_b)
     cap = math.sqrt(2.0 * (d - 1) / d)
+    exact, upper, lower = batch.exact_concurrence, batch.upper_slack, batch.lower_slack
     # stated as what holds, so that a NaN anywhere escapes
     holds = ((exact >= -SANITY_TOL) & (exact <= cap + SANITY_TOL)
-             & (upper_slack <= SANITY_TOL) & (lower_slack >= -SANITY_TOL)
-             & (formula_error <= SANITY_TOL))
+             & (upper <= limit) & (lower >= -limit) & (formula_error <= limit))
     row = _first(np.logical_not(holds))
     if row is not None:
         c, u, lo, f = (float(np.broadcast_to(v, np.shape(holds)).flat[row])
-                       for v in (exact, upper_slack, lower_slack, formula_error))
+                       for v in (exact, upper, lower, formula_error))
         raise SanityFailure(
             f"report escapes its claims: concurrence {c!r} (cap {cap!r}), upper slack "
             f"{u!r}, lower slack {lo!r}, closed-form error {f!r}", row=row)
@@ -512,6 +513,34 @@ def _evaluate_rows(alpha, beta, phi, varphi, *, tol: float,
     )
 
 
+def _evaluate_checked(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
+                      regime_override: Regime | None = None) -> BatchReport:
+    """:func:`evaluate_batch` without its bound-escape judge.
+
+    The same input checks and errors, in the same order; then a
+    :class:`SanityFailure` naming the pair in ``row`` only for a bug: a NaN
+    concurrence or slack, or a concurrence outside its range by more than
+    ``SANITY_TOL``. A bound escape stays in the slacks for the caller to
+    judge, as a campaign does at its own tolerance.
+    """
+    alpha, beta, phi, varphi = (np.asarray(x, dtype=np.complex128)
+                                for x in (alpha, beta, phi, varphi))
+    if phi.ndim != 3 or varphi.shape[1:] != phi.shape[1:] or alpha.ndim != 1 or \
+            beta.shape != alpha.shape or {len(phi), len(varphi)} - {1, len(alpha)}:
+        raise DimensionMismatch(
+            f"expected (T or 1, dim_a, dim_b) stacks and length-T weights, got phi "
+            f"{phi.shape}, varphi {varphi.shape}, alpha {alpha.shape}, beta {beta.shape}")
+    _require_regime_tol(tol)
+    _require_unit_norm(_frobenius_sq(phi))
+    _require_unit_norm(_frobenius_sq(varphi))
+    _require_unit_weights(alpha, beta)
+
+    batch = _evaluate_rows(alpha, beta, phi, varphi, tol=tol, regime_override=regime_override)
+    _require_nonzero_norm(np.sqrt(batch.norm_squared))
+    _check_claims(batch, 0.0, limit=math.inf)
+    return batch
+
+
 def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
                    regime_override: Regime | None = None) -> BatchReport:
     """Classify, compute the exact concurrence and fill every bound of stacked pairs.
@@ -532,31 +561,19 @@ def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
     included), :class:`ZeroVector`, or :class:`OutOfRange` for a
     ``tol`` outside [0, 1). Then every pair is checked, and a
     :class:`SanityFailure` naming it in ``row`` signals a bug (or an
-    override misapplied far outside its formulas' validity): a concurrence
-    out of range or past a filled bound by more than ``SANITY_TOL``, or,
-    under ``regime_override`` only, a closed form that far from the direct
-    value (on a pair biorthogonal within ``tol`` it is off by
-    O(sqrt(tol)), reported in ``formula_error``).
+    override misapplied far outside its formulas' validity): a NaN, a
+    concurrence out of range or past a filled bound by more than
+    ``SANITY_TOL``, or, under ``regime_override`` only, a closed form that
+    far from the direct value (on a pair biorthogonal within ``tol`` it is
+    off by O(sqrt(tol)), reported in ``formula_error``). Campaigns skip the
+    bound judge here (:func:`_evaluate_checked`) and judge the slacks at
+    their own tolerance.
     """
-    alpha, beta, phi, varphi = (np.asarray(x, dtype=np.complex128)
-                                for x in (alpha, beta, phi, varphi))
-    if phi.ndim != 3 or varphi.shape[1:] != phi.shape[1:] or alpha.ndim != 1 or \
-            beta.shape != alpha.shape or {len(phi), len(varphi)} - {1, len(alpha)}:
-        raise DimensionMismatch(
-            f"expected (T or 1, dim_a, dim_b) stacks and length-T weights, got phi "
-            f"{phi.shape}, varphi {varphi.shape}, alpha {alpha.shape}, beta {beta.shape}")
-    _require_regime_tol(tol)
-    _require_unit_norm(_frobenius_sq(phi))
-    _require_unit_norm(_frobenius_sq(varphi))
-    _require_unit_weights(alpha, beta)
-
-    batch = _evaluate_rows(alpha, beta, phi, varphi, tol=tol, regime_override=regime_override)
-    _require_nonzero_norm(np.sqrt(batch.norm_squared))
+    batch = _evaluate_checked(alpha, beta, phi, varphi, tol=tol,
+                              regime_override=regime_override)
     # only an override can misapply the closed form; on a classified pair
     # its error is the pair's distance from exact biorthogonality
-    formula_error = 0.0 if regime_override is None else np.nan_to_num(batch.formula_error)
-    _check_claims(min(batch.dim_a, batch.dim_b), batch.exact_concurrence,
-                  batch.upper_slack, batch.lower_slack, formula_error)
+    _check_claims(batch, 0.0 if regime_override is None else np.nan_to_num(batch.formula_error))
     return batch
 
 

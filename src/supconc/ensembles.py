@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bounds import SANITY_TOL, Regime, _blocks, evaluate_batch
+from .bounds import SANITY_TOL, Regime, _blocks, _evaluate_checked
 from .errors import InternalError, InvalidSplit, OutOfRange, SanityFailure, UnknownFixture
 from .states import PureState, RawVector, make_state, normalize
 
@@ -279,9 +279,11 @@ def _run_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
     Returns one row per trial, ``(upper slack, lower slack, closed-form
     error, zero-delta excess)``; the error is NaN outside the biorthogonal
     regime and the excess NaN on trials classified general. A trial's row
-    does not depend on the block it is evaluated in. Violations are not
-    judged here: :func:`verify_ensemble` finds them in the rows of all
-    trials.
+    does not depend on the block it is evaluated in. Bound escapes are not
+    judged here (:func:`supconc.bounds._evaluate_checked` keeps them in the
+    slacks): :func:`verify_ensemble` finds them in the rows of all trials.
+    Only a bug, a NaN concurrence or slack or a concurrence out of range,
+    raises :class:`SanityFailure`, naming the seed, trial and digest.
     """
     size, n = stop - start, config.dim_a * config.dim_b
     phi = np.empty((size, n), dtype=np.complex128)
@@ -293,7 +295,7 @@ def _run_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
 
     shape = (size, config.dim_a, config.dim_b)
     try:
-        batch = evaluate_batch(alpha, beta, phi.reshape(shape), varphi.reshape(shape))
+        batch = _evaluate_checked(alpha, beta, phi.reshape(shape), varphi.reshape(shape))
     except SanityFailure as exc:
         index = start + exc.row
         raise SanityFailure(f"{exc} (seed {config.seed}, trial {index}, "
@@ -316,7 +318,7 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     """Run a campaign: draw pairs and weights, evaluate, record violations.
 
     Trials are drawn one by one and evaluated in blocks of stacked arrays
-    (:func:`supconc.bounds.evaluate_batch`, blocks cut by
+    (:func:`supconc.bounds._evaluate_checked`, blocks cut by
     :func:`supconc.bounds._blocks`). The blocks are also the unit of work
     for processes: with ``jobs > 1`` and more than one block and CPU they
     are mapped, in chunks, onto at most ``jobs`` worker processes, never
@@ -327,8 +329,11 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     order, and the summary is one reduction over them: a max, min or count
     per column, and the violations, in trial order, where the margin
     ``max(upper slack, -lower slack, closed-form error)`` passes
-    ``config.tol``. A violation's digest is taken from its trial redrawn
-    by :func:`_draw_trial`.
+    ``config.tol``. This is the campaign's one judge of a bound escape, so
+    ``config.tol`` is the tolerance whatever its value. A violation's digest
+    is taken from its trial redrawn by :func:`_draw_trial`. A bug in a
+    block raises :class:`SanityFailure` and ends the campaign without a
+    summary.
     """
     t0 = time.perf_counter()
     blocks = list(_blocks(0, config.trials, config.dim_a, config.dim_b))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -396,6 +397,9 @@ def state_from_json(text: str) -> PureState:
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(
             f"invalid state file: amplitudes must be [re, im] number pairs ({exc})") from exc
+    # complex() reads true and false as 1 and 0; one scan of the part types
+    if bool in set(map(type, chain.from_iterable(amps))):
+        raise DimensionMismatch("invalid state file: amplitude parts must not be booleans")
     return make_state(dim_a, dim_b, values)
 
 

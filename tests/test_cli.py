@@ -1,14 +1,19 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import json
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import supconc.bounds as bounds
 from supconc import Regime, SuperpositionSpec, evaluate, fixture, haar_state, save_state
 from supconc.bounds import _blocks
 from supconc.cli import CSV_HEADER, _sweep_rows, main
@@ -110,6 +115,7 @@ def test_state_info_missing_file(runner, tmp_path):
 _MALFORMED_STATE_FILES = {
     "string_part": b'{"dim_a": 2, "dim_b": 2, "amplitudes": [["1", 0], [0, 0], [0, 0], [0, 0]]}',
     "null_part": b'{"dim_a": 2, "dim_b": 2, "amplitudes": [[1, null], [0, 0], [0, 0], [0, 0]]}',
+    "bool_part": b'{"dim_a": 2, "dim_b": 2, "amplitudes": [[true, 0], [0, false], [0, 0], [0, 0]]}',
     "amplitudes_number": b'{"dim_a": 2, "dim_b": 2, "amplitudes": 5}',
     "bool_dim": b'{"dim_a": true, "dim_b": 2, "amplitudes": [[1, 0], [0, 0]]}',
     "huge_part": b'{"dim_a": 2, "dim_b": 2, "amplitudes": [[1' + b"0" * 400
@@ -204,12 +210,13 @@ def test_bounds_exit_codes(runner, state_files):
     assert result.exit_code == 2
 
 
-def test_bounds_sanity_failure_exits_three(runner, state_files):
+@pytest.mark.parametrize("command", [["bounds", "--alpha", repr(S2), "--beta", repr(S2)],
+                                     ["sweep", "--steps", "5"]], ids=["bounds", "sweep"])
+def test_bounds_sanity_failure_exits_three(runner, state_files, command):
     # forcing the biorthogonal closed form onto a merely orthogonal pair
-    # trips the report's consistency check
-    result = runner.invoke(main, ["bounds", state_files["bell_plus"],
-                                  state_files["bell_minus"],
-                                  "--alpha", repr(S2), "--beta", repr(S2),
+    # trips the report's consistency check, in a sweep as in one report
+    result = runner.invoke(main, [command[0], state_files["bell_plus"],
+                                  state_files["bell_minus"], *command[1:],
                                   "--regime-override", "biorthogonal"])
     assert result.exit_code == 3
 
@@ -485,51 +492,79 @@ def test_verify_flag_errors(runner):
     assert result.exit_code == 2
 
 
-def test_verify_sanity_failure_exits_three(runner, monkeypatch):
-    import supconc.ensembles
-    from supconc import SanityFailure
+def _break_one_row(bad_block, bad_row, **values):
+    """A wrapper on ``bounds._evaluate_rows`` that sets ``values`` (fields of
+    the batch) in row ``bad_row`` of the ``bad_block``-th call."""
+    evaluate_rows = bounds._evaluate_rows
+    calls = []
 
-    def broken(alpha, beta, phi, varphi):
-        raise SanityFailure("report inconsistent", row=0)
+    def one_row_broken(*args, **kwargs):
+        batch = evaluate_rows(*args, **kwargs)
+        calls.append(len(batch.upper_slack))
+        if len(calls) != bad_block:
+            return batch
+        columns = {name: getattr(batch, name).copy() for name in values}
+        for name, value in values.items():
+            columns[name][bad_row] = value
+        return dataclasses.replace(batch, **columns)
 
-    monkeypatch.setattr(supconc.ensembles, "evaluate_batch", broken)
-    result = runner.invoke(main, verify_args(trials=5) + ["--jobs", "1"])
-    assert result.exit_code == 3
-    assert "error: report inconsistent" in result.stderr
-    assert "trial 0" in result.stderr
-    assert "seed 42" in result.stderr
+    return one_row_broken
 
 
-@pytest.mark.parametrize("dims,bad_block,bad_row,trial", [
+# a bad value in one row of one block: the row a block's check must name
+_BAD_ROWS = pytest.mark.parametrize("dims,bad_block,bad_row,trial", [
     ((2, 2), 1, 3, 3),     # only trial 3 of one 5-trial block
     ((32, 32), 2, 0, 4),   # first row of the second block: a 32x32 block holds 4 trials
 ])
-def test_verify_sanity_failure_names_first_bad_trial_of_block(runner, monkeypatch, dims,
-                                                              bad_block, bad_row, trial):
-    # one row escapes; the real check must find it, and the error must name
-    # its trial and the digest a violation record gives for that trial
-    import supconc.ensembles
-    from supconc import bounds
 
-    evaluate_batch = bounds.evaluate_batch
-    blocks = []
 
-    def one_row_escapes(alpha, beta, phi, varphi):
-        batch = evaluate_batch(alpha, beta, phi, varphi)
-        blocks.append(len(alpha))
-        upper = batch.upper_slack.copy()
-        if len(blocks) == bad_block:
-            upper[bad_row] = 1.0
-        bounds._check_claims(min(dims), batch.exact_concurrence, upper,
-                             batch.lower_slack, 0.0)
-        return batch
-
-    args = verify_args(trials=5, dims=dims)
+@_BAD_ROWS
+def test_verify_sanity_failure_exits_three(runner, monkeypatch, dims, bad_block, bad_row,
+                                           trial):
+    # a NaN concurrence is a bug: exit 3, no summary, and the error names the
+    # trial and the digest a violation record gives for it
+    args = verify_args(trials=5, dims=dims) + ["--jobs", "1"]
     records = json.loads(runner.invoke(main, args + ["--tol", "-1"]).stdout)
-    monkeypatch.setattr(supconc.ensembles, "evaluate_batch", one_row_escapes)
-    result = runner.invoke(main, args + ["--jobs", "1"])
+    monkeypatch.setattr(bounds, "_evaluate_rows",
+                        _break_one_row(bad_block, bad_row, exact_concurrence=math.nan))
+    result = runner.invoke(main, args)
     assert result.exit_code == 3
-    assert "error: report escapes its claims" in result.stderr
+    assert "error: report escapes its claims: concurrence nan" in result.stderr
     assert f"trial {trial}," in result.stderr
     assert "seed 42" in result.stderr
     assert f"digest {records['violations'][trial]['digest']}" in result.stderr
+    assert result.stdout == ""
+
+
+@_BAD_ROWS
+def test_verify_sanity_failure_names_first_bad_trial_of_block(runner, monkeypatch, tmp_path,
+                                                              dims, bad_block, bad_row, trial):
+    # a bound escape is what a campaign looks for: it is judged at --tol and
+    # recorded as a violation of its trial, and the summary is printed
+    args = verify_args(trials=5, dims=dims) + ["--jobs", "1"]
+    records = json.loads(runner.invoke(main, args + ["--tol", "-1"]).stdout)
+    expected = dict(records["violations"][trial], margin=1.0)
+    out = tmp_path / "violations.jsonl"
+    monkeypatch.setattr(bounds, "_evaluate_rows",
+                        _break_one_row(bad_block, bad_row, upper_slack=1.0))
+    result = runner.invoke(main, args + ["--violations-out", str(out)])
+    assert result.exit_code == 1, result.output
+    doc = json.loads(result.stdout)
+    assert doc["violations"] == [expected]
+    assert doc["trials_run"] == 5 and doc["max_upper_slack"] == 1.0
+    assert [json.loads(line) for line in out.read_text().splitlines()] == [expected]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(escape=st.floats(1e-12, 1.0), tol=st.floats(0.0, 1e-3), row=st.integers(0, 4))
+def test_verify_judges_escapes_at_tol(escape, tol, row):
+    # the campaign's one judge is --tol: every escape past it is a violation,
+    # every other one only shows in the summary's slacks
+    args = verify_args(trials=5, regime="general") + ["--jobs", "1", "--tol", repr(tol)]
+    with mock.patch.object(bounds, "_evaluate_rows",
+                           _break_one_row(1, row, upper_slack=escape)):
+        result = CliRunner().invoke(main, args)
+    doc = json.loads(result.stdout)
+    assert doc["max_upper_slack"] == escape
+    violated = [v["trial_index"] for v in doc["violations"]]
+    assert (result.exit_code, violated) == ((1, [row]) if escape > tol else (0, []))
