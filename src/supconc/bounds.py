@@ -21,8 +21,10 @@ bound takes the measured overlap unless the caller names an orthogonal
 regime (``regime_override``, or ``regime=`` of a standalone bound); the
 tolerance sets the regime label, never a bound's formula. Concurrences
 (components and superposition alike) are evaluated with the closed form
-``2|a00 a11 - a01 a10|`` on 2x2 states and with the I-concurrence
-otherwise; the two agree within 1e-12 on qubit pairs. Lower bounds are
+``2|a00 a11 - a01 a10|`` on 2x2 states and otherwise with the
+I-concurrence from the reduced-state purity, taken from the singular
+values only on near-product states (``measures._concurrence``); the two
+agree within 1e-12 on qubit pairs. Lower bounds are
 clamped at zero before reporting (the raw value is kept in the report
 diagnostics). All formulas assume the inverter scale nu = 1.
 

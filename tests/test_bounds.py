@@ -324,10 +324,14 @@ def test_qudit_lower_degenerate_weight():
         qudit_lower_orth(SuperpositionSpec(1.0, 0.0, phi, var))
     with pytest.raises(DegenerateWeight):
         lower_bound_useful(SuperpositionSpec(0.0, 1.0, phi, var))
-    # the upper bound still applies and reduces to the remaining component
+    # the upper bound still applies and reduces exactly to the remaining
+    # component's concurrence, which the Schmidt route agrees with
     phi, var = max_entangled(3), ket(3, 3, 1)
-    assert qudit_upper_orth(SuperpositionSpec(0.0, 1.0, phi, var)) == i_concurrence(var)
-    assert qudit_upper_orth(SuperpositionSpec(1.0, 0.0, phi, var)) == i_concurrence(phi)
+    for spec, field, state in ((SuperpositionSpec(0.0, 1.0, phi, var), "c_varphi", var),
+                               (SuperpositionSpec(1.0, 0.0, phi, var), "c_phi", phi)):
+        upper = qudit_upper_orth(spec)
+        assert upper == getattr(evaluate(spec), field)
+        assert abs(upper - i_concurrence(state)) <= 1e-13
 
 
 def test_lower_bound_useful_unbalanced_limit():

@@ -22,6 +22,7 @@ from supconc import (
     state_to_json,
     verify_ensemble,
 )
+from supconc.measures import _GRAM_FLOOR, _schmidt_concurrence
 
 S2 = math.sqrt(0.5)
 
@@ -337,6 +338,33 @@ def test_run_range_split_matches_one_range(dims, trials, regime):
     split_rows = [ensembles._run_block(config, 0, 7), ensembles._run_block(config, 7, trials)]
     assert whole_rows.shape == (trials, 4)
     assert np.array_equal(whole_rows, np.concatenate(split_rows), equal_nan=True)
+
+
+@pytest.mark.parametrize("dims,trials", [((32, 32), 40), ((5, 2), 30), ((2, 5), 30),
+                                         ((3, 7), 30)])
+def test_rows_do_not_depend_on_the_concurrence_route_of_their_neighbours(dims, trials):
+    # a split of 1 makes a biorthogonal component a product state, which
+    # takes the SVD fallback of the concurrence while the other matrices of
+    # its stack take the purity route: the stack mixes both, and each
+    # trial's row is still the same in one block, in two and on its own
+    config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1],
+                            regime=Regime.BIORTHOGONAL, seed=20240901,
+                            weight_sampling="complex-random", tol=-1.0)
+    matrices = []
+    for index in range(trials):
+        phi, varphi, alpha, beta = ensembles._draw_trial(config, index)
+        raw = alpha * phi + beta * varphi
+        matrices += [phi, varphi, raw / np.linalg.norm(raw)]
+    c_sq = _schmidt_concurrence(np.linalg.svd(np.reshape(matrices, (-1, *dims)),
+                                              compute_uv=False)) ** 2
+    below_floor = c_sq < _GRAM_FLOOR * (max(dims) + 1) ** 2
+    assert below_floor.any() and not below_floor.all()
+
+    whole_rows = ensembles._run_block(config, 0, trials)
+    split_rows = [ensembles._run_block(config, 0, 7), ensembles._run_block(config, 7, trials)]
+    one_rows = [ensembles._run_block(config, index, index + 1) for index in range(trials)]
+    assert np.array_equal(whole_rows, np.concatenate(split_rows), equal_nan=True)
+    assert np.array_equal(whole_rows, np.concatenate(one_rows), equal_nan=True)
 
 
 # to_dict(include_wall_time=False) of small campaigns, recorded: ints and

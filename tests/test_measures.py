@@ -35,7 +35,7 @@ from supconc import (
     superposition_csq_expansion,
     universal_inverter,
 )
-from supconc.measures import _rank_one_sandwich
+from supconc.measures import _GRAM_FLOOR, _concurrence, _rank_one_sandwich, _schmidt_concurrence
 
 S2 = math.sqrt(0.5)
 
@@ -307,6 +307,49 @@ def test_rank_one_sandwich_matches_explicit_map(seed, dims):
     x, u, v, y = (haar_state(*dims, rng) for _ in range(4))
     explicit = lambda_sandwich(x, outer_operator(u, v), y)
     assert abs(_rank_one_sandwich(x, u, v, y) - explicit) <= 1e-12
+
+
+# square and rectangular, with the Gram matrix on either side
+ROUTE_DIMS = [(3, 3), (10, 10), (32, 32), (2, 5), (5, 2), (3, 7)]
+ROUTE_KINDS = ["haar", "spectrum", "above floor", "below floor"]
+
+
+def _schmidt_probs(kind, dims, rng):
+    """Squared Schmidt coefficients of one ``kind`` of matrix (not ``haar``)."""
+    k = min(dims)
+    if kind == "spectrum":
+        # coefficients log-uniform down to 1e-8
+        lam_sq = 10.0 ** rng.uniform(-16.0, 0.0, k)
+        lam_sq[0] = 1.0
+        return lam_sq / lam_sq.sum()
+    # C^2 = 2 (1 - sum p_i^2) = target for p = (1 - s, s w) with w on the
+    # simplex: (1 + |w|^2) s^2 - 2 s + target / 2 = 0
+    target = _GRAM_FLOOR * (max(dims) + 1) ** 2 * (1.01 if kind == "above floor" else 0.99)
+    w = rng.dirichlet(np.ones(k - 1))
+    q = 1.0 + w @ w
+    s = (1.0 - math.sqrt(1.0 - target * q / 2.0)) / q
+    return np.concatenate(([1.0 - s], s * w))
+
+
+def _route_matrix(kind, dims, rng):
+    da, db = dims
+    if kind == "haar":
+        return haar_state(da, db, rng).matrix
+    lam = np.sqrt(_schmidt_probs(kind, dims, rng))
+    k = lam.size
+    return (haar_unitary(da, rng)[:, :k] * lam) @ haar_unitary(db, rng)[:, :k].T
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from(ROUTE_DIMS),
+       kinds=st.lists(st.sampled_from(ROUTE_KINDS), min_size=1, max_size=6))
+def test_concurrence_matches_svd_route_on_stacks(seed, dims, kinds):
+    # the purity route with its SVD fallback, against the SVD route on every
+    # matrix; a stack mixes matrices on both sides of the fallback floor
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_route_matrix(kind, dims, rng) for kind in kinds])
+    expected = _schmidt_concurrence(np.linalg.svd(stack, compute_uv=False))
+    assert np.max(np.abs(_concurrence(stack) - expected)) <= 1e-13
 
 
 def test_csq_via_lambda_examples():
