@@ -1,10 +1,13 @@
 """Seeded random state generation, reference fixtures, and verification runs.
 
 Every generator takes an explicit ``numpy.random.Generator``; nothing in
-this module touches global RNG state. Verification campaigns derive one
-generator per trial from ``(seed, trial_index)``, so results are
+this module touches global RNG state. Trial ``i`` of a verification
+campaign is what ``default_rng([seed, i])`` gives, so results are
 bit-identical for a given config no matter how trials are scheduled,
-including across worker processes.
+including across worker processes. Campaigns draw their trials a block at
+a time: the trials' generator states are computed together, loaded one by
+one into one generator, and the arithmetic on the draws runs over the
+block.
 """
 
 from __future__ import annotations
@@ -222,45 +225,221 @@ def _mask_seed(seed: int) -> int:
     return seed & 0xFFFFFFFFFFFFFFFF
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([_mask_seed(seed), index])
+# --- trial seeding ------------------------------------------------------------
+#
+# Trial i of a campaign draws from np.random.default_rng([mask(seed), i]):
+# a PCG64 seeded by SeedSequence([mask(seed), i]) (NEP 19). Building that
+# generator costs more than most small trials; its seeding is integer
+# arithmetic, done here for a whole range of trials at once.
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG64's 128-bit LCG multiplier
 
 
-def _draw_weights(rng: np.random.Generator, mode: str) -> tuple[complex, complex]:
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The ``calls + 1`` successive values of a SeedSequence hash constant, as a column."""
+    values = [init]
+    for _ in range(calls):
+        values.append(values[-1] * mult & _MASK32)
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+# SeedSequence hashes 4 entropy words into its pool, then each of the 4 pool
+# words into the 3 others (16 calls of hashmix), and generate_state(4, uint64)
+# hashes the pool out into 8 words (8 calls)
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of ``values`` with the next hash constant.
+
+    Row ``r`` is hashed with ``consts[r]`` and multiplied by ``consts[r + 1]``,
+    the constant after one step.
+    """
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+    return mixed ^ (mixed >> np.uint32(16))
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The little-endian 32-bit words of ``value >= 0``, one word for 0."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_words(seed: int, indices) -> np.ndarray:
+    """``SeedSequence([mask(seed), i]).generate_state(4, np.uint64)`` for each ``i``, as rows.
+
+    The entropy is the 32-bit words of the masked seed followed by those of
+    the index: at most four, the size of the pool, for indices below 2**64.
+    SeedSequence hashes pool words past the entropy as zeros, so the index
+    takes two words whatever its size. Each mixing step is uint32 arithmetic
+    on one pool word of every trial at once; the three updates of one source
+    word are independent of each other and run as one stacked step.
+    """
+    index = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    seed_words = _uint32_words(_mask_seed(seed))
+    entropy = np.zeros((4, index.size), dtype=np.uint32)
+    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[len(seed_words)] = index & np.uint64(_MASK32)
+    entropy[len(seed_words) + 1] = index >> np.uint64(32)
+    pool = _hashmix(entropy, _HASH_A[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        calls = _HASH_A[4 + 3 * src:8 + 3 * src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[[src] * 3], calls))
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B).astype(np.uint64)
+    return (state[0::2] | state[1::2] << np.uint64(32)).T
+
+
+def _pcg_states(words: np.ndarray):
+    """PCG64's ``bit_generator.state`` seeded by each row of :func:`_seed_words`.
+
+    PCG64 takes the first two words as its initial state and the last two
+    as its stream, sets ``inc = 2 * stream + 1``, steps its LCG
+    ``s -> s * M + inc`` from 0, adds the initial state and steps once more.
+    """
+    for s_hi, s_lo, i_hi, i_lo in words.tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
+# --- trial drawing --------------------------------------------------------------
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[r] . y[r]`` for each row, through the BLAS dot that ``np.dot`` of two rows calls."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _row_vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.vdot(x[r], y[r])`` for each row."""
+    return _row_dots(x.conj(), y)
+
+
+def _row_norms(z: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(z[r])`` for each row of a complex ``z``, as it sums them."""
+    return np.sqrt(_row_dots(z.real, z.real) + _row_dots(z.imag, z.imag))
+
+
+def _haar_rows(normals: np.ndarray) -> np.ndarray:
+    """:func:`_haar_vector` of each row of ``normals``, which holds its two draws."""
+    n = normals.shape[1] // 2
+    z = normals[:, :n] + 1j * normals[:, n:]
+    return z / _row_norms(z)[:, None]
+
+
+def _weight_variates(rng: np.random.Generator, mode: str) -> list:
+    """One trial's weight draws: ``[k]`` for ``|alpha|^2 = k / 100``, or
+    ``[|alpha|^2, arg alpha, arg beta]``."""
     if mode == "real-grid":
-        a_sq = int(rng.integers(1, 100)) / 100.0
-        return complex(math.sqrt(a_sq)), complex(math.sqrt(1.0 - a_sq))
-    mag = float(rng.uniform(1e-6, 1.0 - 1e-6))
-    th = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    return (math.sqrt(mag) * complex(math.cos(th[0]), math.sin(th[0])),
-            math.sqrt(1.0 - mag) * complex(math.cos(th[1]), math.sin(th[1])))
+        return [rng.integers(1, 100)]
+    return [rng.uniform(1e-6, 1.0 - 1e-6), *rng.uniform(0.0, 2.0 * math.pi, size=2)]
 
 
-def _draw_pair(config: EnsembleConfig,
-               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes of one trial's pair, as flat row-major vectors."""
-    n = config.dim_a * config.dim_b
+def _weights(variates: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(alpha, beta)`` of each row of :func:`_weight_variates`."""
+    if mode == "real-grid":
+        a_sq = variates[:, 0] / 100.0
+        return np.sqrt(a_sq).astype(np.complex128), np.sqrt(1.0 - a_sq).astype(np.complex128)
+    mag = variates[:, 0]
+    radius = np.sqrt(np.column_stack((mag, 1.0 - mag)))
+    # math, not numpy, trigonometry: numpy's may differ from the C library's
+    # in the last bit, and on some CPUs only
+    theta = variates[:, 1:].ravel().tolist()
+    weights = np.empty(radius.shape, dtype=np.complex128)
+    weights.real = radius * np.reshape(list(map(math.cos, theta)), radius.shape)
+    weights.imag = radius * np.reshape(list(map(math.sin, theta)), radius.shape)
+    return weights[:, 0], weights[:, 1]
+
+
+def _draw_block(config: EnsembleConfig, indices, words: np.ndarray | None = None,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Trials ``indices`` of a campaign, one per row: ``(phi, varphi, alpha, beta)``.
+
+    Trial ``i`` is what ``default_rng([mask(seed), i])`` gives, bit for
+    bit, in whatever block it is drawn. Each trial's PCG64 state is loaded
+    into one generator, which makes that trial's calls: the split sizes of
+    a biorthogonal pair, one ``standard_normal`` of all the pair's normals
+    and the weight draws. The arithmetic on those draws (Haar
+    normalisation, Gram-Schmidt, the weights) runs over all rows at once,
+    each row in the operations that one trial on its own takes. A rare
+    near-collinear orthogonal candidate is redrawn from the trial's own
+    generator. ``words``, the rows of :func:`_seed_words` for ``indices``,
+    may be passed when already at hand.
+    """
+    if words is None:
+        words = _seed_words(config.seed, indices)
+    dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
+    n, size = dim_a * dim_b, len(words)
+    biorthogonal = config.regime is Regime.BIORTHOGONAL
+    rng = np.random.Generator(np.random.PCG64(0))   # each trial loads its own state
+    # a biorthogonal pair fills two complementary blocks: at most 2n normals
+    normals = np.empty((size, 2 * n if biorthogonal else 4 * n))
+    splits: dict[tuple[int, int], list[int]] = {}
+    variates = []
+    for row, state in enumerate(_pcg_states(words)):
+        rng.bit_generator.state = state
+        if biorthogonal:
+            split = int(rng.integers(1, dim_a)), int(rng.integers(1, dim_b))
+            splits.setdefault(split, []).append(row)
+            sizes = split[0] * split[1] + (dim_a - split[0]) * (dim_b - split[1])
+            rng.standard_normal(out=normals[row, :2 * sizes])
+        else:
+            rng.standard_normal(out=normals[row])
+        variates.append(_weight_variates(rng, mode))
+
+    if biorthogonal:
+        phi = np.zeros((size, dim_a, dim_b), dtype=np.complex128)
+        varphi = np.zeros((size, dim_a, dim_b), dtype=np.complex128)
+        for (split_a, split_b), rows in splits.items():
+            first = 2 * split_a * split_b
+            second = 2 * (dim_a - split_a) * (dim_b - split_b)
+            drawn = normals[rows]
+            phi[rows, :split_a, :split_b] = (
+                _haar_rows(drawn[:, :first]).reshape(-1, split_a, split_b))
+            varphi[rows, split_a:, split_b:] = (
+                _haar_rows(drawn[:, first:first + second])
+                .reshape(-1, dim_a - split_a, dim_b - split_b))
+        phi, varphi = phi.reshape(size, n), varphi.reshape(size, n)
+    else:
+        phi, varphi = _haar_rows(normals[:, :2 * n]), _haar_rows(normals[:, 2 * n:])
     if config.regime is Regime.ORTHOGONAL:
-        return _orthogonal_vectors(n, rng)
-    if config.regime is Regime.BIORTHOGONAL:
-        split_a = int(rng.integers(1, config.dim_a))
-        split_b = int(rng.integers(1, config.dim_b))
-        phi_m, var_m = _biorthogonal_matrices(config.dim_a, config.dim_b, split_a, split_b, rng)
-        return phi_m.reshape(-1), var_m.reshape(-1)
-    return _haar_vector(n, rng), _haar_vector(n, rng)
+        # the Gram-Schmidt step of _orthogonal_vectors on its first candidate
+        v = varphi - _row_vdots(phi, varphi)[:, None] * phi
+        norm = _row_norms(v)
+        collinear = norm < _COLLINEAR_TOL
+        # rows redrawn below: any value will do, without a division by zero
+        v = v / np.where(collinear, 1.0, norm)[:, None]
+        v = v - _row_vdots(phi, v)[:, None] * phi
+        varphi = v / _row_norms(v)[:, None]
+        for row in np.flatnonzero(collinear).tolist():
+            rng.bit_generator.state = next(_pcg_states(words[row:row + 1]))
+            phi[row], varphi[row] = _orthogonal_vectors(n, rng)
+            variates[row] = _weight_variates(rng, mode)
+    return (phi, varphi, *_weights(np.array(variates, dtype=np.float64), mode))
 
 
 def _draw_trial(config: EnsembleConfig,
                 index: int) -> tuple[np.ndarray, np.ndarray, complex, complex]:
     """Trial ``index`` of a campaign: ``(phi, varphi, alpha, beta)``.
 
-    The one definition of a trial: its generator is seeded from
-    ``(seed, index)`` alone, so the same trial is redrawn, bit for bit, in
-    whatever block or process evaluates it and whenever it is digested.
+    The one definition of a trial: the one-row :func:`_draw_block`, so the
+    same trial is redrawn, bit for bit, in whatever block or process draws
+    it and whenever it is digested.
     """
-    rng = _trial_rng(config.seed, index)
-    phi, varphi = _draw_pair(config, rng)
-    return (phi, varphi, *_draw_weights(rng, config.weight_sampling))
+    phi, varphi, alpha, beta = _draw_block(config, [index])
+    return phi[0], varphi[0], alpha[0], beta[0]
 
 
 def _digest(phi: np.ndarray, varphi: np.ndarray, alpha: complex, beta: complex) -> str:
@@ -273,33 +452,29 @@ def _digest(phi: np.ndarray, varphi: np.ndarray, alpha: complex, beta: complex) 
     return h.hexdigest()[:12]
 
 
-def _run_block(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
-    """Draw trials ``[start, stop)`` and evaluate them as one stack.
+def _run_block(config: EnsembleConfig, start: int, stop: int,
+               words: np.ndarray | None = None) -> np.ndarray:
+    """Draw trials ``[start, stop)`` as one block and evaluate them as one stack.
 
-    Returns one row per trial, ``(upper slack, lower slack, closed-form
-    error, zero-delta excess)``; the error is NaN outside the biorthogonal
-    regime and the excess NaN on trials classified general. A trial's row
-    does not depend on the block it is evaluated in. Bound escapes are not
-    judged here (:func:`supconc.bounds._evaluate_checked` keeps them in the
-    slacks): :func:`verify_ensemble` finds them in the rows of all trials.
-    Only a bug, a NaN concurrence or slack or a concurrence out of range,
-    raises :class:`SanityFailure`, naming the seed, trial and digest.
+    ``words`` are the trials' rows of :func:`_seed_words`, when the caller
+    seeded a longer range at once. Returns one row per trial, ``(upper
+    slack, lower slack, closed-form error, zero-delta excess)``; the error
+    is NaN outside the biorthogonal regime and the excess NaN on trials
+    classified general. A trial's row does not depend on the block it is
+    drawn and evaluated in. Bound escapes are not judged here
+    (:func:`supconc.bounds._evaluate_checked` keeps them in the slacks):
+    :func:`verify_ensemble` finds them in the rows of all trials. Only a
+    bug, a NaN concurrence or slack or a concurrence out of range, raises
+    :class:`SanityFailure`, naming the seed, trial and digest.
     """
-    size, n = stop - start, config.dim_a * config.dim_b
-    phi = np.empty((size, n), dtype=np.complex128)
-    varphi = np.empty((size, n), dtype=np.complex128)
-    alpha = np.empty(size, dtype=np.complex128)
-    beta = np.empty(size, dtype=np.complex128)
-    for row, index in enumerate(range(start, stop)):
-        phi[row], varphi[row], alpha[row], beta[row] = _draw_trial(config, index)
-
-    shape = (size, config.dim_a, config.dim_b)
+    phi, varphi, alpha, beta = _draw_block(config, range(start, stop), words)
+    shape = (stop - start, config.dim_a, config.dim_b)
     try:
         batch = _evaluate_checked(alpha, beta, phi.reshape(shape), varphi.reshape(shape))
     except SanityFailure as exc:
-        index = start + exc.row
-        raise SanityFailure(f"{exc} (seed {config.seed}, trial {index}, "
-                            f"digest {_digest(*_draw_trial(config, index))})") from exc
+        row = exc.row
+        raise SanityFailure(f"{exc} (seed {config.seed}, trial {start + row}, digest "
+                            f"{_digest(phi[row], varphi[row], alpha[row], beta[row])})") from exc
     target = batch.norm_squared * batch.exact_concurrence
     zero_delta_lower = (abs(abs(alpha) ** 2 * batch.c_phi - abs(beta) ** 2 * batch.c_varphi)
                         - 2.0 * abs(alpha * beta))
@@ -317,27 +492,30 @@ def _fmax_or_none(values: np.ndarray) -> float | None:
 def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummary:
     """Run a campaign: draw pairs and weights, evaluate, record violations.
 
-    Trials are drawn one by one and evaluated in blocks of stacked arrays
-    (:func:`supconc.bounds._evaluate_checked`, blocks cut by
-    :func:`supconc.bounds._blocks`). The blocks are also the unit of work
-    for processes: with ``jobs > 1`` and more than one block and CPU they
-    are mapped, in chunks, onto at most ``jobs`` worker processes, never
-    more than there are blocks or CPUs; otherwise they run in this
-    process. Deterministic for a given config regardless of ``jobs``: each
-    trial seeds its own generator from ``(seed, trial_index)``, and its row
-    does not depend on its block. The blocks' rows come back in trial
-    order, and the summary is one reduction over them: a max, min or count
-    per column, and the violations, in trial order, where the margin
-    ``max(upper slack, -lower slack, closed-form error)`` passes
-    ``config.tol``. This is the campaign's one judge of a bound escape, so
-    ``config.tol`` is the tolerance whatever its value. A violation's digest
-    is taken from its trial redrawn by :func:`_draw_trial`. A bug in a
-    block raises :class:`SanityFailure` and ends the campaign without a
-    summary.
+    Trials are drawn and evaluated in blocks of stacked arrays
+    (:func:`_draw_block`, :func:`supconc.bounds._evaluate_checked`, blocks
+    cut by :func:`supconc.bounds._blocks`). The seeding of every trial's
+    generator is computed once, here, and each block gets its trials' share.
+    The blocks are also the unit of work for processes: with ``jobs > 1``
+    and more than one block and CPU they are mapped, in chunks, onto at
+    most ``jobs`` worker processes, never more than there are blocks or
+    CPUs; otherwise they run in this process. Deterministic for a given
+    config regardless of ``jobs``: trial ``i`` is drawn from
+    ``default_rng([seed, i])``, and its row does not depend on its block.
+    The blocks' rows come back in trial order, and the summary is one
+    reduction over them: a max, min or count per column, and the
+    violations, in trial order, where the margin ``max(upper slack, -lower
+    slack, closed-form error)`` passes ``config.tol``. This is the
+    campaign's one judge of a bound escape, so ``config.tol`` is the
+    tolerance whatever its value. The violating trials are redrawn
+    together, in blocks of the evaluation's size, and each violation's
+    digest is taken from its row. A bug in a block raises
+    :class:`SanityFailure` and ends the campaign without a summary.
     """
     t0 = time.perf_counter()
+    words = _seed_words(config.seed, np.arange(config.trials))
     blocks = list(_blocks(0, config.trials, config.dim_a, config.dim_b))
-    args = ([config] * len(blocks), *zip(*blocks))
+    args = ([config] * len(blocks), *zip(*blocks), [words[lo:hi] for lo, hi in blocks])
     workers = min(jobs, len(blocks), os.cpu_count() or 1)
     if workers <= 1:
         parts = list(map(_run_block, *args))
@@ -349,11 +527,14 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
                                   chunksize=math.ceil(len(blocks) / (4 * workers))))
     upper, lower, formula, excess = np.concatenate(parts).T
     margin = np.maximum(np.maximum(upper, -lower), np.nan_to_num(formula, nan=0.0))
+    flagged = np.flatnonzero(margin > config.tol)
+    digests = []
+    for lo, hi in _blocks(0, flagged.size, config.dim_a, config.dim_b):
+        digests += map(_digest, *_draw_block(config, flagged[lo:hi], words[flagged[lo:hi]]))
     return VerificationSummary(
         trials_run=config.trials,
-        violations=tuple(Violation(config.seed, index, _digest(*_draw_trial(config, index)),
-                                   float(margin[index]))
-                         for index in np.flatnonzero(margin > config.tol).tolist()),
+        violations=tuple(Violation(config.seed, index, digest, float(margin[index]))
+                         for index, digest in zip(flagged.tolist(), digests)),
         max_upper_slack=float(upper.max()),
         min_lower_slack=float(lower.min()),
         max_formula_error=_fmax_or_none(formula),

@@ -8,6 +8,7 @@ import supconc.ensembles as ensembles
 
 from supconc import (
     EnsembleConfig,
+    InternalError,
     InvalidSplit,
     Regime,
     UnknownFixture,
@@ -311,6 +312,20 @@ _VIOLATION_RECORDS = {
          1.1102230246251565e-16, 1.1102230246251565e-16, 3.3306690738754696e-16,
          4.440892098500626e-16, 3.3306690738754696e-16, 5.551115123125783e-17,
          1.1102230246251565e-16, 2.220446049250313e-16, 0.0, 5.551115123125783e-16])),
+    # the orthogonal regime's Gram-Schmidt inputs, at a masked negative seed
+    # and at a seed of two 32-bit words
+    ((2, 2), Regime.ORTHOGONAL, "real-grid", -5): list(zip(
+        ["c18f3627c2d8", "6e652597a8df", "0449296f51ef", "da34feb46d5a", "043f7ee7342a",
+         "7aa407366cd4", "1493116061da", "40156c92a877", "a80feeee61b9", "83ba3a9304e7",
+         "6acb0cd32051", "c429b9b64802", "36c8d9e57595", "1d2454b4186e", "909453604dfe",
+         "dd22a4c97779", "68b8c3673941", "37e6a7f12d69", "b50e272a8c43", "0d09c2984452"],
+        [0.0] * 20)),
+    ((10, 10), Regime.ORTHOGONAL, "complex-random", 2 ** 40): list(zip(
+        ["53f6c6d9c637", "42b6d87d05ac", "8d0f1ee8deed", "fe647425b745", "db5e1645edd7",
+         "2ea12a45a99e", "47c4d6b86e76", "3d788b0eebc0", "8ecf758e8041", "51ab1dc36f4c",
+         "1a947907c2c3", "e6e642d52487", "7556da922ced", "689fca6e6f20", "e07358c85738",
+         "b21d847bb3d8", "68614ebbab3b", "20fae14aee53", "f51c0acca803", "321f82af4d6e"],
+        [0.0] * 20)),
 }
 
 
@@ -440,3 +455,104 @@ def test_ranges_keep_violations_in_trial_order(monkeypatch):
     assert _summary_key(ranged) == _summary_key(serial)
     # recorded: 17 of the 57 zero-delta excesses lie above tol = -1
     assert ranged.zero_delta_lower_excesses == 17
+
+
+_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, -5, 2 ** 64 - 1]
+_INDICES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_seeding_matches_default_rng(seed):
+    # one and two 32-bit words on either side of the entropy, and a negative
+    # seed masked to 64 bits
+    masked = ensembles._mask_seed(seed)
+    words = ensembles._seed_words(seed, _INDICES)
+    assert words.dtype == np.uint64 and words.shape == (len(_INDICES), 4)
+    for row, index in zip(words, _INDICES):
+        expected = np.random.SeedSequence([masked, index]).generate_state(4, np.uint64)
+        assert np.array_equal(row, expected)
+    assert list(ensembles._pcg_states(words)) == [
+        np.random.default_rng([masked, index]).bit_generator.state for index in _INDICES]
+
+
+def _oracle_trial(config, index):
+    """Trial ``index`` drawn by the public generators from ``default_rng([seed, index])``."""
+    rng = np.random.default_rng([ensembles._mask_seed(config.seed), index])
+    dims = config.dim_a, config.dim_b
+    if config.regime is Regime.ORTHOGONAL:
+        pair = orthogonal_pair(*dims, rng)
+    elif config.regime is Regime.BIORTHOGONAL:
+        split = int(rng.integers(1, dims[0])), int(rng.integers(1, dims[1]))
+        pair = biorthogonal_pair(*dims, *split, rng)
+    else:
+        pair = haar_state(*dims, rng), haar_state(*dims, rng)
+    if config.weight_sampling == "real-grid":
+        a_sq = int(rng.integers(1, 100)) / 100.0
+        alpha, beta = complex(math.sqrt(a_sq)), complex(math.sqrt(1.0 - a_sq))
+    else:
+        mag = float(rng.uniform(1e-6, 1.0 - 1e-6))
+        th = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        alpha = math.sqrt(mag) * complex(math.cos(th[0]), math.sin(th[0]))
+        beta = math.sqrt(1.0 - mag) * complex(math.cos(th[1]), math.sin(th[1]))
+    return pair[0].amplitudes, pair[1].amplitudes, alpha, beta
+
+
+def _trial_bytes(phi, varphi, alpha, beta):
+    return (np.ascontiguousarray(phi).tobytes() + np.ascontiguousarray(varphi).tobytes()
+            + np.array([alpha, beta], dtype=np.complex128).tobytes())
+
+
+def _assert_rows_match_oracle(config, indices, drawn):
+    phi, varphi, alpha, beta = drawn
+    assert len(phi) == len(indices)
+    for row, index in enumerate(indices):
+        assert (_trial_bytes(phi[row], varphi[row], alpha[row], beta[row])
+                == _trial_bytes(*_oracle_trial(config, index))), f"trial {index}"
+
+
+@pytest.mark.parametrize("dims,trials", [((2, 2), 24), ((3, 3), 24), ((2, 5), 24), ((5, 2), 24),
+                                         ((3, 7), 24), ((10, 10), 12), ((32, 32), 5)])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("weights", ["real-grid", "complex-random"])
+def test_draw_block_matches_public_generators(dims, trials, regime, weights):
+    # bit for bit, over a whole range, a split range, one-row calls and a
+    # scattered index set, as the redraw of violations takes it
+    for seed in (20240901, -5):
+        config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1], regime=regime,
+                                seed=seed, weight_sampling=weights)
+        whole = ensembles._draw_block(config, range(trials))
+        _assert_rows_match_oracle(config, range(trials), whole)
+        split = [ensembles._draw_block(config, range(0, 3)),
+                 ensembles._draw_block(config, range(3, trials))]
+        for part, joined in zip(whole, map(np.concatenate, zip(*split))):
+            assert part.tobytes() == joined.tobytes()
+        for index in (0, trials - 1):
+            assert (_trial_bytes(*ensembles._draw_trial(config, index))
+                    == _trial_bytes(*_oracle_trial(config, index)))
+        scattered = [trials - 1, 0, 2 ** 40 + 3]
+        _assert_rows_match_oracle(config, scattered, ensembles._draw_block(config, scattered))
+
+
+def test_collinear_candidates_are_redrawn_from_their_trial(monkeypatch):
+    # a tolerance of 0.9 rejects many first candidates at 2x2: those trials
+    # draw further candidates, and then their weights, from their own stream
+    monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 0.9)
+    config = EnsembleConfig(trials=40, dim_a=2, dim_b=2, regime=Regime.ORTHOGONAL,
+                            seed=11, weight_sampling="complex-random")
+    rejected = 0
+    for index in range(config.trials):
+        rng = np.random.default_rng([config.seed, index])
+        phi, cand = haar_state(2, 2, rng).amplitudes, haar_state(2, 2, rng).amplitudes
+        rejected += np.linalg.norm(cand - np.vdot(phi, cand) * phi) < 0.9
+    assert 0 < rejected < config.trials
+    _assert_rows_match_oracle(config, range(config.trials),
+                              ensembles._draw_block(config, range(config.trials)))
+
+
+def test_collinear_redraws_are_limited(monkeypatch):
+    # no residual norm reaches 2: every candidate is rejected
+    monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 2.0)
+    monkeypatch.setattr(ensembles, "_REDRAW_LIMIT", 3)
+    config = EnsembleConfig(trials=3, dim_a=2, dim_b=2, regime=Regime.ORTHOGONAL, seed=1)
+    with pytest.raises(InternalError, match="3 redraws"):
+        ensembles._draw_block(config, range(3))
