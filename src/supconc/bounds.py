@@ -448,8 +448,9 @@ def _family(columns, row: int = 0) -> tuple:
 
 # --- the evaluation core --------------------------------------------------------
 
-# Stacked evaluations run in blocks of at most this many amplitudes per
-# stacked array: larger blocks raise the peak memory of a 32x32 campaign
+# Campaigns draw and evaluate their trials, and the evaluation core forms
+# the superpositions of a sweep, in blocks of at most this many amplitudes
+# per stacked array: larger blocks raise the peak memory of a 32x32 campaign
 # or sweep, smaller ones give back the per-call savings at large dimensions.
 _BLOCK_AMPLITUDES = 4096
 
@@ -466,18 +467,41 @@ def _one_row(spec: SuperpositionSpec):
             spec.phi.matrix[None], spec.varphi.matrix[None])
 
 
+def _superpositions(alpha, beta, phi, varphi) -> tuple[np.ndarray, np.ndarray]:
+    """``(norm_squared, concurrence)`` of each pair's superposition and of its
+    normalized form.
+
+    The superpositions are formed one evaluation block at a time, so their
+    stack is never larger than a block, and each row's value does not
+    depend on its block.
+    """
+    norm_sq, exact = np.empty(len(alpha)), np.empty(len(alpha))
+    for lo, hi in _blocks(0, len(alpha), *phi.shape[1:]):
+        # a one-matrix stack is the same component in every pair
+        m, n = (x if len(x) == 1 else x[lo:hi] for x in (phi, varphi))
+        raw = alpha[lo:hi, None, None] * m + beta[lo:hi, None, None] * n
+        norm_sq[lo:hi] = _frobenius_sq(raw)
+        # a cancelled pair gets a finite stand-in norm; evaluate_batch rejects it
+        norm = np.maximum(np.sqrt(norm_sq[lo:hi]), ZERO_TOL)
+        exact[lo:hi] = _concurrence(raw / norm[:, None, None])
+    return norm_sq, exact
+
+
 def _evaluate_rows(alpha, beta, phi, varphi, *, tol: float,
                    regime_override: Regime | None) -> BatchReport:
     """Every report quantity of the validated complex arrays of
-    :func:`evaluate_batch`, unchecked."""
+    :func:`evaluate_batch`, unchecked.
+
+    The overlap, regime and component concurrences are computed once per
+    component stack, so once for all pairs of a one-matrix stack. The
+    superpositions are formed by :func:`_superpositions`, a block at a
+    time; everything else is one column entry per pair.
+    """
     overlap = np.einsum("tij,tij->t", phi.conj(), varphi)
-    raw = alpha[:, None, None] * phi + beta[:, None, None] * varphi
-    norm_sq = _frobenius_sq(raw)
-    # a cancelled pair gets a finite stand-in norm; evaluate_batch rejects it
-    norm = np.maximum(np.sqrt(norm_sq), ZERO_TOL)
     codes = (_regime_codes(phi, varphi, overlap, tol) if regime_override is None
              else np.flatnonzero(_REGIMES == regime_override))
-    c_phi, c_var, exact = (_concurrence(m) for m in (phi, varphi, raw / norm[:, None, None]))
+    c_phi, c_var = _concurrence(phi), _concurrence(varphi)
+    norm_sq, exact = _superpositions(alpha, beta, phi, varphi)
     # one entry per pair from here on
     overlap, codes, c_phi, c_var = np.broadcast_arrays(overlap, codes, c_phi, c_var, alpha)[:4]
 
@@ -551,7 +575,10 @@ def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
     length ``T``, coefficient-matrix stacks of shape ``(T, dim_a, dim_b)``
     or ``(1, dim_a, dim_b)``; a one-matrix stack is the same component in
     every pair, and its concurrence, the overlap and the regime are then
-    computed once. The bounds take the measured overlap unless
+    computed once. The superpositions are formed per pair, in blocks cut
+    by the campaign rule (:func:`_blocks`), so a call on two one-matrix
+    stacks makes no ``(T, dim_a, dim_b)`` array: a sweep of any length over
+    one fixed pair is one call. The bounds take the measured overlap unless
     ``regime_override`` names an orthogonal regime (overlap 0, as in
     reference figures that apply orthogonal-regime formulas to a slightly
     non-orthogonal pair); ``tol`` only sets the regime label,

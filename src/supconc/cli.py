@@ -17,7 +17,7 @@ import sys
 import click
 import numpy as np
 
-from .bounds import REGIME_TOL, SANITY_TOL, Regime, _blocks, evaluate, evaluate_batch
+from .bounds import REGIME_TOL, SANITY_TOL, Regime, evaluate, evaluate_batch
 from .ensembles import WEIGHT_MODES, EnsembleConfig, fixture, verify_ensemble
 from .errors import SanityFailure, SupconcError
 from .measures import concurrence_qubit, eof_from_concurrence, i_concurrence
@@ -126,24 +126,24 @@ def _sweep_rows(phi: PureState, varphi: PureState, steps: int,
                 regime_override: Regime | None) -> list[str]:
     qubit = phi.is_qubit_pair()
     a_sq = np.arange(1, steps + 1) / (steps + 1)
+    # one core call: the components' overlap, regime and concurrences are
+    # computed once, and only the superpositions are formed block by block
+    batch = evaluate_batch(np.sqrt(a_sq), np.sqrt(1.0 - a_sq), phi.matrix[None],
+                           varphi.matrix[None], regime_override=regime_override)
+    upper, lower = batch.tightest[:2]
     lines = [CSV_HEADER]
-    for lo, hi in _blocks(0, steps, phi.dim_a, phi.dim_b):
-        batch = evaluate_batch(np.sqrt(a_sq[lo:hi]), np.sqrt(1.0 - a_sq[lo:hi]),
-                               phi.matrix[None], varphi.matrix[None],
-                               regime_override=regime_override)
-        upper, lower = batch.tightest[:2]
-        for a, exact, up, low, norm_sq in zip(
-                *(x.tolist() for x in (a_sq[lo:hi], batch.exact_concurrence, upper, lower,
-                                       batch.norm_squared))):
-            if qubit:
-                # EoF bounds apply to the normalized superposition, so the
-                # bound columns are rescaled by the squared norm first.
-                eof_cols = [_fmt(eof_from_concurrence(min(1.0, max(0.0, c))))
-                            for c in (exact, up / norm_sq, low / norm_sq)]
-            else:
-                eof_cols = ["", "", ""]
-            lines.append(",".join([_fmt(a), _fmt(exact), _fmt(up), _fmt(low),
-                                   *eof_cols, _fmt(norm_sq)]))
+    for a, exact, up, low, norm_sq in zip(
+            *(x.tolist() for x in (a_sq, batch.exact_concurrence, upper, lower,
+                                   batch.norm_squared))):
+        if qubit:
+            # EoF bounds apply to the normalized superposition, so the
+            # bound columns are rescaled by the squared norm first.
+            eof_cols = [_fmt(eof_from_concurrence(min(1.0, max(0.0, c))))
+                        for c in (exact, up / norm_sq, low / norm_sq)]
+        else:
+            eof_cols = ["", "", ""]
+        lines.append(",".join([_fmt(a), _fmt(exact), _fmt(up), _fmt(low),
+                               *eof_cols, _fmt(norm_sq)]))
     return lines
 
 
@@ -194,8 +194,8 @@ def cmd_figure(name, out, strict):
               help="Campaign seed (default: env SB_SEED, else 0).")
 @click.option("--tol", type=float, default=SANITY_TOL, show_default=True,
               help="Violation tolerance on the bound sandwich.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes; does not affect the output.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Processes to run in, this one included; does not affect the output.")
 @click.option("--weights", type=click.Choice(WEIGHT_MODES),
               default="real-grid", show_default=True,
               help="Weight sampling mode.")

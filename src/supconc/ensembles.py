@@ -497,12 +497,14 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     cut by :func:`supconc.bounds._blocks`). The seeding of every trial's
     generator is computed once, here, and each block gets its trials' share.
     The blocks are also the unit of work for processes: with ``jobs > 1``
-    and more than one block and CPU they are mapped, in chunks, onto at
-    most ``jobs`` worker processes, never more than there are blocks or
-    CPUs; otherwise they run in this process. Deterministic for a given
-    config regardless of ``jobs``: trial ``i`` is drawn from
+    and more than one block and CPU, a campaign runs in ``min(jobs, blocks,
+    CPUs)`` processes, this one included. This process runs the first
+    contiguous share of the blocks, and a pool of the other processes the
+    rest, in chunks; otherwise every block runs here. Deterministic for a
+    given config regardless of ``jobs``: trial ``i`` is drawn from
     ``default_rng([seed, i])``, and its row does not depend on its block.
-    The blocks' rows come back in trial order, and the summary is one
+    The blocks' rows come back in trial order, this process's share first,
+    so a bug raises for the first bad trial. The summary is one
     reduction over them: a max, min or count per column, and the
     violations, in trial order, where the margin ``max(upper slack, -lower
     slack, closed-form error)`` passes ``config.tol``. This is the
@@ -520,11 +522,15 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     if workers <= 1:
         parts = list(map(_run_block, *args))
     else:
-        # a fork-started pool forks every worker at the first submit; a few
-        # chunks per worker keep the per-task overhead off small blocks
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_block, *args,
-                                  chunksize=math.ceil(len(blocks) / (4 * workers))))
+        # this process runs the first share of the blocks and workers - 1
+        # pool processes the rest, which goes out first: a fork-started pool
+        # forks every worker at the first submit. A few chunks per worker
+        # keep the per-task overhead off small blocks
+        own = math.ceil(len(blocks) / workers)
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            rest = pool.map(_run_block, *(arg[own:] for arg in args),
+                            chunksize=math.ceil((len(blocks) - own) / (4 * (workers - 1))))
+            parts = [*map(_run_block, *(arg[:own] for arg in args)), *rest]
     upper, lower, formula, excess = np.concatenate(parts).T
     margin = np.maximum(np.maximum(upper, -lower), np.nan_to_num(formula, nan=0.0))
     flagged = np.flatnonzero(margin > config.tol)

@@ -1,11 +1,13 @@
 import cmath
 import json
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import supconc.bounds as bounds
 from supconc import (
     BoundReport,
     DegenerateWeight,
@@ -625,6 +627,38 @@ def test_standalone_bounds_are_views_of_evaluate(dims):
         if qubit:
             assert qubit_upper_orth(spec, tol=1e-2) == report.qubit_upper
             assert qubit_lower_orth(spec, tol=1e-2) == report.qubit_lower
+
+
+@pytest.mark.parametrize("block_amplitudes", [9, 27, 4096])   # 1, 3 and all 10 rows
+def test_stacked_rows_do_not_depend_on_the_block_size(monkeypatch, block_amplitudes):
+    # ten 3x3 pairs of one stack, superposed a block at a time: every column
+    # is the same, bit for bit, as in one block
+    rng = np.random.default_rng(17)
+    phi = np.stack([haar_state(3, 3, rng).matrix for _ in range(10)])
+    var = np.stack([haar_state(3, 3, rng).matrix for _ in range(10)])
+    alpha, beta = zip(*(random_weights(rng) for _ in range(10)))
+    whole = evaluate_batch(alpha, beta, phi, var)
+    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", block_amplitudes)
+    blocked = evaluate_batch(alpha, beta, phi, var)
+    for field in ("overlap", "norm_squared", "exact_concurrence", "c_phi", "c_varphi",
+                  "upper_slack", "lower_slack"):
+        assert getattr(blocked, field).tobytes() == getattr(whole, field).tobytes(), field
+
+
+def test_broadcast_evaluation_forms_superpositions_a_block_at_a_time():
+    # one (999, 32, 32) complex stack takes 16 MB; the core holds a few
+    # 4-row blocks of superpositions and the length-999 columns at a time
+    rng = np.random.default_rng(21)
+    phi, var = haar_state(32, 32, rng).matrix[None], haar_state(32, 32, rng).matrix[None]
+    a_sq = np.arange(1, 1000) / 1000
+    tracemalloc.start()
+    try:
+        batch = evaluate_batch(np.sqrt(a_sq), np.sqrt(1.0 - a_sq), phi, var)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(batch.exact_concurrence) == 999
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("row", [0, 2])

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import math
@@ -300,16 +301,17 @@ def test_sweep_steps_must_be_positive(runner, state_files, steps):
     assert result.stdout == ""
 
 
+def _haar_pair(dim, seed):
+    rng = np.random.default_rng(seed)
+    return haar_state(dim, dim, rng), haar_state(dim, dim, rng)
+
+
 @pytest.mark.parametrize("pair, override, block", [
     ("fig2", Regime.ORTHOGONAL, 40),   # 99 rows in blocks of 40, 40, 19
     ("haar32", None, 4),               # 25 blocks, the last one of 3 rows
 ])
 def test_sweep_rows_across_blocks_match_evaluate(pair, override, block):
-    if pair == "fig2":
-        phi, var = fixture("fig2_pair")
-    else:
-        rng = np.random.default_rng(32)
-        phi, var = haar_state(32, 32, rng), haar_state(32, 32, rng)
+    phi, var = fixture("fig2_pair") if pair == "fig2" else _haar_pair(32, 32)
     assert next(_blocks(0, 99, phi.dim_a, phi.dim_b)) == (0, block)
     rows = parse_csv("\n".join(_sweep_rows(phi, var, 99, override)))
     assert len(rows) == 99
@@ -321,6 +323,43 @@ def test_sweep_rows_across_blocks_match_evaluate(pair, override, block):
         for column, value in (("exact", report.exact_concurrence), ("upper", report.upper),
                               ("lower", report.lower), ("norm_squared", report.norm_squared)):
             assert abs(row[column] - value) <= 1e-12, (k, column)
+
+
+@pytest.mark.parametrize("pair, override", [
+    ("haar32", None),                  # 25 blocks at the default size
+    ("fig2", Regime.ORTHOGONAL),       # 3 blocks
+    ("haar2", None),                   # 1 block
+])
+def test_sweep_rows_do_not_depend_on_the_block_size(monkeypatch, pair, override):
+    # the core forms the superpositions a block at a time; one row per block
+    # and the whole grid in one block must give the same bytes
+    phi, var = fixture("fig2_pair") if pair == "fig2" else _haar_pair(int(pair[4:]), 32)
+    lines = _sweep_rows(phi, var, 99, override)
+    amplitudes = phi.dim_a * phi.dim_b
+    for block_amplitudes in (amplitudes, 99 * amplitudes):
+        monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", block_amplitudes)
+        assert _sweep_rows(phi, var, 99, override) == lines
+
+
+# sha256 of the seeded 32x32 `sweep --steps 99` stdout and of the `figure
+# fig2` CSV, recorded while the sweep still ran one core call per block.
+# They pin the last digit of every cell, as numpy 2.4 with OpenBLAS 0.3.31
+# rounds it on x86-64; a build that rounds a BLAS product differently must
+# record them again, after checking the CSVs against the old code
+_SWEEP_HAAR32_SHA256 = "26135f84162e0bdd245301a2329ff0161c4f9faf72b8809aa588a3b3294acfe6"
+_FIGURE_FIG2_SHA256 = "195c092a8a4f154784205aa99cc308ba35fb06fcb5786c139736126efc8c2a2c"
+
+
+def test_sweep_and_figure_csvs_are_pinned(runner, tmp_path):
+    paths = [str(tmp_path / f"{part}.json") for part in ("phi", "varphi")]
+    for state, path in zip(_haar_pair(32, 32), paths):
+        save_state(state, path)
+    result = runner.invoke(main, ["sweep", *paths, "--steps", "99"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == _SWEEP_HAAR32_SHA256
+    out = tmp_path / "fig2.csv"
+    assert runner.invoke(main, ["figure", "fig2", "--out", str(out)]).exit_code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _FIGURE_FIG2_SHA256
 
 
 def test_sweep_dim_mismatch(runner, state_files):
@@ -422,6 +461,13 @@ def test_verify_jobs_do_not_change_stdout(runner):
     r1 = runner.invoke(main, verify_args(trials=100))
     r2 = runner.invoke(main, verify_args(trials=100) + ["--jobs", "2"])
     assert r1.stdout == r2.stdout
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_must_be_positive(runner, jobs):
+    result = runner.invoke(main, verify_args(trials=20) + ["--jobs", jobs])
+    assert result.exit_code == 2
+    assert result.stdout == ""
 
 
 def test_verify_seed_env_default(runner):

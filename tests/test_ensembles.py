@@ -11,6 +11,7 @@ from supconc import (
     InternalError,
     InvalidSplit,
     Regime,
+    SanityFailure,
     UnknownFixture,
     biorthogonal_pair,
     classify_pair,
@@ -240,11 +241,13 @@ def test_ensemble_config_validation():
 
 
 class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records ``max_workers`` and each
-    ``chunksize``, maps inline."""
+    """Stands in for ProcessPoolExecutor: records ``max_workers``, each
+    ``chunksize`` and the first trial of each block mapped, maps inline (and
+    lazily, as the pool's results are read)."""
 
     created: list[int] = []
     chunksizes: list[int] = []
+    starts: list[list[int]] = []
 
     def __init__(self, max_workers):
         self.created.append(max_workers)
@@ -257,6 +260,7 @@ class _InlineExecutor:
 
     def map(self, fn, *iterables, chunksize=1):
         self.chunksizes.append(chunksize)
+        self.starts.append(list(iterables[1]))
         return map(fn, *iterables)
 
 
@@ -265,30 +269,59 @@ def _inline_pool(monkeypatch, cpus, block_amplitudes):
     with evaluation blocks of ``block_amplitudes`` amplitudes."""
     monkeypatch.setattr(_InlineExecutor, "created", [])
     monkeypatch.setattr(_InlineExecutor, "chunksizes", [])
+    monkeypatch.setattr(_InlineExecutor, "starts", [])
     monkeypatch.setattr(ensembles, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(ensembles.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", block_amplitudes)
 
 
 @pytest.mark.parametrize("trials,jobs,cpus,workers", [
-    (5, 5000, 64, 5),     # one worker per block: 5 one-trial blocks
-    (100, 4, 2, 2),       # one worker per CPU
+    (5, 5000, 64, 5),     # one process per block: 5 one-trial blocks
+    (100, 4, 2, 2),       # one process per CPU
     (100, 3, None, 1),    # unknown CPU count
     (1, 2, 4, 1),         # --jobs 2 on a one-block campaign
 ])
 def test_verify_ensemble_clamps_workers(monkeypatch, trials, jobs, cpus, workers):
     # a fork-started pool forks all max_workers processes at the first
-    # submit, so --jobs must not reach the pool unclamped; one-trial blocks
-    # make one block per trial, and a clamp to one worker runs inline
+    # submit, so --jobs must not reach the pool unclamped. ``workers`` counts
+    # every process, this one included: it runs the first share of the
+    # blocks and a pool of workers - 1 processes the rest. One-trial blocks
+    # make one block per trial, and a clamp to one process runs inline
     _inline_pool(monkeypatch, cpus, 4)
     config = EnsembleConfig(trials=trials, dim_a=2, dim_b=2,
                             regime=Regime.GENERAL, seed=3)
     summary = verify_ensemble(config, jobs=jobs)
     pooled = workers > 1
-    assert _InlineExecutor.created == ([workers] if pooled else [])
-    # a few chunks of blocks per worker: 5 -> chunks of 1, 100 -> of 13
-    assert _InlineExecutor.chunksizes == ([math.ceil(trials / (4 * workers))] if pooled else [])
+    own = math.ceil(trials / workers)
+    assert _InlineExecutor.created == ([workers - 1] if pooled else [])
+    assert _InlineExecutor.starts == ([list(range(own, trials))] if pooled else [])
+    # a few chunks of blocks per pool process: 5 -> 1 block here and chunks
+    # of 1, 100 -> 50 blocks here and chunks of 13
+    assert _InlineExecutor.chunksizes == (
+        [math.ceil((trials - own) / (4 * (workers - 1)))] if pooled else [])
     assert _summary_key(summary) == _summary_key(verify_ensemble(config))
+
+
+@pytest.mark.parametrize("bad_trials, named", [({1, 4}, 1), ({4}, 4)])
+def test_pooled_campaign_raises_for_its_first_bad_trial(monkeypatch, bad_trials, named):
+    # six one-trial blocks at jobs=2: trials 0-2 run in this process, 3-5 in
+    # the pool, and a bug in either share is reported for the first bad trial
+    _inline_pool(monkeypatch, 2, 4)
+    config = EnsembleConfig(trials=6, dim_a=2, dim_b=2, regime=Regime.GENERAL, seed=11,
+                            weight_sampling="complex-random")
+    bad_alphas = {ensembles._draw_trial(config, i)[2] for i in bad_trials}
+    evaluate_checked = ensembles._evaluate_checked
+
+    def broken(alpha, *args):
+        if alpha[0] in bad_alphas:
+            raise SanityFailure("report escapes its claims", row=0)
+        return evaluate_checked(alpha, *args)
+
+    monkeypatch.setattr(ensembles, "_evaluate_checked", broken)
+    with pytest.raises(SanityFailure, match=f"trial {named},"):
+        verify_ensemble(config, jobs=2)
+    assert _InlineExecutor.created == [1]
+    assert _InlineExecutor.starts == [[3, 4, 5]]
 
 
 # (digest, margin) of every trial of `verify --tol -1 --trials 20`, recorded
@@ -441,15 +474,17 @@ def test_summaries_are_pinned(kwargs, expected):
 
 def test_ranges_keep_violations_in_trial_order(monkeypatch):
     # blocks of 60 amplitudes cut 57 3x5 trials into 15 blocks of at most
-    # 4; jobs=4 on 4 CPUs maps them in chunks of one, and the inline
-    # executor runs them in order without starting a process
+    # 4; jobs=4 on 4 CPUs runs the first 4 blocks here and maps the other 11
+    # onto 3 pool processes in chunks of one, and the inline executor runs
+    # them in order without starting a process
     _inline_pool(monkeypatch, 4, 60)
     config = EnsembleConfig(trials=57, dim_a=3, dim_b=5, regime=Regime.ORTHOGONAL,
                             seed=-5, weight_sampling="complex-random", tol=-1.0)
     ranged = verify_ensemble(config, jobs=4)
     serial = verify_ensemble(config)
-    assert _InlineExecutor.created == [4]
+    assert _InlineExecutor.created == [3]
     assert _InlineExecutor.chunksizes == [1]
+    assert _InlineExecutor.starts == [list(range(16, 57, 4))]
     assert ranged.violations == serial.violations
     assert [v.trial_index for v in ranged.violations] == list(range(57))
     assert _summary_key(ranged) == _summary_key(serial)
