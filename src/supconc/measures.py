@@ -27,8 +27,8 @@ from .states import (
     OperatorAB,
     PureState,
     SuperpositionSpec,
+    _reduce_operator,
     _require_same_space,
-    reduced_density,
     schmidt_coefficients,
 )
 
@@ -116,7 +116,9 @@ def _schmidt_concurrence(lam: np.ndarray) -> np.ndarray:
     """``2 sqrt(sum_{i<j} lambda_i^2 lambda_j^2)`` over the last axis of ``lam``."""
     lam_sq = lam ** 2
     cross = lam_sq[..., :, None] * lam_sq[..., None, :]
-    return 2.0 * np.sqrt(np.sum(np.triu(cross, k=1), axis=(-2, -1)))
+    # np.triu(cross, k=1), without np.triu rebuilding its mask on every call
+    i = np.arange(lam.shape[-1])
+    return 2.0 * np.sqrt(np.sum(np.where(i > i[:, None], cross, 0.0), axis=(-2, -1)))
 
 
 # Floor of the purity route of _concurrence, per (d + 1)^2 with d the longer
@@ -181,16 +183,15 @@ def lambda_map(sigma: OperatorAB, scale: InverterScale = InverterScale()) -> Ope
     """Two-sided inverter ``(S (x) S)(sigma)``; nu enters squared."""
     da, db = sigma.dim_a, sigma.dim_b
     n = da * db
-    sig_a = reduced_density(sigma, "A")
-    sig_b = reduced_density(sigma, "B")
+    nu_sq = scale.nu ** 2
     # entries[i, j, k, l] = <i j| Lambda(sigma) |k l>
-    entries = sigma.entries.reshape(da, db, da, db).copy()
+    entries = sigma.entries.reshape(da, db, da, db) * nu_sq
     ia, ib = np.arange(da), np.arange(db)
-    entries[:, ib, :, ib] -= sig_a  # sigma_A (x) I: sig_a[i, k] where j == l
-    entries[ia, :, ia, :] -= sig_b  # I (x) sigma_B: sig_b[j, l] where i == k
+    # sigma_A (x) I: sig_a[i, k] where j == l; I (x) sigma_B: sig_b[j, l] where i == k
+    entries[:, ib, :, ib] -= nu_sq * _reduce_operator(sigma.entries, da, db, "A")
+    entries[ia, :, ia, :] -= nu_sq * _reduce_operator(sigma.entries, da, db, "B")
     entries = entries.reshape(n, n)
-    entries.flat[::n + 1] += np.trace(sigma.entries)
-    entries *= scale.nu ** 2
+    entries.flat[::n + 1] += nu_sq * np.trace(sigma.entries)
     return OperatorAB(da, db, entries)
 
 
@@ -203,8 +204,10 @@ def lambda_sandwich(x: PureState, sigma: OperatorAB, y: PureState) -> complex:
     tests; here the map is applied explicitly. A rank-one sigma = |u><v|
     has the O(d^3) form ``<v|u><x|y> - tr(X^dag U V^dag Y)
     - tr(X^dag Y V^dag U) + <x|u><v|y>`` in the coefficient matrices,
-    which the cross-checks :func:`concurrence_sq_via_lambda` and
-    :func:`superposition_csq_expansion` use; this function is its oracle.
+    from which :func:`_sandwich_table` builds every such element over a
+    few states at once for the cross-checks
+    :func:`concurrence_sq_via_lambda` and
+    :func:`superposition_csq_expansion`; this function is its oracle.
     """
     _require_same_space(x, sigma)
     _require_same_space(y, sigma)
@@ -212,35 +215,43 @@ def lambda_sandwich(x: PureState, sigma: OperatorAB, y: PureState) -> complex:
     return complex(np.vdot(x.amplitudes, lam.entries @ y.amplitudes))
 
 
-def _rank_one_sandwich(x: PureState, u: PureState, v: PureState, y: PureState) -> complex:
-    """``<x| Lambda(|u><v|) |y>`` at nu = 1, without building Lambda.
+def _sandwich_table(*states: PureState) -> np.ndarray:
+    """``T[x, u, v, y] = <x| Lambda(|u><v|) |y>`` at nu = 1 over ``states``.
 
     With coefficient matrices X, U, V, Y, ``|u><v|`` has the partial
     traces ``U V^dag`` (side A) and ``U^T V^*`` (side B), so the four
     terms of Lambda give
     ``<v|u><x|y> - tr(X^dag U V^dag Y) - tr(X^dag Y V^dag U) + <x|u><v|y>``;
     the side-B term sandwiches the transpose ``V^dag U`` of ``U^T V^*``.
-    Each trace is ``vdot`` of two d_b x d_b products: O(d_a d_b^2).
+    Over k states the table takes three batched products: the overlaps
+    ``S[a, b] = <a|b>``, the d_b x d_b Gram blocks ``G[a, b] = A^dag B``
+    and their Frobenius inner products ``H[a, b, c, e] = vdot(G[a, b],
+    G[c, e])``. Since ``G[a, b]^dag = G[b, a]``, the two traces are
+    ``H[u, x, v, y]`` and ``H[y, x, v, u]``. O(k^2 d_a d_b^2 + k^4 d_b^2).
     """
-    for s in (u, v, y):
-        _require_same_space(x, s)
-    xm, um, vm, ym = x.matrix, u.matrix, v.matrix, y.matrix
-    v_dag = vm.conj().T
-    return complex(np.vdot(vm, um) * np.vdot(xm, ym)
-                   - np.vdot(um.conj().T @ xm, v_dag @ ym)
-                   - np.vdot(ym.conj().T @ xm, v_dag @ um)
-                   + np.vdot(xm, um) * np.vdot(vm, ym))
+    for other in states[1:]:
+        _require_same_space(states[0], other)
+    k = len(states)
+    m = np.stack([st.matrix for st in states])
+    flat = m.reshape(k, -1)
+    s = flat.conj() @ flat.T
+    g = (m.conj().swapaxes(-1, -2)[:, None] @ m[None, :]).reshape(k * k, -1)
+    h = (g.conj() @ g.T).reshape(k, k, k, k)
+    # axes (x, u, v, y) of the table: h[u, x, v, y] and h[y, x, v, u]
+    return (s.T[None, :, :, None] * s[:, None, None, :]
+            - h.transpose(1, 0, 2, 3)
+            - h.transpose(1, 3, 2, 0)
+            + s[:, :, None, None] * s[None, None, :, :])
 
 
 def concurrence_sq_via_lambda(s: PureState) -> float:
     """Squared concurrence via ``<s| Lambda(|s><s|) |s>``.
 
-    O(d^3) verification route through the rank-one form of the sandwich,
-    independent of the Schmidt coefficients; its square root equals
-    :func:`i_concurrence` within 1e-10.
+    O(d^3) verification route through the one-state sandwich table
+    (:func:`_sandwich_table`), independent of the Schmidt coefficients;
+    its square root equals :func:`i_concurrence` within 1e-10.
     """
-    value = _rank_one_sandwich(s, s, s, s).real
-    return max(0.0, value)
+    return max(0.0, float(_sandwich_table(s)[0, 0, 0, 0].real))
 
 
 def superposition_csq_expansion(spec: SuperpositionSpec) -> float:
@@ -249,33 +260,30 @@ def superposition_csq_expansion(spec: SuperpositionSpec) -> float:
     Expands ``<Psi| Lambda(|Psi><Psi|) |Psi>`` for
     ``Psi = alpha*phi + beta*varphi`` into sandwich terms, with the
     sixteen raw terms collapsed via the trace symmetry of Lambda into
-    nine, each evaluated in its O(d^3) rank-one form. The
-    result equals ``norm(Psi)^4 * C^2(Psi/norm(Psi))``; this is a
-    cross-check path, not the production concurrence path.
+    nine. All nine are read from one two-state sandwich table
+    (:func:`_sandwich_table`), built from the coefficient matrices in
+    O(d^3) without forming Lambda. The result equals
+    ``norm(Psi)^4 * C^2(Psi/norm(Psi))``; this is a cross-check path, not
+    the production concurrence path.
     """
     al, be = spec.alpha, spec.beta
-    phi, var = spec.phi, spec.varphi
-
-    def pp(x, y):
-        return _rank_one_sandwich(x, phi, phi, y)
-
-    def vv(x, y):
-        return _rank_one_sandwich(x, var, var, y)
-
+    # index 0 is phi and 1 is varphi; pp[x, y] = <x| Lambda(|phi><phi|) |y>
+    t = _sandwich_table(spec.phi, spec.varphi)
+    pp, vv = t[:, 0, 0, :], t[:, 1, 1, :]
     total = (
-        abs(al) ** 4 * pp(phi, phi)
-        + abs(be) ** 4 * vv(var, var)
-        + 4.0 * abs(al * be) ** 2 * pp(var, var)
+        abs(al) ** 4 * pp[0, 0]
+        + abs(be) ** 4 * vv[1, 1]
+        + 4.0 * abs(al * be) ** 2 * pp[1, 1]
         + 2.0 * abs(al) ** 2 * (
-            al.conjugate() * be * pp(phi, var)
-            + al * be.conjugate() * pp(var, phi)
+            al.conjugate() * be * pp[0, 1]
+            + al * be.conjugate() * pp[1, 0]
         )
         + 2.0 * abs(be) ** 2 * (
-            al.conjugate() * be * vv(phi, var)
-            + al * be.conjugate() * vv(var, phi)
+            al.conjugate() * be * vv[0, 1]
+            + al * be.conjugate() * vv[1, 0]
         )
         # sandwiches of |varphi><phi| and |phi><varphi|
-        + (al.conjugate() * be) ** 2 * _rank_one_sandwich(phi, var, phi, var)
-        + (al * be.conjugate()) ** 2 * _rank_one_sandwich(var, phi, var, phi)
+        + (al.conjugate() * be) ** 2 * t[0, 1, 0, 1]
+        + (al * be.conjugate()) ** 2 * t[1, 0, 1, 0]
     )
-    return total.real
+    return float(total.real)

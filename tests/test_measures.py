@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -35,7 +36,7 @@ from supconc import (
     superposition_csq_expansion,
     universal_inverter,
 )
-from supconc.measures import _GRAM_FLOOR, _concurrence, _rank_one_sandwich, _schmidt_concurrence
+from supconc.measures import _GRAM_FLOOR, _concurrence, _sandwich_table, _schmidt_concurrence
 
 S2 = math.sqrt(0.5)
 
@@ -300,13 +301,21 @@ def test_lambda_sandwich_fig2_value():
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(1, 3), (2, 3), (3, 5), (4, 7)]))
+@given(seed=st.integers(0, 2**32 - 1),
+       dims=st.sampled_from([(1, 3), (2, 3), (3, 5), (4, 7), (7, 4)]))
 def test_rank_one_sandwich_matches_explicit_map(seed, dims):
-    # non-square dims: a d_a/d_b transposition would not survive them
+    # every entry <x| Lambda(|u><v|) |y> of a two-state table and of a table
+    # over four distinct states; non-square dims: a d_a/d_b transposition
+    # would not survive them
     rng = np.random.default_rng(seed)
-    x, u, v, y = (haar_state(*dims, rng) for _ in range(4))
-    explicit = lambda_sandwich(x, outer_operator(u, v), y)
-    assert abs(_rank_one_sandwich(x, u, v, y) - explicit) <= 1e-12
+    for k in (2, 4):
+        states = [haar_state(*dims, rng) for _ in range(k)]
+        table = _sandwich_table(*states)
+        assert table.shape == (k,) * 4
+        for index in itertools.product(range(k), repeat=4):
+            x, u, v, y = (states[i] for i in index)
+            explicit = lambda_sandwich(x, outer_operator(u, v), y)
+            assert abs(table[index] - explicit) <= 1e-12
 
 
 # square and rectangular, with the Gram matrix on either side
@@ -350,6 +359,24 @@ def test_concurrence_matches_svd_route_on_stacks(seed, dims, kinds):
     stack = np.stack([_route_matrix(kind, dims, rng) for kind in kinds])
     expected = _schmidt_concurrence(np.linalg.svd(stack, compute_uv=False))
     assert np.max(np.abs(_concurrence(stack) - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 32])
+def test_schmidt_concurrence_is_the_triu_sum_bit_for_bit(k):
+    # the masked sum must be np.triu's, value for value: spectra with exact
+    # zeros and with coefficients log-uniform down to 1e-8, stacked and single
+    rng = np.random.default_rng(70 + k)
+    uniform = rng.random((20, k))
+    log_uniform = 10.0 ** rng.uniform(-8.0, 0.0, (20, k))
+    with_zeros = np.sort(log_uniform, axis=1)[:, ::-1].copy()
+    with_zeros[:, k // 2:] = 0.0
+    for lam in (uniform, log_uniform, with_zeros, log_uniform[0], with_zeros[0]):
+        lam_sq = lam ** 2
+        cross = lam_sq[..., :, None] * lam_sq[..., None, :]
+        expected = 2.0 * np.sqrt(np.sum(np.triu(cross, k=1), axis=(-2, -1)))
+        got = _schmidt_concurrence(lam)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 def test_csq_via_lambda_examples():
@@ -399,6 +426,51 @@ def test_expansion_matches_direct_norm4_csq(da, db):
         spec = SuperpositionSpec(alpha, beta, phi, var)
         raw, norm_sq = superpose(spec)
         psi, _ = normalize(raw)
+        direct = norm_sq ** 2 * i_concurrence(psi) ** 2
+        assert superposition_csq_expansion(spec) == pytest.approx(direct, abs=1e-10)
+
+
+@pytest.mark.parametrize("da,db", [(2, 2), (3, 5), (5, 3)])
+def test_expansion_zero_weight_is_component_csq(da, db):
+    rng = np.random.default_rng(80 + da * db)
+    for _ in range(10):
+        phi, var = haar_state(da, db, rng), haar_state(da, db, rng)
+        phase = np.exp(1j * rng.uniform(0, 2 * math.pi))
+        # alpha = 0 leaves C^2(varphi), beta = 0 leaves C^2(phi)
+        assert superposition_csq_expansion(SuperpositionSpec(0, phase, phi, var)) \
+            == pytest.approx(i_concurrence(var) ** 2, abs=1e-12)
+        assert superposition_csq_expansion(SuperpositionSpec(phase, 0, phi, var)) \
+            == pytest.approx(i_concurrence(phi) ** 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("da,db", [(2, 3), (3, 5), (5, 3)])
+def test_expansion_biorthogonal_pair_rectangular(da, db):
+    rng = np.random.default_rng(85 + da * db)
+    for _ in range(10):
+        phi, var = biorthogonal_pair(da, db, int(rng.integers(1, da)),
+                                     int(rng.integers(1, db)), rng)
+        a_sq = rng.uniform(0.05, 0.95)
+        alpha = math.sqrt(a_sq) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        beta = math.sqrt(1 - a_sq) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        spec = SuperpositionSpec(alpha, beta, phi, var)
+        assert superposition_csq_expansion(spec) == pytest.approx(
+            exact_biorthogonal(spec) ** 2, abs=1e-10)
+
+
+@pytest.mark.parametrize("da,db", [(2, 2), (3, 5), (4, 4)])
+def test_expansion_near_cancellation(da, db):
+    # varphi = -phi up to a perturbation, so that norm(Psi) ~ 1e-6 and the
+    # nine O(1) sandwich terms cancel down to norm(Psi)^4 C^2
+    rng = np.random.default_rng(90 + da * db)
+    for _ in range(10):
+        phi = haar_state(da, db, rng)
+        noise = rng.standard_normal(da * db) + 1j * rng.standard_normal(da * db)
+        amps = -phi.amplitudes + 2e-6 * noise / np.linalg.norm(noise)
+        var = make_state(da, db, amps / np.linalg.norm(amps))
+        spec = SuperpositionSpec(S2, S2, phi, var)
+        raw, norm_sq = superpose(spec)
+        psi, norm = normalize(raw)
+        assert 1e-7 < norm < 1e-5
         direct = norm_sq ** 2 * i_concurrence(psi) ** 2
         assert superposition_csq_expansion(spec) == pytest.approx(direct, abs=1e-10)
 

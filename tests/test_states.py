@@ -31,7 +31,7 @@ from supconc import (
     state_to_json,
     superpose,
 )
-from supconc.measures import _rank_one_sandwich
+from supconc.measures import _sandwich_table
 
 S2 = math.sqrt(0.5)
 
@@ -142,10 +142,12 @@ _SAME_SPACE_CALLS = {
     "classify_pair": classify_pair,
     "lambda_sandwich_x": lambda a, b: lambda_sandwich(b, outer_operator(a, a), a),
     "lambda_sandwich_y": lambda a, b: lambda_sandwich(a, outer_operator(a, a), b),
-    "rank_one_sandwich_x": lambda a, b: _rank_one_sandwich(b, a, a, a),
-    "rank_one_sandwich_u": lambda a, b: _rank_one_sandwich(a, b, a, a),
-    "rank_one_sandwich_v": lambda a, b: _rank_one_sandwich(a, a, b, a),
-    "rank_one_sandwich_y": lambda a, b: _rank_one_sandwich(a, a, a, b),
+    # the entry <x| Lambda(|u><v|) |y> of a two-state table with the other
+    # state in slot x, u, v or y: it sits first in one table, second in three
+    "rank_one_sandwich_x": lambda a, b: _sandwich_table(b, a)[0, 1, 1, 1],
+    "rank_one_sandwich_u": lambda a, b: _sandwich_table(a, b)[0, 1, 0, 0],
+    "rank_one_sandwich_v": lambda a, b: _sandwich_table(a, b)[0, 0, 1, 0],
+    "rank_one_sandwich_y": lambda a, b: _sandwich_table(a, b)[0, 0, 0, 1],
 }
 
 
