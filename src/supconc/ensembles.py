@@ -5,9 +5,16 @@ this module touches global RNG state. Trial ``i`` of a verification
 campaign is what ``default_rng([seed, i])`` gives, so results are
 bit-identical for a given config no matter how trials are scheduled,
 including across worker processes. Campaigns draw their trials a block at
-a time: the trials' generator states are computed together, loaded one by
-one into one generator, and the arithmetic on the draws runs over the
-block.
+a time: the trials' generator states are computed together and loaded one
+by one into one generator. Each trial makes three calls on it: the state
+load, one ``standard_normal`` of all its normals and one ``random_raw`` of
+its weight words, plus one ``random_raw`` for a biorthogonal pair's splits.
+The raw words become the ``integers`` and ``uniform`` draws numpy's
+``Generator`` would make from them (Lemire's bounded method on PCG64's
+buffered 32-bit halves, and 53-bit doubles), and the arithmetic on the
+draws runs over the block. A rare Lemire redraw sends its trial through
+numpy's own calls (:func:`_weight_variates` for the weights), which are
+also what the raw-word path is tested against.
 """
 
 from __future__ import annotations
@@ -339,12 +346,59 @@ def _haar_rows(normals: np.ndarray) -> np.ndarray:
     return z / _row_norms(z)[:, None]
 
 
+_GRID = (1, 100)                                   # real-grid k: integers(1, 100)
+_MAGNITUDE, _PHASE = (1e-6, 1.0 - 1e-6), (0.0, 2.0 * math.pi)   # complex-random uniforms
+
+
 def _weight_variates(rng: np.random.Generator, mode: str) -> list:
     """One trial's weight draws: ``[k]`` for ``|alpha|^2 = k / 100``, or
-    ``[|alpha|^2, arg alpha, arg beta]``."""
+    ``[|alpha|^2, arg alpha, arg beta]``.
+
+    Through numpy's own calls: the retry path of :func:`_block_draws` and
+    the definition its raw-word conversion is tested against.
+    """
     if mode == "real-grid":
-        return [rng.integers(1, 100)]
-    return [rng.uniform(1e-6, 1.0 - 1e-6), *rng.uniform(0.0, 2.0 * math.pi, size=2)]
+        return [rng.integers(*_GRID)]
+    return [rng.uniform(*_MAGNITUDE), *rng.uniform(*_PHASE, size=2)]
+
+
+# --- numpy's Generator calls on raw PCG64 words -----------------------------------
+#
+# A trial's weights and splits are drawn as raw 64-bit PCG64 words and turned
+# into numbers exactly as numpy's Generator turns them:
+#   integers(low, high): Lemire's bounded method on next_uint32 over the span
+#     high - low, nothing drawn for a span of 1: m = u32 * span, redrawn while
+#     m mod 2**32 < 2**32 mod span, the result low + (m >> 32);
+#   next_uint32: the low half of a fresh raw word, its high half buffered for
+#     the next 32-bit draw; standard_normal and uniform take whole words and
+#     leave the buffer alone;
+#   uniform(low, high): low + (high - low) * ((raw >> 11) * 2**-53).
+
+_UNIFORM_LOW = np.array([low for low, _ in (_MAGNITUDE, _PHASE, _PHASE)])
+_UNIFORM_SPAN = np.array([high - low for low, high in (_MAGNITUDE, _PHASE, _PHASE)])
+
+
+def _lemire(u, span: int):
+    """``(offset, redraw)`` of Lemire's draw from ``[0, span)`` on a 32-bit ``u``.
+
+    ``u`` is a Python int or a uint64 array, ``span`` a Python int; ``redraw``
+    is true where numpy would discard ``u`` and draw again.
+    """
+    m = u * span
+    return m >> 32, (m & _MASK32) < (1 << 32) % span
+
+
+def _weights_from_raw(raw: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_weight_variates` of each row of raw words, and the rows numpy would redraw.
+
+    Real-grid rows hold one word, whose low 32 bits are the draw;
+    complex-random rows hold the three words of the three uniforms.
+    """
+    if mode == "real-grid":
+        offset, redraw = _lemire(raw[:, 0] & _MASK32, _GRID[1] - _GRID[0])
+        return offset.astype(np.float64)[:, None] + _GRID[0], redraw
+    unit = (raw >> 11).astype(np.float64) * 2.0 ** -53
+    return _UNIFORM_LOW + _UNIFORM_SPAN * unit, np.zeros(len(raw), dtype=bool)
 
 
 def _weights(variates: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -363,46 +417,124 @@ def _weights(variates: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     return weights[:, 0], weights[:, 1]
 
 
+def _normal_count(config: EnsembleConfig, split: tuple[int, int] | None) -> int:
+    """The normals one trial draws: two Haar vectors, or a biorthogonal pair's two blocks."""
+    if split is None:
+        return 4 * config.dim_a * config.dim_b
+    split_a, split_b = split
+    return 2 * (split_a * split_b + (config.dim_a - split_a) * (config.dim_b - split_b))
+
+
+def _trial_calls(rng: np.random.Generator, config: EnsembleConfig,
+                 normals: np.ndarray) -> tuple[tuple[int, int] | None, list]:
+    """One trial through numpy's own calls on the state loaded in ``rng``.
+
+    Draws the split sizes of a biorthogonal pair (``None`` in the other
+    regimes), the pair's normals into the head of ``normals`` and
+    :func:`_weight_variates`; returns the split and the variates.
+    """
+    split = None
+    if config.regime is Regime.BIORTHOGONAL:
+        split = int(rng.integers(1, config.dim_a)), int(rng.integers(1, config.dim_b))
+    rng.standard_normal(out=normals[:_normal_count(config, split)])
+    return split, _weight_variates(rng, config.weight_sampling)
+
+
+def _block_draws(config: EnsembleConfig, words: np.ndarray,
+                 ) -> tuple[np.ndarray, list, np.ndarray]:
+    """The generator draws of the trials seeded by ``words``: ``(normals, splits, variates)``.
+
+    Each trial makes three generator calls: it loads its PCG64 state,
+    draws all its normals with one ``standard_normal`` and its weight
+    words with one ``random_raw`` (one word on the real grid, three for
+    complex-random weights). A biorthogonal trial first draws one more
+    word for its two splits, unless both sides are 2. The words are turned
+    into ``integers`` and ``uniform`` draws as numpy turns them (see
+    above): the splits trial by trial, since they set how many normals
+    follow, and the weights over the whole block. A split that draws one
+    32-bit half leaves the other buffered, and a real-grid weight takes it
+    instead of a fresh word. A Lemire redraw (4 in 2**32 for a weight)
+    sends its trial through :func:`_trial_calls` instead. ``splits[row]``
+    is ``None`` outside the biorthogonal regime; a biorthogonal row holds
+    its normals at its head.
+    """
+    dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
+    n, size = dim_a * dim_b, len(words)
+    biorthogonal = config.regime is Regime.BIORTHOGONAL
+    real_grid = mode == "real-grid"
+    rng = np.random.Generator(np.random.PCG64(0))   # each trial loads its own state
+    bits = rng.bit_generator
+    # a biorthogonal pair fills two complementary blocks: at most 2n normals
+    normals = np.empty((size, 2 * n if biorthogonal else 4 * n))
+    raw = np.zeros((size, 1 if real_grid else 3), dtype=np.uint64)
+    splits: list = [None] * size
+    redraw = np.zeros(size, dtype=bool)
+    # (side, span) of the splits that draw, each from the next 32-bit half
+    split_spans = [(side, dim - 1) for side, dim in enumerate((dim_a, dim_b)) if dim > 2]
+    for row, state in enumerate(_pcg_states(words)):
+        bits.state = state
+        half = None   # a 32-bit half the splits left buffered
+        if biorthogonal:
+            split = [1, 1]
+            if split_spans:
+                word = bits.random_raw()
+                halves = [word >> 32, word & _MASK32]   # pop() takes the low half first
+                rejected = False
+                for side, span in split_spans:
+                    offset, reject = _lemire(halves.pop(), span)
+                    split[side] += offset
+                    rejected |= reject
+                if rejected:
+                    redraw[row] = True
+                    continue
+                half = halves.pop() if halves else None
+            splits[row] = split = tuple(split)
+            rng.standard_normal(out=normals[row, :_normal_count(config, split)])
+        else:
+            rng.standard_normal(out=normals[row])
+        if not real_grid:
+            raw[row] = bits.random_raw(3)
+        else:
+            raw[row, 0] = bits.random_raw() if half is None else half
+
+    variates, weight_redraw = _weights_from_raw(raw, mode)
+    redraw |= weight_redraw
+    for row in np.flatnonzero(redraw).tolist():
+        bits.state = next(_pcg_states(words[row:row + 1]))
+        splits[row], variates[row] = _trial_calls(rng, config, normals[row])
+    return normals, splits, variates
+
+
 def _draw_block(config: EnsembleConfig, indices, words: np.ndarray | None = None,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Trials ``indices`` of a campaign, one per row: ``(phi, varphi, alpha, beta)``.
 
     Trial ``i`` is what ``default_rng([mask(seed), i])`` gives, bit for
-    bit, in whatever block it is drawn. Each trial's PCG64 state is loaded
-    into one generator, which makes that trial's calls: the split sizes of
-    a biorthogonal pair, one ``standard_normal`` of all the pair's normals
-    and the weight draws. The arithmetic on those draws (Haar
+    bit, in whatever block it is drawn. :func:`_block_draws` makes each
+    trial's generator calls: a state load, one ``standard_normal`` and
+    one ``random_raw`` of its weight words, plus one ``random_raw`` for a
+    biorthogonal pair's splits. The arithmetic on those draws (Haar
     normalisation, Gram-Schmidt, the weights) runs over all rows at once,
     each row in the operations that one trial on its own takes. A rare
-    near-collinear orthogonal candidate is redrawn from the trial's own
-    generator. ``words``, the rows of :func:`_seed_words` for ``indices``,
-    may be passed when already at hand.
+    near-collinear orthogonal candidate, and a rare Lemire redraw of a
+    weight or split, is redrawn from the trial's own generator through
+    numpy's own calls (:func:`_weight_variates` for the weights).
+    ``words``, the rows of :func:`_seed_words` for ``indices``, may be
+    passed when already at hand.
     """
     if words is None:
         words = _seed_words(config.seed, indices)
     dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
     n, size = dim_a * dim_b, len(words)
-    biorthogonal = config.regime is Regime.BIORTHOGONAL
-    rng = np.random.Generator(np.random.PCG64(0))   # each trial loads its own state
-    # a biorthogonal pair fills two complementary blocks: at most 2n normals
-    normals = np.empty((size, 2 * n if biorthogonal else 4 * n))
-    splits: dict[tuple[int, int], list[int]] = {}
-    variates = []
-    for row, state in enumerate(_pcg_states(words)):
-        rng.bit_generator.state = state
-        if biorthogonal:
-            split = int(rng.integers(1, dim_a)), int(rng.integers(1, dim_b))
-            splits.setdefault(split, []).append(row)
-            sizes = split[0] * split[1] + (dim_a - split[0]) * (dim_b - split[1])
-            rng.standard_normal(out=normals[row, :2 * sizes])
-        else:
-            rng.standard_normal(out=normals[row])
-        variates.append(_weight_variates(rng, mode))
+    normals, splits, variates = _block_draws(config, words)
 
-    if biorthogonal:
+    if config.regime is Regime.BIORTHOGONAL:
+        groups: dict[tuple[int, int], list[int]] = {}
+        for row, split in enumerate(splits):
+            groups.setdefault(split, []).append(row)
         phi = np.zeros((size, dim_a, dim_b), dtype=np.complex128)
         varphi = np.zeros((size, dim_a, dim_b), dtype=np.complex128)
-        for (split_a, split_b), rows in splits.items():
+        for (split_a, split_b), rows in groups.items():
             first = 2 * split_a * split_b
             second = 2 * (dim_a - split_a) * (dim_b - split_b)
             drawn = normals[rows]
@@ -424,10 +556,11 @@ def _draw_block(config: EnsembleConfig, indices, words: np.ndarray | None = None
         v = v - _row_vdots(phi, v)[:, None] * phi
         varphi = v / _row_norms(v)[:, None]
         for row in np.flatnonzero(collinear).tolist():
+            rng = np.random.Generator(np.random.PCG64(0))
             rng.bit_generator.state = next(_pcg_states(words[row:row + 1]))
             phi[row], varphi[row] = _orthogonal_vectors(n, rng)
             variates[row] = _weight_variates(rng, mode)
-    return (phi, varphi, *_weights(np.array(variates, dtype=np.float64), mode))
+    return (phi, varphi, *_weights(variates, mode))
 
 
 def _draw_trial(config: EnsembleConfig,

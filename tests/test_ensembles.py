@@ -591,3 +591,219 @@ def test_collinear_redraws_are_limited(monkeypatch):
     config = EnsembleConfig(trials=3, dim_a=2, dim_b=2, regime=Regime.ORTHOGONAL, seed=1)
     with pytest.raises(InternalError, match="3 redraws"):
         ensembles._draw_block(config, range(3))
+
+
+# --- raw-word draws against numpy's own calls -------------------------------------
+
+
+def _per_call_draws(config, words):
+    """``_block_draws`` through numpy's own calls: for each trial a state load,
+    the splits by ``integers``, one ``standard_normal`` and ``_weight_variates``."""
+    dim_a, dim_b = config.dim_a, config.dim_b
+    rng = np.random.Generator(np.random.PCG64(0))
+    normals = np.zeros((len(words), 4 * dim_a * dim_b))
+    splits, variates = [], []
+    for row, state in enumerate(ensembles._pcg_states(words)):
+        rng.bit_generator.state = state
+        split, count = None, 4 * dim_a * dim_b
+        if config.regime is Regime.BIORTHOGONAL:
+            split = int(rng.integers(1, dim_a)), int(rng.integers(1, dim_b))
+            count = 2 * (split[0] * split[1] + (dim_a - split[0]) * (dim_b - split[1]))
+        normals[row, :count] = rng.standard_normal(count)
+        splits.append(split)
+        variates.append(ensembles._weight_variates(rng, config.weight_sampling))
+    return normals, splits, np.array(variates, dtype=np.float64)
+
+
+def _assert_draws_equal(config, drawn, expected):
+    normals, splits, variates = drawn
+    assert splits == expected[1]
+    assert variates.tobytes() == expected[2].tobytes()
+    for row, split in enumerate(splits):
+        count = ensembles._normal_count(config, split)
+        assert normals[row, :count].tobytes() == expected[0][row, :count].tobytes(), f"row {row}"
+
+
+@pytest.mark.parametrize("dims,trials", [((2, 2), 60), ((2, 5), 60), ((5, 2), 60), ((3, 3), 60),
+                                         ((10, 10), 20)])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("weights", ["real-grid", "complex-random"])
+def test_raw_word_draws_match_numpy_calls(monkeypatch, dims, trials, regime, weights):
+    # 2x5 and 5x2 draw one split from the low half of a word and carry the
+    # high half into a real-grid weight; 2x2 draws no split, 3x3 and 10x10 two
+    for seed in (0, 7, -5, 2 ** 40):
+        config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1], regime=regime,
+                                seed=seed, weight_sampling=weights)
+        words = ensembles._seed_words(seed, np.arange(trials))
+        expected = _per_call_draws(config, words)
+        _assert_draws_equal(config, ensembles._block_draws(config, words), expected)
+        cuts = [0, *sorted(np.random.default_rng([trials, 5]).choice(
+            np.arange(1, trials), size=4, replace=False).tolist()), trials]
+        parts = [ensembles._block_draws(config, words[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        _assert_draws_equal(config, (np.concatenate([p[0] for p in parts]),
+                                     [s for p in parts for s in p[1]],
+                                     np.concatenate([p[2] for p in parts])), expected)
+        # the whole trial, arithmetic included, is the per-call draws' trial
+        whole = ensembles._draw_block(config, range(trials), words)
+        with monkeypatch.context() as patch:
+            patch.setattr(ensembles, "_block_draws", _per_call_draws)
+            reference = ensembles._draw_block(config, range(trials), words)
+        for part, ref in zip(whole, reference):
+            assert part.tobytes() == ref.tobytes()
+
+
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _state_before(output, inc, high):
+    """A PCG64 state whose next raw output is ``output``, its stepped state's high word ``high``.
+
+    PCG64 steps its LCG, ``s -> s * M + inc``, then outputs XSL-RR of the
+    new state: ``(hi ^ lo)`` rotated right by the top 6 bits of ``hi``.
+    """
+    rot = high >> 58
+    lo = high ^ ((output << rot | output >> (64 - rot)) & _MASK64 if rot else output)
+    return (((high << 64 | lo) - inc) * pow(ensembles._PCG_MULT, -1, 1 << 128)) & _MASK128
+
+
+def _steps_back(state, inc, steps):
+    inverse = pow(ensembles._PCG_MULT, -1, 1 << 128)
+    for _ in range(steps):
+        state = ((state - inc) * inverse) & _MASK128
+    return state
+
+
+def _pcg_state(state, inc):
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+_INC = 0x5851F42D4C957F2D14057B7EF767814F | 1
+
+
+def _weight_state(leftover):
+    """A trial state of a general 2x2 pair whose weight draws ``u`` with ``(u * 99) mod 2**32 == leftover``.
+
+    That is the word after the pair's 16 normals. numpy redraws ``u`` when
+    ``leftover`` is below 2**32 mod 99 = 4. The ziggurat takes one word per
+    normal unless a draw falls outside its fast path: states that take more
+    are skipped.
+    """
+    u = leftover * pow(99, -1, 1 << 32) % (1 << 32)
+    bits = np.random.PCG64(0)
+    for high in range(1 << 40, (1 << 40) + 64):
+        after = _state_before(0x9E3779B9 << 32 | u, _INC, high)
+        start = _steps_back(after, _INC, 16)
+        bits.state = _pcg_state(start, _INC)
+        np.random.Generator(bits).standard_normal(16)
+        if bits.state["state"]["state"] == after:
+            return _pcg_state(start, _INC)
+    raise AssertionError("no state found")
+
+
+def _split_state(low, high):
+    """A trial state whose first raw word has the 32-bit halves ``low`` and ``high``."""
+    return _pcg_state(_state_before(high << 32 | low, _INC, 0xD1B54A32D192ED03), _INC)
+
+
+_INV3 = pow(3, -1, 1 << 32)
+_RETRY_CASES = [
+    # general 2x2: a fresh weight word whose low half is redrawn, or just kept
+    (2, 2, Regime.GENERAL, lambda: _weight_state(1), True),
+    (2, 2, Regime.GENERAL, lambda: _weight_state(4), False),
+    # 2x3: the split takes the low half and the weight the buffered high
+    # half, which is redrawn from a fresh word after the normals
+    (2, 3, Regime.BIORTHOGONAL, lambda: _split_state(12345, pow(99, -1, 1 << 32) * 2 % (1 << 32)),
+     True),
+    # span 3: numpy redraws a 32-bit split draw u where (u * 3) mod 2**32 < 1,
+    # that is u = 0, on side a of 4x4 and side b of 2x4; it keeps u = 1/3
+    (4, 4, Regime.BIORTHOGONAL, lambda: _split_state(0, 0x7F4A7C15), True),
+    (2, 4, Regime.BIORTHOGONAL, lambda: _split_state(0, 0x7F4A7C15), True),
+    (4, 4, Regime.BIORTHOGONAL, lambda: _split_state(_INV3, 0x7F4A7C15), False),
+]
+
+
+@pytest.mark.parametrize("dim_a,dim_b,regime,make_state,redrawn", _RETRY_CASES)
+def test_lemire_redraws_go_through_numpy_calls(monkeypatch, dim_a, dim_b, regime, make_state,
+                                               redrawn):
+    state = make_state()
+    config = EnsembleConfig(trials=1, dim_a=dim_a, dim_b=dim_b, regime=regime, seed=0)
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = state
+    split = None
+    if regime is Regime.BIORTHOGONAL:
+        split = int(rng.integers(1, dim_a)), int(rng.integers(1, dim_b))
+    rng.standard_normal(ensembles._normal_count(config, split))
+    weight = int(rng.integers(1, 100))
+    calls = []
+    trial_calls = ensembles._trial_calls
+    monkeypatch.setattr(ensembles, "_pcg_states", lambda words: iter([state] * len(words)))
+    monkeypatch.setattr(ensembles, "_trial_calls", lambda *a: calls.append(1) or trial_calls(*a))
+    words = np.zeros((2, 4), dtype=np.uint64)
+    normals, splits, variates = ensembles._block_draws(config, words)
+    assert calls == ([1, 1] if redrawn else [])
+    assert splits == [split, split]
+    assert variates.tolist() == [[weight], [weight]]
+    _assert_draws_equal(config, (normals, splits, variates), _per_call_draws(config, words))
+
+
+def test_lemire_states_are_built_as_described():
+    bits = np.random.PCG64(0)
+    for leftover in (1, 4):
+        bits.state = _weight_state(leftover)
+        np.random.Generator(bits).standard_normal(16)
+        assert (bits.random_raw() & 0xFFFFFFFF) * 99 % (1 << 32) == leftover
+    bits.state = _split_state(0, 0x7F4A7C15)
+    assert bits.random_raw() == 0x7F4A7C15 << 32
+
+
+class _LoggedBits:
+    """A PCG64 that logs state loads and ``random_raw`` calls."""
+
+    def __init__(self, bits, log):
+        self._bits, self._log = bits, log
+
+    @property
+    def state(self):
+        return self._bits.state
+
+    @state.setter
+    def state(self, value):
+        self._log.append("state")
+        self._bits.state = value
+
+    def random_raw(self, *args):
+        self._log.append("random_raw")
+        return self._bits.random_raw(*args)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 5), (3, 3)])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("weights", ["real-grid", "complex-random"])
+def test_trials_make_three_generator_calls(monkeypatch, dims, regime, weights):
+    # a state load, one standard_normal and one random_raw per trial, and one
+    # more random_raw for the splits of a biorthogonal pair with a side above 2
+    log = []
+    real_generator = np.random.Generator
+
+    class LoggedGenerator:
+        def __init__(self, bits):
+            self._rng = real_generator(bits)
+            self.bit_generator = _LoggedBits(bits, log)
+
+        def __getattr__(self, name):
+            log.append(name)
+            return getattr(self._rng, name)
+
+    monkeypatch.setattr(np.random, "Generator", LoggedGenerator)
+    config = EnsembleConfig(trials=40, dim_a=dims[0], dim_b=dims[1], regime=regime,
+                            seed=20240901, weight_sampling=weights)
+    ensembles._draw_block(config, range(config.trials))
+    trials = config.trials
+    split_words = trials if regime is Regime.BIORTHOGONAL and max(dims) > 2 else 0
+    # a split that draws one half leaves the other for a real-grid weight
+    carried = trials if split_words and min(dims) == 2 and weights == "real-grid" else 0
+    assert sorted(set(log)) == ["random_raw", "standard_normal", "state"]
+    assert log.count("state") == log.count("standard_normal") == trials
+    assert log.count("random_raw") == trials + split_words - carried
