@@ -19,18 +19,28 @@ The orthogonal-regime formulas are the general ones at
 ``|<phi|varphi>| = 0``, so each bound family has one kernel, and every
 bound takes the measured overlap unless the caller names an orthogonal
 regime (``regime_override``, or ``regime=`` of a standalone bound); the
-tolerance sets the regime label, never a bound's formula. Concurrences
-(components and superposition alike) are evaluated with the closed form
-``2|a00 a11 - a01 a10|`` on 2x2 states and otherwise with the
-I-concurrence from the reduced-state purity, taken from the singular
-values only on near-product states (``measures._concurrence``); the two
-agree within 1e-12 on qubit pairs. Lower bounds are
-clamped at zero before reporting (the raw value is kept in the report
+tolerance sets the regime label, never a bound's formula. Lower bounds
+are clamped at zero before reporting (the raw value is kept in the report
 diagnostics). All formulas assume the inverter scale nu = 1.
 
 Every quantity is computed once, by one evaluation core over stacked
 pairs: :func:`evaluate` is the one-pair call of :func:`evaluate_batch`,
-and the standalone bounds read the core's values for their one pair.
+and the standalone bounds read the core's values for their one pair. The
+core reads each pair from three Gram blocks of its components on the
+smaller side, ``A``, ``B`` and ``C`` with ``tr C = <phi|varphi>``
+(:func:`supconc.measures._gram_table`): the two reduced-state overlaps
+that classify it, the component concurrences from the purity of ``A``
+and ``B`` (in closed form on 2x2, from the singular values near product
+states), and, above 2x2, ``norm(Psi)^2`` and ``norm(Psi)^4 C^2(Psi')`` as
+the paper's sandwich expansion, a fixed combination of seven Frobenius
+products of the blocks.
+A pair whose expansion falls below its rounding floor, near a product or a
+cancellation, forms its superposition instead, as 2x2 pairs do, which take
+the closed form ``2|a00 a11 - a01 a10|``. The two routes agree within
+1e-13. The universal-inverter map (``measures.lambda_map`` and
+``lambda_sandwich``) and the singular-value ``measures.i_concurrence`` stay
+independent of this core; the acceptance criteria 1-2 check it against
+them.
 """
 
 from __future__ import annotations
@@ -51,7 +61,14 @@ from .errors import (
     RegimeViolation,
     SanityFailure,
 )
-from .measures import _concurrence
+from .measures import (
+    _EXPANSION_FLOOR,
+    GramTable,
+    _concurrence,
+    _expansion,
+    _gram_table,
+    _purity_concurrence,
+)
 from .states import (
     ZERO_TOL,
     PureState,
@@ -91,13 +108,11 @@ def _require_regime_tol(tol: float) -> None:
         raise OutOfRange(f"regime tolerance must be finite and in [0, 1), got {tol!r}")
 
 
-def _regime_codes(m: np.ndarray, n: np.ndarray, overlap, tol: float):
-    """Index into ``_REGIMES`` of coefficient matrices ``m``, ``n`` (or stacks
-    of them) with scalar product ``overlap``."""
-    # Tr(rho_phi^A rho_varphi^A) = ||M^dag N||_F^2; side B: ||M N^dag||_F^2
-    trace_a = _frobenius_sq(m.conj().swapaxes(-1, -2) @ n)
-    trace_b = _frobenius_sq(m @ n.conj().swapaxes(-1, -2))
-    biorthogonal = (trace_a <= tol) & (trace_b <= tol)
+def _regime_codes(table: GramTable, overlap, tol: float):
+    """Index into ``_REGIMES`` of the component pairs of a Gram table, with
+    scalar products ``overlap``."""
+    # <A, B> and ||C||^2 are Tr(rho_phi rho_varphi) on the two sides
+    biorthogonal = (table.ab <= tol) & (table.cc <= tol)
     # 0 if biorthogonal, else 1 if orthogonal, else 2
     return (1 - biorthogonal) * (2 - (abs(overlap) <= tol))
 
@@ -112,8 +127,9 @@ def classify_pair(phi: PureState, varphi: PureState, tol: float = REGIME_TOL) ->
     A ``tol`` outside [0, 1) raises :class:`OutOfRange`.
     """
     _require_regime_tol(tol)
-    return _REGIMES[_regime_codes(phi.matrix, varphi.matrix,
-                                  inner_product(phi, varphi), tol)]
+    overlap = inner_product(phi, varphi)   # first: it checks the spaces match
+    return _REGIMES[_regime_codes(_gram_table(phi.matrix[None], varphi.matrix[None]),
+                                  overlap, tol)[0]]
 
 
 _ORTHOGONAL_REGIMES = (Regime.BIORTHOGONAL, Regime.ORTHOGONAL)
@@ -469,11 +485,12 @@ def _one_row(spec: SuperpositionSpec):
 
 def _superpositions(alpha, beta, phi, varphi) -> tuple[np.ndarray, np.ndarray]:
     """``(norm_squared, concurrence)`` of each pair's superposition and of its
-    normalized form.
+    normalized form, from the formed superposition.
 
-    The superpositions are formed one evaluation block at a time, so their
-    stack is never larger than a block, and each row's value does not
-    depend on its block.
+    The route of 2x2 pairs and the fallback of the expansion route
+    (:func:`_expanded_superpositions`). The superpositions are formed one
+    evaluation block at a time, so their stack is never larger than a
+    block, and each row's value does not depend on its block.
     """
     norm_sq, exact = np.empty(len(alpha)), np.empty(len(alpha))
     for lo, hi in _blocks(0, len(alpha), *phi.shape[1:]):
@@ -487,21 +504,55 @@ def _superpositions(alpha, beta, phi, varphi) -> tuple[np.ndarray, np.ndarray]:
     return norm_sq, exact
 
 
+def _expanded_superpositions(alpha, beta, phi, varphi,
+                             table: GramTable) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_superpositions` of pairs above 2x2, from their Gram table.
+
+    ``norm^2`` and ``norm^4 C^2(Psi')`` are the expansion of
+    :func:`supconc.measures._expansion`, O(1) per pair once the table is
+    built, so a one-matrix stack forms no superposition. Its error is
+    absolute: a pair whose ``norm^4 C^2`` falls below
+    ``_EXPANSION_FLOOR sqrt(max(dim_a, dim_b) + 1)``, near a product or a
+    cancellation, takes :func:`_superpositions` instead, and only that pair.
+    The routes agree within 1e-13, and each row's value depends on its own
+    pair alone.
+    """
+    norm_sq, x = _expansion(alpha, beta, table)
+    above = x >= _EXPANSION_FLOOR * math.sqrt(max(phi.shape[1:]) + 1)
+    exact = np.sqrt(np.where(above, x, 0.0)) / np.where(above, norm_sq, 1.0)
+    below = np.flatnonzero(~above)
+    if below.size:
+        m, n = (c if len(c) == 1 else c[below] for c in (phi, varphi))
+        norm_sq[below], exact[below] = _superpositions(alpha[below], beta[below], m, n)
+    return norm_sq, exact
+
+
 def _evaluate_rows(alpha, beta, phi, varphi, *, tol: float,
                    regime_override: Regime | None) -> BatchReport:
     """Every report quantity of the validated complex arrays of
     :func:`evaluate_batch`, unchecked.
 
-    The overlap, regime and component concurrences are computed once per
-    component stack, so once for all pairs of a one-matrix stack. The
-    superpositions are formed by :func:`_superpositions`, a block at a
-    time; everything else is one column entry per pair.
+    The regime and the component concurrences are read from one Gram table
+    of the component stacks (:func:`supconc.measures._gram_table`), and the
+    overlap is summed from the amplitudes, so each is computed once per
+    component stack, once for all pairs of a one-matrix stack. Above 2x2 the
+    superpositions come from the same table
+    (:func:`_expanded_superpositions`); 2x2 pairs are formed and take the
+    closed form (:func:`_superpositions`). Everything else is one column
+    entry per pair.
     """
+    table = _gram_table(phi, varphi)
+    # tr C to rounding; from the amplitudes, the bounds do not take on the
+    # rounding of the Gram products
     overlap = np.einsum("tij,tij->t", phi.conj(), varphi)
-    codes = (_regime_codes(phi, varphi, overlap, tol) if regime_override is None
+    codes = (_regime_codes(table, overlap, tol) if regime_override is None
              else np.flatnonzero(_REGIMES == regime_override))
-    c_phi, c_var = _concurrence(phi), _concurrence(varphi)
-    norm_sq, exact = _superpositions(alpha, beta, phi, varphi)
+    if phi.shape[1:] == (2, 2):
+        c_phi, c_var = _concurrence(phi), _concurrence(varphi)
+        norm_sq, exact = _superpositions(alpha, beta, phi, varphi)
+    else:
+        c_phi, c_var = _purity_concurrence(table.a, phi), _purity_concurrence(table.b, varphi)
+        norm_sq, exact = _expanded_superpositions(alpha, beta, phi, varphi, table)
     # one entry per pair from here on
     overlap, codes, c_phi, c_var = np.broadcast_arrays(overlap, codes, c_phi, c_var, alpha)[:4]
 
@@ -575,10 +626,12 @@ def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
     length ``T``, coefficient-matrix stacks of shape ``(T, dim_a, dim_b)``
     or ``(1, dim_a, dim_b)``; a one-matrix stack is the same component in
     every pair, and its concurrence, the overlap and the regime are then
-    computed once. The superpositions are formed per pair, in blocks cut
-    by the campaign rule (:func:`_blocks`), so a call on two one-matrix
-    stacks makes no ``(T, dim_a, dim_b)`` array: a sweep of any length over
-    one fixed pair is one call. The bounds take the measured overlap unless
+    computed once. Above 2x2 each superposition is read from the
+    components' Gram table in O(1), and only a pair below the expansion's
+    rounding floor, or a 2x2 pair, is formed, in blocks cut by the campaign
+    rule (:func:`_blocks`); so a call on two one-matrix stacks makes no
+    ``(T, dim_a, dim_b)`` array, and a sweep of any length over one fixed
+    pair is one call of O(1) per row. The bounds take the measured overlap unless
     ``regime_override`` names an orthogonal regime (overlap 0, as in
     reference figures that apply orthogonal-regime formulas to a slightly
     non-orthogonal pair); ``tol`` only sets the regime label,

@@ -19,6 +19,7 @@ also what the raw-word path is tested against.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -440,6 +441,12 @@ def _trial_calls(rng: np.random.Generator, config: EnsembleConfig,
     return split, _weight_variates(rng, config.weight_sampling)
 
 
+@functools.cache
+def _loader() -> np.random.Generator:
+    """The process's one generator, into which each trial loads its own PCG64 state."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
 def _block_draws(config: EnsembleConfig, words: np.ndarray,
                  ) -> tuple[np.ndarray, list, np.ndarray]:
     """The generator draws of the trials seeded by ``words``: ``(normals, splits, variates)``.
@@ -462,7 +469,7 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray,
     n, size = dim_a * dim_b, len(words)
     biorthogonal = config.regime is Regime.BIORTHOGONAL
     real_grid = mode == "real-grid"
-    rng = np.random.Generator(np.random.PCG64(0))   # each trial loads its own state
+    rng = _loader()
     bits = rng.bit_generator
     # a biorthogonal pair fills two complementary blocks: at most 2n normals
     normals = np.empty((size, 2 * n if biorthogonal else 4 * n))
@@ -556,7 +563,7 @@ def _draw_block(config: EnsembleConfig, indices, words: np.ndarray | None = None
         v = v - _row_vdots(phi, v)[:, None] * phi
         varphi = v / _row_norms(v)[:, None]
         for row in np.flatnonzero(collinear).tolist():
-            rng = np.random.Generator(np.random.PCG64(0))
+            rng = _loader()
             rng.bit_generator.state = next(_pcg_states(words[row:row + 1]))
             phi[row], varphi[row] = _orthogonal_vectors(n, rng)
             variates[row] = _weight_variates(rng, mode)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,34 +141,138 @@ def _concurrence(m: np.ndarray) -> np.ndarray:
     """Concurrence of a coefficient matrix, or of each matrix of a stack.
 
     The closed form ``2|a00 a11 - a01 a10|`` on 2x2 matrices. Otherwise the
-    I-concurrence from the purity of the reduced state ``rho`` on the
-    smaller side (``M M^dag`` or ``M^dag M``),
-    ``C^2 = 2((tr rho)^2 - ||rho||_F^2)``, summed row by row as
-    ``2 sum_i (rho_ii tr rho - sum_j |rho_ij|^2)`` so that the O(1) parts
-    cancel within each row. Near product states that difference has lost
-    the digits of C, so a matrix whose ``C^2`` falls below
-    ``_GRAM_FLOOR (max(dim_a, dim_b) + 1)^2`` takes the I-concurrence of
-    its singular values instead (:func:`_schmidt_concurrence`). Each
+    I-concurrence from the purity of the reduced state on the smaller side
+    (:func:`_gram`, :func:`_purity_concurrence`).
+    """
+    if m.shape[-2:] == (2, 2):
+        return 2.0 * np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
+    stack = m.reshape(-1, *m.shape[-2:])
+    return _purity_concurrence(_gram(stack, stack), stack).reshape(m.shape[:-2])
+
+
+def _purity_concurrence(rho: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """I-concurrence of each matrix of ``stack`` from its reduced state ``rho``.
+
+    ``rho = _gram(stack, stack)``; ``C^2 = 2((tr rho)^2 - ||rho||_F^2)``,
+    summed row by row as ``2 sum_i (rho_ii tr rho - sum_j |rho_ij|^2)`` so
+    that the O(1) parts cancel within each row. Near product states that
+    difference has lost the digits of C, so a matrix whose ``C^2`` falls
+    below ``_GRAM_FLOOR (max(dim_a, dim_b) + 1)^2`` takes the I-concurrence
+    of its singular values instead (:func:`_schmidt_concurrence`). Each
     matrix's value depends on that matrix alone. The two routes agree
     within 1e-13, and agree with the closed form within 1e-12 on qubit
     pairs.
     """
-    if m.shape[-2:] == (2, 2):
-        return 2.0 * np.abs(m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0])
-    rows, cols = m.shape[-2:]
-    stack = m.reshape(-1, rows, cols)
-    m_dag = stack.conj().swapaxes(-1, -2)
-    rho = stack @ m_dag if rows <= cols else m_dag @ stack
     diag = np.einsum("tii->ti", rho).real
     parts = rho.view(np.float64)  # real and imaginary parts, interleaved
     row_sq = np.einsum("tik,tik->ti", parts, parts)
     c_sq = 2.0 * (diag * diag.sum(axis=1, keepdims=True) - row_sq).sum(axis=1)
     c = np.sqrt(np.maximum(c_sq, 0.0))
-    near_product = c_sq < _GRAM_FLOOR * (max(rows, cols) + 1) ** 2
+    near_product = c_sq < _GRAM_FLOOR * (max(stack.shape[1:]) + 1) ** 2
     if near_product.any():
         c[near_product] = _schmidt_concurrence(
             np.linalg.svd(stack[near_product], compute_uv=False))
-    return c.reshape(m.shape[:-2])
+    return c
+
+
+def _gram(m: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Gram block of coefficient matrices ``m`` and ``n`` (or stacks of them)
+    on their smaller side: ``N M^dag`` when ``dim_a <= dim_b``, else
+    ``M^dag N``.
+
+    Its trace is ``<m|n>``, and ``_gram(m, m)`` is the reduced state of ``m``
+    on that side (on side B, its transpose, which has the same spectrum).
+    """
+    rows, cols = m.shape[-2:]
+    if (rows, cols) == (2, 2):
+        # a batched matmul of 2x2 blocks costs more per block than its products
+        return (n[..., :, None, :] * m[..., None, :, :].conj()).sum(axis=-1)
+    if rows <= cols:
+        return n @ m.conj().swapaxes(-1, -2)
+    return m.conj().swapaxes(-1, -2) @ n
+
+
+class GramTable(NamedTuple):
+    """Gram blocks of stacked component pairs (m, n) and what is read from them.
+
+    ``a = _gram(m, m)``, ``b = _gram(n, n)`` and ``c = _gram(m, n)``, so that
+    ``c`` has the trace ``<m|n>``; the traces and the seven Frobenius
+    products of the three blocks, one entry per pair (or one for a
+    one-matrix stack of both components). Since ``a`` and ``b`` are
+    Hermitian, ``tr_ac = tr(AC) = <A, C>`` and ``tr_bc = <B, C>``.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    tr_a: np.ndarray
+    tr_b: np.ndarray
+    tr_c: np.ndarray
+    aa: np.ndarray     # ||A||^2
+    bb: np.ndarray     # ||B||^2
+    ab: np.ndarray     # <A, B> = Tr(rho_m rho_n) on the Gram side
+    cc: np.ndarray     # ||C||^2 = Tr(rho_m rho_n) on the other side
+    tr_cc: np.ndarray  # tr(C C)
+    tr_ac: np.ndarray
+    tr_bc: np.ndarray
+
+
+def _gram_table(m: np.ndarray, n: np.ndarray) -> GramTable:
+    """The :class:`GramTable` of stacks ``m`` and ``n`` of shape
+    ``(T or 1, dim_a, dim_b)``: three batched products per pair, and
+    O(d^2) per pair for the rest."""
+    a, b, c = _gram(m, m), _gram(n, n), _gram(m, n)
+    # real and imaginary parts, interleaved: the real part of a Frobenius
+    # product is the dot product of the two blocks' parts
+    ra, rb, rc = (x.reshape(len(x), -1).view(np.float64) for x in (a, b, c))
+
+    def dot(x, y):
+        return np.einsum("tk,tk->t", x, y)
+
+    def trace(x, y):
+        return np.einsum("tij,tji->t", x, y)
+
+    return GramTable(a, b, np.einsum("tii->t", a).real, np.einsum("tii->t", b).real,
+                     np.einsum("tii->t", c), dot(ra, ra), dot(rb, rb), dot(ra, rb),
+                     dot(rc, rc), trace(c, c), trace(a, c), trace(b, c))
+
+
+# Floor of the expansion route of bounds._evaluate_rows, per sqrt(D + 1) with D
+# the longer side and d the shorter. X = norm^4 C^2(Psi') is
+# 2((tr rho)^2 - ||rho||^2) for rho = |alpha|^2 A + |beta|^2 B + x C + conj(x) C^dag
+# (x = conj(alpha) beta), a fixed combination of the products of GramTable. Its
+# terms add up to sigma^2 <= 4 in size, sigma = (|alpha| + |beta|)^2, however
+# small X is, so the rounding error e of X is absolute. C(Psi') = sqrt(X) / norm^2
+# then moves by e / (2 norm^2 sqrt(X)) <= cap e / (2 X), since norm^2 >= sqrt(X)
+# / cap with cap = sqrt(2) bounding C(Psi'); that is at most 4e-14, within half
+# of the 1e-13 allowed between the routes with the norm's own rounding, once
+# X >= sqrt(2) e / 8e-14. A first-order worst-case bound on e, taken as for
+# _GRAM_FLOOR, is (4 D + 2 d^2 + 2 d + 10) sigma^2 eps: at 32x32 that floor
+# would exceed X on every row. Rounding errors are independent and add in
+# quadrature instead (Higham and Mary, SIAM J. Sci. Comput. 41, A2815 (2019)),
+# so the error of each length-D Gram entry grows like sqrt(D). Against the
+# formed superposition in long double, over close near-product,
+# near-cancelling, basis-localised and Haar pairs from 2x5 to 32x32, e stayed
+# below 22 sqrt(D + 1) eps. The floor takes e = 32 sqrt(D + 1) eps: X >= 0.25
+# at 3x3, 0.42 at 10x10 and 0.72 at 32x32. A row below it is formed and takes
+# _concurrence.
+_EXPANSION_FLOOR = 32.0 * np.finfo(np.float64).eps * math.sqrt(2.0) / 8e-14
+
+
+def _expansion(alpha: np.ndarray, beta: np.ndarray, table: GramTable):
+    """``(norm^2, norm^4 C^2)`` of each ``alpha m + beta n`` from its Gram table.
+
+    ``norm^2 = tr rho`` and ``norm^4 C^2(Psi') = 2((tr rho)^2 - ||rho||^2)`` for
+    ``rho = |alpha|^2 A + |beta|^2 B + x C + conj(x) C^dag``, ``x = conj(alpha) beta``:
+    the paper's sandwich expansion of ``<Psi| Lambda(|Psi><Psi|) |Psi>``,
+    O(1) per pair. Its error is absolute (see ``_EXPANSION_FLOOR``).
+    """
+    t = table
+    aa, bb, x = abs(alpha) ** 2, abs(beta) ** 2, alpha.conj() * beta
+    norm_sq = aa * t.tr_a + bb * t.tr_b + 2.0 * (x * t.tr_c).real
+    purity = (aa * aa * t.aa + bb * bb * t.bb + 2.0 * aa * bb * (t.ab + t.cc)
+              + 2.0 * (x * x * t.tr_cc).real
+              + 4.0 * (x * (aa * t.tr_ac + bb * t.tr_bc)).real)
+    return norm_sq, 2.0 * (norm_sq * norm_sq - purity)
 
 
 def universal_inverter(rho: DensityMatrix | np.ndarray,
@@ -205,9 +310,9 @@ def lambda_sandwich(x: PureState, sigma: OperatorAB, y: PureState) -> complex:
     has the O(d^3) form ``<v|u><x|y> - tr(X^dag U V^dag Y)
     - tr(X^dag Y V^dag U) + <x|u><v|y>`` in the coefficient matrices,
     from which :func:`_sandwich_table` builds every such element over a
-    few states at once for the cross-checks
-    :func:`concurrence_sq_via_lambda` and
-    :func:`superposition_csq_expansion`; this function is its oracle.
+    few states at once for :func:`concurrence_sq_via_lambda` and
+    :func:`superposition_csq_expansion`; this function, which applies the
+    map, is their independent oracle.
     """
     _require_same_space(x, sigma)
     _require_same_space(y, sigma)
@@ -224,20 +329,26 @@ def _sandwich_table(*states: PureState) -> np.ndarray:
     ``<v|u><x|y> - tr(X^dag U V^dag Y) - tr(X^dag Y V^dag U) + <x|u><v|y>``;
     the side-B term sandwiches the transpose ``V^dag U`` of ``U^T V^*``.
     Over k states the table takes three batched products: the overlaps
-    ``S[a, b] = <a|b>``, the d_b x d_b Gram blocks ``G[a, b] = A^dag B``
-    and their Frobenius inner products ``H[a, b, c, e] = vdot(G[a, b],
-    G[c, e])``. Since ``G[a, b]^dag = G[b, a]``, the two traces are
-    ``H[u, x, v, y]`` and ``H[y, x, v, u]``. O(k^2 d_a d_b^2 + k^4 d_b^2).
+    ``S[p, q] = <p|q>``, the Gram blocks of the evaluation core,
+    ``G[p, q] = _gram(P, Q)`` on the smaller side, and their Frobenius
+    inner products
+    ``H[p, q, r, s] = vdot(G[p, q], G[r, s])``. On side B,
+    ``G[p, q] = P^dag Q`` and ``tr(X^dag U V^dag Y) = H[u, x, v, y]``; on side
+    A, ``G[p, q] = Q P^dag`` and it is ``H[u, v, x, y]``. O(k^2 d_a d_b d +
+    k^4 d^2) with d the smaller side.
     """
     for other in states[1:]:
         _require_same_space(states[0], other)
     k = len(states)
     m = np.stack([st.matrix for st in states])
-    flat = m.reshape(k, -1)
-    s = flat.conj() @ flat.T
-    g = (m.conj().swapaxes(-1, -2)[:, None] @ m[None, :]).reshape(k * k, -1)
-    h = (g.conj() @ g.T).reshape(k, k, k, k)
-    # axes (x, u, v, y) of the table: h[u, x, v, y] and h[y, x, v, u]
+    amplitudes = m.reshape(k, -1)
+    s = amplitudes.conj() @ amplitudes.T
+    flat = _gram(m[:, None], m[None, :]).reshape(k * k, -1)
+    h = (flat.conj() @ flat.T).reshape(k, k, k, k)
+    if m.shape[1] <= m.shape[2]:
+        h = h.transpose(0, 2, 1, 3)
+    # h[u, x, v, y] = tr(X^dag U V^dag Y); axes (x, u, v, y) of the table:
+    # h[u, x, v, y] and h[y, x, v, u]
     return (s.T[None, :, :, None] * s[:, None, None, :]
             - h.transpose(1, 0, 2, 3)
             - h.transpose(1, 3, 2, 0)
@@ -263,8 +374,10 @@ def superposition_csq_expansion(spec: SuperpositionSpec) -> float:
     nine. All nine are read from one two-state sandwich table
     (:func:`_sandwich_table`), built from the coefficient matrices in
     O(d^3) without forming Lambda. The result equals
-    ``norm(Psi)^4 * C^2(Psi/norm(Psi))``; this is a cross-check path, not
-    the production concurrence path.
+    ``norm(Psi)^4 * C^2(Psi/norm(Psi))``. The evaluation core reads the same
+    expansion from the same Gram blocks (:func:`_expansion`), so this is no
+    independent check of the core: :func:`lambda_sandwich` (the explicit
+    map) and :func:`i_concurrence` (the singular values) are.
     """
     al, be = spec.alpha, spec.beta
     # index 0 is phi and 1 is varphi; pp[x, y] = <x| Lambda(|phi><phi|) |y>

@@ -342,24 +342,50 @@ def test_sweep_rows_do_not_depend_on_the_block_size(monkeypatch, pair, override)
 
 
 # sha256 of the seeded 32x32 `sweep --steps 99` stdout and of the `figure
-# fig2` CSV, recorded while the sweep still ran one core call per block.
-# They pin the last digit of every cell, as numpy 2.4 with OpenBLAS 0.3.31
-# rounds it on x86-64; a build that rounds a BLAS product differently must
-# record them again, after checking the CSVs against the old code
-_SWEEP_HAAR32_SHA256 = "26135f84162e0bdd245301a2329ff0161c4f9faf72b8809aa588a3b3294acfe6"
-_FIGURE_FIG2_SHA256 = "195c092a8a4f154784205aa99cc308ba35fb06fcb5786c139736126efc8c2a2c"
+# fig2` CSV, recorded when the core first read the superpositions from the
+# components' Gram table; every cell is checked against the formed
+# superpositions by test_pinned_csvs_match_the_formed_superpositions. They pin
+# the last digit of every cell, as numpy 2.4 with OpenBLAS 0.3.31 rounds it on
+# x86-64; a build that rounds a BLAS product differently must record them
+# again, after that check passes
+_SWEEP_HAAR32_SHA256 = "e9384000eeacc913b4a8400f253d32587231e6c4e41fad82bd3e51f583070cd8"
+_FIGURE_FIG2_SHA256 = "a590132ccdc65aabe6352dfef6cf854d7684425facd5c8182c7c2a1c6a722b38"
 
 
-def test_sweep_and_figure_csvs_are_pinned(runner, tmp_path):
+def _pinned_csvs(runner, tmp_path) -> tuple[str, str]:
+    """The seeded 32x32 `sweep --steps 99` stdout and the `figure fig2` CSV."""
     paths = [str(tmp_path / f"{part}.json") for part in ("phi", "varphi")]
     for state, path in zip(_haar_pair(32, 32), paths):
         save_state(state, path)
     result = runner.invoke(main, ["sweep", *paths, "--steps", "99"])
     assert result.exit_code == 0
-    assert hashlib.sha256(result.stdout.encode()).hexdigest() == _SWEEP_HAAR32_SHA256
     out = tmp_path / "fig2.csv"
     assert runner.invoke(main, ["figure", "fig2", "--out", str(out)]).exit_code == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == _FIGURE_FIG2_SHA256
+    return result.stdout, out.read_text()
+
+
+def test_sweep_and_figure_csvs_are_pinned(runner, tmp_path):
+    sweep, fig2 = _pinned_csvs(runner, tmp_path)
+    assert hashlib.sha256(sweep.encode()).hexdigest() == _SWEEP_HAAR32_SHA256
+    assert hashlib.sha256(fig2.encode()).hexdigest() == _FIGURE_FIG2_SHA256
+
+
+def test_pinned_csvs_match_the_formed_superpositions(runner, tmp_path, monkeypatch):
+    # the pins above are not taken on trust: with the floor of the expansion
+    # route at infinity, every row forms its superposition, and every cell of
+    # both CSVs agrees within 1e-13
+    expanded = _pinned_csvs(runner, tmp_path)
+    monkeypatch.setattr(bounds, "_EXPANSION_FLOOR", math.inf)
+    formed = _pinned_csvs(runner, tmp_path)
+    for got, want in zip(expanded, formed):
+        got_rows, want_rows = parse_csv(got), parse_csv(want)
+        assert len(got_rows) == len(want_rows) == 99
+        for k, (g, w) in enumerate(zip(got_rows, want_rows)):
+            for column, value in w.items():
+                if value is None:
+                    assert g[column] is None
+                else:
+                    assert abs(g[column] - value) <= 1e-13, (k, column)
 
 
 def test_sweep_dim_mismatch(runner, state_files):

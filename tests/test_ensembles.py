@@ -778,10 +778,18 @@ class _LoggedBits:
         return self._bits.random_raw(*args)
 
 
+@pytest.fixture
+def fresh_loader():
+    """The process's state-loading generator built afresh, and dropped after the test."""
+    ensembles._loader.cache_clear()
+    yield
+    ensembles._loader.cache_clear()
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 5), (3, 3)])
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("weights", ["real-grid", "complex-random"])
-def test_trials_make_three_generator_calls(monkeypatch, dims, regime, weights):
+def test_trials_make_three_generator_calls(monkeypatch, fresh_loader, dims, regime, weights):
     # a state load, one standard_normal and one random_raw per trial, and one
     # more random_raw for the splits of a biorthogonal pair with a side above 2
     log = []
@@ -807,3 +815,18 @@ def test_trials_make_three_generator_calls(monkeypatch, dims, regime, weights):
     assert sorted(set(log)) == ["random_raw", "standard_normal", "state"]
     assert log.count("state") == log.count("standard_normal") == trials
     assert log.count("random_raw") == trials + split_words - carried
+
+
+def test_campaign_builds_one_generator(monkeypatch, fresh_loader):
+    # every trial loads its own state into the process's one generator: a
+    # campaign of three blocks, collinear redraws included, builds one PCG64
+    built = []
+    real_pcg64 = np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda *a: built.append(a) or real_pcg64(*a))
+    monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 0.97)   # most candidates are redrawn
+    config = EnsembleConfig(trials=1000, dim_a=3, dim_b=3, regime=Regime.ORTHOGONAL,
+                            seed=20240901)
+    assert len(list(bounds._blocks(0, config.trials, 3, 3))) == 3
+    summary = verify_ensemble(config)
+    assert summary.trials_run == 1000
+    assert len(built) == 1

@@ -10,6 +10,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,10 +25,13 @@ from supconc import (
     evaluate_batch,
     fixture,
     haar_state,
+    i_concurrence,
     make_state,
     save_state,
 )
+from supconc import bounds
 from supconc.bounds import REGIME_TOL, SANITY_TOL
+from supconc.measures import _concurrence, _expansion, _gram_table
 from supconc.cli import main
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
@@ -190,3 +194,150 @@ def test_non_finite_input_is_bad_input(da, db, index, imag, value, bad_phi, weig
         weights = [f"--alpha={weight}", "--beta=0.8"] if on_alpha else \
             ["--alpha=0.6", f"--beta={weight}"]
         assert_bad_input(runner.invoke(main, ["bounds", str(good), str(good), *weights]))
+
+
+# --- the expansion route of the evaluation core ----------------------------------
+# Above 2x2 the core reads norm^2 and norm^4 C^2 of every superposition from the
+# components' Gram table; rows below its floor form the superposition. The
+# explicit route forms every superposition and takes _concurrence and the SVD
+# i_concurrence.
+
+EXPANSION_DIMS = st.sampled_from([(3, 3), (4, 4), (10, 10), (32, 32), (2, 5), (5, 2), (3, 7)])
+PAIR_KINDS = ["haar", "close near-product", "near cancellation", "near biorthogonal",
+              "zero weight"]
+
+
+def near_product(da, db, eps, rng):
+    u, v = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for d in (da, db))
+    return perturbed(make_state(da, db, np.outer(u, v).ravel() / (np.linalg.norm(u)
+                                                                  * np.linalg.norm(v))),
+                     eps, rng)
+
+
+def expansion_pair(kind, da, db, eps, rng):
+    """``(alpha, beta, phi, varphi)`` of one pair of ``kind``."""
+    a_sq, theta = rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0 * math.pi)
+    alpha, beta = math.sqrt(a_sq) * cmath.exp(1j * theta), math.sqrt(1.0 - a_sq)
+    if kind == "close near-product":
+        phi = near_product(da, db, eps, rng)
+        return alpha, beta, phi, perturbed(phi, eps * rng.uniform(0.0, 1.0), rng)
+    if kind == "near cancellation":
+        # eps >= 1e-10 keeps norm(Psi) above ZERO_TOL
+        phi = haar_state(da, db, rng)
+        var = perturbed(make_state(da, db, -phi.amplitudes), max(eps, 1e-10), rng)
+        return math.sqrt(0.5), math.sqrt(0.5), phi, var
+    if kind == "near biorthogonal":
+        phi, var = biorthogonal_pair(da, db, int(rng.integers(1, da)), int(rng.integers(1, db)),
+                                     rng)
+        return alpha, beta, phi, perturbed(var, eps, rng)
+    phi, var = haar_state(da, db, rng), haar_state(da, db, rng)
+    if kind == "zero weight":
+        alpha, beta = (0.0, 1.0) if rng.integers(2) else (cmath.exp(1j * theta), 0.0)
+    return alpha, beta, phi, var
+
+
+def expansion_stack(kinds, da, db, eps, rng):
+    alphas, betas, phis, varphis = zip(*(expansion_pair(k, da, db, eps, rng) for k in kinds))
+    return (np.array(alphas, dtype=np.complex128), np.array(betas, dtype=np.complex128),
+            np.stack([p.matrix for p in phis]), np.stack([v.matrix for v in varphis]))
+
+
+def formed_route(alpha, beta, m, n):
+    """``(norm^2, C by _concurrence, C by the SVD)`` of the formed superposition."""
+    raw = alpha * m + beta * n
+    norm_sq = float(np.vdot(raw, raw).real)
+    unit = raw / math.sqrt(norm_sq)
+    return norm_sq, float(_concurrence(unit)), i_concurrence(make_state(*m.shape, unit.ravel()))
+
+
+@PROPERTY
+@given(seed=SEEDS, dims=EXPANSION_DIMS, log_eps=st.floats(-12.0, -1.0),
+       kinds=st.lists(st.sampled_from(PAIR_KINDS), min_size=1, max_size=6))
+def test_expansion_matches_the_formed_superpositions(seed, dims, log_eps, kinds):
+    # every row's norm^2 and concurrence, from the Gram table or from its
+    # fallback, agree with the formed superposition within 1e-13
+    rng = np.random.default_rng(seed)
+    alpha, beta, phi, var = expansion_stack(kinds, *dims, 10.0 ** log_eps, rng)
+    batch = evaluate_batch(alpha, beta, phi, var)
+    for row in range(len(kinds)):
+        norm_sq, formed, svd = formed_route(alpha[row], beta[row], phi[row], var[row])
+        assert abs(batch.norm_squared[row] - norm_sq) <= 1e-13
+        assert abs(batch.exact_concurrence[row] - formed) <= 1e-13
+        assert abs(batch.exact_concurrence[row] - svd) <= 1e-13
+
+
+def expansion_floor(dims):
+    return bounds._EXPANSION_FLOOR * math.sqrt(max(dims) + 1)
+
+
+@PROPERTY
+@given(seed=SEEDS, dims=EXPANSION_DIMS, log_eps=st.floats(-12.0, -1.0),
+       kinds=st.lists(st.sampled_from(PAIR_KINDS), min_size=1, max_size=6),
+       shared=st.booleans())
+def test_expansion_fallback_takes_exactly_the_rows_below_its_floor(seed, dims, log_eps, kinds,
+                                                                   shared):
+    # the rows whose norm^4 C^2 falls below the floor, and only those, form
+    # their superpositions; the others are the expansion's, bit for bit
+    rng = np.random.default_rng(seed)
+    alpha, beta, phi, var = expansion_stack(kinds, *dims, 10.0 ** log_eps, rng)
+    if shared:
+        phi, var = phi[:1], var[:1]
+    formed = []
+    superpositions = bounds._superpositions
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "_superpositions",
+                      lambda a, *rest: formed.append(a) or superpositions(a, *rest))
+        batch = evaluate_batch(alpha, beta, phi, var)
+    norm_sq, x = _expansion(alpha, beta, _gram_table(phi, var))
+    above = x >= expansion_floor(dims)
+    if above.all():
+        assert formed == []
+    else:
+        [taken] = formed
+        assert taken.tobytes() == alpha[~above].tobytes()
+    assert batch.norm_squared[above].tobytes() == norm_sq[above].tobytes()
+    assert batch.exact_concurrence[above].tobytes() == \
+        (np.sqrt(x[above]) / norm_sq[above]).tobytes()
+
+
+@PROPERTY
+@given(seed=SEEDS, dims=EXPANSION_DIMS, log_eps=st.floats(-12.0, -1.0),
+       kinds=st.lists(st.sampled_from(PAIR_KINDS), min_size=2, max_size=6))
+def test_expansion_rows_do_not_depend_on_their_neighbours(seed, dims, log_eps, kinds):
+    # a row evaluated alone, in a reversed stack, or one block per row, and a
+    # shared pair row by row: the same bytes
+    rng = np.random.default_rng(seed)
+    alpha, beta, phi, var = expansion_stack(kinds, *dims, 10.0 ** log_eps, rng)
+    fields = ("norm_squared", "exact_concurrence", "c_phi", "c_varphi")
+    whole = evaluate_batch(alpha, beta, phi, var)
+    shared = evaluate_batch(alpha, beta, phi[:1], var[:1])
+    reverse = evaluate_batch(*(np.ascontiguousarray(x[::-1]) for x in (alpha, beta, phi, var)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "_BLOCK_AMPLITUDES", dims[0] * dims[1])
+        blocked = evaluate_batch(alpha, beta, phi, var)
+    for row in range(len(kinds)):
+        alone = evaluate_batch(alpha[row:row + 1], beta[row:row + 1], phi[row:row + 1],
+                               var[row:row + 1])
+        first = evaluate_batch(alpha[row:row + 1], beta[row:row + 1], phi[:1], var[:1])
+        for field in fields:
+            value = getattr(alone, field)[0].tobytes()
+            assert getattr(whole, field)[row].tobytes() == value, field
+            assert getattr(reverse, field)[len(kinds) - 1 - row].tobytes() == value, field
+            assert getattr(blocked, field)[row].tobytes() == value, field
+            assert getattr(shared, field)[row].tobytes() == getattr(first, field)[0].tobytes()
+
+
+def test_cancelled_rows_raise_zero_vector_for_the_first():
+    # two cancelled pairs above 2x2: the first one is reported
+    rng = np.random.default_rng(3)
+    phi = [haar_state(3, 3, rng) for _ in range(4)]
+    var = [haar_state(3, 3, rng), perturbed(make_state(3, 3, -phi[1].amplitudes), 1e-14, rng),
+           haar_state(3, 3, rng), make_state(3, 3, -phi[3].amplitudes)]
+    s2 = np.full(4, math.sqrt(0.5))
+    phis, varphis = np.stack([p.matrix for p in phi]), np.stack([v.matrix for v in var])
+    with pytest.raises(ZeroVector) as info:
+        evaluate_batch(s2, s2, phis, varphis)
+    # the later pair cancels exactly
+    assert "vector norm 0.0 " not in str(info.value)
+    with pytest.raises(ZeroVector, match="vector norm 0.0 "):
+        evaluate_batch(s2[2:], s2[2:], phis[2:], varphis[2:])
