@@ -26,7 +26,10 @@ diagnostics). All formulas assume the inverter scale nu = 1.
 Every quantity is computed once, by one evaluation core over stacked
 pairs: :func:`evaluate` is the one-pair call of :func:`evaluate_batch`,
 and the standalone bounds read the core's values for their one pair. The
-core reads each pair from three Gram blocks of its components on the
+core runs in two stages. The component stage (:func:`_component_columns`)
+takes the stacks a block of at most ``_BLOCK_AMPLITUDES`` amplitudes at a
+time, which bounds its memory, and reduces each pair to a few numbers.
+It reads each pair from three Gram blocks of its components on the
 smaller side, ``A``, ``B`` and ``C`` with ``tr C = <phi|varphi>``
 (:func:`supconc.measures._gram_table`): the two reduced-state overlaps
 that classify it, the component concurrences from the purity of ``A``
@@ -37,7 +40,12 @@ products of the blocks.
 A pair whose expansion falls below its rounding floor, near a product or a
 cancellation, forms its superposition instead, as 2x2 pairs do, which take
 the closed form ``2|a00 a11 - a01 a10|``. The two routes agree within
-1e-13. The universal-inverter map (``measures.lambda_map`` and
+1e-13. The bound stage (:func:`_evaluate_rows`, checked by
+:func:`_checked_rows`) is O(1) per pair and runs once over the columns of
+all blocks, of a call or of a campaign's range of trials, so its fixed
+cost is paid once rather than once per block.
+
+The universal-inverter map (``measures.lambda_map`` and
 ``lambda_sandwich``) and the singular-value ``measures.i_concurrence`` stay
 independent of this core; the acceptance criteria 1-2 check it against
 them.
@@ -49,6 +57,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,11 +117,12 @@ def _require_regime_tol(tol: float) -> None:
         raise OutOfRange(f"regime tolerance must be finite and in [0, 1), got {tol!r}")
 
 
-def _regime_codes(table: GramTable, overlap, tol: float):
-    """Index into ``_REGIMES`` of the component pairs of a Gram table, with
-    scalar products ``overlap``."""
+def _regime_codes(ab, cc, overlap, tol: float):
+    """Index into ``_REGIMES`` of component pairs with Gram-table traces ``ab``
+    and ``cc`` (:class:`supconc.measures.GramTable`) and scalar products
+    ``overlap``."""
     # <A, B> and ||C||^2 are Tr(rho_phi rho_varphi) on the two sides
-    biorthogonal = (table.ab <= tol) & (table.cc <= tol)
+    biorthogonal = (ab <= tol) & (cc <= tol)
     # 0 if biorthogonal, else 1 if orthogonal, else 2
     return (1 - biorthogonal) * (2 - (abs(overlap) <= tol))
 
@@ -128,8 +138,8 @@ def classify_pair(phi: PureState, varphi: PureState, tol: float = REGIME_TOL) ->
     """
     _require_regime_tol(tol)
     overlap = inner_product(phi, varphi)   # first: it checks the spaces match
-    return _REGIMES[_regime_codes(_gram_table(phi.matrix[None], varphi.matrix[None]),
-                                  overlap, tol)[0]]
+    table = _gram_table(phi.matrix[None], varphi.matrix[None])
+    return _REGIMES[_regime_codes(table.ab, table.cc, overlap, tol)[0]]
 
 
 _ORTHOGONAL_REGIMES = (Regime.BIORTHOGONAL, Regime.ORTHOGONAL)
@@ -150,7 +160,9 @@ def _components(spec: SuperpositionSpec, *, qubits: bool = False,
     _require_regime_tol(tol)
     if qubits and spec.dims != (2, 2):
         raise NotTwoQubit(f"bound requires 2x2 components, got {spec.dims}")
-    batch = _evaluate_rows(*_one_row(spec), regime_override=regime, tol=tol)
+    alpha, beta, phi, varphi = _one_row(spec)
+    batch = _evaluate_rows(alpha, beta, _component_columns(alpha, beta, phi, varphi),
+                           spec.dims, regime_override=regime, tol=tol)
     if allowed is not None and batch.regime[0] not in allowed:
         raise RegimeViolation(
             f"bound requires {' or '.join(r.value for r in allowed)} component states"
@@ -464,10 +476,15 @@ def _family(columns, row: int = 0) -> tuple:
 
 # --- the evaluation core --------------------------------------------------------
 
-# Campaigns draw and evaluate their trials, and the evaluation core forms
-# the superpositions of a sweep, in blocks of at most this many amplitudes
-# per stacked array: larger blocks raise the peak memory of a 32x32 campaign
-# or sweep, smaller ones give back the per-call savings at large dimensions.
+# Blocks bound memory: the component stage of the evaluation core, and a
+# campaign's draws, take stacked arrays of at most this many amplitudes, so a
+# 32x32 stack is cut into blocks of 4 pairs and a 2x2 one into blocks of 1024.
+# The bound stage runs once over the columns of all blocks of a call or of a
+# campaign's range, so its fixed cost is not paid per block. Larger blocks
+# paid on a 32x32 campaign (+17 % trials/s at 16384 amplitudes) but raised its
+# peak RSS by 2 MB, and from 8192 amplitudes up each block's arrays were
+# trimmed from the heap and faulted in again (~5000 minor faults per campaign,
+# none at 4096), which took back the gain in a fresh process.
 _BLOCK_AMPLITUDES = 4096
 
 
@@ -527,39 +544,74 @@ def _expanded_superpositions(alpha, beta, phi, varphi,
     return norm_sq, exact
 
 
-def _evaluate_rows(alpha, beta, phi, varphi, *, tol: float,
-                   regime_override: Regime | None) -> BatchReport:
-    """Every report quantity of the validated complex arrays of
-    :func:`evaluate_batch`, unchecked.
+class _Columns(NamedTuple):
+    """What the bound stage reads of stacked pairs, one entry per pair: the
+    overlap, the regime traces of the pairs' :class:`GramTable` (``ab`` and
+    ``cc``), the component concurrences, and each superposition's ``norm^2``
+    and concurrence."""
 
-    The regime and the component concurrences are read from one Gram table
-    of the component stacks (:func:`supconc.measures._gram_table`), and the
-    overlap is summed from the amplitudes, so each is computed once per
-    component stack, once for all pairs of a one-matrix stack. Above 2x2 the
-    superpositions come from the same table
+    overlap: np.ndarray
+    ab: np.ndarray
+    cc: np.ndarray
+    c_phi: np.ndarray
+    c_varphi: np.ndarray
+    norm_squared: np.ndarray
+    exact: np.ndarray
+
+
+def _component_columns(alpha, beta, phi, varphi) -> _Columns:
+    """Stage 1 of the evaluation core, the component stage, on one block.
+
+    Checks the components' norms, then the weights, raising for the block's
+    first offending pair before any arithmetic on them (a NaN weight would
+    warn in it), and reads the pairs from one Gram table of the component
+    stacks (:func:`supconc.measures._gram_table`): the regime traces, the
+    component concurrences and, above 2x2, the superpositions
     (:func:`_expanded_superpositions`); 2x2 pairs are formed and take the
-    closed form (:func:`_superpositions`). Everything else is one column
-    entry per pair.
+    closed form (:func:`_superpositions`). The overlap is summed from the
+    amplitudes. Each is computed once per component stack, once for all
+    pairs of a one-matrix stack, and each column holds one entry per pair.
     """
+    _require_unit_norm(_frobenius_sq(phi))
+    _require_unit_norm(_frobenius_sq(varphi))
+    _require_unit_weights(alpha, beta)
     table = _gram_table(phi, varphi)
     # tr C to rounding; from the amplitudes, the bounds do not take on the
     # rounding of the Gram products
     overlap = np.einsum("tij,tij->t", phi.conj(), varphi)
-    codes = (_regime_codes(table, overlap, tol) if regime_override is None
-             else np.flatnonzero(_REGIMES == regime_override))
     if phi.shape[1:] == (2, 2):
         c_phi, c_var = _concurrence(phi), _concurrence(varphi)
         norm_sq, exact = _superpositions(alpha, beta, phi, varphi)
     else:
         c_phi, c_var = _purity_concurrence(table.a, phi), _purity_concurrence(table.b, varphi)
         norm_sq, exact = _expanded_superpositions(alpha, beta, phi, varphi, table)
-    # one entry per pair from here on
-    overlap, codes, c_phi, c_var = np.broadcast_arrays(overlap, codes, c_phi, c_var, alpha)[:4]
+    # a column of a one-matrix stack holds one entry
+    return _Columns(*(x if len(x) == len(alpha) else x.repeat(len(alpha))
+                      for x in (overlap, table.ab, table.cc, c_phi, c_var, norm_sq, exact)))
 
+
+def _joined(parts: list[_Columns]) -> _Columns:
+    """The :class:`_Columns` of consecutive blocks, as one."""
+    return _Columns(*map(np.concatenate, zip(*parts)))
+
+
+def _evaluate_rows(alpha, beta, columns: _Columns, dims: tuple[int, int], *,
+                   tol: float, regime_override: Regime | None) -> BatchReport:
+    """Stage 2 of the evaluation core, the bound stage, unchecked: every report
+    quantity of ``dim_a x dim_b`` pairs with weights ``alpha`` and ``beta``
+    from their :class:`_Columns`.
+
+    O(1) per pair and one column entry per pair: the regime, both bound
+    kernels, the closed form, ``lower_useful`` and the slacks. It runs once
+    over the columns of all blocks, so its fixed cost is paid once per call.
+    """
+    overlap, ab, cc, c_phi, c_var, norm_sq, exact = columns
+    codes = (_regime_codes(ab, cc, overlap, tol) if regime_override is None
+             else np.flatnonzero(_REGIMES == regime_override).repeat(len(alpha)))
     ov = 0.0 if regime_override in _ORTHOGONAL_REGIMES else np.abs(overlap)
     aa, bb, ab = abs(alpha) ** 2, abs(beta) ** 2, abs(alpha * beta)
     qudit = _qudit_kernel(aa, bb, ab, c_phi, c_var, ov)
-    qubit = _qubit_kernel(aa, bb, ab, c_phi, c_var, ov) if phi.shape[1:] == (2, 2) else None
+    qubit = _qubit_kernel(aa, bb, ab, c_phi, c_var, ov) if dims == (2, 2) else None
     closed_form = np.where(codes == 0, _biorthogonal_closed_form(aa, bb, ab, c_phi, c_var),
                            np.nan)
     # the usefulness condition C(phi) > 3 |beta/alpha|^2 C(varphi) + 2 |beta/alpha|
@@ -572,8 +624,8 @@ def _evaluate_rows(alpha, beta, phi, varphi, *, tol: float,
     return BatchReport(
         regime=_REGIMES[codes],
         regime_tol=tol,
-        dim_a=phi.shape[1],
-        dim_b=phi.shape[2],
+        dim_a=dims[0],
+        dim_b=dims[1],
         overlap=overlap,
         norm_squared=norm_sq,
         exact_concurrence=exact,
@@ -590,15 +642,35 @@ def _evaluate_rows(alpha, beta, phi, varphi, *, tol: float,
     )
 
 
+def _checked_rows(alpha, beta, columns: _Columns, dims: tuple[int, int], *,
+                  tol: float = REGIME_TOL, regime_override: Regime | None = None,
+                  ) -> BatchReport:
+    """:func:`_evaluate_rows` with the checks of the bound stage.
+
+    Rejects a cancelled superposition (:class:`ZeroVector`), then raises
+    :class:`SanityFailure` naming the pair in ``row`` for a bug: a NaN
+    concurrence or slack, or a concurrence outside its range by more than
+    ``SANITY_TOL``. A bound escape stays in the slacks for the caller to
+    judge, as a campaign does at its own tolerance.
+    """
+    batch = _evaluate_rows(alpha, beta, columns, dims, tol=tol,
+                           regime_override=regime_override)
+    _require_nonzero_norm(np.sqrt(batch.norm_squared))
+    _check_claims(batch, 0.0, limit=math.inf)
+    return batch
+
+
 def _evaluate_checked(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
                       regime_override: Regime | None = None) -> BatchReport:
     """:func:`evaluate_batch` without its bound-escape judge.
 
-    The same input checks and errors, in the same order; then a
-    :class:`SanityFailure` naming the pair in ``row`` only for a bug: a NaN
-    concurrence or slack, or a concurrence outside its range by more than
-    ``SANITY_TOL``. A bound escape stays in the slacks for the caller to
-    judge, as a campaign does at its own tolerance.
+    The same input checks and errors: the shapes and ``tol``; the unit norms
+    and weights, block by block, as the component stage
+    (:func:`_component_columns`) runs over the evaluation blocks of the
+    stacks, once for two one-matrix stacks; then the bound stage
+    (:func:`_checked_rows`) runs once over the columns of all blocks.
+    Strided stacks are read as contiguous copies, so each row depends on
+    its values alone.
     """
     alpha, beta, phi, varphi = (np.asarray(x, dtype=np.complex128)
                                 for x in (alpha, beta, phi, varphi))
@@ -608,14 +680,17 @@ def _evaluate_checked(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
             f"expected (T or 1, dim_a, dim_b) stacks and length-T weights, got phi "
             f"{phi.shape}, varphi {varphi.shape}, alpha {alpha.shape}, beta {beta.shape}")
     _require_regime_tol(tol)
-    _require_unit_norm(_frobenius_sq(phi))
-    _require_unit_norm(_frobenius_sq(varphi))
-    _require_unit_weights(alpha, beta)
-
-    batch = _evaluate_rows(alpha, beta, phi, varphi, tol=tol, regime_override=regime_override)
-    _require_nonzero_norm(np.sqrt(batch.norm_squared))
-    _check_claims(batch, 0.0, limit=math.inf)
-    return batch
+    # numpy's matmul takes another kernel on a strided operand, which moves
+    # the last bits of the Gram blocks
+    alpha, beta, phi, varphi = map(np.ascontiguousarray, (alpha, beta, phi, varphi))
+    dims = phi.shape[1:]
+    blocks = list(_blocks(0, len(alpha), *dims))
+    if len(phi) == len(varphi) == 1 or len(blocks) <= 1:
+        columns = _component_columns(alpha, beta, phi, varphi)
+    else:
+        columns = _joined([_component_columns(alpha[lo:hi], beta[lo:hi], *(
+            x if len(x) == 1 else x[lo:hi] for x in (phi, varphi))) for lo, hi in blocks])
+    return _checked_rows(alpha, beta, columns, dims, tol=tol, regime_override=regime_override)
 
 
 def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
@@ -626,18 +701,22 @@ def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
     length ``T``, coefficient-matrix stacks of shape ``(T, dim_a, dim_b)``
     or ``(1, dim_a, dim_b)``; a one-matrix stack is the same component in
     every pair, and its concurrence, the overlap and the regime are then
-    computed once. Above 2x2 each superposition is read from the
-    components' Gram table in O(1), and only a pair below the expansion's
-    rounding floor, or a 2x2 pair, is formed, in blocks cut by the campaign
-    rule (:func:`_blocks`); so a call on two one-matrix stacks makes no
-    ``(T, dim_a, dim_b)`` array, and a sweep of any length over one fixed
-    pair is one call of O(1) per row. The bounds take the measured overlap unless
+    computed once. The component stage reads the stacks in blocks cut by
+    the campaign rule (:func:`_blocks`), which bound its memory: their Gram
+    blocks are made one block of pairs at a time, and above 2x2 each
+    superposition is read from them in O(1); only a pair below the
+    expansion's rounding floor, or a 2x2 pair, is formed. The bound stage
+    then runs once over all ``T`` pairs. So a call on two one-matrix stacks
+    makes no ``(T, dim_a, dim_b)`` array, a sweep of any length over one
+    fixed pair is one call of O(1) per row, and a strided stack is read as
+    its contiguous copy. The bounds take the measured overlap unless
     ``regime_override`` names an orthogonal regime (overlap 0, as in
     reference figures that apply orthogonal-regime formulas to a slightly
     non-orthogonal pair); ``tol`` only sets the regime label,
     ``exact_formula_value`` and ``lower_useful``.
 
-    Bad input raises, for the first offending pair, what building its
+    Bad input raises, for the first offending pair (block by block: the
+    component norms, then the weights), what building its
     :class:`SuperpositionSpec` would (:class:`DimensionMismatch`,
     :class:`NotNormalized` and :class:`WeightsNotNormalized`, NaN
     included), :class:`ZeroVector`, or :class:`OutOfRange` for a
@@ -648,8 +727,8 @@ def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
     ``SANITY_TOL``, or, under ``regime_override`` only, a closed form that
     far from the direct value (on a pair biorthogonal within ``tol`` it is
     off by O(sqrt(tol)), reported in ``formula_error``). Campaigns skip the
-    bound judge here (:func:`_evaluate_checked`) and judge the slacks at
-    their own tolerance.
+    bound judge (:func:`_checked_rows`) and judge the slacks at their own
+    tolerance.
     """
     batch = _evaluate_checked(alpha, beta, phi, varphi, tol=tol,
                               regime_override=regime_override)

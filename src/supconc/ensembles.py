@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bounds import SANITY_TOL, Regime, _blocks, _evaluate_checked
+from .bounds import SANITY_TOL, Regime, _blocks, _checked_rows, _component_columns, _joined
 from .errors import InternalError, InvalidSplit, OutOfRange, SanityFailure, UnknownFixture
 from .states import PureState, RawVector, make_state, normalize
 
@@ -592,29 +592,42 @@ def _digest(phi: np.ndarray, varphi: np.ndarray, alpha: complex, beta: complex) 
     return h.hexdigest()[:12]
 
 
-def _run_block(config: EnsembleConfig, start: int, stop: int,
+def _run_range(config: EnsembleConfig, start: int, stop: int,
                words: np.ndarray | None = None) -> np.ndarray:
-    """Draw trials ``[start, stop)`` as one block and evaluate them as one stack.
+    """Draw and evaluate trials ``[start, stop)``: the unit of work of a campaign.
 
-    ``words`` are the trials' rows of :func:`_seed_words`, when the caller
-    seeded a longer range at once. Returns one row per trial, ``(upper
-    slack, lower slack, closed-form error, zero-delta excess)``; the error
-    is NaN outside the biorthogonal regime and the excess NaN on trials
-    classified general. A trial's row does not depend on the block it is
-    drawn and evaluated in. Bound escapes are not judged here
-    (:func:`supconc.bounds._evaluate_checked` keeps them in the slacks):
-    :func:`verify_ensemble` finds them in the rows of all trials. Only a
-    bug, a NaN concurrence or slack or a concurrence out of range, raises
-    :class:`SanityFailure`, naming the seed, trial and digest.
+    Block by block (:func:`supconc.bounds._blocks`), the trials are drawn
+    (:func:`_draw_block`) and reduced to the columns of the component stage
+    (:func:`supconc.bounds._component_columns`), so no array is larger than
+    a block; the bound stage (:func:`supconc.bounds._checked_rows`) then runs
+    once over the columns of the whole range. ``words`` are the trials'
+    rows of :func:`_seed_words`, when the caller seeded a longer range at
+    once. Returns one row per trial, ``(upper slack, lower slack,
+    closed-form error, zero-delta excess)``; the error is NaN outside the
+    biorthogonal regime and the excess NaN on trials classified general. A
+    trial's row does not depend on the range or block it is drawn and
+    evaluated in. Bound escapes are not judged here: :func:`verify_ensemble`
+    finds them in the rows of all trials. Only a bug, a NaN concurrence or
+    slack or a concurrence out of range, raises :class:`SanityFailure`,
+    naming the seed, the first bad trial and its digest.
     """
-    phi, varphi, alpha, beta = _draw_block(config, range(start, stop), words)
-    shape = (stop - start, config.dim_a, config.dim_b)
+    if words is None:
+        words = _seed_words(config.seed, range(start, stop))
+    dims = (config.dim_a, config.dim_b)
+    alpha, beta, columns = [], [], []
+    for lo, hi in _blocks(start, stop, *dims):
+        phi, varphi, a, b = _draw_block(config, range(lo, hi), words[lo - start:hi - start])
+        columns.append(_component_columns(a, b, phi.reshape(-1, *dims),
+                                          varphi.reshape(-1, *dims)))
+        alpha.append(a)
+        beta.append(b)
+    alpha, beta = np.concatenate(alpha), np.concatenate(beta)
     try:
-        batch = _evaluate_checked(alpha, beta, phi.reshape(shape), varphi.reshape(shape))
+        batch = _checked_rows(alpha, beta, _joined(columns), dims)
     except SanityFailure as exc:
-        row = exc.row
-        raise SanityFailure(f"{exc} (seed {config.seed}, trial {start + row}, digest "
-                            f"{_digest(phi[row], varphi[row], alpha[row], beta[row])})") from exc
+        trial = start + exc.row
+        raise SanityFailure(f"{exc} (seed {config.seed}, trial {trial}, digest "
+                            f"{_digest(*_draw_trial(config, trial))})") from exc
     target = batch.norm_squared * batch.exact_concurrence
     zero_delta_lower = (abs(abs(alpha) ** 2 * batch.c_phi - abs(beta) ** 2 * batch.c_varphi)
                         - 2.0 * abs(alpha * beta))
@@ -629,48 +642,65 @@ def _fmax_or_none(values: np.ndarray) -> float | None:
     return None if top == -math.inf else top
 
 
+# Work, trials * dim_a * dim_b, below which a campaign runs in this process
+# whatever --jobs asks: starting a pool worker costs ~12-15 ms, more than it
+# saves on such a campaign. On a 2-core host, one process against two: 250
+# 10x10 trials (25000) 7 ms against 19 ms; 1000 10x10 trials and 100 32x32
+# ones (~100000) even, at 26-38 ms; 2000 10x10 trials 69 against 50 ms.
+_POOL_FLOOR = 100_000
+
+
+def _ranges(blocks: list[tuple[int, int]], parts: int) -> list[tuple[int, int]]:
+    """``blocks`` grouped into at most ``parts`` ranges of consecutive whole blocks."""
+    size = math.ceil(len(blocks) / parts)
+    return [(blocks[i][0], blocks[min(i + size, len(blocks)) - 1][1])
+            for i in range(0, len(blocks), size)]
+
+
 def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummary:
     """Run a campaign: draw pairs and weights, evaluate, record violations.
 
-    Trials are drawn and evaluated in blocks of stacked arrays
-    (:func:`_draw_block`, :func:`supconc.bounds._evaluate_checked`, blocks
-    cut by :func:`supconc.bounds._blocks`). The seeding of every trial's
-    generator is computed once, here, and each block gets its trials' share.
-    The blocks are also the unit of work for processes: with ``jobs > 1``
-    and more than one block and CPU, a campaign runs in ``min(jobs, blocks,
-    CPUs)`` processes, this one included. This process runs the first
-    contiguous share of the blocks, and a pool of the other processes the
-    rest, in chunks; otherwise every block runs here. Deterministic for a
-    given config regardless of ``jobs``: trial ``i`` is drawn from
-    ``default_rng([seed, i])``, and its row does not depend on its block.
-    The blocks' rows come back in trial order, this process's share first,
-    so a bug raises for the first bad trial. The summary is one
-    reduction over them: a max, min or count per column, and the
-    violations, in trial order, where the margin ``max(upper slack, -lower
-    slack, closed-form error)`` passes ``config.tol``. This is the
-    campaign's one judge of a bound escape, so ``config.tol`` is the
-    tolerance whatever its value. The violating trials are redrawn
-    together, in blocks of the evaluation's size, and each violation's
-    digest is taken from its row. A bug in a block raises
-    :class:`SanityFailure` and ends the campaign without a summary.
+    Ranges of trials are the unit of work (:func:`_run_range`): each is
+    drawn and reduced to per-trial columns a block at a time, which bounds
+    its memory, and then judged by one pass of the bound stage. The seeding
+    of every trial's generator is computed once, here, and each range gets
+    its trials' share. With ``jobs > 1``, more than one block and CPU, and
+    at least ``_POOL_FLOOR`` amplitudes of work (``trials * dim_a *
+    dim_b``), a campaign runs in ``min(jobs, blocks, CPUs)`` processes,
+    this one included: this process runs the first contiguous share of the
+    blocks as one range, and a pool of the other processes the rest, cut
+    into a few ranges per process; otherwise the whole campaign is one range
+    run here. Deterministic for a given config regardless of ``jobs``:
+    trial ``i`` is drawn from ``default_rng([seed, i])``, and its row does
+    not depend on its range or block. The ranges' rows come back in trial
+    order, this process's share first, so a bug raises for the first bad
+    trial. The summary is one reduction over them: a max, min or count per
+    column, and the violations, in trial order, where the margin
+    ``max(upper slack, -lower slack, closed-form error)`` passes
+    ``config.tol``. This is the campaign's one judge of a bound escape, so
+    ``config.tol`` is the tolerance whatever its value. The violating trials
+    are redrawn together, in blocks, and each violation's digest is taken
+    from its row. A bug in a range raises :class:`SanityFailure` and ends
+    the campaign without a summary.
     """
     t0 = time.perf_counter()
     words = _seed_words(config.seed, np.arange(config.trials))
     blocks = list(_blocks(0, config.trials, config.dim_a, config.dim_b))
-    args = ([config] * len(blocks), *zip(*blocks), [words[lo:hi] for lo, hi in blocks])
     workers = min(jobs, len(blocks), os.cpu_count() or 1)
-    if workers <= 1:
-        parts = list(map(_run_block, *args))
+    if workers <= 1 or config.trials * config.dim_a * config.dim_b < _POOL_FLOOR:
+        parts = [_run_range(config, 0, config.trials, words)]
     else:
         # this process runs the first share of the blocks and workers - 1
         # pool processes the rest, which goes out first: a fork-started pool
-        # forks every worker at the first submit. A few chunks per worker
-        # keep the per-task overhead off small blocks
+        # forks every worker at the first submit. A few ranges per worker
+        # even out their loads
         own = math.ceil(len(blocks) / workers)
+        split = blocks[own][0]   # the first trial of the pool's share
+        ranges = _ranges(blocks[own:], 4 * (workers - 1))
         with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            rest = pool.map(_run_block, *(arg[own:] for arg in args),
-                            chunksize=math.ceil((len(blocks) - own) / (4 * (workers - 1))))
-            parts = [*map(_run_block, *(arg[:own] for arg in args)), *rest]
+            rest = pool.map(_run_range, [config] * len(ranges), *zip(*ranges),
+                            [words[lo:hi] for lo, hi in ranges])
+            parts = [_run_range(config, 0, split, words[:split]), *rest]
     upper, lower, formula, excess = np.concatenate(parts).T
     margin = np.maximum(np.maximum(upper, -lower), np.nan_to_num(formula, nan=0.0))
     flagged = np.flatnonzero(margin > config.tol)

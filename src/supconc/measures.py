@@ -236,8 +236,8 @@ def _gram_table(m: np.ndarray, n: np.ndarray) -> GramTable:
                      dot(rc, rc), trace(c, c), trace(a, c), trace(b, c))
 
 
-# Floor of the expansion route of bounds._evaluate_rows, per sqrt(D + 1) with D
-# the longer side and d the shorter. X = norm^4 C^2(Psi') is
+# Floor of the expansion route of bounds._component_columns, per sqrt(D + 1)
+# with D the longer side and d the shorter. X = norm^4 C^2(Psi') is
 # 2((tr rho)^2 - ||rho||^2) for rho = |alpha|^2 A + |beta|^2 B + x C + conj(x) C^dag
 # (x = conj(alpha) beta), a fixed combination of the products of GramTable. Its
 # terms add up to sigma^2 <= 4 in size, sigma = (|alpha| + |beta|)^2, however

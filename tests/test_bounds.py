@@ -661,6 +661,54 @@ def test_broadcast_evaluation_forms_superpositions_a_block_at_a_time():
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
+@pytest.mark.parametrize("weight", [math.nan, math.inf, complex(math.nan, 1.0)])
+def test_bad_weights_raise_before_any_arithmetic_on_them(monkeypatch, dims, weight):
+    # the component stage checks a block's weights before it superposes
+    # them: a NaN or infinite weight in the second block raises
+    # WeightsNotNormalized, not a RuntimeWarning (an error in this suite)
+    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 2 * dims[0] * dims[1])
+    rng = np.random.default_rng(24)
+    phi = np.stack([haar_state(*dims, rng).matrix for _ in range(5)])
+    var = np.stack([haar_state(*dims, rng).matrix for _ in range(5)])
+    alpha, beta = np.full(5, 0.6 + 0j), np.full(5, 0.8 + 0j)
+    alpha[3] = weight
+    with pytest.raises(WeightsNotNormalized):
+        evaluate_batch(alpha, beta, phi, var)
+
+
+def test_stacked_evaluation_forms_gram_blocks_a_block_at_a_time():
+    # two (200, 32, 32) complex stacks take 3.3 MB each, and so would each
+    # of their Gram blocks: the component stage holds the blocks of 4 pairs
+    # at a time, and the bound stage the length-200 columns
+    rng = np.random.default_rng(22)
+    phi = np.stack([haar_state(32, 32, rng).matrix for _ in range(200)])
+    var = np.stack([haar_state(32, 32, rng).matrix for _ in range(200)])
+    alpha, beta = map(np.array, zip(*(random_weights(rng) for _ in range(200))))
+    tracemalloc.start()
+    try:
+        batch = evaluate_batch(alpha, beta, phi, var)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(batch.exact_concurrence) == 200
+    assert peak < 2 ** 20
+
+
+def test_strided_stacks_give_the_rows_of_their_contiguous_copies():
+    # numpy's matmul takes another kernel on a negative-stride operand: the
+    # reversed view of a stack must give its reversed copy's rows bit for bit
+    rng = np.random.default_rng(23)
+    phi = np.stack([haar_state(3, 3, rng).matrix for _ in range(40)])
+    var = np.stack([haar_state(3, 3, rng).matrix for _ in range(40)])
+    alpha, beta = map(np.array, zip(*(random_weights(rng) for _ in range(40))))
+    view = evaluate_batch(*(x[::-1] for x in (alpha, beta, phi, var)))
+    copy = evaluate_batch(*(x[::-1].copy() for x in (alpha, beta, phi, var)))
+    for field in ("overlap", "norm_squared", "exact_concurrence", "c_phi", "c_varphi",
+                  "upper_slack", "lower_slack", "formula_error"):
+        assert getattr(view, field).tobytes() == getattr(copy, field).tobytes(), field
+
+
 @pytest.mark.parametrize("row", [0, 2])
 def test_evaluate_batch_rejects_what_a_spec_would(row):
     # each input check of SuperpositionSpec + evaluate, on one row of a stack

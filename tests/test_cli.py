@@ -564,16 +564,16 @@ def test_verify_flag_errors(runner):
     assert result.exit_code == 2
 
 
-def _break_one_row(bad_block, bad_row, **values):
+def _break_one_row(bad_call, bad_row, **values):
     """A wrapper on ``bounds._evaluate_rows`` that sets ``values`` (fields of
-    the batch) in row ``bad_row`` of the ``bad_block``-th call."""
+    the batch) in row ``bad_row`` of the ``bad_call``-th call."""
     evaluate_rows = bounds._evaluate_rows
     calls = []
 
     def one_row_broken(*args, **kwargs):
         batch = evaluate_rows(*args, **kwargs)
         calls.append(len(batch.upper_slack))
-        if len(calls) != bad_block:
+        if len(calls) != bad_call:
             return batch
         columns = {name: getattr(batch, name).copy() for name in values}
         for name, value in values.items():
@@ -583,22 +583,23 @@ def _break_one_row(bad_block, bad_row, **values):
     return one_row_broken
 
 
-# a bad value in one row of one block: the row a block's check must name
-_BAD_ROWS = pytest.mark.parametrize("dims,bad_block,bad_row,trial", [
-    ((2, 2), 1, 3, 3),     # only trial 3 of one 5-trial block
-    ((32, 32), 2, 0, 4),   # first row of the second block: a 32x32 block holds 4 trials
+# a bad value in one row of a campaign's one range (--jobs 1): the row its
+# bound stage must name, as a trial of the campaign
+_BAD_ROWS = pytest.mark.parametrize("dims,bad_call,bad_row,trial", [
+    ((2, 2), 1, 3, 3),     # only trial 3 of a range that is one 5-trial block
+    ((32, 32), 1, 4, 4),   # first trial of the range's second block: a 32x32 block holds 4
 ])
 
 
 @_BAD_ROWS
-def test_verify_sanity_failure_exits_three(runner, monkeypatch, dims, bad_block, bad_row,
+def test_verify_sanity_failure_exits_three(runner, monkeypatch, dims, bad_call, bad_row,
                                            trial):
     # a NaN concurrence is a bug: exit 3, no summary, and the error names the
     # trial and the digest a violation record gives for it
     args = verify_args(trials=5, dims=dims) + ["--jobs", "1"]
     records = json.loads(runner.invoke(main, args + ["--tol", "-1"]).stdout)
     monkeypatch.setattr(bounds, "_evaluate_rows",
-                        _break_one_row(bad_block, bad_row, exact_concurrence=math.nan))
+                        _break_one_row(bad_call, bad_row, exact_concurrence=math.nan))
     result = runner.invoke(main, args)
     assert result.exit_code == 3
     assert "error: report escapes its claims: concurrence nan" in result.stderr
@@ -610,7 +611,7 @@ def test_verify_sanity_failure_exits_three(runner, monkeypatch, dims, bad_block,
 
 @_BAD_ROWS
 def test_verify_sanity_failure_names_first_bad_trial_of_block(runner, monkeypatch, tmp_path,
-                                                              dims, bad_block, bad_row, trial):
+                                                              dims, bad_call, bad_row, trial):
     # a bound escape is what a campaign looks for: it is judged at --tol and
     # recorded as a violation of its trial, and the summary is printed
     args = verify_args(trials=5, dims=dims) + ["--jobs", "1"]
@@ -618,7 +619,7 @@ def test_verify_sanity_failure_names_first_bad_trial_of_block(runner, monkeypatc
     expected = dict(records["violations"][trial], margin=1.0)
     out = tmp_path / "violations.jsonl"
     monkeypatch.setattr(bounds, "_evaluate_rows",
-                        _break_one_row(bad_block, bad_row, upper_slack=1.0))
+                        _break_one_row(bad_call, bad_row, upper_slack=1.0))
     result = runner.invoke(main, args + ["--violations-out", str(out)])
     assert result.exit_code == 1, result.output
     doc = json.loads(result.stdout)

@@ -242,7 +242,7 @@ def test_ensemble_config_validation():
 
 class _InlineExecutor:
     """Stands in for ProcessPoolExecutor: records ``max_workers``, each
-    ``chunksize`` and the first trial of each block mapped, maps inline (and
+    ``chunksize`` and the first trial of each range mapped, maps inline (and
     lazily, as the pool's results are read)."""
 
     created: list[int] = []
@@ -264,9 +264,11 @@ class _InlineExecutor:
         return map(fn, *iterables)
 
 
-def _inline_pool(monkeypatch, cpus, block_amplitudes):
+def _inline_pool(monkeypatch, cpus, block_amplitudes, pool_floor=0):
     """Route verify_ensemble's pool through _InlineExecutor on ``cpus`` CPUs,
-    with evaluation blocks of ``block_amplitudes`` amplitudes."""
+    with evaluation blocks of ``block_amplitudes`` amplitudes and campaigns
+    of ``pool_floor`` amplitudes of work or more allowed into the pool."""
+    monkeypatch.setattr(ensembles, "_POOL_FLOOR", pool_floor)
     monkeypatch.setattr(_InlineExecutor, "created", [])
     monkeypatch.setattr(_InlineExecutor, "chunksizes", [])
     monkeypatch.setattr(_InlineExecutor, "starts", [])
@@ -285,39 +287,58 @@ def test_verify_ensemble_clamps_workers(monkeypatch, trials, jobs, cpus, workers
     # a fork-started pool forks all max_workers processes at the first
     # submit, so --jobs must not reach the pool unclamped. ``workers`` counts
     # every process, this one included: it runs the first share of the
-    # blocks and a pool of workers - 1 processes the rest. One-trial blocks
-    # make one block per trial, and a clamp to one process runs inline
+    # blocks as one range and a pool of workers - 1 processes the rest. One-trial
+    # blocks make one block per trial, and a clamp to one process runs inline
     _inline_pool(monkeypatch, cpus, 4)
     config = EnsembleConfig(trials=trials, dim_a=2, dim_b=2,
                             regime=Regime.GENERAL, seed=3)
     summary = verify_ensemble(config, jobs=jobs)
     pooled = workers > 1
     own = math.ceil(trials / workers)
+    # a few ranges of whole blocks per pool process, one task each: 5 -> 1
+    # block here and ranges of 1, 100 -> 50 blocks here and ranges of 13
+    size = math.ceil((trials - own) / (4 * (workers - 1))) if pooled else 0
     assert _InlineExecutor.created == ([workers - 1] if pooled else [])
-    assert _InlineExecutor.starts == ([list(range(own, trials))] if pooled else [])
-    # a few chunks of blocks per pool process: 5 -> 1 block here and chunks
-    # of 1, 100 -> 50 blocks here and chunks of 13
-    assert _InlineExecutor.chunksizes == (
-        [math.ceil((trials - own) / (4 * (workers - 1)))] if pooled else [])
+    assert _InlineExecutor.starts == ([list(range(own, trials, size))] if pooled else [])
+    assert _InlineExecutor.chunksizes == ([1] if pooled else [])
     assert _summary_key(summary) == _summary_key(verify_ensemble(config))
+
+
+@pytest.mark.parametrize("dims,trials", [((10, 10), 250), ((2, 5), 1000)])
+def test_campaigns_below_the_work_floor_run_in_this_process(monkeypatch, dims, trials):
+    # starting a pool costs more than a campaign below the floor: --jobs 2
+    # runs it here, with the summary of --jobs 1, and one trial more of work
+    # past the floor starts the pool
+    _inline_pool(monkeypatch, 2, 4096, pool_floor=trials * dims[0] * dims[1] + 1)
+    config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1],
+                            regime=Regime.GENERAL, seed=5)
+    assert len(list(bounds._blocks(0, trials, *dims))) > 1
+    summary = verify_ensemble(config, jobs=2)
+    assert _InlineExecutor.created == []
+    assert _summary_key(summary) == _summary_key(verify_ensemble(config))
+    monkeypatch.setattr(ensembles, "_POOL_FLOOR", trials * dims[0] * dims[1])
+    assert _summary_key(verify_ensemble(config, jobs=2)) == _summary_key(summary)
+    assert _InlineExecutor.created == [1]
 
 
 @pytest.mark.parametrize("bad_trials, named", [({1, 4}, 1), ({4}, 4)])
 def test_pooled_campaign_raises_for_its_first_bad_trial(monkeypatch, bad_trials, named):
-    # six one-trial blocks at jobs=2: trials 0-2 run in this process, 3-5 in
-    # the pool, and a bug in either share is reported for the first bad trial
+    # six one-trial blocks at jobs=2: trials 0-2 run in this process as one
+    # range, 3-5 in the pool as three, and a bug in either share is reported
+    # for the first bad trial
     _inline_pool(monkeypatch, 2, 4)
     config = EnsembleConfig(trials=6, dim_a=2, dim_b=2, regime=Regime.GENERAL, seed=11,
                             weight_sampling="complex-random")
     bad_alphas = {ensembles._draw_trial(config, i)[2] for i in bad_trials}
-    evaluate_checked = ensembles._evaluate_checked
+    checked_rows = ensembles._checked_rows
 
     def broken(alpha, *args):
-        if alpha[0] in bad_alphas:
-            raise SanityFailure("report escapes its claims", row=0)
-        return evaluate_checked(alpha, *args)
+        bad = [row for row, a in enumerate(alpha) if a in bad_alphas]
+        if bad:
+            raise SanityFailure("report escapes its claims", row=bad[0])
+        return checked_rows(alpha, *args)
 
-    monkeypatch.setattr(ensembles, "_evaluate_checked", broken)
+    monkeypatch.setattr(ensembles, "_checked_rows", broken)
     with pytest.raises(SanityFailure, match=f"trial {named},"):
         verify_ensemble(config, jobs=2)
     assert _InlineExecutor.created == [1]
@@ -378,13 +399,28 @@ def test_violation_records_are_pinned(campaign):
                                          ((32, 32), 11)])
 @pytest.mark.parametrize("regime", list(Regime))
 def test_run_range_split_matches_one_range(dims, trials, regime):
-    # a trial's row does not depend on the block it lands in: the trial
-    # range [0, T) as one block gives the rows of the blocks [0, 7) and [7, T)
+    # a trial's row does not depend on the range it lands in: the trial
+    # range [0, T) gives the rows of the ranges [0, 7) and [7, T)
     config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1], regime=regime,
                             seed=20240901, weight_sampling="complex-random", tol=-1.0)
-    whole_rows = ensembles._run_block(config, 0, trials)
-    split_rows = [ensembles._run_block(config, 0, 7), ensembles._run_block(config, 7, trials)]
+    whole_rows = ensembles._run_range(config, 0, trials)
+    split_rows = [ensembles._run_range(config, 0, 7), ensembles._run_range(config, 7, trials)]
     assert whole_rows.shape == (trials, 4)
+    assert np.array_equal(whole_rows, np.concatenate(split_rows), equal_nan=True)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_ranges_across_block_boundaries_match_one_range(monkeypatch, regime):
+    # blocks of 36 amplitudes hold four 3x3 trials, and a range is cut into
+    # blocks from its own start: [6, 13) into [6, 10) and [10, 13), across
+    # the block boundary at 8 of a range from 0. Ranges that start and end
+    # mid-block give the rows of one range in blocks of 4096 amplitudes
+    config = EnsembleConfig(trials=30, dim_a=3, dim_b=3, regime=regime, seed=20240901,
+                            weight_sampling="complex-random", tol=-1.0)
+    whole_rows = ensembles._run_range(config, 0, 30)
+    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 36)
+    assert list(bounds._blocks(6, 13, 3, 3)) == [(6, 10), (10, 13)]
+    split_rows = [ensembles._run_range(config, lo, hi) for lo, hi in ((0, 6), (6, 13), (13, 30))]
     assert np.array_equal(whole_rows, np.concatenate(split_rows), equal_nan=True)
 
 
@@ -394,7 +430,7 @@ def test_rows_do_not_depend_on_the_concurrence_route_of_their_neighbours(dims, t
     # a split of 1 makes a biorthogonal component a product state, which
     # takes the SVD fallback of the concurrence while the other matrices of
     # its stack take the purity route: the stack mixes both, and each
-    # trial's row is still the same in one block, in two and on its own
+    # trial's row is still the same in one range, in two and on its own
     config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1],
                             regime=Regime.BIORTHOGONAL, seed=20240901,
                             weight_sampling="complex-random", tol=-1.0)
@@ -408,9 +444,9 @@ def test_rows_do_not_depend_on_the_concurrence_route_of_their_neighbours(dims, t
     below_floor = c_sq < _GRAM_FLOOR * (max(dims) + 1) ** 2
     assert below_floor.any() and not below_floor.all()
 
-    whole_rows = ensembles._run_block(config, 0, trials)
-    split_rows = [ensembles._run_block(config, 0, 7), ensembles._run_block(config, 7, trials)]
-    one_rows = [ensembles._run_block(config, index, index + 1) for index in range(trials)]
+    whole_rows = ensembles._run_range(config, 0, trials)
+    split_rows = [ensembles._run_range(config, 0, 7), ensembles._run_range(config, 7, trials)]
+    one_rows = [ensembles._run_range(config, index, index + 1) for index in range(trials)]
     assert np.array_equal(whole_rows, np.concatenate(split_rows), equal_nan=True)
     assert np.array_equal(whole_rows, np.concatenate(one_rows), equal_nan=True)
 
@@ -474,9 +510,9 @@ def test_summaries_are_pinned(kwargs, expected):
 
 def test_ranges_keep_violations_in_trial_order(monkeypatch):
     # blocks of 60 amplitudes cut 57 3x5 trials into 15 blocks of at most
-    # 4; jobs=4 on 4 CPUs runs the first 4 blocks here and maps the other 11
-    # onto 3 pool processes in chunks of one, and the inline executor runs
-    # them in order without starting a process
+    # 4; jobs=4 on 4 CPUs runs the first 4 blocks here as one range and maps
+    # the other 11 onto 3 pool processes as ranges of one block, and the
+    # inline executor runs them in order without starting a process
     _inline_pool(monkeypatch, 4, 60)
     config = EnsembleConfig(trials=57, dim_a=3, dim_b=5, regime=Regime.ORTHOGONAL,
                             seed=-5, weight_sampling="complex-random", tol=-1.0)
