@@ -110,6 +110,14 @@ def _frobenius_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", x.conj(), x).real
 
 
+def _norms_sq(x: np.ndarray) -> np.ndarray:
+    """``norm^2`` of each matrix of a contiguous stack, from the row dots of its
+    real and imaginary parts: no conjugate is made, and the last bits may
+    differ from :func:`_frobenius_sq`'s, so only the unit-norm checks read it."""
+    parts = x.view(np.float64)
+    return np.einsum("tij,tij->t", parts, parts)
+
+
 def _require_regime_tol(tol: float) -> None:
     # trace overlaps and |<phi|varphi>| lie in [0, 1]: any other tolerance
     # labels every pair alike or none (NaN included)
@@ -478,14 +486,20 @@ def _family(columns, row: int = 0) -> tuple:
 
 # Blocks bound memory: the component stage of the evaluation core, and a
 # campaign's draws, take stacked arrays of at most this many amplitudes, so a
-# 32x32 stack is cut into blocks of 4 pairs and a 2x2 one into blocks of 1024.
-# The bound stage runs once over the columns of all blocks of a call or of a
-# campaign's range, so its fixed cost is not paid per block. Larger blocks
-# paid on a 32x32 campaign (+17 % trials/s at 16384 amplitudes) but raised its
-# peak RSS by 2 MB, and from 8192 amplitudes up each block's arrays were
-# trimmed from the heap and faulted in again (~5000 minor faults per campaign,
-# none at 4096), which took back the gain in a fresh process.
-_BLOCK_AMPLITUDES = 4096
+# 32x32 stack is cut into blocks of 8 pairs, a 10x10 one into blocks of 81 and
+# a 2x2 one into blocks of 2048. The bound stage runs once over the columns of
+# all blocks of a call or of a campaign's range, so its fixed cost is not paid
+# per block; what a larger block still saves is the component stage's and the
+# draw's numpy calls per block. At 32x32 a block's arrays are 128-256 KiB, so
+# glibc gives them back to the system at the end of a block and they are
+# faulted in again: in a fresh process, a pass over the six 250-trial 10x10
+# and 32x32 campaigns takes ~5000-10000 minor faults against ~250 at 4096
+# amplitudes, and max RSS rises from 39.7 to 40.3 MB. Those faults cost less
+# than the calls saved: on a 2-core x86-64 host (numpy 2.4, OpenBLAS, one
+# thread) the benchmark's 10x10 and 32x32 campaigns ran ~8 % more trials/s
+# than at 4096 amplitudes (5 of 5 alternating runs), and their peak RSS rose
+# by 0.7 MB (1.7 %).
+_BLOCK_AMPLITUDES = 8192
 
 
 def _blocks(start: int, stop: int, dim_a: int, dim_b: int):
@@ -568,17 +582,16 @@ def _component_columns(alpha, beta, phi, varphi) -> _Columns:
     stacks (:func:`supconc.measures._gram_table`): the regime traces, the
     component concurrences and, above 2x2, the superpositions
     (:func:`_expanded_superpositions`); 2x2 pairs are formed and take the
-    closed form (:func:`_superpositions`). The overlap is summed from the
-    amplitudes. Each is computed once per component stack, once for all
-    pairs of a one-matrix stack, and each column holds one entry per pair.
+    closed form (:func:`_superpositions`). The overlap is the table's, summed
+    from the amplitudes, so that the bounds do not take on the rounding of
+    the Gram products. Each is computed once per component stack, once for
+    all pairs of a one-matrix stack, and each column holds one entry per
+    pair.
     """
-    _require_unit_norm(_frobenius_sq(phi))
-    _require_unit_norm(_frobenius_sq(varphi))
+    _require_unit_norm(_norms_sq(phi))
+    _require_unit_norm(_norms_sq(varphi))
     _require_unit_weights(alpha, beta)
     table = _gram_table(phi, varphi)
-    # tr C to rounding; from the amplitudes, the bounds do not take on the
-    # rounding of the Gram products
-    overlap = np.einsum("tij,tij->t", phi.conj(), varphi)
     if phi.shape[1:] == (2, 2):
         c_phi, c_var = _concurrence(phi), _concurrence(varphi)
         norm_sq, exact = _superpositions(alpha, beta, phi, varphi)
@@ -587,7 +600,8 @@ def _component_columns(alpha, beta, phi, varphi) -> _Columns:
         norm_sq, exact = _expanded_superpositions(alpha, beta, phi, varphi, table)
     # a column of a one-matrix stack holds one entry
     return _Columns(*(x if len(x) == len(alpha) else x.repeat(len(alpha))
-                      for x in (overlap, table.ab, table.cc, c_phi, c_var, norm_sq, exact)))
+                      for x in (table.overlap, table.ab, table.cc, c_phi, c_var, norm_sq,
+                                exact)))
 
 
 def _joined(parts: list[_Columns]) -> _Columns:
@@ -675,9 +689,10 @@ def _evaluate_checked(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
     alpha, beta, phi, varphi = (np.asarray(x, dtype=np.complex128)
                                 for x in (alpha, beta, phi, varphi))
     if phi.ndim != 3 or varphi.shape[1:] != phi.shape[1:] or alpha.ndim != 1 or \
-            beta.shape != alpha.shape or {len(phi), len(varphi)} - {1, len(alpha)}:
+            beta.shape != alpha.shape or {len(phi), len(varphi)} - {1, len(alpha)} or \
+            0 in (len(alpha), *phi.shape):
         raise DimensionMismatch(
-            f"expected (T or 1, dim_a, dim_b) stacks and length-T weights, got phi "
+            f"expected (T or 1, dim_a, dim_b) stacks and length-T weights, T >= 1, got phi "
             f"{phi.shape}, varphi {varphi.shape}, alpha {alpha.shape}, beta {beta.shape}")
     _require_regime_tol(tol)
     # numpy's matmul takes another kernel on a strided operand, which moves
@@ -717,8 +732,9 @@ def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
 
     Bad input raises, for the first offending pair (block by block: the
     component norms, then the weights), what building its
-    :class:`SuperpositionSpec` would (:class:`DimensionMismatch`,
-    :class:`NotNormalized` and :class:`WeightsNotNormalized`, NaN
+    :class:`SuperpositionSpec` would (:class:`DimensionMismatch`, also for
+    zero pairs or an empty side, :class:`NotNormalized` and
+    :class:`WeightsNotNormalized`, NaN and weights whose squares overflow
     included), :class:`ZeroVector`, or :class:`OutOfRange` for a
     ``tol`` outside [0, 1). Then every pair is checked, and a
     :class:`SanityFailure` naming it in ``row`` signals a bug (or an

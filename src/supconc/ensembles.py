@@ -330,21 +330,28 @@ def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
-def _row_vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.vdot(x[r], y[r])`` for each row."""
-    return _row_dots(x.conj(), y)
-
-
 def _row_norms(z: np.ndarray) -> np.ndarray:
     """``np.linalg.norm(z[r])`` for each row of a complex ``z``, as it sums them."""
     return np.sqrt(_row_dots(z.real, z.real) + _row_dots(z.imag, z.imag))
 
 
+def _scale_rows(z: np.ndarray, norms: np.ndarray) -> None:
+    """``z /= norms[:, None]`` in place, on complex rows and real ``norms``.
+
+    numpy divides a complex number by a real one, taken as ``d + 0j``, as
+    ``(re + im * 0) * (1 / d)``: the same bits as multiplying both parts by
+    ``1 / d``, which this does on the real view of ``z``.
+    """
+    z.view(np.float64)[...] *= (1.0 / norms)[:, None]
+
+
 def _haar_rows(normals: np.ndarray) -> np.ndarray:
     """:func:`_haar_vector` of each row of ``normals``, which holds its two draws."""
     n = normals.shape[1] // 2
-    z = normals[:, :n] + 1j * normals[:, n:]
-    return z / _row_norms(z)[:, None]
+    z = np.empty((len(normals), n), dtype=np.complex128)
+    z.real, z.imag = normals[:, :n], normals[:, n:]
+    _scale_rows(z, _row_norms(z))
+    return z
 
 
 _GRID = (1, 100)                                   # real-grid k: integers(1, 100)
@@ -554,14 +561,16 @@ def _draw_block(config: EnsembleConfig, indices, words: np.ndarray | None = None
     else:
         phi, varphi = _haar_rows(normals[:, :2 * n]), _haar_rows(normals[:, 2 * n:])
     if config.regime is Regime.ORTHOGONAL:
-        # the Gram-Schmidt step of _orthogonal_vectors on its first candidate
-        v = varphi - _row_vdots(phi, varphi)[:, None] * phi
-        norm = _row_norms(v)
+        # the Gram-Schmidt step of _orthogonal_vectors on its first candidate,
+        # in place on varphi; _row_dots(phi_conj, v) is np.vdot(phi, v) per row
+        phi_conj = phi.conj()
+        varphi -= _row_dots(phi_conj, varphi)[:, None] * phi
+        norm = _row_norms(varphi)
         collinear = norm < _COLLINEAR_TOL
         # rows redrawn below: any value will do, without a division by zero
-        v = v / np.where(collinear, 1.0, norm)[:, None]
-        v = v - _row_vdots(phi, v)[:, None] * phi
-        varphi = v / _row_norms(v)[:, None]
+        _scale_rows(varphi, np.where(collinear, 1.0, norm))
+        varphi -= _row_dots(phi_conj, varphi)[:, None] * phi
+        _scale_rows(varphi, _row_norms(varphi))
         for row in np.flatnonzero(collinear).tolist():
             rng = _loader()
             rng.bit_generator.state = next(_pcg_states(words[row:row + 1]))

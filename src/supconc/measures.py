@@ -183,13 +183,19 @@ def _gram(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     Its trace is ``<m|n>``, and ``_gram(m, m)`` is the reduced state of ``m``
     on that side (on side B, its transpose, which has the same spectrum).
     """
-    rows, cols = m.shape[-2:]
+    return _conj_gram(m.conj(), n)
+
+
+def _conj_gram(m_conj: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """:func:`_gram` of ``m`` and ``n`` from ``m_conj = m.conj()``, so that the
+    Gram blocks of one stack share its conjugate; the products are the same."""
+    rows, cols = m_conj.shape[-2:]
     if (rows, cols) == (2, 2):
         # a batched matmul of 2x2 blocks costs more per block than its products
-        return (n[..., :, None, :] * m[..., None, :, :].conj()).sum(axis=-1)
+        return (n[..., :, None, :] * m_conj[..., None, :, :]).sum(axis=-1)
     if rows <= cols:
-        return n @ m.conj().swapaxes(-1, -2)
-    return m.conj().swapaxes(-1, -2) @ n
+        return n @ m_conj.swapaxes(-1, -2)
+    return m_conj.swapaxes(-1, -2) @ n
 
 
 class GramTable(NamedTuple):
@@ -200,6 +206,8 @@ class GramTable(NamedTuple):
     products of the three blocks, one entry per pair (or one for a
     one-matrix stack of both components). Since ``a`` and ``b`` are
     Hermitian, ``tr_ac = tr(AC) = <A, C>`` and ``tr_bc = <B, C>``.
+    ``overlap`` is ``<m|n>`` summed from the amplitudes, equal to ``tr_c``
+    to rounding.
     """
 
     a: np.ndarray
@@ -214,13 +222,15 @@ class GramTable(NamedTuple):
     tr_cc: np.ndarray  # tr(C C)
     tr_ac: np.ndarray
     tr_bc: np.ndarray
+    overlap: np.ndarray
 
 
 def _gram_table(m: np.ndarray, n: np.ndarray) -> GramTable:
     """The :class:`GramTable` of stacks ``m`` and ``n`` of shape
     ``(T or 1, dim_a, dim_b)``: three batched products per pair, and
-    O(d^2) per pair for the rest."""
-    a, b, c = _gram(m, m), _gram(n, n), _gram(m, n)
+    O(d^2) per pair for the rest. Each stack is conjugated once."""
+    m_conj, n_conj = m.conj(), n.conj()
+    a, b, c = _conj_gram(m_conj, m), _conj_gram(n_conj, n), _conj_gram(m_conj, n)
     # real and imaginary parts, interleaved: the real part of a Frobenius
     # product is the dot product of the two blocks' parts
     ra, rb, rc = (x.reshape(len(x), -1).view(np.float64) for x in (a, b, c))
@@ -233,7 +243,8 @@ def _gram_table(m: np.ndarray, n: np.ndarray) -> GramTable:
 
     return GramTable(a, b, np.einsum("tii->t", a).real, np.einsum("tii->t", b).real,
                      np.einsum("tii->t", c), dot(ra, ra), dot(rb, rb), dot(ra, rb),
-                     dot(rc, rc), trace(c, c), trace(a, c), trace(b, c))
+                     dot(rc, rc), trace(c, c), trace(a, c), trace(b, c),
+                     np.einsum("tij,tij->t", m_conj, n))
 
 
 # Floor of the expansion route of bounds._component_columns, per sqrt(D + 1)

@@ -90,7 +90,10 @@ def _require_unit_norm(norm_sq) -> None:
 
 
 def _require_unit_weights(alpha, beta) -> None:
-    wsum = abs(alpha) ** 2 + abs(beta) ** 2
+    # a weight past ~1e154 squares to inf, which fails the check: bad input,
+    # not an overflow warning or a Python OverflowError
+    with np.errstate(over="ignore"):
+        wsum = np.abs(alpha) ** 2 + np.abs(beta) ** 2
     _raise_first(wsum, abs(wsum - 1.0) <= NORM_TOL, lambda v: WeightsNotNormalized(
         f"|alpha|^2 + |beta|^2 = {v!r}, expected 1"))
 

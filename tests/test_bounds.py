@@ -647,7 +647,7 @@ def test_stacked_rows_do_not_depend_on_the_block_size(monkeypatch, block_amplitu
 
 def test_broadcast_evaluation_forms_superpositions_a_block_at_a_time():
     # one (999, 32, 32) complex stack takes 16 MB; the core holds a few
-    # 4-row blocks of superpositions and the length-999 columns at a time
+    # 8-row blocks of superpositions and the length-999 columns at a time
     rng = np.random.default_rng(21)
     phi, var = haar_state(32, 32, rng).matrix[None], haar_state(32, 32, rng).matrix[None]
     a_sq = np.arange(1, 1000) / 1000
@@ -662,11 +662,12 @@ def test_broadcast_evaluation_forms_superpositions_a_block_at_a_time():
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
-@pytest.mark.parametrize("weight", [math.nan, math.inf, complex(math.nan, 1.0)])
+@pytest.mark.parametrize("weight", [math.nan, math.inf, complex(math.nan, 1.0), 1e200])
 def test_bad_weights_raise_before_any_arithmetic_on_them(monkeypatch, dims, weight):
     # the component stage checks a block's weights before it superposes
-    # them: a NaN or infinite weight in the second block raises
-    # WeightsNotNormalized, not a RuntimeWarning (an error in this suite)
+    # them: a NaN, infinite or finite but overflowing weight in the second
+    # block raises WeightsNotNormalized, not a RuntimeWarning (an error in
+    # this suite)
     monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 2 * dims[0] * dims[1])
     rng = np.random.default_rng(24)
     phi = np.stack([haar_state(*dims, rng).matrix for _ in range(5)])
@@ -677,9 +678,18 @@ def test_bad_weights_raise_before_any_arithmetic_on_them(monkeypatch, dims, weig
         evaluate_batch(alpha, beta, phi, var)
 
 
+@pytest.mark.parametrize("shape", [(0, 3, 3), (1, 0, 3)])
+def test_evaluate_batch_rejects_empty_stacks(shape):
+    # zero pairs, or a side of dimension 0, is bad input
+    empty = np.zeros(shape, dtype=np.complex128)
+    weights = np.full(len(empty), 1.0 + 0j)
+    with pytest.raises(DimensionMismatch):
+        evaluate_batch(weights, 0.0 * weights, empty, empty)
+
+
 def test_stacked_evaluation_forms_gram_blocks_a_block_at_a_time():
     # two (200, 32, 32) complex stacks take 3.3 MB each, and so would each
-    # of their Gram blocks: the component stage holds the blocks of 4 pairs
+    # of their Gram blocks: the component stage holds the blocks of 8 pairs
     # at a time, and the bound stage the length-200 columns
     rng = np.random.default_rng(22)
     phi = np.stack([haar_state(32, 32, rng).matrix for _ in range(200)])

@@ -209,6 +209,11 @@ def test_bounds_exit_codes(runner, state_files):
                                   state_files["ket01"],
                                   "--alpha", "zap", "--beta", "0.6"])
     assert result.exit_code == 2
+    result = runner.invoke(main, ["bounds", state_files["bell_plus"],
+                                  state_files["ket01"],
+                                  "--alpha", "1e200", "--beta", "0"])
+    assert result.exit_code == 2
+    assert "inf" in result.stderr
 
 
 @pytest.mark.parametrize("command", [["bounds", "--alpha", repr(S2), "--beta", repr(S2)],
@@ -307,8 +312,8 @@ def _haar_pair(dim, seed):
 
 
 @pytest.mark.parametrize("pair, override, block", [
-    ("fig2", Regime.ORTHOGONAL, 40),   # 99 rows in blocks of 40, 40, 19
-    ("haar32", None, 4),               # 25 blocks, the last one of 3 rows
+    ("fig2", Regime.ORTHOGONAL, 81),   # 99 rows in blocks of 81, 18
+    ("haar32", None, 8),               # 13 blocks, the last one of 3 rows
 ])
 def test_sweep_rows_across_blocks_match_evaluate(pair, override, block):
     phi, var = fixture("fig2_pair") if pair == "fig2" else _haar_pair(32, 32)
@@ -326,8 +331,8 @@ def test_sweep_rows_across_blocks_match_evaluate(pair, override, block):
 
 
 @pytest.mark.parametrize("pair, override", [
-    ("haar32", None),                  # 25 blocks at the default size
-    ("fig2", Regime.ORTHOGONAL),       # 3 blocks
+    ("haar32", None),                  # 13 blocks at the default size
+    ("fig2", Regime.ORTHOGONAL),       # 2 blocks
     ("haar2", None),                   # 1 block
 ])
 def test_sweep_rows_do_not_depend_on_the_block_size(monkeypatch, pair, override):

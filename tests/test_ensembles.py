@@ -414,7 +414,7 @@ def test_ranges_across_block_boundaries_match_one_range(monkeypatch, regime):
     # blocks of 36 amplitudes hold four 3x3 trials, and a range is cut into
     # blocks from its own start: [6, 13) into [6, 10) and [10, 13), across
     # the block boundary at 8 of a range from 0. Ranges that start and end
-    # mid-block give the rows of one range in blocks of 4096 amplitudes
+    # mid-block give the rows of one range in blocks of the default size
     config = EnsembleConfig(trials=30, dim_a=3, dim_b=3, regime=regime, seed=20240901,
                             weight_sampling="complex-random", tol=-1.0)
     whole_rows = ensembles._run_range(config, 0, 30)
@@ -579,6 +579,20 @@ def _assert_rows_match_oracle(config, indices, drawn):
     for row, index in enumerate(indices):
         assert (_trial_bytes(phi[row], varphi[row], alpha[row], beta[row])
                 == _trial_bytes(*_oracle_trial(config, index))), f"trial {index}"
+
+
+@pytest.mark.parametrize("width", [1, 3, 8, 9, 50, 2048])
+def test_scaling_rows_in_place_rounds_as_complex_division(width):
+    # the block draw normalises complex rows in place, multiplying their
+    # real view by 1 / norm; the draws it must reproduce divide the complex
+    # rows by the norm. numpy rounds that division as (re + im * 0) * (1 / d),
+    # which gives the same bits
+    rng = np.random.default_rng(width)
+    z = rng.standard_normal((16, width)) + 1j * rng.standard_normal((16, width))
+    d = np.exp(rng.uniform(-30.0, 30.0, 16))
+    scaled = z.copy()
+    ensembles._scale_rows(scaled, d)
+    assert scaled.tobytes() == (z / d[:, None]).tobytes()
 
 
 @pytest.mark.parametrize("dims,trials", [((2, 2), 24), ((3, 3), 24), ((2, 5), 24), ((5, 2), 24),
@@ -860,9 +874,9 @@ def test_campaign_builds_one_generator(monkeypatch, fresh_loader):
     real_pcg64 = np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda *a: built.append(a) or real_pcg64(*a))
     monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 0.97)   # most candidates are redrawn
-    config = EnsembleConfig(trials=1000, dim_a=3, dim_b=3, regime=Regime.ORTHOGONAL,
+    config = EnsembleConfig(trials=2000, dim_a=3, dim_b=3, regime=Regime.ORTHOGONAL,
                             seed=20240901)
     assert len(list(bounds._blocks(0, config.trials, 3, 3))) == 3
     summary = verify_ensemble(config)
-    assert summary.trials_run == 1000
+    assert summary.trials_run == 2000
     assert len(built) == 1

@@ -94,6 +94,9 @@ def test_superpose_rejects_bad_weights():
     phi = bell_plus()
     with pytest.raises(WeightsNotNormalized):
         SuperpositionSpec(1.0, 1.0, phi, phi)
+    # squared, a weight this large overflows: still bad input
+    with pytest.raises(WeightsNotNormalized, match="inf"):
+        SuperpositionSpec(1e200, 0.0, phi, phi)
 
 
 def test_superpose_rejects_dim_mismatch():
