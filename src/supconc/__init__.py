@@ -19,14 +19,6 @@ from .bounds import (
     classify_pair,
     evaluate,
     evaluate_batch,
-    exact_biorthogonal,
-    lower_bound_useful,
-    qubit_general_bounds,
-    qubit_lower_orth,
-    qubit_upper_orth,
-    qudit_general_bounds,
-    qudit_lower_orth,
-    qudit_upper_orth,
 )
 from .ensembles import (
     EnsembleConfig,
@@ -40,7 +32,6 @@ from .ensembles import (
     verify_ensemble,
 )
 from .errors import (
-    DegenerateWeight,
     DeltaOutOfRange,
     DimensionMismatch,
     InternalError,
@@ -50,7 +41,6 @@ from .errors import (
     NotTwoQubit,
     NotUnitary,
     OutOfRange,
-    RegimeViolation,
     SanityFailure,
     SupconcError,
     UnknownFixture,
@@ -96,17 +86,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BatchReport", "BoundReport", "Regime", "classify_pair", "evaluate",
     "evaluate_batch",
-    "exact_biorthogonal", "lower_bound_useful", "qubit_general_bounds",
-    "qubit_lower_orth", "qubit_upper_orth", "qudit_general_bounds",
-    "qudit_lower_orth", "qudit_upper_orth",
     "EnsembleConfig", "VerificationSummary", "Violation",
     "biorthogonal_pair", "fixture", "haar_state", "haar_unitary",
     "orthogonal_pair", "verify_ensemble",
-    "DegenerateWeight", "DeltaOutOfRange", "DimensionMismatch",
-    "InternalError", "InvalidSplit", "NotHermitian", "NotNormalized",
-    "NotTwoQubit", "NotUnitary", "OutOfRange", "RegimeViolation",
-    "SanityFailure", "SupconcError", "UnknownFixture",
-    "WeightsNotNormalized", "ZeroVector",
+    "DeltaOutOfRange", "DimensionMismatch", "InternalError",
+    "InvalidSplit", "NotHermitian", "NotNormalized", "NotTwoQubit",
+    "NotUnitary", "OutOfRange", "SanityFailure", "SupconcError",
+    "UnknownFixture", "WeightsNotNormalized", "ZeroVector",
     "InverterScale", "binary_entropy", "concurrence_qubit",
     "concurrence_sq_via_lambda", "eof_from_concurrence", "i_concurrence",
     "lambda_map", "lambda_sandwich", "spin_flip",

@@ -18,19 +18,22 @@ bound picks up ``delta = min(|beta/alpha| C(varphi), |alpha/beta| C(phi))``.
 The orthogonal-regime formulas are the general ones at
 ``|<phi|varphi>| = 0``, so each bound family has one kernel, and every
 bound takes the measured overlap unless the caller names an orthogonal
-regime (``regime_override``, or ``regime=`` of a standalone bound); the
-tolerance sets the regime label, never a bound's formula. Lower bounds
-are clamped at zero before reporting (the raw value is kept in the report
-diagnostics). All formulas assume the inverter scale nu = 1.
+regime (``regime_override``); the tolerance sets the regime label, never
+a bound's formula. Lower bounds are clamped at zero before reporting (the
+raw value is kept in the report diagnostics). All formulas assume the
+inverter scale nu = 1.
 
 Every quantity is computed once, by one evaluation core over stacked
 pairs: :func:`evaluate` is the one-pair call of :func:`evaluate_batch`,
-and the standalone bounds read the core's values for their one pair. The
-core runs in two stages. The component stage (:func:`_component_columns`)
-takes the stacks a block of at most ``_BLOCK_AMPLITUDES`` amplitudes at a
-time, which bounds its memory, and reduces each pair to a few numbers.
-It reads each pair from three Gram blocks of its components on the
-smaller side, ``A``, ``B`` and ``C`` with ``tr C = <phi|varphi>``
+and each result is a field of their reports: the closed form
+``exact_formula_value``, the qubit bounds ``qubit_upper``/``qubit_lower``,
+the dimension-general ones ``qudit_upper``/``qudit_lower`` and the
+usefulness of the lower bound ``lower_useful``. The core runs in two
+stages. The component stage (:func:`_component_columns`) takes the stacks
+a block of at most ``_BLOCK_AMPLITUDES`` amplitudes at a time, which
+bounds its memory, and reduces each pair to a few numbers. It reads each
+pair from three Gram blocks of its components on the smaller side, ``A``,
+``B`` and ``C`` with ``tr C = <phi|varphi>``
 (:func:`supconc.measures._gram_table`): the two reduced-state overlaps
 that classify it, the component concurrences from the purity of ``A``
 and ``B`` (in closed form on 2x2, from the singular values near product
@@ -61,15 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateWeight,
-    DeltaOutOfRange,
-    DimensionMismatch,
-    NotTwoQubit,
-    OutOfRange,
-    RegimeViolation,
-    SanityFailure,
-)
+from .errors import DeltaOutOfRange, DimensionMismatch, OutOfRange, SanityFailure
 from .measures import (
     _EXPANSION_FLOOR,
     GramTable,
@@ -153,42 +148,14 @@ def classify_pair(phi: PureState, varphi: PureState, tol: float = REGIME_TOL) ->
 _ORTHOGONAL_REGIMES = (Regime.BIORTHOGONAL, Regime.ORTHOGONAL)
 
 
-def _components(spec: SuperpositionSpec, *, qubits: bool = False,
-                allowed: tuple[Regime, ...] | None = None,
-                regime: Regime | None = None, tol: float = REGIME_TOL,
-                nonzero: bool = False) -> BatchReport:
-    """Shared preamble of the standalone bounds.
-
-    Checks, in this order, 2x2 dimensions (``qubits``), that the regime
-    (``regime``, else the classified one) is in ``allowed`` and that both
-    weights are nonzero (``nonzero``); returns the unchecked one-row
-    evaluation of ``spec`` that :func:`evaluate` reports from. A ``tol``
-    outside [0, 1) raises :class:`OutOfRange` first.
-    """
-    _require_regime_tol(tol)
-    if qubits and spec.dims != (2, 2):
-        raise NotTwoQubit(f"bound requires 2x2 components, got {spec.dims}")
-    alpha, beta, phi, varphi = _one_row(spec)
-    batch = _evaluate_rows(alpha, beta, _component_columns(alpha, beta, phi, varphi),
-                           spec.dims, regime_override=regime, tol=tol)
-    if allowed is not None and batch.regime[0] not in allowed:
-        raise RegimeViolation(
-            f"bound requires {' or '.join(r.value for r in allowed)} component states"
-        )
-    if nonzero and (spec.alpha == 0 or spec.beta == 0):
-        raise DegenerateWeight(
-            "alpha = 0 or beta = 0: the superposition is a single component; "
-            "report its exact concurrence instead of a bound"
-        )
-    return batch
-
-
 # --- bound kernels ------------------------------------------------------
 # Each kernel takes (|alpha|^2, |beta|^2, |alpha beta|, C(phi), C(varphi),
 # ov) as scalars or as equal-length arrays (one entry per stacked pair)
 # and returns its family's columns (upper, lower, lower_unclamped, delta)
-# in the same form. At ov = 0.0 they reproduce the orthogonal-regime
-# formulas exactly: |C - 0.0| == C and sqrt(1 + 0.0) == 1.0.
+# in the same form. ov is |<phi|varphi>|: the families bound C(Psi) on
+# orthogonal components and norm(Psi)^2 C(Psi') on general ones, and at
+# ov = 0.0 they reproduce the orthogonal-regime formulas exactly:
+# |C - 0.0| == C and sqrt(1 + 0.0) == 1.0.
 
 
 def _clamped(upper, lower, delta) -> tuple:
@@ -198,6 +165,12 @@ def _clamped(upper, lower, delta) -> tuple:
 
 
 def _qubit_kernel(aa, bb, ab, c_phi, c_var, ov):
+    """The qubit family, for 2x2 components.
+
+    Upper ``|alpha|^2 C(phi) + |beta|^2 C(varphi) + 2|alpha beta| sqrt(1 - delta^2)``,
+    lower ``| |alpha|^2 C(phi) - |beta|^2 C(varphi) | - 2|alpha beta| sqrt(1 - delta^2)``,
+    with ``delta = max(|C(phi) - ov|, |C(varphi) - ov|)``.
+    """
     delta = np.maximum(abs(c_phi - ov), abs(c_var - ov))
     if _first(delta > 1.0 + _DELTA_SLACK) is not None:
         # Unreachable for valid normalized inputs: C and |<phi|varphi>|
@@ -210,10 +183,16 @@ def _qubit_kernel(aa, bb, ab, c_phi, c_var, ov):
 
 
 def _qudit_kernel(aa, bb, ab, c_phi, c_var, ov):
+    """The dimension-general family.
+
+    Upper ``|alpha|^2 C(phi) + |beta|^2 C(varphi) + 2|alpha beta| sqrt(1 + ov^2)``,
+    lower ``| |alpha|^2 C(phi) - |beta|^2 C(varphi) | - 2|alpha beta| (sqrt(1 + ov^2) + delta)``,
+    with ``delta = min(|beta/alpha| C(varphi), |alpha/beta| C(phi))``. A zero
+    weight leaves the remaining component's term in the upper bound.
+    """
     root = np.sqrt(1.0 + ov * ov)
-    # delta = min(|beta/alpha| C(varphi), |alpha/beta| C(phi)); a zero
-    # weight zeroes the numerator as well, leaving the single-component
-    # limit delta = 0 (5e-324 is the smallest positive double)
+    # a zero weight zeroes the numerator as well, leaving the
+    # single-component limit delta = 0 (5e-324 is the smallest positive double)
     delta = np.minimum(bb * c_var, aa * c_phi) / np.maximum(ab, 5e-324)
     upper = aa * c_phi + bb * c_var + 2.0 * ab * root
     lower = abs(aa * c_phi - bb * c_var) - 2.0 * ab * (root + delta)
@@ -221,6 +200,8 @@ def _qudit_kernel(aa, bb, ab, c_phi, c_var, ov):
 
 
 def _biorthogonal_closed_form(aa, bb, ab, c_phi, c_var):
+    """Exact concurrence of a superposition of biorthogonal components:
+    ``sqrt(|alpha|^4 C^2(phi) + |beta|^4 C^2(varphi) + 4 |alpha beta|^2)``."""
     return np.sqrt(aa * aa * c_phi * c_phi + bb * bb * c_var * c_var + 4.0 * ab * ab)
 
 
@@ -254,100 +235,6 @@ def _check_claims(batch: BatchReport, formula_error, limit: float = SANITY_TOL) 
         raise SanityFailure(
             f"report escapes its claims: concurrence {c!r} (cap {cap!r}), upper slack "
             f"{u!r}, lower slack {lo!r}, closed-form error {f!r}", row=row)
-
-
-# --- public bound operations ---------------------------------------------
-# Thin views over the evaluation core: each returns the matching field of
-# :func:`evaluate` for a pair in its regime, at the same ``tol``.
-
-
-def qubit_upper_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
-                     tol: float = REGIME_TOL) -> float:
-    """Upper bound on C(Psi) for orthogonal qubit components.
-
-    ``|alpha|^2 C(phi) + |beta|^2 C(varphi) + 2|alpha beta| sqrt(1 - delta^2)``
-    with ``delta = max(|C(phi) - ov|, |C(varphi) - ov|)``; ``ov`` is the
-    measured overlap on a classified pair, 0 when ``regime`` is named.
-    """
-    return _family(_components(spec, qubits=True, allowed=_ORTHOGONAL_REGIMES,
-                               regime=regime, tol=tol).qubit)[0]
-
-
-def qubit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
-                     tol: float = REGIME_TOL) -> float:
-    """Lower bound on C(Psi) for orthogonal qubit components, clamped at 0.
-
-    ``| |alpha|^2 C(phi) - |beta|^2 C(varphi) | - 2|alpha beta| sqrt(1 - delta^2)``
-    with the same delta as :func:`qubit_upper_orth`.
-    """
-    return _family(_components(spec, qubits=True, allowed=_ORTHOGONAL_REGIMES,
-                               regime=regime, tol=tol).qubit)[1]
-
-
-def qubit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
-    """Two-sided bounds on ``norm(Psi)^2 C(Psi')`` for arbitrary qubit pairs.
-
-    Same shape as the orthogonal bounds but with
-    ``delta = max(|C(phi) - ov|, |C(varphi) - ov|)`` where
-    ``ov = |<phi|varphi>|``. The lower bound is clamped at 0.
-    """
-    return _family(_components(spec, qubits=True).qubit)[:2]
-
-
-def exact_biorthogonal(spec: SuperpositionSpec, *, regime: Regime | None = None,
-                       tol: float = REGIME_TOL) -> float:
-    """Exact concurrence of a superposition of biorthogonal components.
-
-    ``sqrt(|alpha|^4 C^2(phi) + |beta|^4 C^2(varphi) + 4 |alpha beta|^2)``;
-    agrees with the directly computed concurrence within 1e-12.
-    """
-    return float(_components(spec, allowed=(Regime.BIORTHOGONAL,), regime=regime,
-                             tol=tol).exact_formula_value[0])
-
-
-def qudit_upper_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
-                     tol: float = REGIME_TOL) -> float:
-    """Dimension-general upper bound for orthogonal components.
-
-    ``|alpha|^2 C(phi) + |beta|^2 C(varphi) + 2|alpha beta| sqrt(1 + ov^2)``,
-    ``ov`` as in :func:`qubit_upper_orth`; a zero weight is allowed and
-    leaves the remaining component's term.
-    """
-    return _family(_components(spec, allowed=_ORTHOGONAL_REGIMES, regime=regime,
-                               tol=tol).qudit)[0]
-
-
-def qudit_lower_orth(spec: SuperpositionSpec, *, regime: Regime | None = None,
-                     tol: float = REGIME_TOL) -> float:
-    """Dimension-general lower bound for orthogonal components, clamped at 0.
-
-    ``| |alpha|^2 C(phi) - |beta|^2 C(varphi) | - 2|alpha beta| (sqrt(1 + ov^2) + delta)``
-    with ``delta = min(|beta/alpha| C(varphi), |alpha/beta| C(phi))`` and
-    ``ov`` as in :func:`qubit_upper_orth`.
-    """
-    return _family(_components(spec, allowed=_ORTHOGONAL_REGIMES, regime=regime,
-                               tol=tol, nonzero=True).qudit)[1]
-
-
-def qudit_general_bounds(spec: SuperpositionSpec) -> tuple[float, float]:
-    """Two-sided bounds on ``norm(Psi)^2 C(Psi')`` for arbitrary components.
-
-    The cross term carries ``sqrt(1 + |<phi|varphi>|^2)``; the lower
-    bound subtracts the same delta as :func:`qudit_lower_orth` and is
-    clamped at 0.
-    """
-    return _family(_components(spec, nonzero=True).qudit)[:2]
-
-
-def lower_bound_useful(spec: SuperpositionSpec, *, regime: Regime | None = None,
-                       tol: float = REGIME_TOL) -> bool:
-    """Whether the orthogonal lower bound is strictly positive before clamping.
-
-    True iff ``C(phi) > 3 |beta/alpha|^2 C(varphi) + 2 |beta/alpha|`` or
-    the same with the roles of the two components exchanged.
-    """
-    return bool(_components(spec, allowed=_ORTHOGONAL_REGIMES, regime=regime, tol=tol,
-                            nonzero=True).lower_useful[0])
 
 
 # --- reports ----------------------------------------------------------------
@@ -628,8 +515,9 @@ def _evaluate_rows(alpha, beta, columns: _Columns, dims: tuple[int, int], *,
     qubit = _qubit_kernel(aa, bb, ab, c_phi, c_var, ov) if dims == (2, 2) else None
     closed_form = np.where(codes == 0, _biorthogonal_closed_form(aa, bb, ab, c_phi, c_var),
                            np.nan)
-    # the usefulness condition C(phi) > 3 |beta/alpha|^2 C(varphi) + 2 |beta/alpha|
-    # (or the same exchanged), multiplied through by the weights
+    # the orthogonal lower bound is useful, positive before clamping, iff
+    # C(phi) > 3 |beta/alpha|^2 C(varphi) + 2 |beta/alpha| (or the same
+    # exchanged); here multiplied through by the weights
     useful = ((aa * c_phi > 3.0 * bb * c_var + 2.0 * ab)
               | (bb * c_var > 3.0 * aa * c_phi + 2.0 * ab))
     weighted = (alpha != 0) & (beta != 0)
@@ -695,6 +583,8 @@ def _evaluate_checked(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
             f"expected (T or 1, dim_a, dim_b) stacks and length-T weights, T >= 1, got phi "
             f"{phi.shape}, varphi {varphi.shape}, alpha {alpha.shape}, beta {beta.shape}")
     _require_regime_tol(tol)
+    if regime_override is not None and not isinstance(regime_override, Regime):
+        raise OutOfRange(f"regime_override must be a Regime or None, got {regime_override!r}")
     # numpy's matmul takes another kernel on a strided operand, which moves
     # the last bits of the Gram blocks
     alpha, beta, phi, varphi = map(np.ascontiguousarray, (alpha, beta, phi, varphi))
@@ -736,7 +626,8 @@ def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
     zero pairs or an empty side, :class:`NotNormalized` and
     :class:`WeightsNotNormalized`, NaN and weights whose squares overflow
     included), :class:`ZeroVector`, or :class:`OutOfRange` for a
-    ``tol`` outside [0, 1). Then every pair is checked, and a
+    ``tol`` outside [0, 1) or a ``regime_override`` that is not a
+    :class:`Regime`. Then every pair is checked, and a
     :class:`SanityFailure` naming it in ``row`` signals a bug (or an
     override misapplied far outside its formulas' validity): a NaN, a
     concurrence out of range or past a filled bound by more than

@@ -1,11 +1,12 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 verification found violations, 2 bad input
-(flags, files, validation), 3 internal sanity failure, 4 output I/O
-failure. All output is locale-independent; floats are printed with 17
-significant digits, and identical flags plus seed produce byte-identical
-stdout (wall-clock timing goes to stderr). Output goes through ``print``,
-since ``click.echo`` keeps every stream it wrote to, text and all, alive.
+(flags, files, validation) or out of memory, 3 internal sanity failure,
+4 output I/O failure. All output is locale-independent; floats are
+printed with 17 significant digits, and identical flags plus seed produce
+byte-identical stdout (wall-clock timing goes to stderr). Output goes
+through ``print``, since ``click.echo`` keeps every stream it wrote to,
+text and all, alive.
 """
 
 from __future__ import annotations
@@ -58,13 +59,16 @@ def _fail(message: str, code: int):
 
 
 def _run_or_exit(fn, *args, **kwargs):
-    """Call ``fn``; exit 3 on a :class:`SanityFailure`, 2 on any other library error."""
+    """Call ``fn``; exit 3 on a :class:`SanityFailure`, 2 on any other library
+    error or on running out of memory."""
     try:
         return fn(*args, **kwargs)
     except SanityFailure as exc:
         _fail(str(exc), 3)
     except SupconcError as exc:
         _fail(str(exc), 2)
+    except MemoryError as exc:
+        _fail(f"out of memory: {exc}" if str(exc) else "out of memory", 2)
 
 
 def _load_state_or_exit(path: str) -> PureState:

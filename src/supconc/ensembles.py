@@ -172,6 +172,8 @@ class EnsembleConfig:
             raise InvalidSplit("trials must be >= 1")
         if self.dim_a < 2 or self.dim_b < 2:
             raise InvalidSplit("local dimensions must be >= 2")
+        if not isinstance(self.regime, Regime):
+            raise InvalidSplit(f"regime must be a Regime, got {self.regime!r}")
         if self.weight_sampling not in WEIGHT_MODES:
             raise InvalidSplit(
                 f"weight_sampling must be one of {WEIGHT_MODES}, "

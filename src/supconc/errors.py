@@ -46,18 +46,6 @@ class OutOfRange(SupconcError, ValueError):
     """Scalar argument lies outside its mathematical domain."""
 
 
-class RegimeViolation(SupconcError, ValueError):
-    """Inputs do not satisfy the regime precondition of the requested bound."""
-
-
-class DegenerateWeight(SupconcError, ValueError):
-    """alpha = 0 or beta = 0: superposition bounds are undefined.
-
-    The exact concurrence of the surviving component should be reported
-    instead of any bound.
-    """
-
-
 class DeltaOutOfRange(SupconcError, ValueError):
     """Correction factor delta escaped [0, 1].
 

@@ -19,13 +19,11 @@ from supconc import (
     concurrence_sq_via_lambda,
     eof_from_concurrence,
     evaluate,
-    exact_biorthogonal,
     fixture,
     haar_state,
     haar_unitary,
     i_concurrence,
     lambda_map,
-    lower_bound_useful,
     normalize,
     orthogonal_pair,
     superpose,
@@ -105,7 +103,7 @@ def test_criterion_3_biorthogonal_exactness():
                                              math.sin(t))
         spec = SuperpositionSpec(alpha, beta, phi, var)
         psi, _ = normalize(superpose(spec)[0])
-        worst = max(worst, abs(exact_biorthogonal(spec) - i_concurrence(psi)))
+        worst = max(worst, abs(evaluate(spec).exact_formula_value - i_concurrence(psi)))
     _criterion(
         f"criterion 3: biorthogonal closed form exact (worst {worst:.2e})",
         [("|closed form - direct| <= 1e-12", worst <= 1e-12)],
@@ -252,9 +250,7 @@ def test_criterion_8_usefulness_condition():
         a_sq = rng.uniform(0.02, 0.98)
         spec = SuperpositionSpec(math.sqrt(a_sq), math.sqrt(1 - a_sq), phi, var)
         report = evaluate(spec)
-        useful = lower_bound_useful(spec)
-        agree = agree and (useful is (report.qudit_lower_unclamped > 0))
-        agree = agree and (report.lower_useful is useful)
+        agree = agree and (report.lower_useful is (report.qudit_lower_unclamped > 0))
     _criterion(
         "criterion 8: usefulness condition iff unclamped lower bound positive",
         [("exact boolean agreement over 1000 orthogonal specs", agree)],

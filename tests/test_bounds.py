@@ -10,13 +10,10 @@ import pytest
 import supconc.bounds as bounds
 from supconc import (
     BoundReport,
-    DegenerateWeight,
     DimensionMismatch,
     NotNormalized,
-    NotTwoQubit,
     OutOfRange,
     Regime,
-    RegimeViolation,
     SanityFailure,
     SuperpositionSpec,
     WeightsNotNormalized,
@@ -26,21 +23,13 @@ from supconc import (
     concurrence_qubit,
     evaluate,
     evaluate_batch,
-    exact_biorthogonal,
     fixture,
     haar_state,
     i_concurrence,
     inner_product,
-    lower_bound_useful,
     make_state,
     normalize,
     orthogonal_pair,
-    qubit_general_bounds,
-    qubit_lower_orth,
-    qubit_upper_orth,
-    qudit_general_bounds,
-    qudit_lower_orth,
-    qudit_upper_orth,
     superpose,
 )
 from supconc.bounds import REGIME_TOL, SANITY_TOL
@@ -118,13 +107,14 @@ def test_qubit_upper_saturated_by_psi1_family():
     bp, k01 = fixture("bell_plus"), fixture("ket01")
     for a_sq in np.linspace(0.01, 0.99, 99):
         spec = SuperpositionSpec(math.sqrt(a_sq), math.sqrt(1 - a_sq), bp, k01)
-        assert qubit_upper_orth(spec) == pytest.approx(exact_target(spec), abs=1e-12)
-        assert qubit_upper_orth(spec) == pytest.approx(a_sq, abs=1e-12)
+        upper = evaluate(spec).qubit_upper
+        assert upper == pytest.approx(exact_target(spec), abs=1e-12)
+        assert upper == pytest.approx(a_sq, abs=1e-12)
 
 
 def test_qubit_upper_product_components():
     spec = SuperpositionSpec(S2, S2, ket(2, 2, 0), ket(2, 2, 1))
-    assert qubit_upper_orth(spec) == pytest.approx(1.0, abs=1e-12)
+    assert evaluate(spec).qubit_upper == pytest.approx(1.0, abs=1e-12)
     assert exact_target(spec) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -133,7 +123,8 @@ def test_qubit_upper_fig1_midpoint():
     spec = SuperpositionSpec(S2, S2, phi, var)
     # the fixture pair is only nearly orthogonal, so the orthogonal-regime
     # formula needs an explicit regime
-    value = qubit_upper_orth(spec, regime=Regime.ORTHOGONAL)
+    assert evaluate(spec).regime is Regime.GENERAL
+    value = evaluate(spec, regime_override=Regime.ORTHOGONAL).qubit_upper
     assert value == pytest.approx(0.6889148521374281, abs=1e-12)
 
 
@@ -141,43 +132,39 @@ def test_qubit_lower_saturated_by_psi2_family():
     bp, bm = fixture("bell_plus"), fixture("bell_minus")
     for a_sq in np.linspace(0.01, 0.99, 99):
         spec = SuperpositionSpec(math.sqrt(a_sq), math.sqrt(1 - a_sq), bp, bm)
-        assert qubit_lower_orth(spec) == pytest.approx(exact_target(spec), abs=1e-12)
-        assert qubit_lower_orth(spec) == pytest.approx(abs(2 * a_sq - 1), abs=1e-12)
+        lower = evaluate(spec).qubit_lower
+        assert lower == pytest.approx(exact_target(spec), abs=1e-12)
+        assert lower == pytest.approx(abs(2 * a_sq - 1), abs=1e-12)
 
 
 def test_qubit_lower_symmetric_cancellation():
     bp, bm = fixture("bell_plus"), fixture("bell_minus")
     spec = SuperpositionSpec(S2, S2, bp, bm)
-    assert qubit_lower_orth(spec) == 0.0
+    assert evaluate(spec).qubit_lower == 0.0
 
 
 def test_qubit_lower_fig1_midpoint():
     phi, var = fixture("fig1_pair")
     spec = SuperpositionSpec(S2, S2, phi, var)
-    value = qubit_lower_orth(spec, regime=Regime.ORTHOGONAL)
+    value = evaluate(spec, regime_override=Regime.ORTHOGONAL).qubit_lower
     assert value == pytest.approx(0.30564440992294134, abs=1e-12)
-
-
-def test_qubit_orth_bounds_enforce_regime_and_dims():
-    phi, var = fixture("fig1_pair")
-    with pytest.raises(RegimeViolation):
-        qubit_upper_orth(SuperpositionSpec(S2, S2, phi, var))
-    with pytest.raises(NotTwoQubit):
-        qubit_upper_orth(SuperpositionSpec(S2, S2, ket(3, 3, 0), ket(3, 3, 8)))
 
 
 # --- qubit general bounds ----------------------------------------------------
 
 
 def test_qubit_general_reduces_to_orthogonal():
+    # at the measured overlap of an orthogonal pair (~1e-16) the general
+    # bounds are the orthogonal-regime ones, taken at overlap 0
     rng = np.random.default_rng(13)
     for _ in range(50):
         phi, var = orthogonal_pair(2, 2, rng)
         alpha, beta = random_weights(rng)
         spec = SuperpositionSpec(alpha, beta, phi, var)
-        upper, lower = qubit_general_bounds(spec)
-        assert upper == pytest.approx(qubit_upper_orth(spec), abs=1e-12)
-        assert lower == pytest.approx(qubit_lower_orth(spec), abs=1e-12)
+        report = evaluate(spec)
+        orth = evaluate(spec, regime_override=Regime.ORTHOGONAL)
+        assert report.qubit_upper == pytest.approx(orth.qubit_upper, abs=1e-12)
+        assert report.qubit_lower == pytest.approx(orth.qubit_lower, abs=1e-12)
 
 
 def test_qubit_general_identical_components():
@@ -187,7 +174,8 @@ def test_qubit_general_identical_components():
         phi = make_state(2, 2, [math.cos(t), 0, 0, math.sin(t)])
         spec = SuperpositionSpec(S2, S2, phi, phi)
         c = concurrence_qubit(phi)
-        upper, lower = qubit_general_bounds(spec)
+        report = evaluate(spec)
+        upper, lower = report.qubit_upper, report.qubit_lower
         assert upper == pytest.approx(c + math.sqrt(max(0.0, 1 - (c - 1) ** 2)),
                                       abs=1e-12)
         target = exact_target(spec)
@@ -197,9 +185,9 @@ def test_qubit_general_identical_components():
 
 def test_qubit_general_brackets_specific_pair():
     spec = SuperpositionSpec(S2, S2, ket(2, 2, 0), fixture("bell_plus"))
-    upper, lower = qubit_general_bounds(spec)
+    report = evaluate(spec)
     target = exact_target(spec)
-    assert lower - 1e-9 <= target <= upper + 1e-9
+    assert report.qubit_lower - 1e-9 <= target <= report.qubit_upper + 1e-9
 
 
 def test_qubit_general_random_sandwich():
@@ -208,22 +196,23 @@ def test_qubit_general_random_sandwich():
         phi, var = haar_state(2, 2, rng), haar_state(2, 2, rng)
         alpha, beta = random_weights(rng)
         spec = SuperpositionSpec(alpha, beta, phi, var)
-        upper, lower = qubit_general_bounds(spec)
+        report = evaluate(spec)
         target = exact_target(spec)
-        assert lower - 1e-9 <= target <= upper + 1e-9
+        assert report.qubit_lower - 1e-9 <= target <= report.qubit_upper + 1e-9
 
 
 # --- exact biorthogonal formula ----------------------------------------------
 
 
-def test_exact_biorthogonal_product_blocks():
+def test_closed_form_product_blocks():
     spec = SuperpositionSpec(0.8, 0.6j, ket(2, 2, 0), ket(2, 2, 3))
-    assert exact_biorthogonal(spec) == pytest.approx(2 * 0.8 * 0.6, abs=1e-12)
-    assert exact_biorthogonal(spec) == pytest.approx(
+    value = evaluate(spec).exact_formula_value
+    assert value == pytest.approx(2 * 0.8 * 0.6, abs=1e-12)
+    assert value == pytest.approx(
         i_concurrence(normalize(superpose(spec)[0])[0]), abs=1e-12)
 
 
-def test_exact_biorthogonal_d4_maximally_entangled_blocks():
+def test_closed_form_d4_maximally_entangled_blocks():
     v1 = np.zeros(16, dtype=complex)
     v1[0 * 4 + 0] = S2
     v1[1 * 4 + 1] = S2
@@ -233,7 +222,7 @@ def test_exact_biorthogonal_d4_maximally_entangled_blocks():
     phi = make_state(4, 4, v1)
     var = make_state(4, 4, v2)
     spec = SuperpositionSpec(S2, S2, phi, var)
-    value = exact_biorthogonal(spec)
+    value = evaluate(spec).exact_formula_value
     assert value == pytest.approx(math.sqrt(1.5), abs=1e-12)
     psi, _ = normalize(superpose(spec)[0])
     assert value == pytest.approx(i_concurrence(psi), abs=1e-12)
@@ -241,19 +230,19 @@ def test_exact_biorthogonal_d4_maximally_entangled_blocks():
     assert i_concurrence(max_entangled(4)) == pytest.approx(math.sqrt(1.5), abs=1e-12)
 
 
-def test_exact_biorthogonal_degenerate_weight():
+def test_closed_form_degenerate_weight():
     phi, var = biorthogonal_pair(4, 4, 2, 2, np.random.default_rng(3))
     spec = SuperpositionSpec(1.0, 0.0, phi, var)
-    assert exact_biorthogonal(spec) == pytest.approx(i_concurrence(phi), abs=1e-12)
+    assert evaluate(spec).exact_formula_value == pytest.approx(i_concurrence(phi),
+                                                               abs=1e-12)
 
 
-def test_exact_biorthogonal_rejects_merely_orthogonal():
-    with pytest.raises(RegimeViolation):
-        exact_biorthogonal(SuperpositionSpec(S2, S2, fixture("bell_plus"),
-                                             fixture("bell_minus")))
+def test_closed_form_absent_on_merely_orthogonal():
+    spec = SuperpositionSpec(S2, S2, fixture("bell_plus"), fixture("bell_minus"))
+    assert evaluate(spec).exact_formula_value is None
 
 
-def test_exact_biorthogonal_random_splits():
+def test_closed_form_random_splits():
     rng = np.random.default_rng(15)
     for _ in range(50):
         da, db = int(rng.integers(2, 7)), int(rng.integers(2, 7))
@@ -262,7 +251,7 @@ def test_exact_biorthogonal_random_splits():
         alpha, beta = random_weights(rng)
         spec = SuperpositionSpec(alpha, beta, phi, var)
         psi, _ = normalize(superpose(spec)[0])
-        assert exact_biorthogonal(spec) == pytest.approx(
+        assert evaluate(spec).exact_formula_value == pytest.approx(
             i_concurrence(psi), abs=1e-12)
 
 
@@ -276,10 +265,9 @@ def d3_example_spec():
 
 
 def test_qudit_upper_d3_example():
-    spec = d3_example_spec()
-    assert classify_pair(spec.phi, spec.varphi) is Regime.ORTHOGONAL
-    assert qudit_upper_orth(spec) == pytest.approx(
-        0.9 * math.sqrt(4 / 3) + 0.6, abs=1e-12)
+    report = evaluate(d3_example_spec())
+    assert report.regime is Regime.ORTHOGONAL
+    assert report.qudit_upper == pytest.approx(0.9 * math.sqrt(4 / 3) + 0.6, abs=1e-12)
 
 
 def test_qudit_upper_dominates_exact_formula_on_biorthogonal():
@@ -288,8 +276,8 @@ def test_qudit_upper_dominates_exact_formula_on_biorthogonal():
         phi, var = biorthogonal_pair(4, 4, int(rng.integers(1, 4)),
                                      int(rng.integers(1, 4)), rng)
         alpha, beta = random_weights(rng)
-        spec = SuperpositionSpec(alpha, beta, phi, var)
-        assert qudit_upper_orth(spec) >= exact_biorthogonal(spec) - 1e-12
+        report = evaluate(SuperpositionSpec(alpha, beta, phi, var))
+        assert report.qudit_upper >= report.exact_formula_value - 1e-12
 
 
 def test_qudit_upper_dominates_qubit_upper():
@@ -297,15 +285,14 @@ def test_qudit_upper_dominates_qubit_upper():
     for _ in range(50):
         phi, var = orthogonal_pair(2, 2, rng)
         alpha, beta = random_weights(rng)
-        spec = SuperpositionSpec(alpha, beta, phi, var)
-        assert qudit_upper_orth(spec) >= qubit_upper_orth(spec) - 1e-12
+        report = evaluate(SuperpositionSpec(alpha, beta, phi, var))
+        assert report.qudit_upper >= report.qubit_upper - 1e-12
 
 
 def test_qudit_lower_d3_example():
-    spec = d3_example_spec()
-    assert qudit_lower_orth(spec) == pytest.approx(
-        0.9 * math.sqrt(4 / 3) - 0.6, abs=1e-12)
-    assert lower_bound_useful(spec) is True
+    report = evaluate(d3_example_spec())
+    assert report.qudit_lower == pytest.approx(0.9 * math.sqrt(4 / 3) - 0.6, abs=1e-12)
+    assert report.lower_useful is True
 
 
 def test_qudit_lower_clamped_for_balanced_equal_concurrence():
@@ -315,35 +302,34 @@ def test_qudit_lower_clamped_for_balanced_equal_concurrence():
     phi = max_entangled(3)
     var = make_state(3, 3, v)
     assert abs(inner_product(phi, var)) < 1e-12
-    spec = SuperpositionSpec(S2, S2, phi, var)
-    assert qudit_lower_orth(spec) == 0.0
-    assert lower_bound_useful(spec) is False
+    report = evaluate(SuperpositionSpec(S2, S2, phi, var))
+    assert report.qudit_lower == 0.0
+    assert report.lower_useful is False
 
 
 def test_qudit_lower_degenerate_weight():
-    phi, var = fixture("bell_plus"), fixture("bell_minus")
-    with pytest.raises(DegenerateWeight):
-        qudit_lower_orth(SuperpositionSpec(1.0, 0.0, phi, var))
-    with pytest.raises(DegenerateWeight):
-        lower_bound_useful(SuperpositionSpec(0.0, 1.0, phi, var))
-    # the upper bound still applies and reduces exactly to the remaining
+    # a zero weight leaves no superposition to bound: the report holds no
+    # bound, while the batch's upper bound reduces exactly to the remaining
     # component's concurrence, which the Schmidt route agrees with
     phi, var = max_entangled(3), ket(3, 3, 1)
-    for spec, field, state in ((SuperpositionSpec(0.0, 1.0, phi, var), "c_varphi", var),
-                               (SuperpositionSpec(1.0, 0.0, phi, var), "c_phi", phi)):
-        upper = qudit_upper_orth(spec)
-        assert upper == getattr(evaluate(spec), field)
+    for alpha, beta, field, state in ((0.0, 1.0, "c_varphi", var),
+                                      (1.0, 0.0, "c_phi", phi)):
+        report = evaluate(SuperpositionSpec(alpha, beta, phi, var))
+        assert report.qudit_lower is None and report.lower_useful is None
+        upper = evaluate_batch([alpha], [beta], phi.matrix[None],
+                               var.matrix[None]).qudit[0][0]
+        assert upper == getattr(report, field)
         assert abs(upper - i_concurrence(state)) <= 1e-13
 
 
-def test_lower_bound_useful_unbalanced_limit():
+def test_lower_useful_unbalanced_limit():
     phi = max_entangled(3)
     var = ket(3, 3, 1)
     spec = SuperpositionSpec(math.sqrt(0.998), math.sqrt(0.002), phi, var)
-    assert lower_bound_useful(spec) is True
+    assert evaluate(spec).lower_useful is True
 
 
-def test_lower_bound_useful_agrees_with_unclamped_sign():
+def test_lower_useful_agrees_with_unclamped_sign():
     rng = np.random.default_rng(18)
     for _ in range(200):
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
@@ -363,16 +349,17 @@ def test_qudit_general_reduces_to_orthogonal():
         phi, var = orthogonal_pair(3, 3, rng)
         alpha, beta = random_weights(rng)
         spec = SuperpositionSpec(alpha, beta, phi, var)
-        upper, lower = qudit_general_bounds(spec)
+        report = evaluate(spec)
+        orth = evaluate(spec, regime_override=Regime.ORTHOGONAL)
         # the overlap is ~1e-16, so sqrt(1 + ov^2) collapses to 1
-        assert upper == pytest.approx(qudit_upper_orth(spec), abs=1e-12)
-        assert lower == pytest.approx(qudit_lower_orth(spec), abs=1e-12)
+        assert report.qudit_upper == pytest.approx(orth.qudit_upper, abs=1e-12)
+        assert report.qudit_lower == pytest.approx(orth.qudit_lower, abs=1e-12)
 
 
 def test_qudit_general_identical_components():
     phi = max_entangled(3)
     spec = SuperpositionSpec(S2, S2, phi, phi)
-    upper, lower = qudit_general_bounds(spec)
+    upper = evaluate(spec).qudit_upper
     c = i_concurrence(phi)
     assert upper == pytest.approx(c + math.sqrt(2.0), abs=1e-12)
     assert exact_target(spec) == pytest.approx(2 * c, abs=1e-12)
@@ -382,10 +369,11 @@ def test_qudit_general_identical_components():
 def test_qudit_general_fig2_midpoint():
     phi2, var2 = fixture("fig2_pair")
     spec = SuperpositionSpec(S2, S2, phi2, var2)
-    upper, lower = qudit_general_bounds(spec)
-    assert upper == pytest.approx(0.5 * math.sqrt(1.8) + math.sqrt(1.1), abs=1e-12)
+    report = evaluate(spec)
+    assert report.qudit_upper == pytest.approx(0.5 * math.sqrt(1.8) + math.sqrt(1.1),
+                                               abs=1e-12)
     target = exact_target(spec)
-    assert lower - 1e-9 <= target <= upper + 1e-9
+    assert report.qudit_lower - 1e-9 <= target <= report.qudit_upper + 1e-9
 
 
 def test_qudit_general_random_sandwich():
@@ -395,9 +383,9 @@ def test_qudit_general_random_sandwich():
             phi, var = haar_state(da, db, rng), haar_state(da, db, rng)
             alpha, beta = random_weights(rng)
             spec = SuperpositionSpec(alpha, beta, phi, var)
-            upper, lower = qudit_general_bounds(spec)
+            report = evaluate(spec)
             target = exact_target(spec)
-            assert lower - 1e-9 <= target <= upper + 1e-9
+            assert report.qudit_lower - 1e-9 <= target <= report.qudit_upper + 1e-9
 
 
 # --- composed report --------------------------------------------------------------
@@ -477,11 +465,17 @@ def test_regime_tol_outside_unit_interval_raises(tol):
     phi, var = fixture("bell_plus"), fixture("ket01")
     spec = SuperpositionSpec(0.6, 0.8, phi, var)
     for call in (lambda: classify_pair(phi, var, tol), lambda: evaluate(spec, tol=tol),
-                 lambda: qudit_upper_orth(spec, tol=tol),
                  lambda: evaluate(spec, tol=tol, regime_override=Regime.GENERAL)):
         with pytest.raises(OutOfRange, match=r"\[0, 1\)"):
             call()
     assert classify_pair(phi, var, 0.0) is Regime.ORTHOGONAL
+
+
+@pytest.mark.parametrize("override", ["orthogonal", "bogus", 3])
+def test_regime_override_that_is_not_a_regime_raises(override):
+    spec = SuperpositionSpec(0.6, 0.8, fixture("bell_plus"), fixture("ket01"))
+    with pytest.raises(OutOfRange, match="regime_override"):
+        evaluate(spec, regime_override=override)
 
 
 @pytest.mark.parametrize("eps, tol, gap", [
@@ -580,53 +574,6 @@ def test_evaluate_sandwich_per_regime():
         assert report.regime is regime
         target = report.norm_squared * report.exact_concurrence
         assert report.lower - 1e-9 <= target <= report.upper + 1e-9
-
-
-@pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
-def test_standalone_bounds_are_views_of_evaluate(dims):
-    # every standalone bound equals the matching report field exactly
-    rng = np.random.default_rng(26)
-    loose_rng = np.random.default_rng(27)
-    qubit = dims == (2, 2)
-    for _ in range(20):
-        alpha, beta = random_weights(rng)
-
-        spec = SuperpositionSpec(alpha, beta, *orthogonal_pair(*dims, rng))
-        report = evaluate(spec)
-        assert report.regime is Regime.ORTHOGONAL
-        assert qudit_upper_orth(spec) == report.qudit_upper
-        assert qudit_lower_orth(spec) == report.qudit_lower
-        assert lower_bound_useful(spec) is report.lower_useful
-        if qubit:
-            assert qubit_upper_orth(spec) == report.qubit_upper
-            assert qubit_lower_orth(spec) == report.qubit_lower
-
-        spec = SuperpositionSpec(alpha, beta, haar_state(*dims, rng),
-                                 haar_state(*dims, rng))
-        report = evaluate(spec)
-        assert report.regime is Regime.GENERAL
-        assert qudit_general_bounds(spec) == (report.qudit_upper, report.qudit_lower)
-        if qubit:
-            assert qubit_general_bounds(spec) == (report.qubit_upper,
-                                                  report.qubit_lower)
-
-        spec = SuperpositionSpec(alpha, beta, *biorthogonal_pair(*dims, 1, 1, rng))
-        report = evaluate(spec)
-        assert report.regime is Regime.BIORTHOGONAL
-        assert exact_biorthogonal(spec) == report.exact_formula_value
-        assert qudit_upper_orth(spec) == report.qudit_upper
-
-        # overlap ~1e-3: orthogonal within a loose tol, kept by the bounds
-        phi, var = orthogonal_pair(*dims, loose_rng)
-        spec = SuperpositionSpec(alpha, beta, phi, near_orthogonal(phi, var, 1e-3))
-        report = evaluate(spec, tol=1e-2)
-        assert report.regime is Regime.ORTHOGONAL
-        assert qudit_upper_orth(spec, tol=1e-2) == report.qudit_upper
-        assert qudit_lower_orth(spec, tol=1e-2) == report.qudit_lower
-        assert lower_bound_useful(spec, tol=1e-2) is report.lower_useful
-        if qubit:
-            assert qubit_upper_orth(spec, tol=1e-2) == report.qubit_upper
-            assert qubit_lower_orth(spec, tol=1e-2) == report.qubit_lower
 
 
 @pytest.mark.parametrize("block_amplitudes", [9, 27, 4096])   # 1, 3 and all 10 rows

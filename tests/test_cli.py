@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supconc.bounds as bounds
+import supconc.cli as cli
 from supconc import Regime, SuperpositionSpec, evaluate, fixture, haar_state, save_state
 from supconc.bounds import _blocks
 from supconc.cli import CSV_HEADER, _sweep_rows, main
@@ -214,6 +215,24 @@ def test_bounds_exit_codes(runner, state_files):
                                   "--alpha", "1e200", "--beta", "0"])
     assert result.exit_code == 2
     assert "inf" in result.stderr
+
+
+@pytest.mark.parametrize("target, args, message, line", [
+    ("verify_ensemble", ["verify", "--trials", "1", "--dims", "2", "2", "--regime", "general"],
+     "Unable to allocate 3.0 GiB", "error: out of memory: Unable to allocate 3.0 GiB\n"),
+    ("_sweep_rows", ["sweep", "{bell_plus}", "{ket01}"], "", "error: out of memory\n"),
+], ids=["verify", "sweep"])
+def test_out_of_memory_exits_two(runner, state_files, monkeypatch, target, args, message,
+                                 line):
+    # running out of memory is not a violation found (exit 1): exit 2, one line
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, target, out_of_memory)
+    result = runner.invoke(main, [arg.format(**state_files) for arg in args])
+    assert result.exit_code == 2
+    assert result.stderr == line
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("command", [["bounds", "--alpha", repr(S2), "--beta", repr(S2)],

@@ -238,6 +238,10 @@ def test_ensemble_config_validation():
     with pytest.raises(InvalidSplit):
         EnsembleConfig(trials=10, dim_a=2, dim_b=2,
                        regime=Regime.GENERAL, seed=0, weight_sampling="bogus")
+    # a regime's name is not a Regime: no string is taken for one
+    for regime in ("orthogonal", "bogus"):
+        with pytest.raises(InvalidSplit, match="regime"):
+            EnsembleConfig(trials=3, dim_a=3, dim_b=3, regime=regime, seed=1)
 
 
 class _InlineExecutor:

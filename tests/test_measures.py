@@ -17,7 +17,7 @@ from supconc import (
     concurrence_qubit,
     concurrence_sq_via_lambda,
     eof_from_concurrence,
-    exact_biorthogonal,
+    evaluate,
     fixture,
     haar_state,
     haar_unitary,
@@ -411,7 +411,7 @@ def test_expansion_matches_biorthogonal_formula():
         beta = math.sqrt(1 - a_sq) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         spec = SuperpositionSpec(alpha, beta, phi, var)
         assert superposition_csq_expansion(spec) == pytest.approx(
-            exact_biorthogonal(spec) ** 2, abs=1e-10)
+            evaluate(spec).exact_formula_value ** 2, abs=1e-10)
 
 
 @pytest.mark.parametrize("da,db", [(2, 2), (3, 3), (2, 3), (3, 5), (10, 10)])
@@ -454,7 +454,7 @@ def test_expansion_biorthogonal_pair_rectangular(da, db):
         beta = math.sqrt(1 - a_sq) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         spec = SuperpositionSpec(alpha, beta, phi, var)
         assert superposition_csq_expansion(spec) == pytest.approx(
-            exact_biorthogonal(spec) ** 2, abs=1e-10)
+            evaluate(spec).exact_formula_value ** 2, abs=1e-10)
 
 
 @pytest.mark.parametrize("da,db", [(2, 2), (3, 5), (4, 4)])
