@@ -48,7 +48,6 @@ from .errors import (
     ZeroVector,
 )
 from .measures import (
-    InverterScale,
     binary_entropy,
     concurrence_qubit,
     concurrence_sq_via_lambda,
@@ -61,7 +60,6 @@ from .measures import (
     universal_inverter,
 )
 from .states import (
-    DensityMatrix,
     OperatorAB,
     PureState,
     RawVector,
@@ -93,12 +91,11 @@ __all__ = [
     "InvalidSplit", "NotHermitian", "NotNormalized", "NotTwoQubit",
     "NotUnitary", "OutOfRange", "SanityFailure", "SupconcError",
     "UnknownFixture", "WeightsNotNormalized", "ZeroVector",
-    "InverterScale", "binary_entropy", "concurrence_qubit",
-    "concurrence_sq_via_lambda", "eof_from_concurrence", "i_concurrence",
-    "lambda_map", "lambda_sandwich", "spin_flip",
-    "superposition_csq_expansion", "universal_inverter",
-    "DensityMatrix", "OperatorAB", "PureState", "RawVector",
-    "SuperpositionSpec", "apply_local_unitary", "inner_product",
+    "binary_entropy", "concurrence_qubit", "concurrence_sq_via_lambda",
+    "eof_from_concurrence", "i_concurrence", "lambda_map", "lambda_sandwich",
+    "spin_flip", "superposition_csq_expansion", "universal_inverter",
+    "OperatorAB", "PureState", "RawVector", "SuperpositionSpec",
+    "apply_local_unitary", "inner_product",
     "load_state", "make_state", "normalize", "outer_operator", "purity",
     "reduced_density", "save_state", "schmidt_coefficients",
     "state_from_json", "state_to_json", "superpose",

@@ -20,8 +20,8 @@ The orthogonal-regime formulas are the general ones at
 bound takes the measured overlap unless the caller names an orthogonal
 regime (``regime_override``); the tolerance sets the regime label, never
 a bound's formula. Lower bounds are clamped at zero before reporting (the
-raw value is kept in the report diagnostics). All formulas assume the
-inverter scale nu = 1.
+raw value is kept in the report diagnostics). Concurrences are those of
+the universal inverter ``S(rho) = I - rho`` (:mod:`supconc.measures`).
 
 Every quantity is computed once, by one evaluation core over stacked
 pairs: :func:`evaluate` is the one-pair call of :func:`evaluate_batch`,

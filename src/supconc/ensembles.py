@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -168,8 +169,15 @@ class EnsembleConfig:
     tol: float = SANITY_TOL
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InvalidSplit("trials must be >= 1")
+        for name in ("trials", "dim_a", "dim_b", "seed"):
+            value = getattr(self, name)
+            # a bool is an int too, but no count; numpy integers become ints
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidSplit(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        # trial indices are seeded below 2**64 (_seed_words)
+        if not 1 <= self.trials < 2 ** 64:
+            raise InvalidSplit(f"trials must be >= 1 and below 2**64, got {self.trials}")
         if self.dim_a < 2 or self.dim_b < 2:
             raise InvalidSplit("local dimensions must be >= 2")
         if not isinstance(self.regime, Regime):
@@ -179,7 +187,8 @@ class EnsembleConfig:
                 f"weight_sampling must be one of {WEIGHT_MODES}, "
                 f"got {self.weight_sampling!r}"
             )
-        if not math.isfinite(self.tol):
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
+                or not math.isfinite(self.tol)):
             raise OutOfRange(f"violation tolerance must be finite, got {self.tol!r}")
 
 

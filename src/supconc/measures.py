@@ -3,9 +3,11 @@
 The qubit concurrence is the overlap between a two-qubit state and its
 spin-flipped image, evaluated in closed form. Its dimension-general
 counterpart (I-concurrence) is defined through the universal inverter
-``S(rho) = nu * (I - rho)``; the two agree on qubit pairs. The two-sided
-map ``Lambda = S (x) S`` acts on an arbitrary operator sigma (at nu = 1)
-as::
+``S(rho) = I - rho``; the two agree on qubit pairs. Rungta et al.
+(PRA 64, 042315 (2001)) allow a scale, ``S(rho) = nu (I - rho)``, but nu
+enters ``C^2`` only as an overall factor ``nu^2``, so the package fixes
+nu = 1 throughout. The two-sided map ``Lambda = S (x) S`` acts on an
+arbitrary operator sigma as::
 
     Lambda(sigma) = Tr(sigma) I(x)I - sigma_A (x) I - I (x) sigma_B + sigma
 
@@ -17,37 +19,20 @@ Tr(rho Lambda(sigma)) = Tr(sigma Lambda(rho)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotTwoQubit, OutOfRange
+from .errors import NotTwoQubit, OutOfRange
 from .states import (
-    DensityMatrix,
     OperatorAB,
     PureState,
     SuperpositionSpec,
     _reduce_operator,
     _require_same_space,
+    _square,
     schmidt_coefficients,
 )
-
-
-@dataclass(frozen=True)
-class InverterScale:
-    """Scaling factor nu of the universal inverter.
-
-    The default nu = 1 keeps the d-dimensional concurrence consistent
-    with the qubit one; nu = 1/(d-1) makes the inverter trace-preserving
-    instead. The bounds module requires nu = 1.
-    """
-
-    nu: float = 1.0
-
-    def __post_init__(self):
-        if not self.nu > 0:
-            raise OutOfRange(f"nu must be positive, got {self.nu!r}")
 
 
 def _require_two_qubit(s: PureState) -> None:
@@ -286,33 +271,29 @@ def _expansion(alpha: np.ndarray, beta: np.ndarray, table: GramTable):
     return norm_sq, 2.0 * (norm_sq * norm_sq - purity)
 
 
-def universal_inverter(rho: DensityMatrix | np.ndarray,
-                       scale: InverterScale = InverterScale()) -> np.ndarray:
-    """``nu * (I - rho)`` on a single system."""
-    entries = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {entries.shape}")
-    return scale.nu * (np.eye(entries.shape[0]) - entries)
+def universal_inverter(rho: np.ndarray) -> np.ndarray:
+    """``I - rho`` on a single system."""
+    entries = _square(rho)
+    return np.eye(entries.shape[0]) - entries
 
 
-def lambda_map(sigma: OperatorAB, scale: InverterScale = InverterScale()) -> OperatorAB:
-    """Two-sided inverter ``(S (x) S)(sigma)``; nu enters squared."""
+def lambda_map(sigma: OperatorAB) -> OperatorAB:
+    """Two-sided inverter ``(S (x) S)(sigma)``."""
     da, db = sigma.dim_a, sigma.dim_b
     n = da * db
-    nu_sq = scale.nu ** 2
-    # entries[i, j, k, l] = <i j| Lambda(sigma) |k l>
-    entries = sigma.entries.reshape(da, db, da, db) * nu_sq
+    # entries[i, j, k, l] = <i j| Lambda(sigma) |k l>; a copy, sigma is read-only
+    entries = sigma.entries.reshape(da, db, da, db).copy()
     ia, ib = np.arange(da), np.arange(db)
     # sigma_A (x) I: sig_a[i, k] where j == l; I (x) sigma_B: sig_b[j, l] where i == k
-    entries[:, ib, :, ib] -= nu_sq * _reduce_operator(sigma.entries, da, db, "A")
-    entries[ia, :, ia, :] -= nu_sq * _reduce_operator(sigma.entries, da, db, "B")
+    entries[:, ib, :, ib] -= _reduce_operator(sigma.entries, da, db, "A")
+    entries[ia, :, ia, :] -= _reduce_operator(sigma.entries, da, db, "B")
     entries = entries.reshape(n, n)
-    entries.flat[::n + 1] += nu_sq * np.trace(sigma.entries)
+    entries.flat[::n + 1] += np.trace(sigma.entries)
     return OperatorAB(da, db, entries)
 
 
 def lambda_sandwich(x: PureState, sigma: OperatorAB, y: PureState) -> complex:
-    """Matrix element ``<x| Lambda(sigma) |y>`` at nu = 1.
+    """Matrix element ``<x| Lambda(sigma) |y>``.
 
     For a pure sigma = |phi><phi| the diagonal element has the closed form
     ``<x| Lambda(|phi><phi|) |x> = 1 - Tr(rho_phi^A rho_x^A)
@@ -332,7 +313,7 @@ def lambda_sandwich(x: PureState, sigma: OperatorAB, y: PureState) -> complex:
 
 
 def _sandwich_table(*states: PureState) -> np.ndarray:
-    """``T[x, u, v, y] = <x| Lambda(|u><v|) |y>`` at nu = 1 over ``states``.
+    """``T[x, u, v, y] = <x| Lambda(|u><v|) |y>`` over ``states``.
 
     With coefficient matrices X, U, V, Y, ``|u><v|`` has the partial
     traces ``U V^dag`` (side A) and ``U^T V^*`` (side B), so the four

@@ -5,9 +5,10 @@ vectors use the fixed row-major layout ``i * dim_b + j`` for the basis
 ket ``|i>_A |j>_B``; every module in the package shares this convention,
 and complex conjugation is always taken entrywise in this basis.
 
-All values are immutable after construction (the wrapped numpy arrays
-are marked read-only) and all operations are pure functions, so objects
-are safe to share between threads.
+All state and operator objects are immutable after construction (the
+wrapped numpy arrays are marked read-only) and all operations are pure
+functions, so objects are safe to share between threads. Reduced states
+are plain complex matrices.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .errors import (
 NORM_TOL = 1e-10     # |norm^2 - 1| allowed for a PureState
 ZERO_TOL = 1e-12     # below this norm a vector counts as fully cancelled
 HERMITIAN_TOL = 1e-10
-PSD_TOL = -1e-10     # eigenvalues of a density matrix may dip this far
 UNITARY_TOL = 1e-10
 
 
@@ -59,6 +59,14 @@ def _require_hermitian(entries: np.ndarray) -> None:
     dev = np.max(np.abs(entries - entries.conj().T))
     if dev > HERMITIAN_TOL:
         raise NotHermitian(f"max |rho - rho^dagger| = {dev!r}")
+
+
+def _square(matrix) -> np.ndarray:
+    """``matrix`` as a complex array; :class:`DimensionMismatch` unless it is square."""
+    entries = np.asarray(matrix, dtype=np.complex128)
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {entries.shape}")
+    return entries
 
 
 def _require_same_space(a, b) -> None:
@@ -130,9 +138,6 @@ class RawVector:
         """Amplitudes reshaped to the dim_a x dim_b coefficient matrix."""
         return self.amplitudes.reshape(self.dim_a, self.dim_b)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -159,30 +164,6 @@ class PureState:
 
     def is_qubit_pair(self) -> bool:
         return self.dim_a == 2 and self.dim_b == 2
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Reduced state of one party.
-
-    Hermitian within ``HERMITIAN_TOL`` and positive semidefinite down to
-    ``PSD_TOL``. The trace equals 1 when the matrix was obtained by
-    partial trace of a :class:`PureState`, but trace-1 is not required
-    by the type itself.
-    """
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        _require_positive(self.dim)
-        object.__setattr__(self, "entries", _frozen(self.entries, (self.dim, self.dim)))
-        _require_hermitian(self.entries)
-        eigmin = float(np.linalg.eigvalsh(self.entries)[0])
-        if eigmin < PSD_TOL:
-            raise NotHermitian(
-                f"matrix is not positive semidefinite: min eigenvalue {eigmin!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -217,10 +198,6 @@ class SuperpositionSpec:
         object.__setattr__(self, "beta", complex(self.beta))
         _require_same_space(self.phi, self.varphi)
         _require_unit_weights(self.alpha, self.beta)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.phi.dim_a, self.phi.dim_b
 
 
 def make_state(dim_a: int, dim_b: int, amplitudes) -> PureState:
@@ -283,24 +260,21 @@ def _reduce_operator(entries: np.ndarray, dim_a: int, dim_b: int, side: str) -> 
     return np.einsum("ijil->jl", four)
 
 
-def reduced_density(x: PureState | OperatorAB, side: str) -> DensityMatrix | np.ndarray:
-    """Partial trace over the complementary subsystem.
+def reduced_density(x: PureState | OperatorAB, side: str) -> np.ndarray:
+    """Partial trace over the complementary subsystem, as a complex matrix.
 
     ``side="A"`` traces out B and returns the state of A; ``side="B"``
-    the converse. The full trace is preserved.
-
-    For a :class:`PureState` input the result is a validated
-    :class:`DensityMatrix`. For an :class:`OperatorAB` input (which may
-    be non-Hermitian) the raw complex matrix is returned instead.
+    the converse. The full trace is preserved. For a :class:`PureState`
+    the result is a density matrix: Hermitian, positive semidefinite and
+    of trace 1, to rounding. An :class:`OperatorAB` input may be
+    non-Hermitian, and so may its partial trace.
     """
-    side = side.upper()
-    if side not in ("A", "B"):
+    if side not in ("A", "B", "a", "b"):
         raise DimensionMismatch(f"side must be 'A' or 'B', got {side!r}")
+    side = side.upper()
     if isinstance(x, PureState):
         m = x.matrix
-        if side == "A":
-            return DensityMatrix(x.dim_a, m @ m.conj().T)
-        return DensityMatrix(x.dim_b, m.T @ m.conj())
+        return m @ m.conj().T if side == "A" else m.T @ m.conj()
     if isinstance(x, OperatorAB):
         return _reduce_operator(x.entries, x.dim_a, x.dim_b, side)
     raise DimensionMismatch(f"cannot take a partial trace of {type(x).__name__}")
@@ -316,15 +290,10 @@ def schmidt_coefficients(s: PureState) -> np.ndarray:
     return np.linalg.svd(s.matrix, compute_uv=False)
 
 
-def purity(rho: DensityMatrix | np.ndarray) -> float:
+def purity(rho: np.ndarray) -> float:
     """Tr(rho^2); lies in [1/dim, 1] for a valid density matrix."""
-    if isinstance(rho, DensityMatrix):
-        entries = rho.entries
-    else:
-        entries = np.asarray(rho, dtype=np.complex128)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got {entries.shape}")
-        _require_hermitian(entries)
+    entries = _square(rho)
+    _require_hermitian(entries)
     return float(np.trace(entries @ entries).real)
 
 

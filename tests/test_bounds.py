@@ -75,8 +75,7 @@ def test_classify_bell_pair_orthogonal_not_biorthogonal():
     bp, bm = fixture("bell_plus"), fixture("bell_minus")
     # reduced states are both I/2, so the trace overlap is 1/2 per side
     from supconc import reduced_density
-    tr = np.trace(reduced_density(bp, "A").entries
-                  @ reduced_density(bm, "A").entries).real
+    tr = np.trace(reduced_density(bp, "A") @ reduced_density(bm, "A")).real
     assert tr == pytest.approx(0.5, abs=1e-14)
     assert classify_pair(bp, bm) is Regime.ORTHOGONAL
 

@@ -588,6 +588,14 @@ def test_verify_flag_errors(runner):
     assert result.exit_code == 2
 
 
+def test_verify_too_many_trials_is_bad_input(runner):
+    # trial indices are seeded below 2**64; the config rejects more before
+    # any allocation
+    result = runner.invoke(main, verify_args(trials=2**64))
+    assert result.exit_code == 2
+    assert "error: trials must be >= 1 and below 2**64" in result.stderr
+
+
 def _break_one_row(bad_call, bad_row, **values):
     """A wrapper on ``bounds._evaluate_rows`` that sets ``values`` (fields of
     the batch) in row ``bad_row`` of the ``bad_call``-th call."""

@@ -10,6 +10,7 @@ from supconc import (
     EnsembleConfig,
     InternalError,
     InvalidSplit,
+    OutOfRange,
     Regime,
     SanityFailure,
     UnknownFixture,
@@ -242,6 +243,37 @@ def test_ensemble_config_validation():
     for regime in ("orthogonal", "bogus"):
         with pytest.raises(InvalidSplit, match="regime"):
             EnsembleConfig(trials=3, dim_a=3, dim_b=3, regime=regime, seed=1)
+
+
+def _config(**over):
+    """Config fields of a small campaign, with ``over`` replacing some."""
+    return {"trials": 3, "dim_a": 2, "dim_b": 2, "regime": Regime.GENERAL, "seed": 1, **over}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", 2.5), ("dim_a", 2.0), ("dim_b", "3"), ("seed", 1.5), ("seed", None),
+    ("trials", True), ("seed", False), ("trials", -1), ("trials", 2**64),
+])
+def test_ensemble_config_rejects_non_integer_counts(field, value):
+    # configs only: the campaign's trial indices are never allocated
+    with pytest.raises(InvalidSplit, match=field):
+        EnsembleConfig(**_config(**{field: value}))
+
+
+def test_ensemble_config_takes_numpy_integers_as_ints():
+    config = EnsembleConfig(**_config(trials=np.int64(2**63 - 1), dim_a=np.int32(3),
+                                      dim_b=np.uint8(4), seed=np.uint64(2**64 - 1)))
+    assert [type(config.trials), type(config.dim_a), type(config.dim_b),
+            type(config.seed)] == [int] * 4
+    assert (config.trials, config.dim_a, config.dim_b, config.seed) == (
+        2**63 - 1, 3, 4, 2**64 - 1)
+    assert EnsembleConfig(**_config(trials=2**64 - 1)).trials == 2**64 - 1
+
+
+@pytest.mark.parametrize("tol", ["x", None, 1j, True, float("nan"), float("inf")])
+def test_ensemble_config_rejects_non_real_tol(tol):
+    with pytest.raises(OutOfRange, match="tolerance"):
+        EnsembleConfig(**_config(tol=tol))
 
 
 class _InlineExecutor:

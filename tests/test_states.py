@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supconc import (
     DimensionMismatch,
@@ -32,6 +34,7 @@ from supconc import (
     superpose,
 )
 from supconc.measures import _sandwich_table
+from supconc.states import HERMITIAN_TOL
 
 S2 = math.sqrt(0.5)
 
@@ -164,18 +167,18 @@ def test_same_space_required_everywhere(call):
 
 def test_reduced_density_bell():
     rho = reduced_density(bell_plus(), "A")
-    assert np.allclose(rho.entries, np.eye(2) / 2, atol=1e-15)
+    assert np.allclose(rho, np.eye(2) / 2, atol=1e-15)
 
 
 def test_reduced_density_product():
     rho = reduced_density(make_state(2, 2, [1, 0, 0, 0]), "A")
-    assert np.allclose(rho.entries, np.diag([1.0, 0.0]), atol=1e-15)
+    assert np.allclose(rho, np.diag([1.0, 0.0]), atol=1e-15)
 
 
 def test_reduced_density_fig2_maximally_entangled():
     _, var2 = fixture("fig2_pair")
     rho = reduced_density(var2, "A")
-    assert np.allclose(rho.entries, np.eye(10) / 10, atol=1e-14)
+    assert np.allclose(rho, np.eye(10) / 10, atol=1e-14)
 
 
 def test_reduced_density_operator_input_preserves_trace():
@@ -188,14 +191,31 @@ def test_reduced_density_operator_input_preserves_trace():
     assert np.trace(red) == pytest.approx(np.trace(op.entries), abs=1e-12)
 
 
+@pytest.mark.parametrize("side", [1, None, "C"])
+def test_reduced_density_rejects_unknown_side(side):
+    with pytest.raises(DimensionMismatch, match="side must be"):
+        reduced_density(bell_plus(), side)
+
+
 @pytest.mark.parametrize("da,db", [(2, 2), (3, 5), (6, 2)])
 def test_partial_trace_consistency(da, db):
     rng = np.random.default_rng(da * 10 + db)
     for _ in range(20):
         s = haar_state(da, db, rng)
         for side in "AB":
-            assert np.trace(reduced_density(s, side).entries).real == pytest.approx(
+            assert np.trace(reduced_density(s, side)).real == pytest.approx(
                 1.0, abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.sampled_from([(2, 2), (3, 5), (6, 2)]),
+       side=st.sampled_from("AB"))
+def test_reduced_density_of_pure_state_is_a_density_matrix(seed, dims, side):
+    rho = reduced_density(haar_state(*dims, np.random.default_rng(seed)), side)
+    assert rho.shape == (dims["AB".index(side)],) * 2
+    assert np.abs(rho - rho.conj().T).max() <= HERMITIAN_TOL
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
 
 
 def test_schmidt_examples():
