@@ -389,9 +389,14 @@ def _family(columns, row: int = 0) -> tuple:
 _BLOCK_AMPLITUDES = 8192
 
 
+def _block_size(dim_a: int, dim_b: int) -> int:
+    """The pairs of ``dim_a x dim_b`` components in one evaluation block."""
+    return max(1, _BLOCK_AMPLITUDES // (dim_a * dim_b))
+
+
 def _blocks(start: int, stop: int, dim_a: int, dim_b: int):
     """``(lo, hi)`` ranges that cover ``[start, stop)`` in evaluation blocks."""
-    size = max(1, _BLOCK_AMPLITUDES // (dim_a * dim_b))
+    size = _block_size(dim_a, dim_b)
     return ((lo, min(lo + size, stop)) for lo in range(start, stop, size))
 
 

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 verification found violations, 2 bad input
-(flags, files, validation) or out of memory, 3 internal sanity failure,
-4 output I/O failure. All output is locale-independent; floats are
+(flags, files, validation) or out of memory, 3 internal sanity failure or
+any other exception (a bug; its traceback goes to stderr), 4 output I/O
+failure. All output is locale-independent; floats are
 printed with 17 significant digits, and identical flags plus seed produce
 byte-identical stdout (wall-clock timing goes to stderr). Output goes
 through ``print``, since ``click.echo`` keeps every stream it wrote to,
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import traceback
 
 import click
 import numpy as np
@@ -60,7 +62,8 @@ def _fail(message: str, code: int):
 
 def _run_or_exit(fn, *args, **kwargs):
     """Call ``fn``; exit 3 on a :class:`SanityFailure`, 2 on any other library
-    error or on running out of memory."""
+    error or on running out of memory, and 3, with the traceback, on any
+    other exception: a bug, which must not exit 1 as a violation would."""
     try:
         return fn(*args, **kwargs)
     except SanityFailure as exc:
@@ -69,6 +72,9 @@ def _run_or_exit(fn, *args, **kwargs):
         _fail(str(exc), 2)
     except MemoryError as exc:
         _fail(f"out of memory: {exc}" if str(exc) else "out of memory", 2)
+    except Exception as exc:
+        traceback.print_exc()
+        _fail(f"internal error: {exc!r}", 3)
 
 
 def _load_state_or_exit(path: str) -> PureState:

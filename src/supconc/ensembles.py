@@ -4,11 +4,15 @@ Every generator takes an explicit ``numpy.random.Generator``; nothing in
 this module touches global RNG state. Trial ``i`` of a verification
 campaign is what ``default_rng([seed, i])`` gives, so results are
 bit-identical for a given config no matter how trials are scheduled,
-including across worker processes. Campaigns draw their trials a block at
-a time: the trials' generator states are computed together and loaded one
-by one into one generator. Each trial makes three calls on it: the state
-load, one ``standard_normal`` of all its normals and one ``random_raw`` of
-its weight words, plus one ``random_raw`` for a biorthogonal pair's splits.
+including across worker processes. A campaign runs as ranges of trials,
+each of which seeds, draws, evaluates and judges its own trials a chunk of
+evaluation blocks at a time, so its memory grows with the violations it
+records and not with its length. The generator states of a chunk's trials
+are computed together, and its trials are drawn a block at a time, their
+states loaded one by one into one generator. Each trial makes three calls
+on it: the state load, one ``standard_normal`` of all its normals and one
+``random_raw`` of its weight words, plus one ``random_raw`` for a
+biorthogonal pair's splits.
 The raw words become the ``integers`` and ``uniform`` draws numpy's
 ``Generator`` would make from them (Lemire's bounded method on PCG64's
 buffered 32-bit halves, and 53-bit doubles), and the arithmetic on the
@@ -30,7 +34,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bounds import SANITY_TOL, Regime, _blocks, _checked_rows, _component_columns, _joined
+from .bounds import (SANITY_TOL, Regime, _block_size, _blocks, _checked_rows,
+                     _component_columns, _joined)
 from .errors import InternalError, InvalidSplit, OutOfRange, SanityFailure, UnknownFixture
 from .states import PureState, RawVector, make_state, normalize
 
@@ -249,7 +254,7 @@ def _mask_seed(seed: int) -> int:
 # Trial i of a campaign draws from np.random.default_rng([mask(seed), i]):
 # a PCG64 seeded by SeedSequence([mask(seed), i]) (NEP 19). Building that
 # generator costs more than most small trials; its seeding is integer
-# arithmetic, done here for a whole range of trials at once.
+# arithmetic, done here for a chunk of trials at once.
 
 _MASK32 = 0xFFFFFFFF
 _MASK128 = (1 << 128) - 1
@@ -612,27 +617,24 @@ def _digest(phi: np.ndarray, varphi: np.ndarray, alpha: complex, beta: complex) 
     return h.hexdigest()[:12]
 
 
-def _run_range(config: EnsembleConfig, start: int, stop: int,
-               words: np.ndarray | None = None) -> np.ndarray:
-    """Draw and evaluate trials ``[start, stop)``: the unit of work of a campaign.
+def _trial_rows(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
+    """Seed, draw and evaluate trials ``[start, stop)``: one row per trial.
 
-    Block by block (:func:`supconc.bounds._blocks`), the trials are drawn
+    The trials' generators are seeded together (:func:`_seed_words`); block
+    by block (:func:`supconc.bounds._blocks`), the trials are drawn
     (:func:`_draw_block`) and reduced to the columns of the component stage
-    (:func:`supconc.bounds._component_columns`), so no array is larger than
-    a block; the bound stage (:func:`supconc.bounds._checked_rows`) then runs
-    once over the columns of the whole range. ``words`` are the trials'
-    rows of :func:`_seed_words`, when the caller seeded a longer range at
-    once. Returns one row per trial, ``(upper slack, lower slack,
-    closed-form error, zero-delta excess)``; the error is NaN outside the
-    biorthogonal regime and the excess NaN on trials classified general. A
-    trial's row does not depend on the range or block it is drawn and
-    evaluated in. Bound escapes are not judged here: :func:`verify_ensemble`
-    finds them in the rows of all trials. Only a bug, a NaN concurrence or
-    slack or a concurrence out of range, raises :class:`SanityFailure`,
-    naming the seed, the first bad trial and its digest.
+    (:func:`supconc.bounds._component_columns`), so only the columns grow
+    with the range; the bound stage (:func:`supconc.bounds._checked_rows`)
+    then runs once over the columns of all of them. A row is ``(upper
+    slack, lower slack, closed-form error, zero-delta excess)``; the error
+    is NaN outside the biorthogonal regime and the excess NaN on trials
+    classified general. A trial's row does not depend on the range or block
+    it is drawn and evaluated in. Bound escapes are not judged here. Only a
+    bug, a NaN concurrence or slack or a concurrence out of range, raises
+    :class:`SanityFailure`, naming the seed, the first bad trial and its
+    digest.
     """
-    if words is None:
-        words = _seed_words(config.seed, range(start, stop))
+    words = _seed_words(config.seed, range(start, stop))
     dims = (config.dim_a, config.dim_b)
     alpha, beta, columns = [], [], []
     for lo, hi in _blocks(start, stop, *dims):
@@ -655,11 +657,67 @@ def _run_range(config: EnsembleConfig, start: int, stop: int,
     return np.column_stack((batch.upper_slack, batch.lower_slack, batch.formula_error, excess))
 
 
-def _fmax_or_none(values: np.ndarray) -> float | None:
-    """Largest non-NaN entry of ``values``; ``None`` when there is none."""
+# A partial summary is a campaign's summary over one range of its trials:
+# (violations, max upper slack, min lower slack, max closed-form error,
+# zero-delta excess count, max zero-delta excess), where a maximum over no
+# value is -inf.
+
+
+def _judged(config: EnsembleConfig, start: int, stop: int) -> tuple:
+    """The partial summary of trials ``[start, stop)``, from their rows (:func:`_trial_rows`).
+
+    A violation is a trial whose margin ``max(upper slack, -lower slack,
+    closed-form error)`` passes ``config.tol``; the violating trials are
+    redrawn together, in blocks, for their digests.
+    """
+    upper, lower, formula, excess = _trial_rows(config, start, stop).T
+    margin = np.maximum(np.maximum(upper, -lower), np.nan_to_num(formula, nan=0.0))
+    flagged = np.flatnonzero(margin > config.tol).tolist()
+    digests = []
+    for lo, hi in _blocks(0, len(flagged), config.dim_a, config.dim_b):
+        digests += map(_digest, *_draw_block(config, [start + row for row in flagged[lo:hi]]))
+    violations = [Violation(config.seed, start + row, digest, float(margin[row]))
+                  for row, digest in zip(flagged, digests)]
     # fmax skips NaN; np.nanmax would warn on an all-NaN column
-    top = float(np.fmax.reduce(values, initial=-math.inf))
-    return None if top == -math.inf else top
+    return (violations, float(upper.max()), float(lower.min()),
+            float(np.fmax.reduce(formula, initial=-math.inf)),
+            int(np.count_nonzero(excess > config.tol)),
+            float(np.fmax.reduce(excess, initial=-math.inf)))
+
+
+def _merged(parts) -> tuple:
+    """The partial summary of consecutive ranges of trials from theirs, read
+    one at a time in trial order."""
+    violations, upper, lower, formula, excesses, excess = (
+        [], -math.inf, math.inf, -math.inf, 0, -math.inf)
+    for part in parts:
+        violations += part[0]
+        upper, lower, formula = max(upper, part[1]), min(lower, part[2]), max(formula, part[3])
+        excesses, excess = excesses + part[4], max(excess, part[5])
+    return violations, upper, lower, formula, excesses, excess
+
+
+# Evaluation blocks of trials that a range seeds, draws, evaluates and judges
+# at a time, so that only one chunk's draws, columns and rows are alive
+# whatever the range's length: 32768 trials at 2x2, 128 at 32x32. Smaller
+# chunks pay the seeding's and the bound stage's fixed costs more often:
+# in-process general campaigns on a 2-core x86-64 host, best of 5, took 164-169
+# us per 32x32 trial in chunks of 2 blocks, 130-134 in chunks of 16 and
+# 128-129 in chunks of 64 (10x10: 21, 17-19 and 16-19 us).
+_CHUNK_BLOCKS = 16
+
+
+def _run_range(config: EnsembleConfig, start: int, stop: int) -> tuple:
+    """The partial summary of trials ``[start, stop)``: the unit of work of a campaign.
+
+    The range is walked in chunks of ``_CHUNK_BLOCKS`` evaluation blocks,
+    each seeded, drawn, evaluated (:func:`_trial_rows`) and judged
+    (:func:`_judged`) on its own, so the range's memory grows with its
+    violations and not with its length; the chunks' partial summaries are
+    merged as they come.
+    """
+    step = _CHUNK_BLOCKS * _block_size(config.dim_a, config.dim_b)
+    return _merged(_judged(config, lo, min(lo + step, stop)) for lo in range(start, stop, step))
 
 
 # Work, trials * dim_a * dim_b, below which a campaign runs in this process
@@ -670,71 +728,57 @@ def _fmax_or_none(values: np.ndarray) -> float | None:
 _POOL_FLOOR = 100_000
 
 
-def _ranges(blocks: list[tuple[int, int]], parts: int) -> list[tuple[int, int]]:
-    """``blocks`` grouped into at most ``parts`` ranges of consecutive whole blocks."""
-    size = math.ceil(len(blocks) / parts)
-    return [(blocks[i][0], blocks[min(i + size, len(blocks)) - 1][1])
-            for i in range(0, len(blocks), size)]
-
-
 def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummary:
     """Run a campaign: draw pairs and weights, evaluate, record violations.
 
-    Ranges of trials are the unit of work (:func:`_run_range`): each is
-    drawn and reduced to per-trial columns a block at a time, which bounds
-    its memory, and then judged by one pass of the bound stage. The seeding
-    of every trial's generator is computed once, here, and each range gets
-    its trials' share. With ``jobs > 1``, more than one block and CPU, and
-    at least ``_POOL_FLOOR`` amplitudes of work (``trials * dim_a *
-    dim_b``), a campaign runs in ``min(jobs, blocks, CPUs)`` processes,
-    this one included: this process runs the first contiguous share of the
-    blocks as one range, and a pool of the other processes the rest, cut
-    into a few ranges per process; otherwise the whole campaign is one range
-    run here. Deterministic for a given config regardless of ``jobs``:
-    trial ``i`` is drawn from ``default_rng([seed, i])``, and its row does
-    not depend on its range or block. The ranges' rows come back in trial
-    order, this process's share first, so a bug raises for the first bad
-    trial. The summary is one reduction over them: a max, min or count per
-    column, and the violations, in trial order, where the margin
-    ``max(upper slack, -lower slack, closed-form error)`` passes
+    Ranges of trials are the unit of work (:func:`_run_range`): each seeds,
+    draws, evaluates and judges its own trials, a chunk of blocks at a time,
+    and returns its partial summary. With ``jobs > 1``, more than one block
+    and CPU, and at least ``_POOL_FLOOR`` amplitudes of work (``trials *
+    dim_a * dim_b``), a campaign runs in ``min(jobs, blocks, CPUs)``
+    processes, this one included: this process runs the first
+    ``ceil(blocks / processes)`` blocks as one range, and a pool of the
+    other processes the rest, cut into at most four ranges of whole blocks
+    per pool process; otherwise the whole campaign is one range run here.
+    The split is worked out from the trial count, so nothing here grows
+    with it. Deterministic for a given config regardless of ``jobs``: trial
+    ``i`` is drawn from ``default_rng([seed, i])``, and its row does not
+    depend on its range, chunk or block. The ranges' partial summaries come
+    back in trial order, this process's share first, so a bug raises for
+    the first bad trial; the summary merges them: a max, min or count per
+    quantity, and the violations in trial order. A trial violates where
+    its margin ``max(upper slack, -lower slack, closed-form error)`` passes
     ``config.tol``. This is the campaign's one judge of a bound escape, so
-    ``config.tol`` is the tolerance whatever its value. The violating trials
-    are redrawn together, in blocks, and each violation's digest is taken
-    from its row. A bug in a range raises :class:`SanityFailure` and ends
-    the campaign without a summary.
+    ``config.tol`` is the tolerance whatever its value. A bug in a range
+    raises :class:`SanityFailure` and ends the campaign without a summary.
     """
     t0 = time.perf_counter()
-    words = _seed_words(config.seed, np.arange(config.trials))
-    blocks = list(_blocks(0, config.trials, config.dim_a, config.dim_b))
-    workers = min(jobs, len(blocks), os.cpu_count() or 1)
+    size = _block_size(config.dim_a, config.dim_b)
+    blocks = -(-config.trials // size)   # ceilings in integers: exact at any trial count
+    workers = min(jobs, blocks, os.cpu_count() or 1)
     if workers <= 1 or config.trials * config.dim_a * config.dim_b < _POOL_FLOOR:
-        parts = [_run_range(config, 0, config.trials, words)]
+        parts = [_run_range(config, 0, config.trials)]
     else:
         # this process runs the first share of the blocks and workers - 1
         # pool processes the rest, which goes out first: a fork-started pool
         # forks every worker at the first submit. A few ranges per worker
         # even out their loads
-        own = math.ceil(len(blocks) / workers)
-        split = blocks[own][0]   # the first trial of the pool's share
-        ranges = _ranges(blocks[own:], 4 * (workers - 1))
+        own = -(-blocks // workers)
+        split = own * size   # the first trial of the pool's share
+        step = -(-(blocks - own) // (4 * (workers - 1))) * size
+        starts = range(split, config.trials, step)
         with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            rest = pool.map(_run_range, [config] * len(ranges), *zip(*ranges),
-                            [words[lo:hi] for lo, hi in ranges])
-            parts = [_run_range(config, 0, split, words[:split]), *rest]
-    upper, lower, formula, excess = np.concatenate(parts).T
-    margin = np.maximum(np.maximum(upper, -lower), np.nan_to_num(formula, nan=0.0))
-    flagged = np.flatnonzero(margin > config.tol)
-    digests = []
-    for lo, hi in _blocks(0, flagged.size, config.dim_a, config.dim_b):
-        digests += map(_digest, *_draw_block(config, flagged[lo:hi], words[flagged[lo:hi]]))
+            rest = pool.map(_run_range, [config] * len(starts), starts,
+                            [min(lo + step, config.trials) for lo in starts])
+            parts = [_run_range(config, 0, split), *rest]
+    violations, upper, lower, formula, excesses, excess = _merged(parts)
     return VerificationSummary(
         trials_run=config.trials,
-        violations=tuple(Violation(config.seed, index, digest, float(margin[index]))
-                         for index, digest in zip(flagged.tolist(), digests)),
-        max_upper_slack=float(upper.max()),
-        min_lower_slack=float(lower.min()),
-        max_formula_error=_fmax_or_none(formula),
-        zero_delta_lower_excesses=int(np.count_nonzero(excess > config.tol)),
-        max_zero_delta_excess=_fmax_or_none(excess),
+        violations=tuple(violations),
+        max_upper_slack=upper,
+        min_lower_slack=lower,
+        max_formula_error=None if formula == -math.inf else formula,
+        zero_delta_lower_excesses=excesses,
+        max_zero_delta_excess=None if excess == -math.inf else excess,
         wall_time=time.perf_counter() - t0,
     )

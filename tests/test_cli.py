@@ -235,6 +235,24 @@ def test_out_of_memory_exits_two(runner, state_files, monkeypatch, target, args,
     assert result.stdout == ""
 
 
+def test_unexpected_exception_exits_three_with_its_traceback(runner, monkeypatch):
+    # an exception that is neither a library error nor out of memory is a
+    # bug: exit 3, not 1, the violations code, with its traceback on stderr
+    def broken(*args, **kwargs):
+        raise RuntimeError("no campaign today")
+
+    monkeypatch.setattr(cli, "verify_ensemble", broken)
+    result = runner.invoke(main, ["verify", "--trials", "1", "--dims", "2", "2",
+                                  "--regime", "general"])
+    assert result.exit_code == 3
+    assert result.stderr.startswith("Traceback (most recent call last):\n")
+    assert "in broken\n" in result.stderr
+    assert result.stderr.endswith(
+        "RuntimeError: no campaign today\n"
+        "error: internal error: RuntimeError('no campaign today')\n")
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("command", [["bounds", "--alpha", repr(S2), "--beta", repr(S2)],
                                      ["sweep", "--steps", "5"]], ids=["bounds", "sweep"])
 def test_bounds_sanity_failure_exits_three(runner, state_files, command):

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -439,8 +441,8 @@ def test_run_range_split_matches_one_range(dims, trials, regime):
     # range [0, T) gives the rows of the ranges [0, 7) and [7, T)
     config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1], regime=regime,
                             seed=20240901, weight_sampling="complex-random", tol=-1.0)
-    whole_rows = ensembles._run_range(config, 0, trials)
-    split_rows = [ensembles._run_range(config, 0, 7), ensembles._run_range(config, 7, trials)]
+    whole_rows = ensembles._trial_rows(config, 0, trials)
+    split_rows = [ensembles._trial_rows(config, 0, 7), ensembles._trial_rows(config, 7, trials)]
     assert whole_rows.shape == (trials, 4)
     assert np.array_equal(whole_rows, np.concatenate(split_rows), equal_nan=True)
 
@@ -453,10 +455,11 @@ def test_ranges_across_block_boundaries_match_one_range(monkeypatch, regime):
     # mid-block give the rows of one range in blocks of the default size
     config = EnsembleConfig(trials=30, dim_a=3, dim_b=3, regime=regime, seed=20240901,
                             weight_sampling="complex-random", tol=-1.0)
-    whole_rows = ensembles._run_range(config, 0, 30)
+    whole_rows = ensembles._trial_rows(config, 0, 30)
     monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 36)
     assert list(bounds._blocks(6, 13, 3, 3)) == [(6, 10), (10, 13)]
-    split_rows = [ensembles._run_range(config, lo, hi) for lo, hi in ((0, 6), (6, 13), (13, 30))]
+    split_rows = [ensembles._trial_rows(config, lo, hi)
+                  for lo, hi in ((0, 6), (6, 13), (13, 30))]
     assert np.array_equal(whole_rows, np.concatenate(split_rows), equal_nan=True)
 
 
@@ -480,9 +483,9 @@ def test_rows_do_not_depend_on_the_concurrence_route_of_their_neighbours(dims, t
     below_floor = c_sq < _GRAM_FLOOR * (max(dims) + 1) ** 2
     assert below_floor.any() and not below_floor.all()
 
-    whole_rows = ensembles._run_range(config, 0, trials)
-    split_rows = [ensembles._run_range(config, 0, 7), ensembles._run_range(config, 7, trials)]
-    one_rows = [ensembles._run_range(config, index, index + 1) for index in range(trials)]
+    whole_rows = ensembles._trial_rows(config, 0, trials)
+    split_rows = [ensembles._trial_rows(config, 0, 7), ensembles._trial_rows(config, 7, trials)]
+    one_rows = [ensembles._trial_rows(config, index, index + 1) for index in range(trials)]
     assert np.array_equal(whole_rows, np.concatenate(split_rows), equal_nan=True)
     assert np.array_equal(whole_rows, np.concatenate(one_rows), equal_nan=True)
 
@@ -564,8 +567,84 @@ def test_ranges_keep_violations_in_trial_order(monkeypatch):
     assert ranged.zero_delta_lower_excesses == 17
 
 
+@pytest.mark.parametrize("regime", list(Regime))
+def test_chunked_ranges_match_one_chunk(monkeypatch, regime):
+    # blocks of 60 amplitudes hold four 3x5 trials and chunks of 3 blocks 12:
+    # jobs=2 on 2 CPUs runs the first 25 blocks here as one range of 9
+    # chunks and maps the other 25 onto the pool as 4 ranges of 7 blocks or
+    # fewer, 3 chunks each. Each chunk judges and digests its own trials; the
+    # merged summary is the one of the campaign as one chunk, at a tol that
+    # flags every trial and at the median margin (0 outside the biorthogonal
+    # regime, where the closed-form error is NaN)
+    _inline_pool(monkeypatch, 2, 60)
+    config = EnsembleConfig(trials=200, dim_a=3, dim_b=5, regime=regime, seed=-5,
+                            weight_sampling="complex-random", tol=-1.0)
+    margins = sorted(v.margin for v in verify_ensemble(config).violations)
+    assert len(margins) == 200
+    for tol in (-1.0, margins[100]):
+        config = dataclasses.replace(config, tol=tol)
+        monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 50)
+        whole = verify_ensemble(config)
+        monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 3)
+        chunked = verify_ensemble(config, jobs=2)
+        assert _InlineExecutor.starts[-1] == [100, 128, 156, 184]
+        assert chunked.violations == whole.violations
+        assert _summary_key(chunked) == _summary_key(whole)
+
+
+def test_campaign_memory_does_not_grow_with_its_trials(monkeypatch):
+    # a range keeps one chunk's draws, columns and rows at a time, and the
+    # campaign no per-trial array: with chunks of 2 blocks of 256 2x2 trials,
+    # a campaign ten times longer peaks at about the same traced memory
+    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 1024)
+    monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 2)
+
+    def peak(trials):
+        config = EnsembleConfig(trials=trials, dim_a=2, dim_b=2, regime=Regime.GENERAL,
+                                seed=1)
+        tracemalloc.start()
+        try:
+            assert verify_ensemble(config).passed
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1500)   # numpy's and the module's one-time allocations
+    short, long = peak(1500), peak(15000)
+    assert long <= 1.5 * short, (short, long)
+
+
+class _Sentinel(Exception):
+    pass
+
+
+@pytest.mark.parametrize("trials", [2 ** 63, 2 ** 64 - 1])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_largest_campaigns_seed_one_chunk_at_a_time(monkeypatch, trials, jobs):
+    # the largest trial counts the config accepts: no campaign-length array
+    # is built, so the first seeding is of the first trials, one chunk of
+    # them at most, here or, at jobs=2, in this process's range; stopped
+    # there, no campaign is run
+    _inline_pool(monkeypatch, 2, bounds._BLOCK_AMPLITUDES)
+    seeded = []
+
+    def first_seeding(seed, indices):
+        seeded.append(list(indices))
+        raise _Sentinel
+
+    monkeypatch.setattr(ensembles, "_seed_words", first_seeding)
+    config = EnsembleConfig(trials=trials, dim_a=2, dim_b=2, regime=Regime.GENERAL, seed=1)
+    with pytest.raises(_Sentinel):
+        verify_ensemble(config, jobs=jobs)
+    chunk = ensembles._CHUNK_BLOCKS * bounds._block_size(2, 2)
+    assert seeded == [list(range(chunk))]
+    assert _InlineExecutor.created == ([1] if jobs == 2 else [])
+
+
 _SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, -5, 2 ** 64 - 1]
-_INDICES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3]
+# up to 2**63 and 2**64 - 1: a campaign of 2**64 - 1 trials seeds indices up
+# to 2**64 - 2
+_INDICES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 63, 2 ** 64 - 1]
 
 
 @pytest.mark.parametrize("seed", _SEEDS)
