@@ -62,7 +62,6 @@ from .measures import (
 from .states import (
     OperatorAB,
     PureState,
-    RawVector,
     SuperpositionSpec,
     apply_local_unitary,
     inner_product,
@@ -94,7 +93,7 @@ __all__ = [
     "binary_entropy", "concurrence_qubit", "concurrence_sq_via_lambda",
     "eof_from_concurrence", "i_concurrence", "lambda_map", "lambda_sandwich",
     "spin_flip", "superposition_csq_expansion", "universal_inverter",
-    "OperatorAB", "PureState", "RawVector", "SuperpositionSpec",
+    "OperatorAB", "PureState", "SuperpositionSpec",
     "apply_local_unitary", "inner_product",
     "load_state", "make_state", "normalize", "outer_operator", "purity",
     "reduced_density", "save_state", "schmidt_coefficients",

@@ -1,13 +1,13 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 verification found violations, 2 bad input
-(flags, files, validation) or out of memory, 3 internal sanity failure or
-any other exception (a bug; its traceback goes to stderr), 4 output I/O
-failure. All output is locale-independent; floats are
-printed with 17 significant digits, and identical flags plus seed produce
-byte-identical stdout (wall-clock timing goes to stderr). Output goes
-through ``print``, since ``click.echo`` keeps every stream it wrote to,
-text and all, alive.
+(flags, files, validation) or out of memory, 3 a bug: a failed internal
+invariant (``SanityFailure``, ``InternalError`` or ``DeltaOutOfRange``) or
+any other exception (its traceback goes to stderr), 4 output I/O failure.
+All output is locale-independent; floats are printed with 17 significant
+digits, and identical flags plus seed produce byte-identical stdout
+(wall-clock timing goes to stderr). Output goes through ``print``, since
+``click.echo`` keeps every stream it wrote to, text and all, alive.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import REGIME_TOL, SANITY_TOL, Regime, evaluate, evaluate_batch
 from .ensembles import WEIGHT_MODES, EnsembleConfig, fixture, verify_ensemble
-from .errors import SanityFailure, SupconcError
+from .errors import DeltaOutOfRange, InternalError, SanityFailure, SupconcError
 from .measures import concurrence_qubit, eof_from_concurrence, i_concurrence
 from .states import (
     PureState,
@@ -61,12 +61,13 @@ def _fail(message: str, code: int):
 
 
 def _run_or_exit(fn, *args, **kwargs):
-    """Call ``fn``; exit 3 on a :class:`SanityFailure`, 2 on any other library
+    """Call ``fn``; exit 3 on a failed internal invariant (:class:`SanityFailure`,
+    :class:`InternalError`, :class:`DeltaOutOfRange`), 2 on any other library
     error or on running out of memory, and 3, with the traceback, on any
     other exception: a bug, which must not exit 1 as a violation would."""
     try:
         return fn(*args, **kwargs)
-    except SanityFailure as exc:
+    except (SanityFailure, InternalError, DeltaOutOfRange) as exc:
         _fail(str(exc), 3)
     except SupconcError as exc:
         _fail(str(exc), 2)

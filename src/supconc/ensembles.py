@@ -37,7 +37,7 @@ import numpy as np
 from .bounds import (SANITY_TOL, Regime, _block_size, _blocks, _checked_rows,
                      _component_columns, _joined)
 from .errors import InternalError, InvalidSplit, OutOfRange, SanityFailure, UnknownFixture
-from .states import PureState, RawVector, make_state, normalize
+from .states import PureState, make_state, normalize
 
 _REDRAW_LIMIT = 100
 _COLLINEAR_TOL = 1e-6   # residual norm below which a Gram-Schmidt draw is retried
@@ -146,7 +146,7 @@ def fixture(name: str) -> PureState | tuple[PureState, PureState]:
     """
     s2 = math.sqrt(0.5)  # correctly rounded 1/sqrt(2)
     if name == "fig1_pair":
-        return tuple(normalize(RawVector(2, 2, v))[0] for v in (_FIG1_PHI, _FIG1_VARPHI))
+        return tuple(normalize(np.reshape(v, (2, 2)))[0] for v in (_FIG1_PHI, _FIG1_VARPHI))
     if name == "bell_plus":
         return make_state(2, 2, [s2, 0.0, 0.0, s2])
     if name == "bell_minus":
@@ -751,7 +751,12 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     ``config.tol``. This is the campaign's one judge of a bound escape, so
     ``config.tol`` is the tolerance whatever its value. A bug in a range
     raises :class:`SanityFailure` and ends the campaign without a summary.
+    A ``jobs`` that is not an integer of at least 1 raises
+    :class:`OutOfRange` before anything is drawn.
     """
+    # a bool is an int too, but no process count
+    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)) or jobs < 1:
+        raise OutOfRange(f"jobs must be an integer >= 1, got {jobs!r}")
     t0 = time.perf_counter()
     size = _block_size(config.dim_a, config.dim_b)
     blocks = -(-config.trials // size)   # ceilings in integers: exact at any trial count

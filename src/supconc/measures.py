@@ -14,6 +14,12 @@ arbitrary operator sigma as::
 which is positive and Hermiticity-preserving but not completely
 positive, is trace-increasing by (d_a - 1)(d_b - 1), and satisfies
 Tr(rho Lambda(sigma)) = Tr(sigma Lambda(rho)).
+
+The squared concurrence is read from a reduced state ``rho`` by one
+formula, ``C^2 = 2((tr rho)^2 - ||rho||_F^2)`` (:func:`_purity_csq`): the
+evaluation core and both inverter routes, :func:`concurrence_sq_via_lambda`
+and :func:`superposition_csq_expansion`, share it. :func:`lambda_map` and
+:func:`lambda_sandwich` apply the map explicitly and are their oracle.
 """
 
 from __future__ import annotations
@@ -138,26 +144,35 @@ def _concurrence(m: np.ndarray) -> np.ndarray:
 def _purity_concurrence(rho: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """I-concurrence of each matrix of ``stack`` from its reduced state ``rho``.
 
-    ``rho = _gram(stack, stack)``; ``C^2 = 2((tr rho)^2 - ||rho||_F^2)``,
-    summed row by row as ``2 sum_i (rho_ii tr rho - sum_j |rho_ij|^2)`` so
-    that the O(1) parts cancel within each row. Near product states that
-    difference has lost the digits of C, so a matrix whose ``C^2`` falls
-    below ``_GRAM_FLOOR (max(dim_a, dim_b) + 1)^2`` takes the I-concurrence
-    of its singular values instead (:func:`_schmidt_concurrence`). Each
-    matrix's value depends on that matrix alone. The two routes agree
-    within 1e-13, and agree with the closed form within 1e-12 on qubit
-    pairs.
+    ``rho = _gram(stack, stack)``, and ``C^2`` is :func:`_purity_csq` of it.
+    Near product states its row differences have lost the digits of C, so
+    a matrix whose ``C^2`` falls below ``_GRAM_FLOOR (max(dim_a, dim_b) +
+    1)^2`` takes the I-concurrence of its singular values instead
+    (:func:`_schmidt_concurrence`). Each matrix's value depends on that
+    matrix alone. The two routes agree within 1e-13, and agree with the
+    closed form within 1e-12 on qubit pairs.
     """
-    diag = np.einsum("tii->ti", rho).real
-    parts = rho.view(np.float64)  # real and imaginary parts, interleaved
-    row_sq = np.einsum("tik,tik->ti", parts, parts)
-    c_sq = 2.0 * (diag * diag.sum(axis=1, keepdims=True) - row_sq).sum(axis=1)
+    c_sq = _purity_csq(rho)
     c = np.sqrt(np.maximum(c_sq, 0.0))
     near_product = c_sq < _GRAM_FLOOR * (max(stack.shape[1:]) + 1) ** 2
     if near_product.any():
         c[near_product] = _schmidt_concurrence(
             np.linalg.svd(stack[near_product], compute_uv=False))
     return c
+
+
+def _purity_csq(rho: np.ndarray) -> np.ndarray:
+    """``C^2 = 2((tr rho)^2 - ||rho||_F^2)`` of each reduced state of a stack.
+
+    Summed row by row as ``2 sum_i (rho_ii tr rho - sum_j |rho_ij|^2)``, so
+    that the O(1) parts cancel within each row. For an unnormalized state
+    whose reduced state is ``rho``, this is ``norm^4 C^2`` of the normalized
+    one. Not clamped: rounding may leave a slightly negative value.
+    """
+    diag = np.einsum("tii->ti", rho).real
+    parts = rho.view(np.float64)  # real and imaginary parts, interleaved
+    row_sq = np.einsum("tik,tik->ti", parts, parts)
+    return 2.0 * (diag * diag.sum(axis=1, keepdims=True) - row_sq).sum(axis=1)
 
 
 def _gram(m: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -298,13 +313,10 @@ def lambda_sandwich(x: PureState, sigma: OperatorAB, y: PureState) -> complex:
     For a pure sigma = |phi><phi| the diagonal element has the closed form
     ``<x| Lambda(|phi><phi|) |x> = 1 - Tr(rho_phi^A rho_x^A)
     - Tr(rho_phi^B rho_x^B) + |<phi|x>|^2``, used as a cross-check in
-    tests; here the map is applied explicitly. A rank-one sigma = |u><v|
-    has the O(d^3) form ``<v|u><x|y> - tr(X^dag U V^dag Y)
-    - tr(X^dag Y V^dag U) + <x|u><v|y>`` in the coefficient matrices,
-    from which :func:`_sandwich_table` builds every such element over a
-    few states at once for :func:`concurrence_sq_via_lambda` and
-    :func:`superposition_csq_expansion`; this function, which applies the
-    map, is their independent oracle.
+    tests; here the map is applied explicitly, so this function is the
+    independent oracle of :func:`concurrence_sq_via_lambda` and
+    :func:`superposition_csq_expansion`, which read the same sandwiches
+    from reduced-state purities.
     """
     _require_same_space(x, sigma)
     _require_same_space(y, sigma)
@@ -312,49 +324,18 @@ def lambda_sandwich(x: PureState, sigma: OperatorAB, y: PureState) -> complex:
     return complex(np.vdot(x.amplitudes, lam.entries @ y.amplitudes))
 
 
-def _sandwich_table(*states: PureState) -> np.ndarray:
-    """``T[x, u, v, y] = <x| Lambda(|u><v|) |y>`` over ``states``.
-
-    With coefficient matrices X, U, V, Y, ``|u><v|`` has the partial
-    traces ``U V^dag`` (side A) and ``U^T V^*`` (side B), so the four
-    terms of Lambda give
-    ``<v|u><x|y> - tr(X^dag U V^dag Y) - tr(X^dag Y V^dag U) + <x|u><v|y>``;
-    the side-B term sandwiches the transpose ``V^dag U`` of ``U^T V^*``.
-    Over k states the table takes three batched products: the overlaps
-    ``S[p, q] = <p|q>``, the Gram blocks of the evaluation core,
-    ``G[p, q] = _gram(P, Q)`` on the smaller side, and their Frobenius
-    inner products
-    ``H[p, q, r, s] = vdot(G[p, q], G[r, s])``. On side B,
-    ``G[p, q] = P^dag Q`` and ``tr(X^dag U V^dag Y) = H[u, x, v, y]``; on side
-    A, ``G[p, q] = Q P^dag`` and it is ``H[u, v, x, y]``. O(k^2 d_a d_b d +
-    k^4 d^2) with d the smaller side.
-    """
-    for other in states[1:]:
-        _require_same_space(states[0], other)
-    k = len(states)
-    m = np.stack([st.matrix for st in states])
-    amplitudes = m.reshape(k, -1)
-    s = amplitudes.conj() @ amplitudes.T
-    flat = _gram(m[:, None], m[None, :]).reshape(k * k, -1)
-    h = (flat.conj() @ flat.T).reshape(k, k, k, k)
-    if m.shape[1] <= m.shape[2]:
-        h = h.transpose(0, 2, 1, 3)
-    # h[u, x, v, y] = tr(X^dag U V^dag Y); axes (x, u, v, y) of the table:
-    # h[u, x, v, y] and h[y, x, v, u]
-    return (s.T[None, :, :, None] * s[:, None, None, :]
-            - h.transpose(1, 0, 2, 3)
-            - h.transpose(1, 3, 2, 0)
-            + s[:, :, None, None] * s[None, None, :, :])
-
-
 def concurrence_sq_via_lambda(s: PureState) -> float:
     """Squared concurrence via ``<s| Lambda(|s><s|) |s>``.
 
-    O(d^3) verification route through the one-state sandwich table
-    (:func:`_sandwich_table`), independent of the Schmidt coefficients;
-    its square root equals :func:`i_concurrence` within 1e-10.
+    By the four terms of Lambda, that sandwich is
+    ``1 - Tr(rho_A^2) - Tr(rho_B^2) + 1 = 2(1 - Tr rho^2)``, with both
+    purities equal; it is read as :func:`_purity_csq` of the reduced state
+    ``_gram(M, M)`` of the coefficient matrix M, in O(d^3) and independent
+    of the Schmidt coefficients. Its square root equals
+    :func:`i_concurrence` within 1e-10.
     """
-    return max(0.0, float(_sandwich_table(s)[0, 0, 0, 0].real))
+    m = s.matrix[None]
+    return max(0.0, float(_purity_csq(_gram(m, m))[0]))
 
 
 def superposition_csq_expansion(spec: SuperpositionSpec) -> float:
@@ -363,32 +344,20 @@ def superposition_csq_expansion(spec: SuperpositionSpec) -> float:
     Expands ``<Psi| Lambda(|Psi><Psi|) |Psi>`` for
     ``Psi = alpha*phi + beta*varphi`` into sandwich terms, with the
     sixteen raw terms collapsed via the trace symmetry of Lambda into
-    nine. All nine are read from one two-state sandwich table
-    (:func:`_sandwich_table`), built from the coefficient matrices in
-    O(d^3) without forming Lambda. The result equals
-    ``norm(Psi)^4 * C^2(Psi/norm(Psi))``. The evaluation core reads the same
-    expansion from the same Gram blocks (:func:`_expansion`), so this is no
-    independent check of the core: :func:`lambda_sandwich` (the explicit
-    map) and :func:`i_concurrence` (the singular values) are.
+    nine. With the Gram blocks ``A, B, C = _gram(M, M), _gram(N, N),
+    _gram(M, N)`` of the coefficient matrices M and N, the reduced state of
+    Psi is ``rho = |alpha|^2 A + |beta|^2 B + x C + (x C)^dag``,
+    ``x = conj(alpha) beta``, and the nine terms are the products of these
+    blocks in :func:`_purity_csq` of rho, O(d^3) without forming Lambda.
+    The result equals ``norm(Psi)^4 * C^2(Psi/norm(Psi))``. The evaluation
+    core reads the same expansion from the same Gram blocks
+    (:func:`_expansion`), so this is no independent check of the core:
+    :func:`lambda_sandwich` (the explicit map) and :func:`i_concurrence`
+    (the singular values) are.
     """
+    m, n = spec.phi.matrix[None], spec.varphi.matrix[None]
     al, be = spec.alpha, spec.beta
-    # index 0 is phi and 1 is varphi; pp[x, y] = <x| Lambda(|phi><phi|) |y>
-    t = _sandwich_table(spec.phi, spec.varphi)
-    pp, vv = t[:, 0, 0, :], t[:, 1, 1, :]
-    total = (
-        abs(al) ** 4 * pp[0, 0]
-        + abs(be) ** 4 * vv[1, 1]
-        + 4.0 * abs(al * be) ** 2 * pp[1, 1]
-        + 2.0 * abs(al) ** 2 * (
-            al.conjugate() * be * pp[0, 1]
-            + al * be.conjugate() * pp[1, 0]
-        )
-        + 2.0 * abs(be) ** 2 * (
-            al.conjugate() * be * vv[0, 1]
-            + al * be.conjugate() * vv[1, 0]
-        )
-        # sandwiches of |varphi><phi| and |phi><varphi|
-        + (al.conjugate() * be) ** 2 * t[0, 1, 0, 1]
-        + (al * be.conjugate()) ** 2 * t[1, 0, 1, 0]
-    )
-    return float(total.real)
+    xc = al.conjugate() * be * _gram(m, n)
+    rho = (abs(al) ** 2 * _gram(m, m) + abs(be) ** 2 * _gram(n, n)
+           + xc + xc.conj().swapaxes(-1, -2))
+    return float(_purity_csq(rho)[0])

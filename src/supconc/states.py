@@ -111,34 +111,6 @@ def _require_nonzero_norm(norm) -> None:
                  lambda v: ZeroVector(f"vector norm {v!r} is below {ZERO_TOL}"))
 
 
-def _freeze_amplitudes(v: RawVector | PureState) -> None:
-    """Validate the dims of ``v`` and freeze its amplitudes to length ``dim_a*dim_b``."""
-    _require_positive(v.dim_a, v.dim_b)
-    object.__setattr__(v, "amplitudes", _frozen(v.amplitudes, (v.dim_a * v.dim_b,)))
-
-
-@dataclass(frozen=True)
-class RawVector:
-    """Bipartite amplitude vector with no normalization requirement.
-
-    Same layout as :class:`PureState`; the norm may be anything,
-    including zero (e.g. the unnormalized superposition of two
-    non-orthogonal states, or their full cancellation).
-    """
-
-    dim_a: int
-    dim_b: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        _freeze_amplitudes(self)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Amplitudes reshaped to the dim_a x dim_b coefficient matrix."""
-        return self.amplitudes.reshape(self.dim_a, self.dim_b)
-
-
 @dataclass(frozen=True)
 class PureState:
     """Normalized bipartite pure state.
@@ -154,7 +126,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        _freeze_amplitudes(self)
+        _require_positive(self.dim_a, self.dim_b)
+        object.__setattr__(self, "amplitudes",
+                           _frozen(self.amplitudes, (self.dim_a * self.dim_b,)))
         _require_unit_norm(np.vdot(self.amplitudes, self.amplitudes).real)
 
     @property
@@ -220,34 +194,39 @@ def make_state(dim_a: int, dim_b: int, amplitudes) -> PureState:
     return PureState(dim_a, dim_b, amplitudes)
 
 
-def superpose(spec: SuperpositionSpec) -> tuple[RawVector, float]:
+def superpose(spec: SuperpositionSpec) -> tuple[np.ndarray, float]:
     """Form ``alpha*phi + beta*varphi`` without normalizing.
 
     Returns
     -------
-    (RawVector, float)
-        The raw superposition vector and its squared norm, computed
-        directly from the vector. For normalized weights the squared
-        norm equals ``1 + 2 Re(conj(alpha) beta <phi|varphi>)``.
+    (ndarray, float)
+        The superposition's ``(dim_a, dim_b)`` coefficient matrix, whose
+        norm may be anything, zero included (full cancellation), and its
+        squared norm, computed directly from the matrix. For normalized
+        weights the squared norm equals
+        ``1 + 2 Re(conj(alpha) beta <phi|varphi>)``.
     """
-    v = spec.alpha * spec.phi.amplitudes + spec.beta * spec.varphi.amplitudes
-    norm_sq = float(np.vdot(v, v).real)
-    return RawVector(spec.phi.dim_a, spec.phi.dim_b, v), norm_sq
+    m = spec.alpha * spec.phi.matrix + spec.beta * spec.varphi.matrix
+    return m, float(np.vdot(m, m).real)
 
 
-def normalize(v: RawVector) -> tuple[PureState, float]:
-    """Scale a raw vector to unit norm.
+def normalize(m) -> tuple[PureState, float]:
+    """Scale a coefficient matrix to a unit-norm :class:`PureState`.
 
     Returns the normalized state together with the original norm.
-    Raises :class:`ZeroVector` when the norm is at or below ``ZERO_TOL``
-    (the alpha*phi = -beta*varphi cancellation).
+    Raises :class:`DimensionMismatch` unless ``m`` is two-dimensional, and
+    :class:`ZeroVector` when the norm is at or below ``ZERO_TOL`` (the
+    alpha*phi = -beta*varphi cancellation).
     """
-    norm = float(np.linalg.norm(v.amplitudes))
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a coefficient matrix, got shape {m.shape}")
+    norm = float(np.linalg.norm(m))
     _require_nonzero_norm(norm)
-    return PureState(v.dim_a, v.dim_b, v.amplitudes / norm), norm
+    return PureState(*m.shape, m / norm), norm
 
 
-def inner_product(a: PureState | RawVector, b: PureState | RawVector) -> complex:
+def inner_product(a: PureState, b: PureState) -> complex:
     """Hermitian inner product <a|b>, conjugate-linear in ``a``."""
     _require_same_space(a, b)
     return complex(np.vdot(a.amplitudes, b.amplitudes))
@@ -329,7 +308,7 @@ def outer_operator(x: PureState, y: PureState) -> OperatorAB:
 # IEEE doubles exactly.
 
 
-def state_to_json(s: PureState | RawVector) -> str:
+def state_to_json(s: PureState) -> str:
     """Serialize a state to the JSON state-file format."""
     pairs = ",\n    ".join(
         f"[{a.real:.17g}, {a.imag:.17g}]" for a in s.amplitudes
@@ -375,7 +354,7 @@ def state_from_json(text: str) -> PureState:
     return make_state(dim_a, dim_b, values)
 
 
-def save_state(s: PureState | RawVector, path) -> None:
+def save_state(s: PureState, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(state_to_json(s))
 

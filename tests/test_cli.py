@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 import supconc.bounds as bounds
 import supconc.cli as cli
-from supconc import Regime, SuperpositionSpec, evaluate, fixture, haar_state, save_state
+import supconc.ensembles as ensembles
+from supconc import (DeltaOutOfRange, Regime, SuperpositionSpec, evaluate, fixture,
+                     haar_state, save_state)
 from supconc.bounds import _blocks
 from supconc.cli import CSV_HEADER, _sweep_rows, main
 
@@ -250,6 +252,31 @@ def test_unexpected_exception_exits_three_with_its_traceback(runner, monkeypatch
     assert result.stderr.endswith(
         "RuntimeError: no campaign today\n"
         "error: internal error: RuntimeError('no campaign today')\n")
+    assert result.stdout == ""
+
+
+def test_failed_redraw_loop_exits_three(runner, monkeypatch):
+    # an orthogonal partner that is never found is a failed internal
+    # invariant (InternalError): a bug, exit 3, not bad input
+    monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 2.0)
+    monkeypatch.setattr(ensembles, "_REDRAW_LIMIT", 3)
+    result = runner.invoke(main, ["verify", "--trials", "3", "--dims", "2", "2",
+                                  "--regime", "orthogonal", "--seed", "1"])
+    assert result.exit_code == 3
+    assert result.stderr == "error: no orthogonal partner found in 3 redraws\n"
+    assert result.stdout == ""
+
+
+def test_delta_out_of_range_exits_three(runner, monkeypatch):
+    # delta escaping [0, 1] cannot happen on valid input: a bug, exit 3
+    def broken(*args, **kwargs):
+        raise DeltaOutOfRange("delta = 1.5 > 1")
+
+    monkeypatch.setattr(cli, "verify_ensemble", broken)
+    result = runner.invoke(main, ["verify", "--trials", "1", "--dims", "2", "2",
+                                  "--regime", "general"])
+    assert result.exit_code == 3
+    assert result.stderr == "error: delta = 1.5 > 1\n"
     assert result.stdout == ""
 
 

@@ -342,6 +342,20 @@ def test_verify_ensemble_clamps_workers(monkeypatch, trials, jobs, cpus, workers
     assert _summary_key(summary) == _summary_key(verify_ensemble(config))
 
 
+@pytest.mark.parametrize("jobs", [2.5, "2", 0, -3, True])
+def test_verify_ensemble_validates_jobs(monkeypatch, jobs):
+    # as --jobs is validated: an integer (not a bool) of at least 1, checked
+    # before anything is drawn, on a campaign large enough for a pool
+    def drawn(*args):
+        raise AssertionError("a range ran")
+
+    monkeypatch.setattr(ensembles, "_run_range", drawn)
+    monkeypatch.setattr(ensembles.os, "cpu_count", lambda: 8)
+    config = EnsembleConfig(trials=60000, dim_a=2, dim_b=2, regime=Regime.GENERAL, seed=1)
+    with pytest.raises(OutOfRange, match="jobs must be an integer >= 1"):
+        verify_ensemble(config, jobs=jobs)
+
+
 @pytest.mark.parametrize("dims,trials", [((10, 10), 250), ((2, 5), 1000)])
 def test_campaigns_below_the_work_floor_run_in_this_process(monkeypatch, dims, trials):
     # starting a pool costs more than a campaign below the floor: --jobs 2

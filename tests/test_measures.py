@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -36,7 +35,7 @@ from supconc import (
     superposition_csq_expansion,
     universal_inverter,
 )
-from supconc.measures import _GRAM_FLOOR, _concurrence, _sandwich_table, _schmidt_concurrence
+from supconc.measures import _GRAM_FLOOR, _concurrence, _schmidt_concurrence
 
 S2 = math.sqrt(0.5)
 
@@ -282,19 +281,21 @@ def test_lambda_sandwich_fig2_value():
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1),
        dims=st.sampled_from([(1, 3), (2, 3), (3, 5), (4, 7), (7, 4)]))
-def test_rank_one_sandwich_matches_explicit_map(seed, dims):
-    # every entry <x| Lambda(|u><v|) |y> of a two-state table and of a table
-    # over four distinct states; non-square dims: a d_a/d_b transposition
-    # would not survive them
+def test_inverter_routes_match_explicit_map(seed, dims):
+    # both purity routes against <s| Lambda(|s><s|) |s> with the map applied;
+    # non-square dims: a d_a/d_b mix-up on the Gram side would not survive them
     rng = np.random.default_rng(seed)
-    for k in (2, 4):
-        states = [haar_state(*dims, rng) for _ in range(k)]
-        table = _sandwich_table(*states)
-        assert table.shape == (k,) * 4
-        for index in itertools.product(range(k), repeat=4):
-            x, u, v, y = (states[i] for i in index)
-            explicit = lambda_sandwich(x, outer_operator(u, v), y)
-            assert abs(table[index] - explicit) <= 1e-12
+    s = haar_state(*dims, rng)
+    explicit = lambda_sandwich(s, outer_operator(s, s), s).real
+    assert abs(concurrence_sq_via_lambda(s) - explicit) <= 1e-12
+    a_sq = rng.uniform(0.05, 0.95)
+    alpha = math.sqrt(a_sq) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+    beta = math.sqrt(1 - a_sq) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+    spec = SuperpositionSpec(alpha, beta, s, haar_state(*dims, rng))
+    raw, norm_sq = superpose(spec)
+    psi, _ = normalize(raw)
+    explicit = norm_sq ** 2 * lambda_sandwich(psi, outer_operator(psi, psi), psi).real
+    assert abs(superposition_csq_expansion(spec) - explicit) <= 1e-12
 
 
 # square and rectangular, with the Gram matrix on either side

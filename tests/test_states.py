@@ -11,7 +11,6 @@ from supconc import (
     NotNormalized,
     NotUnitary,
     PureState,
-    RawVector,
     SuperpositionSpec,
     WeightsNotNormalized,
     ZeroVector,
@@ -33,7 +32,6 @@ from supconc import (
     state_to_json,
     superpose,
 )
-from supconc.measures import _sandwich_table
 from supconc.states import HERMITIAN_TOL
 
 S2 = math.sqrt(0.5)
@@ -74,7 +72,7 @@ def test_amplitudes_are_read_only():
 def test_superpose_degenerate_weight():
     phi = bell_plus()
     raw, norm_sq = superpose(SuperpositionSpec(1.0, 0.0, phi, make_state(2, 2, [0, 1, 0, 0])))
-    assert np.array_equal(raw.amplitudes, phi.amplitudes)
+    assert np.array_equal(raw, phi.matrix)
     assert norm_sq == pytest.approx(1.0, abs=1e-12)
 
 
@@ -90,7 +88,7 @@ def test_superpose_identical_components():
     phi = bell_plus()
     raw, norm_sq = superpose(SuperpositionSpec(S2, S2, phi, phi))
     assert norm_sq == pytest.approx(2.0, abs=1e-12)
-    assert np.allclose(raw.amplitudes, math.sqrt(2.0) * phi.amplitudes, atol=1e-15)
+    assert np.allclose(raw, math.sqrt(2.0) * phi.matrix, atol=1e-15)
 
 
 def test_superpose_rejects_bad_weights():
@@ -107,17 +105,39 @@ def test_superpose_rejects_dim_mismatch():
         SuperpositionSpec(S2, S2, bell_plus(), make_state(2, 3, [1, 0, 0, 0, 0, 0]))
 
 
+def test_superpose_returns_the_coefficient_matrix():
+    rng = np.random.default_rng(4)
+    phi, var = haar_state(2, 5, rng), haar_state(2, 5, rng)
+    spec = SuperpositionSpec(0.6, 0.8j, phi, var)
+    raw, norm_sq = superpose(spec)
+    assert raw.shape == (2, 5)
+    assert np.allclose(raw, 0.6 * phi.matrix + 0.8j * var.matrix, atol=1e-15)
+    assert norm_sq == pytest.approx(np.sum(np.abs(raw) ** 2), abs=1e-14)
+    assert norm_sq == pytest.approx(
+        1 + 2 * (0.6 * 0.8j * inner_product(phi, var)).real, abs=1e-12)
+
+
 def test_normalize_examples():
-    state, norm = normalize(RawVector(2, 2, [2, 0, 0, 0]))
+    state, norm = normalize(np.array([[2, 0], [0, 0]]))
     assert norm == pytest.approx(2.0, abs=1e-15)
     assert np.array_equal(state.amplitudes, np.array([1, 0, 0, 0], dtype=complex))
 
-    raw = RawVector(2, 2, math.sqrt(2.0) * bell_plus().amplitudes)
-    state, norm = normalize(raw)
+    state, norm = normalize(math.sqrt(2.0) * bell_plus().matrix)
     assert norm == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
+    # a 2x3 matrix keeps its dims
+    state, norm = normalize(np.arange(6.0).reshape(2, 3))
+    assert (state.dim_a, state.dim_b) == (2, 3)
+    assert norm == pytest.approx(math.sqrt(55.0), abs=1e-14)
+
     with pytest.raises(ZeroVector):
-        normalize(RawVector(2, 2, [0, 0, 0, 0]))
+        normalize(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 2, 2)])
+def test_normalize_requires_a_coefficient_matrix(shape):
+    with pytest.raises(DimensionMismatch, match="coefficient matrix"):
+        normalize(np.ones(shape))
 
 
 def test_inner_product_examples():
@@ -148,12 +168,6 @@ _SAME_SPACE_CALLS = {
     "classify_pair": classify_pair,
     "lambda_sandwich_x": lambda a, b: lambda_sandwich(b, outer_operator(a, a), a),
     "lambda_sandwich_y": lambda a, b: lambda_sandwich(a, outer_operator(a, a), b),
-    # the entry <x| Lambda(|u><v|) |y> of a two-state table with the other
-    # state in slot x, u, v or y: it sits first in one table, second in three
-    "rank_one_sandwich_x": lambda a, b: _sandwich_table(b, a)[0, 1, 1, 1],
-    "rank_one_sandwich_u": lambda a, b: _sandwich_table(a, b)[0, 1, 0, 0],
-    "rank_one_sandwich_v": lambda a, b: _sandwich_table(a, b)[0, 0, 1, 0],
-    "rank_one_sandwich_y": lambda a, b: _sandwich_table(a, b)[0, 0, 0, 1],
 }
 
 
