@@ -43,10 +43,12 @@ products of the blocks.
 A pair whose expansion falls below its rounding floor, near a product or a
 cancellation, forms its superposition instead, as 2x2 pairs do, which take
 the closed form ``2|a00 a11 - a01 a10|``. The two routes agree within
-1e-13. The bound stage (:func:`_evaluate_rows`, checked by
-:func:`_checked_rows`) is O(1) per pair and runs once over the columns of
-all blocks, of a call or of a campaign's range of trials, so its fixed
-cost is paid once rather than once per block.
+1e-13. The bound stage (:func:`_evaluate_rows`) is O(1) per pair and
+runs once over the columns of all blocks, of a call or of a campaign's
+range of trials, so its fixed cost is paid once rather than once per
+block. One entry, :func:`_checked_blocks`, runs both stages and the bug
+checks on the blocks that :func:`evaluate_batch` cuts from its stacks or
+that a campaign draws.
 
 The universal-inverter map (``measures.lambda_map`` and
 ``lambda_sandwich``) and the singular-value ``measures.i_concurrence`` stay
@@ -400,12 +402,6 @@ def _blocks(start: int, stop: int, dim_a: int, dim_b: int):
     return ((lo, min(lo + size, stop)) for lo in range(start, stop, size))
 
 
-def _one_row(spec: SuperpositionSpec):
-    """``spec`` as the arguments of a one-pair stack."""
-    return (np.array([spec.alpha]), np.array([spec.beta]),
-            spec.phi.matrix[None], spec.varphi.matrix[None])
-
-
 def _superpositions(alpha, beta, phi, varphi) -> tuple[np.ndarray, np.ndarray]:
     """``(norm_squared, concurrence)`` of each pair's superposition and of its
     normalized form, from the formed superposition.
@@ -496,11 +492,6 @@ def _component_columns(alpha, beta, phi, varphi) -> _Columns:
                                 exact)))
 
 
-def _joined(parts: list[_Columns]) -> _Columns:
-    """The :class:`_Columns` of consecutive blocks, as one."""
-    return _Columns(*map(np.concatenate, zip(*parts)))
-
-
 def _evaluate_rows(alpha, beta, columns: _Columns, dims: tuple[int, int], *,
                    tol: float, regime_override: Regime | None) -> BatchReport:
     """Stage 2 of the evaluation core, the bound stage, unchecked: every report
@@ -549,58 +540,32 @@ def _evaluate_rows(alpha, beta, columns: _Columns, dims: tuple[int, int], *,
     )
 
 
-def _checked_rows(alpha, beta, columns: _Columns, dims: tuple[int, int], *,
-                  tol: float = REGIME_TOL, regime_override: Regime | None = None,
-                  ) -> BatchReport:
-    """:func:`_evaluate_rows` with the checks of the bound stage.
+def _checked_blocks(blocks, dims: tuple[int, int], *, tol: float = REGIME_TOL,
+                    regime_override: Regime | None = None,
+                    ) -> tuple[np.ndarray, np.ndarray, BatchReport]:
+    """Both stages of the evaluation core, and its bug checks, over blocks of pairs.
 
+    ``blocks`` yields the ``(alpha, beta, phi, varphi)`` stacks of
+    consecutive pairs, of at most an evaluation block each unless both
+    component stacks hold one matrix. The component stage
+    (:func:`_component_columns`) runs on each block as it comes, and checks
+    its norms and weights; the
+    bound stage (:func:`_evaluate_rows`) then runs once over the columns of
+    all blocks, joined if there is more than one. Returns ``(alpha, beta,
+    batch)``, the weights of all pairs and their :class:`BatchReport`.
     Rejects a cancelled superposition (:class:`ZeroVector`), then raises
     :class:`SanityFailure` naming the pair in ``row`` for a bug: a NaN
     concurrence or slack, or a concurrence outside its range by more than
     ``SANITY_TOL``. A bound escape stays in the slacks for the caller to
     judge, as a campaign does at its own tolerance.
     """
-    batch = _evaluate_rows(alpha, beta, columns, dims, tol=tol,
+    parts = [(a, b, *_component_columns(a, b, phi, varphi)) for a, b, phi, varphi in blocks]
+    alpha, beta, *columns = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    batch = _evaluate_rows(alpha, beta, _Columns(*columns), dims, tol=tol,
                            regime_override=regime_override)
     _require_nonzero_norm(np.sqrt(batch.norm_squared))
     _check_claims(batch, 0.0, limit=math.inf)
-    return batch
-
-
-def _evaluate_checked(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
-                      regime_override: Regime | None = None) -> BatchReport:
-    """:func:`evaluate_batch` without its bound-escape judge.
-
-    The same input checks and errors: the shapes and ``tol``; the unit norms
-    and weights, block by block, as the component stage
-    (:func:`_component_columns`) runs over the evaluation blocks of the
-    stacks, once for two one-matrix stacks; then the bound stage
-    (:func:`_checked_rows`) runs once over the columns of all blocks.
-    Strided stacks are read as contiguous copies, so each row depends on
-    its values alone.
-    """
-    alpha, beta, phi, varphi = (np.asarray(x, dtype=np.complex128)
-                                for x in (alpha, beta, phi, varphi))
-    if phi.ndim != 3 or varphi.shape[1:] != phi.shape[1:] or alpha.ndim != 1 or \
-            beta.shape != alpha.shape or {len(phi), len(varphi)} - {1, len(alpha)} or \
-            0 in (len(alpha), *phi.shape):
-        raise DimensionMismatch(
-            f"expected (T or 1, dim_a, dim_b) stacks and length-T weights, T >= 1, got phi "
-            f"{phi.shape}, varphi {varphi.shape}, alpha {alpha.shape}, beta {beta.shape}")
-    _require_regime_tol(tol)
-    if regime_override is not None and not isinstance(regime_override, Regime):
-        raise OutOfRange(f"regime_override must be a Regime or None, got {regime_override!r}")
-    # numpy's matmul takes another kernel on a strided operand, which moves
-    # the last bits of the Gram blocks
-    alpha, beta, phi, varphi = map(np.ascontiguousarray, (alpha, beta, phi, varphi))
-    dims = phi.shape[1:]
-    blocks = list(_blocks(0, len(alpha), *dims))
-    if len(phi) == len(varphi) == 1 or len(blocks) <= 1:
-        columns = _component_columns(alpha, beta, phi, varphi)
-    else:
-        columns = _joined([_component_columns(alpha[lo:hi], beta[lo:hi], *(
-            x if len(x) == 1 else x[lo:hi] for x in (phi, varphi))) for lo, hi in blocks])
-    return _checked_rows(alpha, beta, columns, dims, tol=tol, regime_override=regime_override)
+    return alpha, beta, batch
 
 
 def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
@@ -638,12 +603,32 @@ def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
     concurrence out of range or past a filled bound by more than
     ``SANITY_TOL``, or, under ``regime_override`` only, a closed form that
     far from the direct value (on a pair biorthogonal within ``tol`` it is
-    off by O(sqrt(tol)), reported in ``formula_error``). Campaigns skip the
-    bound judge (:func:`_checked_rows`) and judge the slacks at their own
-    tolerance.
+    off by O(sqrt(tol)), reported in ``formula_error``). Validated input
+    goes to the evaluation core in blocks (:func:`_checked_blocks`), which
+    campaigns call without this bound judge: they judge the slacks at their
+    own tolerance.
     """
-    batch = _evaluate_checked(alpha, beta, phi, varphi, tol=tol,
-                              regime_override=regime_override)
+    alpha, beta, phi, varphi = (np.asarray(x, dtype=np.complex128)
+                                for x in (alpha, beta, phi, varphi))
+    if phi.ndim != 3 or varphi.shape[1:] != phi.shape[1:] or alpha.ndim != 1 or \
+            beta.shape != alpha.shape or {len(phi), len(varphi)} - {1, len(alpha)} or \
+            0 in (len(alpha), *phi.shape):
+        raise DimensionMismatch(
+            f"expected (T or 1, dim_a, dim_b) stacks and length-T weights, T >= 1, got phi "
+            f"{phi.shape}, varphi {varphi.shape}, alpha {alpha.shape}, beta {beta.shape}")
+    _require_regime_tol(tol)
+    if regime_override is not None and not isinstance(regime_override, Regime):
+        raise OutOfRange(f"regime_override must be a Regime or None, got {regime_override!r}")
+    # numpy's matmul takes another kernel on a strided operand, which moves
+    # the last bits of the Gram blocks
+    alpha, beta, phi, varphi = map(np.ascontiguousarray, (alpha, beta, phi, varphi))
+    dims = phi.shape[1:]
+    # two one-matrix stacks are one block of any length: the component stage
+    # then makes no (T, dim_a, dim_b) array
+    cuts = [(0, len(alpha))] if len(phi) == len(varphi) == 1 else _blocks(0, len(alpha), *dims)
+    blocks = ((alpha[lo:hi], beta[lo:hi], *(x if len(x) == 1 else x[lo:hi] for x in (phi, varphi)))
+              for lo, hi in cuts)
+    _, _, batch = _checked_blocks(blocks, dims, tol=tol, regime_override=regime_override)
     # only an override can misapply the closed form; on a classified pair
     # its error is the pair's distance from exact biorthogonality
     _check_claims(batch, 0.0 if regime_override is None else np.nan_to_num(batch.formula_error))
@@ -657,4 +642,6 @@ def evaluate(spec: SuperpositionSpec, *, tol: float = REGIME_TOL,
     The one-pair call of :func:`evaluate_batch`, with the same options,
     checks and errors (a :class:`SanityFailure` names row 0).
     """
-    return evaluate_batch(*_one_row(spec), tol=tol, regime_override=regime_override).report(0)
+    return evaluate_batch(np.array([spec.alpha]), np.array([spec.beta]), spec.phi.matrix[None],
+                          spec.varphi.matrix[None], tol=tol,
+                          regime_override=regime_override).report(0)

@@ -6,8 +6,11 @@ invariant (``SanityFailure``, ``InternalError`` or ``DeltaOutOfRange``) or
 any other exception (its traceback goes to stderr), 4 output I/O failure.
 All output is locale-independent; floats are printed with 17 significant
 digits, and identical flags plus seed produce byte-identical stdout
-(wall-clock timing goes to stderr). Output goes through ``print``, since
-``click.echo`` keeps every stream it wrote to, text and all, alive.
+(wall-clock timing goes to stderr). Stdout is written by one helper,
+:func:`_emit`, which prints and flushes, so that a failed write exits 4
+like a failed output file, and not 1 or with a traceback. It prints
+rather than ``click.echo``, which keeps every stream it wrote to, text and
+all, alive.
 """
 
 from __future__ import annotations
@@ -60,6 +63,25 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
+def _write_failed(target: str, exc: OSError):
+    _fail(f"cannot write {target}: {exc}", 4)
+
+
+def _emit(text: str) -> None:
+    """Print ``text`` to stdout and flush it; exit 4 if stdout cannot be written."""
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # Python flushes stdout again on exit, and a failed flush there makes
+        # the status 120: on the null device it cannot fail
+        try:
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        except (OSError, ValueError):
+            pass   # a stdout with no file descriptor, as in-process callers set
+        _write_failed("stdout", exc)
+
+
 def _run_or_exit(fn, *args, **kwargs):
     """Call ``fn``; exit 3 on a failed internal invariant (:class:`SanityFailure`,
     :class:`InternalError`, :class:`DeltaOutOfRange`), 2 on any other library
@@ -96,17 +118,17 @@ def cmd_state_info(state_file):
     """Print dimensions, norm, Schmidt data, and entanglement of a state file."""
     state = _load_state_or_exit(state_file)
     norm = float(np.linalg.norm(state.amplitudes))
-    print(f"dims: {state.dim_a} x {state.dim_b}")
-    print(f"norm: {_fmt(norm)}")
     coeffs = ", ".join(_fmt(c) for c in schmidt_coefficients(state))
-    print(f"schmidt_coefficients: {coeffs}")
+    lines = [f"dims: {state.dim_a} x {state.dim_b}", f"norm: {_fmt(norm)}",
+             f"schmidt_coefficients: {coeffs}"]
     if state.is_qubit_pair():
         c = concurrence_qubit(state)
-        print(f"concurrence_qubit: {_fmt(c)}")
-        print(f"i_concurrence: {_fmt(i_concurrence(state))}")
-        print(f"eof: {_fmt(eof_from_concurrence(min(1.0, c)))}")
+        lines.append(f"concurrence_qubit: {_fmt(c)}")
+        lines.append(f"i_concurrence: {_fmt(i_concurrence(state))}")
+        lines.append(f"eof: {_fmt(eof_from_concurrence(min(1.0, c)))}")
     else:
-        print(f"i_concurrence: {_fmt(i_concurrence(state))}")
+        lines.append(f"i_concurrence: {_fmt(i_concurrence(state))}")
+    _emit("\n".join(lines))
 
 
 def _build_spec(phi_file: str, varphi_file: str, alpha: complex,
@@ -130,7 +152,7 @@ def cmd_bounds(phi_file, varphi_file, alpha, beta, regime_override, tol):
     spec = _build_spec(phi_file, varphi_file, alpha, beta)
     override = Regime(regime_override) if regime_override else None
     report = _run_or_exit(evaluate, spec, tol=tol, regime_override=override)
-    print(report.to_json())
+    _emit(report.to_json())
 
 
 def _sweep_rows(phi: PureState, varphi: PureState, steps: int,
@@ -171,7 +193,7 @@ def cmd_sweep(phi_file, varphi_file, steps, regime_override):
     varphi = _load_state_or_exit(varphi_file)
     override = Regime(regime_override) if regime_override else None
     lines = _run_or_exit(_sweep_rows, phi, varphi, steps, override)
-    print("\n".join(lines))
+    _emit("\n".join(lines))
 
 
 @main.command("figure")
@@ -192,7 +214,7 @@ def cmd_figure(name, out, strict):
         with open(out, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
-        _fail(f"cannot write {out}: {exc}", 4)
+        _write_failed(out, exc)
 
 
 @main.command("verify")
@@ -231,9 +253,9 @@ def cmd_verify(trials, dims, regime, seed, tol, jobs, weights, violations_out):
                 for violation in summary.violations:
                     fh.write(json.dumps(violation.to_dict()) + "\n")
         except OSError as exc:
-            _fail(f"cannot write {violations_out}: {exc}", 4)
+            _write_failed(violations_out, exc)
     # wall_time goes to stderr so stdout stays byte-identical across runs
-    print(json.dumps(summary.to_dict(), indent=2))
+    _emit(json.dumps(summary.to_dict(), indent=2))
     print(f"wall_time: {summary.wall_time:.3f}s", file=sys.stderr)
     if summary.violations:
         sys.exit(1)

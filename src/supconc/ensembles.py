@@ -2,23 +2,24 @@
 
 Every generator takes an explicit ``numpy.random.Generator``; nothing in
 this module touches global RNG state. Trial ``i`` of a verification
-campaign is what ``default_rng([seed, i])`` gives, so results are
-bit-identical for a given config no matter how trials are scheduled,
-including across worker processes. A campaign runs as ranges of trials,
-each of which seeds, draws, evaluates and judges its own trials a chunk of
-evaluation blocks at a time, so its memory grows with the violations it
-records and not with its length. The generator states of a chunk's trials
-are computed together, and its trials are drawn a block at a time, their
-states loaded one by one into one generator. Each trial makes three calls
-on it: the state load, one ``standard_normal`` of all its normals and one
+campaign is what the public generators (:func:`_reference_trial`) draw
+from ``default_rng([seed, i])``, so results are bit-identical for a given
+config no matter how trials are scheduled, including across worker
+processes. A campaign runs as ranges of trials, each of which seeds,
+draws, evaluates and judges its own trials a chunk of evaluation blocks at
+a time, so its memory grows with the violations it records and not with
+its length. The generator states of a chunk's trials are computed
+together, and its trials are drawn a block at a time, their states loaded
+one by one into one generator. Each trial makes three calls on it: the
+state load, one ``standard_normal`` of all its normals and one
 ``random_raw`` of its weight words, plus one ``random_raw`` for a
 biorthogonal pair's splits.
 The raw words become the ``integers`` and ``uniform`` draws numpy's
 ``Generator`` would make from them (Lemire's bounded method on PCG64's
 buffered 32-bit halves, and 53-bit doubles), and the arithmetic on the
-draws runs over the block. A rare Lemire redraw sends its trial through
-numpy's own calls (:func:`_weight_variates` for the weights), which are
-also what the raw-word path is tested against.
+draws runs over the block. Every row this cannot reproduce, a rare Lemire
+redraw of a weight or split word or a near-collinear orthogonal candidate,
+is drawn again from its own state by the public generators.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bounds import (SANITY_TOL, Regime, _block_size, _blocks, _checked_rows,
-                     _component_columns, _joined)
+from .bounds import SANITY_TOL, Regime, _block_size, _blocks, _checked_blocks
 from .errors import InternalError, InvalidSplit, OutOfRange, SanityFailure, UnknownFixture
 from .states import PureState, make_state, normalize
 
@@ -63,7 +63,14 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _orthogonal_vectors(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def orthogonal_pair(dim_a: int, dim_b: int,
+                    rng: np.random.Generator) -> tuple[PureState, PureState]:
+    """Two Haar-random states with ``|<phi|varphi>| <= 1e-12``.
+
+    Gram-Schmidt on two independent draws, re-orthogonalized once for
+    good measure; near-collinear second draws are retried.
+    """
+    n = dim_a * dim_b
     if n < 2:
         raise InvalidSplit("need a joint dimension of at least 2 for an orthogonal pair")
     phi = _haar_vector(n, rng)
@@ -75,34 +82,10 @@ def _orthogonal_vectors(n: int, rng: np.random.Generator) -> tuple[np.ndarray, n
             continue
         v = v / norm
         v = v - np.vdot(phi, v) * phi
-        return phi, v / np.linalg.norm(v)
+        return PureState(dim_a, dim_b, phi), PureState(dim_a, dim_b, v / np.linalg.norm(v))
     raise InternalError(
         f"no orthogonal partner found in {_REDRAW_LIMIT} redraws"
     )
-
-
-def orthogonal_pair(dim_a: int, dim_b: int,
-                    rng: np.random.Generator) -> tuple[PureState, PureState]:
-    """Two Haar-random states with ``|<phi|varphi>| <= 1e-12``.
-
-    Gram-Schmidt on two independent draws, re-orthogonalized once for
-    good measure; near-collinear second draws are retried.
-    """
-    phi, varphi = _orthogonal_vectors(dim_a * dim_b, rng)
-    return PureState(dim_a, dim_b, phi), PureState(dim_a, dim_b, varphi)
-
-
-def _biorthogonal_matrices(dim_a: int, dim_b: int, split_a: int, split_b: int,
-                           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    if not (1 <= split_a < dim_a):
-        raise InvalidSplit(f"split_a = {split_a} not in [1, {dim_a - 1}]")
-    if not (1 <= split_b < dim_b):
-        raise InvalidSplit(f"split_b = {split_b} not in [1, {dim_b - 1}]")
-    phi_m = np.zeros((dim_a, dim_b), dtype=np.complex128)
-    var_m = np.zeros((dim_a, dim_b), dtype=np.complex128)
-    for block in (phi_m[:split_a, :split_b], var_m[split_a:, split_b:]):
-        block[...] = _haar_vector(block.size, rng).reshape(block.shape)
-    return phi_m, var_m
 
 
 def biorthogonal_pair(dim_a: int, dim_b: int, split_a: int, split_b: int,
@@ -113,7 +96,14 @@ def biorthogonal_pair(dim_a: int, dim_b: int, split_a: int, split_b: int,
     bases, ``varphi`` on the complementary block, so both reduced-overlap
     traces vanish identically.
     """
-    phi_m, var_m = _biorthogonal_matrices(dim_a, dim_b, split_a, split_b, rng)
+    if not (1 <= split_a < dim_a):
+        raise InvalidSplit(f"split_a = {split_a} not in [1, {dim_a - 1}]")
+    if not (1 <= split_b < dim_b):
+        raise InvalidSplit(f"split_b = {split_b} not in [1, {dim_b - 1}]")
+    phi_m = np.zeros((dim_a, dim_b), dtype=np.complex128)
+    var_m = np.zeros((dim_a, dim_b), dtype=np.complex128)
+    for block in (phi_m[:split_a, :split_b], var_m[split_a:, split_b:]):
+        block[...] = _haar_vector(block.size, rng).reshape(block.shape)
     return PureState(dim_a, dim_b, phi_m), PureState(dim_a, dim_b, var_m)
 
 
@@ -378,8 +368,8 @@ def _weight_variates(rng: np.random.Generator, mode: str) -> list:
     """One trial's weight draws: ``[k]`` for ``|alpha|^2 = k / 100``, or
     ``[|alpha|^2, arg alpha, arg beta]``.
 
-    Through numpy's own calls: the retry path of :func:`_block_draws` and
-    the definition its raw-word conversion is tested against.
+    Through numpy's own calls: the weights of :func:`_reference_trial`,
+    which the raw-word conversion of :func:`_block_draws` reproduces.
     """
     if mode == "real-grid":
         return [rng.integers(*_GRID)]
@@ -449,19 +439,26 @@ def _normal_count(config: EnsembleConfig, split: tuple[int, int] | None) -> int:
     return 2 * (split_a * split_b + (config.dim_a - split_a) * (config.dim_b - split_b))
 
 
-def _trial_calls(rng: np.random.Generator, config: EnsembleConfig,
-                 normals: np.ndarray) -> tuple[tuple[int, int] | None, list]:
-    """One trial through numpy's own calls on the state loaded in ``rng``.
+def _reference_trial(config: EnsembleConfig, rng: np.random.Generator,
+                     ) -> tuple[np.ndarray, np.ndarray, list]:
+    """One trial through the public generators on the state loaded in ``rng``.
 
-    Draws the split sizes of a biorthogonal pair (``None`` in the other
-    regimes), the pair's normals into the head of ``normals`` and
-    :func:`_weight_variates`; returns the split and the variates.
+    The definition of a trial that the block draw reproduces: a biorthogonal
+    pair draws its splits by ``integers`` and then
+    :func:`biorthogonal_pair`, an orthogonal one :func:`orthogonal_pair`
+    and a general one two :func:`haar_state`; then
+    :func:`_weight_variates`. Returns the pair's coefficient matrices and
+    the variates.
     """
-    split = None
+    dims = config.dim_a, config.dim_b
     if config.regime is Regime.BIORTHOGONAL:
-        split = int(rng.integers(1, config.dim_a)), int(rng.integers(1, config.dim_b))
-    rng.standard_normal(out=normals[:_normal_count(config, split)])
-    return split, _weight_variates(rng, config.weight_sampling)
+        split = int(rng.integers(1, dims[0])), int(rng.integers(1, dims[1]))
+        pair = biorthogonal_pair(*dims, *split, rng)
+    elif config.regime is Regime.ORTHOGONAL:
+        pair = orthogonal_pair(*dims, rng)
+    else:
+        pair = haar_state(*dims, rng), haar_state(*dims, rng)
+    return pair[0].matrix, pair[1].matrix, _weight_variates(rng, config.weight_sampling)
 
 
 @functools.cache
@@ -471,8 +468,9 @@ def _loader() -> np.random.Generator:
 
 
 def _block_draws(config: EnsembleConfig, words: np.ndarray,
-                 ) -> tuple[np.ndarray, list, np.ndarray]:
-    """The generator draws of the trials seeded by ``words``: ``(normals, splits, variates)``.
+                 ) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+    """The generator draws of the trials seeded by ``words``:
+    ``(normals, splits, variates, redraw)``.
 
     Each trial makes three generator calls: it loads its PCG64 state,
     draws all its normals with one ``standard_normal`` and its weight
@@ -483,10 +481,12 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray,
     above): the splits trial by trial, since they set how many normals
     follow, and the weights over the whole block. A split that draws one
     32-bit half leaves the other buffered, and a real-grid weight takes it
-    instead of a fresh word. A Lemire redraw (4 in 2**32 for a weight)
-    sends its trial through :func:`_trial_calls` instead. ``splits[row]``
-    is ``None`` outside the biorthogonal regime; a biorthogonal row holds
-    its normals at its head.
+    instead of a fresh word. ``redraw`` flags the rows where numpy would
+    discard a word and draw again (Lemire's method: 4 in 2**32 for a
+    weight); their draws are not the trial's, and :func:`_draw_block` draws
+    them again. A flagged split still draws its normals with the split it
+    produced, a valid size. ``splits[row]`` is ``None`` outside the
+    biorthogonal regime; a biorthogonal row holds its normals at its head.
     """
     dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
     n, size = dim_a * dim_b, len(words)
@@ -509,14 +509,11 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray,
             if split_spans:
                 word = bits.random_raw()
                 halves = [word >> 32, word & _MASK32]   # pop() takes the low half first
-                rejected = False
                 for side, span in split_spans:
                     offset, reject = _lemire(halves.pop(), span)
                     split[side] += offset
-                    rejected |= reject
-                if rejected:
-                    redraw[row] = True
-                    continue
+                    if reject:
+                        redraw[row] = True
                 half = halves.pop() if halves else None
             splits[row] = split = tuple(split)
             rng.standard_normal(out=normals[row, :_normal_count(config, split)])
@@ -528,35 +525,30 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray,
             raw[row, 0] = bits.random_raw() if half is None else half
 
     variates, weight_redraw = _weights_from_raw(raw, mode)
-    redraw |= weight_redraw
-    for row in np.flatnonzero(redraw).tolist():
-        bits.state = next(_pcg_states(words[row:row + 1]))
-        splits[row], variates[row] = _trial_calls(rng, config, normals[row])
-    return normals, splits, variates
+    return normals, splits, variates, redraw | weight_redraw
 
 
-def _draw_block(config: EnsembleConfig, indices, words: np.ndarray | None = None,
+def _draw_block(config: EnsembleConfig, words: np.ndarray,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Trials ``indices`` of a campaign, one per row: ``(phi, varphi, alpha, beta)``.
+    """The trials seeded by ``words``, rows of :func:`_seed_words`, one per row:
+    ``(alpha, beta, phi, varphi)``, the components as ``(T, dim_a, dim_b)``
+    coefficient matrices.
 
-    Trial ``i`` is what ``default_rng([mask(seed), i])`` gives, bit for
-    bit, in whatever block it is drawn. :func:`_block_draws` makes each
-    trial's generator calls: a state load, one ``standard_normal`` and
-    one ``random_raw`` of its weight words, plus one ``random_raw`` for a
-    biorthogonal pair's splits. The arithmetic on those draws (Haar
-    normalisation, Gram-Schmidt, the weights) runs over all rows at once,
-    each row in the operations that one trial on its own takes. A rare
-    near-collinear orthogonal candidate, and a rare Lemire redraw of a
-    weight or split, is redrawn from the trial's own generator through
-    numpy's own calls (:func:`_weight_variates` for the weights).
-    ``words``, the rows of :func:`_seed_words` for ``indices``, may be
-    passed when already at hand.
+    Trial ``i`` is :func:`_reference_trial` on the state of
+    ``default_rng([mask(seed), i])``, bit for bit, in whatever block it is
+    drawn. :func:`_block_draws` makes each trial's generator calls: a state
+    load, one ``standard_normal`` and one ``random_raw`` of its weight
+    words, plus one ``random_raw`` for a biorthogonal pair's splits. The
+    arithmetic on those draws (Haar normalisation, Gram-Schmidt, the
+    weights) runs over all rows at once, each row in the operations that
+    one trial on its own takes. The rare rows that this does not reproduce,
+    a Lemire redraw of a weight or split word and a near-collinear
+    orthogonal candidate, are drawn again from their own state by
+    :func:`_reference_trial`.
     """
-    if words is None:
-        words = _seed_words(config.seed, indices)
     dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
     n, size = dim_a * dim_b, len(words)
-    normals, splits, variates = _block_draws(config, words)
+    normals, splits, variates, redraw = _block_draws(config, words)
 
     if config.regime is Regime.BIORTHOGONAL:
         groups: dict[tuple[int, int], list[int]] = {}
@@ -573,11 +565,10 @@ def _draw_block(config: EnsembleConfig, indices, words: np.ndarray | None = None
             varphi[rows, split_a:, split_b:] = (
                 _haar_rows(drawn[:, first:first + second])
                 .reshape(-1, dim_a - split_a, dim_b - split_b))
-        phi, varphi = phi.reshape(size, n), varphi.reshape(size, n)
     else:
         phi, varphi = _haar_rows(normals[:, :2 * n]), _haar_rows(normals[:, 2 * n:])
     if config.regime is Regime.ORTHOGONAL:
-        # the Gram-Schmidt step of _orthogonal_vectors on its first candidate,
+        # the Gram-Schmidt step of orthogonal_pair on its first candidate,
         # in place on varphi; _row_dots(phi_conj, v) is np.vdot(phi, v) per row
         phi_conj = phi.conj()
         varphi -= _row_dots(phi_conj, varphi)[:, None] * phi
@@ -587,27 +578,28 @@ def _draw_block(config: EnsembleConfig, indices, words: np.ndarray | None = None
         _scale_rows(varphi, np.where(collinear, 1.0, norm))
         varphi -= _row_dots(phi_conj, varphi)[:, None] * phi
         _scale_rows(varphi, _row_norms(varphi))
-        for row in np.flatnonzero(collinear).tolist():
-            rng = _loader()
-            rng.bit_generator.state = next(_pcg_states(words[row:row + 1]))
-            phi[row], varphi[row] = _orthogonal_vectors(n, rng)
-            variates[row] = _weight_variates(rng, mode)
-    return (phi, varphi, *_weights(variates, mode))
+        redraw |= collinear
+    phi, varphi = phi.reshape(size, dim_a, dim_b), varphi.reshape(size, dim_a, dim_b)
+    rng = _loader()
+    for row in np.flatnonzero(redraw).tolist():
+        rng.bit_generator.state = next(_pcg_states(words[row:row + 1]))
+        phi[row], varphi[row], variates[row] = _reference_trial(config, rng)
+    return (*_weights(variates, mode), phi, varphi)
 
 
 def _draw_trial(config: EnsembleConfig,
-                index: int) -> tuple[np.ndarray, np.ndarray, complex, complex]:
-    """Trial ``index`` of a campaign: ``(phi, varphi, alpha, beta)``.
+                index: int) -> tuple[complex, complex, np.ndarray, np.ndarray]:
+    """Trial ``index`` of a campaign: ``(alpha, beta, phi, varphi)``.
 
-    The one definition of a trial: the one-row :func:`_draw_block`, so the
-    same trial is redrawn, bit for bit, in whatever block or process draws
-    it and whenever it is digested.
+    The one-row block draw (:func:`_draw_block`), so the same trial is
+    redrawn, bit for bit, in whatever block or process draws it and
+    whenever it is digested.
     """
-    phi, varphi, alpha, beta = _draw_block(config, [index])
-    return phi[0], varphi[0], alpha[0], beta[0]
+    alpha, beta, phi, varphi = _draw_block(config, _seed_words(config.seed, [index]))
+    return alpha[0], beta[0], phi[0], varphi[0]
 
 
-def _digest(phi: np.ndarray, varphi: np.ndarray, alpha: complex, beta: complex) -> str:
+def _digest(alpha: complex, beta: complex, phi: np.ndarray, varphi: np.ndarray) -> str:
     """Short hash of one trial's amplitudes (row-major) and weights."""
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(phi).tobytes())
@@ -620,32 +612,26 @@ def _digest(phi: np.ndarray, varphi: np.ndarray, alpha: complex, beta: complex) 
 def _trial_rows(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
     """Seed, draw and evaluate trials ``[start, stop)``: one row per trial.
 
-    The trials' generators are seeded together (:func:`_seed_words`); block
-    by block (:func:`supconc.bounds._blocks`), the trials are drawn
-    (:func:`_draw_block`) and reduced to the columns of the component stage
-    (:func:`supconc.bounds._component_columns`), so only the columns grow
-    with the range; the bound stage (:func:`supconc.bounds._checked_rows`)
-    then runs once over the columns of all of them. A row is ``(upper
-    slack, lower slack, closed-form error, zero-delta excess)``; the error
-    is NaN outside the biorthogonal regime and the excess NaN on trials
-    classified general. A trial's row does not depend on the range or block
-    it is drawn and evaluated in. Bound escapes are not judged here. Only a
-    bug, a NaN concurrence or slack or a concurrence out of range, raises
-    :class:`SanityFailure`, naming the seed, the first bad trial and its
-    digest.
+    The trials' generators are seeded together (:func:`_seed_words`) and
+    drawn block by block (:func:`supconc.bounds._blocks`,
+    :func:`_draw_block`) as the evaluation core
+    (:func:`supconc.bounds._checked_blocks`) takes the blocks: it reduces
+    each block to the columns of its component stage, so only the columns
+    grow with the range, and runs the bound stage once over them all. A row
+    is ``(upper slack, lower slack, closed-form error, zero-delta
+    excess)``; the error is NaN outside the biorthogonal regime and the
+    excess NaN on trials classified general. A trial's row does not depend
+    on the range or block it is drawn and evaluated in. Bound escapes are
+    not judged here. Only a bug, a NaN concurrence or slack or a
+    concurrence out of range, raises :class:`SanityFailure`, naming the
+    seed, the first bad trial and its digest.
     """
     words = _seed_words(config.seed, range(start, stop))
     dims = (config.dim_a, config.dim_b)
-    alpha, beta, columns = [], [], []
-    for lo, hi in _blocks(start, stop, *dims):
-        phi, varphi, a, b = _draw_block(config, range(lo, hi), words[lo - start:hi - start])
-        columns.append(_component_columns(a, b, phi.reshape(-1, *dims),
-                                          varphi.reshape(-1, *dims)))
-        alpha.append(a)
-        beta.append(b)
-    alpha, beta = np.concatenate(alpha), np.concatenate(beta)
+    blocks = (_draw_block(config, words[lo - start:hi - start])
+              for lo, hi in _blocks(start, stop, *dims))
     try:
-        batch = _checked_rows(alpha, beta, _joined(columns), dims)
+        alpha, beta, batch = _checked_blocks(blocks, dims)
     except SanityFailure as exc:
         trial = start + exc.row
         raise SanityFailure(f"{exc} (seed {config.seed}, trial {trial}, digest "
@@ -675,7 +661,8 @@ def _judged(config: EnsembleConfig, start: int, stop: int) -> tuple:
     flagged = np.flatnonzero(margin > config.tol).tolist()
     digests = []
     for lo, hi in _blocks(0, len(flagged), config.dim_a, config.dim_b):
-        digests += map(_digest, *_draw_block(config, [start + row for row in flagged[lo:hi]]))
+        words = _seed_words(config.seed, [start + row for row in flagged[lo:hi]])
+        digests += map(_digest, *_draw_block(config, words))
     violations = [Violation(config.seed, start + row, digest, float(margin[row]))
                   for row, digest in zip(flagged, digests)]
     # fmax skips NaN; np.nanmax would warn on an all-NaN column

@@ -1,11 +1,16 @@
 import contextlib
 import dataclasses
+import errno
 import gc
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -508,6 +513,54 @@ def test_figure_unwritable_path(runner):
     assert result.exit_code == 4
 
 
+class _UnwritableStdout(io.TextIOBase):
+    """A stdout whose every write raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("error", [
+    OSError(errno.ENOSPC, "No space left on device"),
+    BrokenPipeError(errno.EPIPE, "Broken pipe"),
+], ids=["full", "closed-pipe"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--trials", "20", "--dims", "2", "2", "--regime", "general", "--seed", "1"],
+    ["verify", "--trials", "20", "--dims", "2", "2", "--regime", "general", "--tol", "-1"],
+    ["bounds", "{bell_plus}", "{ket01}", "--alpha", "0.8", "--beta", "0.6"],
+    ["sweep", "{bell_plus}", "{ket01}"],
+    ["state-info", "{bell_plus}"],
+], ids=["verify", "verify-violations", "bounds", "sweep", "state-info"])
+def test_unwritable_stdout_exits_four(state_files, command, error):
+    # a failed stdout write is an output I/O failure: exit 4 with one error
+    # line, not 1, the violations code, and no traceback
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(_UnwritableStdout(error)), \
+            contextlib.redirect_stderr(stderr), pytest.raises(SystemExit) as exit_info:
+        main.main(args=[arg.format(**state_files) for arg in command], prog_name="supconc",
+                  standalone_mode=False)
+    assert exit_info.value.code == 4
+    assert stderr.getvalue() == f"error: cannot write stdout: {error}\n"
+
+
+def test_closed_stdout_pipe_exits_four_past_the_final_flush(state_files):
+    # in a process of its own, exit 4 must also hold past Python's flush of
+    # stdout on exit, whose failure would make the status 120
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "supconc.cli", "state-info",
+                             state_files["bell_plus"]],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()   # before the command writes: its first write fails
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 4
+    assert stderr.startswith("error: cannot write stdout: ") and stderr.count("\n") == 1
+
+
 def test_figure_deterministic_bytes(runner, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert runner.invoke(main, ["figure", "fig1", "--out", str(out1)]).exit_code == 0
@@ -571,6 +624,22 @@ def test_verify_seed_env_default(runner):
         main, ["verify", "--trials", "100", "--dims", "2", "2",
                "--regime", "orthogonal"], env={"SB_SEED": "5"})
     assert explicit.stdout == via_env.stdout
+
+
+def test_verify_seed_flag_wins_over_env(runner):
+    explicit = runner.invoke(main, verify_args(trials=100, seed=7))
+    both = runner.invoke(main, verify_args(trials=100, seed=7), env={"SB_SEED": "3"})
+    assert explicit.exit_code == both.exit_code == 0
+    assert both.stdout == explicit.stdout
+    assert both.stdout != runner.invoke(main, verify_args(trials=100, seed=3)).stdout
+
+
+def test_verify_seed_env_must_be_an_integer(runner):
+    result = runner.invoke(main, ["verify", "--trials", "10", "--dims", "2", "2",
+                                  "--regime", "orthogonal"], env={"SB_SEED": "x"})
+    assert result.exit_code == 2
+    assert result.stderr == "error: SB_SEED='x' is not an integer\n"
+    assert result.stdout == ""
 
 
 def test_verify_violations_out(runner, tmp_path):

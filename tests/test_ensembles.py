@@ -381,16 +381,16 @@ def test_pooled_campaign_raises_for_its_first_bad_trial(monkeypatch, bad_trials,
     _inline_pool(monkeypatch, 2, 4)
     config = EnsembleConfig(trials=6, dim_a=2, dim_b=2, regime=Regime.GENERAL, seed=11,
                             weight_sampling="complex-random")
-    bad_alphas = {ensembles._draw_trial(config, i)[2] for i in bad_trials}
-    checked_rows = ensembles._checked_rows
+    bad_alphas = [ensembles._draw_trial(config, i)[0] for i in bad_trials]
+    evaluate_rows = bounds._evaluate_rows
 
-    def broken(alpha, *args):
-        bad = [row for row, a in enumerate(alpha) if a in bad_alphas]
-        if bad:
-            raise SanityFailure("report escapes its claims", row=bad[0])
-        return checked_rows(alpha, *args)
+    def broken(alpha, *args, **kwargs):
+        # a NaN concurrence on the bad trials: a bug the core's checks name
+        batch = evaluate_rows(alpha, *args, **kwargs)
+        exact = np.where(np.isin(alpha, bad_alphas), np.nan, batch.exact_concurrence)
+        return dataclasses.replace(batch, exact_concurrence=exact)
 
-    monkeypatch.setattr(ensembles, "_checked_rows", broken)
+    monkeypatch.setattr(bounds, "_evaluate_rows", broken)
     with pytest.raises(SanityFailure, match=f"trial {named},"):
         verify_ensemble(config, jobs=2)
     assert _InlineExecutor.created == [1]
@@ -489,7 +489,7 @@ def test_rows_do_not_depend_on_the_concurrence_route_of_their_neighbours(dims, t
                             weight_sampling="complex-random", tol=-1.0)
     matrices = []
     for index in range(trials):
-        phi, varphi, alpha, beta = ensembles._draw_trial(config, index)
+        alpha, beta, phi, varphi = ensembles._draw_trial(config, index)
         raw = alpha * phi + beta * varphi
         matrices += [phi, varphi, raw / np.linalg.norm(raw)]
     c_sq = _schmidt_concurrence(np.linalg.svd(np.reshape(matrices, (-1, *dims)),
@@ -677,7 +677,18 @@ def test_seeding_matches_default_rng(seed):
 
 def _oracle_trial(config, index):
     """Trial ``index`` drawn by the public generators from ``default_rng([seed, index])``."""
-    rng = np.random.default_rng([ensembles._mask_seed(config.seed), index])
+    return _oracle_draw(config, np.random.default_rng([ensembles._mask_seed(config.seed), index]))
+
+
+def _oracle_state_trial(config, state):
+    """The trial the public generators draw from the PCG64 ``state``."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = state
+    return _oracle_draw(config, rng)
+
+
+def _oracle_draw(config, rng):
+    """``(alpha, beta, phi, varphi)`` of one trial, by the public generators on ``rng``."""
     dims = config.dim_a, config.dim_b
     if config.regime is Regime.ORTHOGONAL:
         pair = orthogonal_pair(*dims, rng)
@@ -694,19 +705,23 @@ def _oracle_trial(config, index):
         th = rng.uniform(0.0, 2.0 * math.pi, size=2)
         alpha = math.sqrt(mag) * complex(math.cos(th[0]), math.sin(th[0]))
         beta = math.sqrt(1.0 - mag) * complex(math.cos(th[1]), math.sin(th[1]))
-    return pair[0].amplitudes, pair[1].amplitudes, alpha, beta
+    return alpha, beta, pair[0].amplitudes, pair[1].amplitudes
 
 
-def _trial_bytes(phi, varphi, alpha, beta):
+def _trial_bytes(alpha, beta, phi, varphi):
     return (np.ascontiguousarray(phi).tobytes() + np.ascontiguousarray(varphi).tobytes()
             + np.array([alpha, beta], dtype=np.complex128).tobytes())
 
 
+def _drawn(config, indices):
+    """Trials ``indices`` of a campaign, drawn as one block."""
+    return ensembles._draw_block(config, ensembles._seed_words(config.seed, indices))
+
+
 def _assert_rows_match_oracle(config, indices, drawn):
-    phi, varphi, alpha, beta = drawn
-    assert len(phi) == len(indices)
+    assert all(len(x) == len(indices) for x in drawn)
     for row, index in enumerate(indices):
-        assert (_trial_bytes(phi[row], varphi[row], alpha[row], beta[row])
+        assert (_trial_bytes(*(x[row] for x in drawn))
                 == _trial_bytes(*_oracle_trial(config, index))), f"trial {index}"
 
 
@@ -734,17 +749,16 @@ def test_draw_block_matches_public_generators(dims, trials, regime, weights):
     for seed in (20240901, -5):
         config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1], regime=regime,
                                 seed=seed, weight_sampling=weights)
-        whole = ensembles._draw_block(config, range(trials))
+        whole = _drawn(config, range(trials))
         _assert_rows_match_oracle(config, range(trials), whole)
-        split = [ensembles._draw_block(config, range(0, 3)),
-                 ensembles._draw_block(config, range(3, trials))]
+        split = [_drawn(config, range(0, 3)), _drawn(config, range(3, trials))]
         for part, joined in zip(whole, map(np.concatenate, zip(*split))):
             assert part.tobytes() == joined.tobytes()
         for index in (0, trials - 1):
             assert (_trial_bytes(*ensembles._draw_trial(config, index))
                     == _trial_bytes(*_oracle_trial(config, index)))
         scattered = [trials - 1, 0, 2 ** 40 + 3]
-        _assert_rows_match_oracle(config, scattered, ensembles._draw_block(config, scattered))
+        _assert_rows_match_oracle(config, scattered, _drawn(config, scattered))
 
 
 def test_collinear_candidates_are_redrawn_from_their_trial(monkeypatch):
@@ -759,8 +773,7 @@ def test_collinear_candidates_are_redrawn_from_their_trial(monkeypatch):
         phi, cand = haar_state(2, 2, rng).amplitudes, haar_state(2, 2, rng).amplitudes
         rejected += np.linalg.norm(cand - np.vdot(phi, cand) * phi) < 0.9
     assert 0 < rejected < config.trials
-    _assert_rows_match_oracle(config, range(config.trials),
-                              ensembles._draw_block(config, range(config.trials)))
+    _assert_rows_match_oracle(config, range(config.trials), _drawn(config, range(config.trials)))
 
 
 def test_collinear_redraws_are_limited(monkeypatch):
@@ -769,7 +782,7 @@ def test_collinear_redraws_are_limited(monkeypatch):
     monkeypatch.setattr(ensembles, "_REDRAW_LIMIT", 3)
     config = EnsembleConfig(trials=3, dim_a=2, dim_b=2, regime=Regime.ORTHOGONAL, seed=1)
     with pytest.raises(InternalError, match="3 redraws"):
-        ensembles._draw_block(config, range(3))
+        _drawn(config, range(3))
 
 
 # --- raw-word draws against numpy's own calls -------------------------------------
@@ -791,11 +804,12 @@ def _per_call_draws(config, words):
         normals[row, :count] = rng.standard_normal(count)
         splits.append(split)
         variates.append(ensembles._weight_variates(rng, config.weight_sampling))
-    return normals, splits, np.array(variates, dtype=np.float64)
+    return normals, splits, np.array(variates, dtype=np.float64), np.zeros(len(words), bool)
 
 
 def _assert_draws_equal(config, drawn, expected):
-    normals, splits, variates = drawn
+    normals, splits, variates, redraw = drawn
+    assert redraw.tobytes() == expected[3].tobytes()
     assert splits == expected[1]
     assert variates.tobytes() == expected[2].tobytes()
     for row, split in enumerate(splits):
@@ -821,12 +835,13 @@ def test_raw_word_draws_match_numpy_calls(monkeypatch, dims, trials, regime, wei
         parts = [ensembles._block_draws(config, words[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
         _assert_draws_equal(config, (np.concatenate([p[0] for p in parts]),
                                      [s for p in parts for s in p[1]],
-                                     np.concatenate([p[2] for p in parts])), expected)
+                                     np.concatenate([p[2] for p in parts]),
+                                     np.concatenate([p[3] for p in parts])), expected)
         # the whole trial, arithmetic included, is the per-call draws' trial
-        whole = ensembles._draw_block(config, range(trials), words)
+        whole = ensembles._draw_block(config, words)
         with monkeypatch.context() as patch:
             patch.setattr(ensembles, "_block_draws", _per_call_draws)
-            reference = ensembles._draw_block(config, range(trials), words)
+            reference = ensembles._draw_block(config, words)
         for part, ref in zip(whole, reference):
             assert part.tobytes() == ref.tobytes()
 
@@ -906,6 +921,8 @@ _RETRY_CASES = [
 @pytest.mark.parametrize("dim_a,dim_b,regime,make_state,redrawn", _RETRY_CASES)
 def test_lemire_redraws_go_through_numpy_calls(monkeypatch, dim_a, dim_b, regime, make_state,
                                                redrawn):
+    # the raw-word draw flags a trial whose word numpy would discard, and the
+    # block draws that trial again through the public generators
     state = make_state()
     config = EnsembleConfig(trials=1, dim_a=dim_a, dim_b=dim_b, regime=regime, seed=0)
     rng = np.random.Generator(np.random.PCG64(0))
@@ -916,15 +933,63 @@ def test_lemire_redraws_go_through_numpy_calls(monkeypatch, dim_a, dim_b, regime
     rng.standard_normal(ensembles._normal_count(config, split))
     weight = int(rng.integers(1, 100))
     calls = []
-    trial_calls = ensembles._trial_calls
+    reference_trial = ensembles._reference_trial
     monkeypatch.setattr(ensembles, "_pcg_states", lambda words: iter([state] * len(words)))
-    monkeypatch.setattr(ensembles, "_trial_calls", lambda *a: calls.append(1) or trial_calls(*a))
+    monkeypatch.setattr(ensembles, "_reference_trial",
+                        lambda *a: calls.append(1) or reference_trial(*a))
     words = np.zeros((2, 4), dtype=np.uint64)
-    normals, splits, variates = ensembles._block_draws(config, words)
+    normals, splits, variates, redraw = ensembles._block_draws(config, words)
+    assert redraw.tolist() == [redrawn, redrawn]
+    if not redrawn:
+        assert splits == [split, split]
+        assert variates.tolist() == [[weight], [weight]]
+        _assert_draws_equal(config, (normals, splits, variates, redraw),
+                            _per_call_draws(config, words))
+    assert calls == []
+    drawn = ensembles._draw_block(config, words)
     assert calls == ([1, 1] if redrawn else [])
-    assert splits == [split, split]
-    assert variates.tolist() == [[weight], [weight]]
-    _assert_draws_equal(config, (normals, splits, variates), _per_call_draws(config, words))
+    assert drawn[0].tolist() == [math.sqrt(weight / 100.0)] * 2
+    for row in range(2):
+        assert (_trial_bytes(*(x[row] for x in drawn))
+                == _trial_bytes(*_oracle_state_trial(config, state)))
+
+
+@pytest.mark.parametrize("dim_a,dim_b,regime,make_states,flagged", [
+    # side a's split word is redrawn where its low half is 0, on rows 0 and 3
+    (4, 4, Regime.BIORTHOGONAL,
+     lambda: [_split_state(low, high) for low, high in
+              [(0, 0x7F4A7C15), (_INV3, 0x7F4A7C15), (5, 0x12345), (0, 0x2468), (_INV3, 7)]],
+     [0, 3]),
+    # a weight word is redrawn where its leftover is below 4, on rows 1 and 3
+    (2, 2, Regime.GENERAL,
+     lambda: [_weight_state(leftover) for leftover in (4, 1, 5, 2)], [1, 3]),
+])
+def test_blocks_redraw_exactly_their_flagged_rows(monkeypatch, dim_a, dim_b, regime,
+                                                  make_states, flagged):
+    # each row of the block loads its own state, wherever it is drawn or
+    # redrawn, so a loop that redraws the wrong row, or from the wrong
+    # state, leaves a row unlike its trial
+    states = make_states()
+    config = EnsembleConfig(trials=len(states), dim_a=dim_a, dim_b=dim_b, regime=regime,
+                            seed=0)
+    monkeypatch.setattr(ensembles, "_pcg_states",
+                        lambda words: (states[row] for row in words[:, 0].tolist()))
+    words = np.zeros((len(states), 4), dtype=np.uint64)
+    words[:, 0] = np.arange(len(states))
+    assert np.flatnonzero(ensembles._block_draws(config, words)[3]).tolist() == flagged
+    redrawn = []
+    reference_trial = ensembles._reference_trial
+
+    def logged(config, rng):
+        redrawn.append(states.index(rng.bit_generator.state))
+        return reference_trial(config, rng)
+
+    monkeypatch.setattr(ensembles, "_reference_trial", logged)
+    drawn = ensembles._draw_block(config, words)
+    assert redrawn == flagged
+    for row, state in enumerate(states):
+        assert (_trial_bytes(*(x[row] for x in drawn))
+                == _trial_bytes(*_oracle_state_trial(config, state))), f"row {row}"
 
 
 def test_lemire_states_are_built_as_described():
@@ -986,7 +1051,7 @@ def test_trials_make_three_generator_calls(monkeypatch, fresh_loader, dims, regi
     monkeypatch.setattr(np.random, "Generator", LoggedGenerator)
     config = EnsembleConfig(trials=40, dim_a=dims[0], dim_b=dims[1], regime=regime,
                             seed=20240901, weight_sampling=weights)
-    ensembles._draw_block(config, range(config.trials))
+    _drawn(config, range(config.trials))
     trials = config.trials
     split_words = trials if regime is Regime.BIORTHOGONAL and max(dims) > 2 else 0
     # a split that draws one half leaves the other for a real-grid weight
