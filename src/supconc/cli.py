@@ -4,9 +4,13 @@ Exit codes: 0 success, 1 verification found violations, 2 bad input
 (flags, files, validation) or out of memory, 3 a bug: a failed internal
 invariant (``SanityFailure``, ``InternalError`` or ``DeltaOutOfRange``) or
 any other exception (its traceback goes to stderr), 4 output I/O failure.
-All output is locale-independent; floats are printed with 17 significant
-digits, and identical flags plus seed produce byte-identical stdout
-(wall-clock timing goes to stderr). Stdout is written by one helper,
+One handler, the group's (:class:`_ExitCodes`), maps exceptions to these
+codes around every command's argument parsing and run, so the commands
+call the library directly. Stderr is written by :func:`_stderr`, which
+ignores a failed write: a stderr that cannot be written changes no exit
+code. All output is locale-independent; floats are printed with 17
+significant digits, and identical flags plus seed produce byte-identical
+stdout (wall-clock timing goes to stderr). Stdout is written by one helper,
 :func:`_emit`, which prints and flushes, so that a failed write exits 4
 like a failed output file, and not 1 or with a traceback. It prints
 rather than ``click.echo``, which keeps every stream it wrote to, text and
@@ -42,24 +46,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class ComplexParam(click.ParamType):
-    name = "complex"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, complex):
-            return value
-        try:
-            return complex(str(value))
-        except ValueError:
-            self.fail(f"{value!r} is not a complex number", param, ctx)
-
-
-COMPLEX = ComplexParam()
 REGIME_CHOICE = click.Choice([r.value for r in Regime])
 
 
+def _stderr(line: str) -> None:
+    """Print ``line`` to stderr; a stderr that cannot be written changes no exit code."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
 def _fail(message: str, code: int):
-    print(f"error: {message}", file=sys.stderr)
+    _stderr(f"error: {message}")
     sys.exit(code)
 
 
@@ -82,24 +81,6 @@ def _emit(text: str) -> None:
         _write_failed("stdout", exc)
 
 
-def _run_or_exit(fn, *args, **kwargs):
-    """Call ``fn``; exit 3 on a failed internal invariant (:class:`SanityFailure`,
-    :class:`InternalError`, :class:`DeltaOutOfRange`), 2 on any other library
-    error or on running out of memory, and 3, with the traceback, on any
-    other exception: a bug, which must not exit 1 as a violation would."""
-    try:
-        return fn(*args, **kwargs)
-    except (SanityFailure, InternalError, DeltaOutOfRange) as exc:
-        _fail(str(exc), 3)
-    except SupconcError as exc:
-        _fail(str(exc), 2)
-    except MemoryError as exc:
-        _fail(f"out of memory: {exc}" if str(exc) else "out of memory", 2)
-    except Exception as exc:
-        traceback.print_exc()
-        _fail(f"internal error: {exc!r}", 3)
-
-
 def _load_state_or_exit(path: str) -> PureState:
     try:
         return load_state(path)
@@ -107,7 +88,35 @@ def _load_state_or_exit(path: str) -> PureState:
         _fail(f"{path}: {exc}", 2)
 
 
-@click.group()
+class _ExitCodes(click.Group):
+    """The group that sets every command's exit code, around both the parsing
+    of the command's arguments and its run.
+
+    Exit 3 on a failed internal invariant (:class:`SanityFailure`,
+    :class:`InternalError`, :class:`DeltaOutOfRange`), 2 on any other
+    library error or on running out of memory, and 3, with the traceback,
+    on any other exception: a bug, which must not exit 1 as a violation
+    would. Click's own exceptions (usage errors, the exit after help) pass
+    through.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit):
+            raise
+        except (SanityFailure, InternalError, DeltaOutOfRange) as exc:
+            _fail(str(exc), 3)
+        except SupconcError as exc:
+            _fail(str(exc), 2)
+        except MemoryError as exc:
+            _fail(f"out of memory: {exc}" if str(exc) else "out of memory", 2)
+        except Exception as exc:
+            _stderr(traceback.format_exc().rstrip("\n"))
+            _fail(f"internal error: {exc!r}", 3)
+
+
+@click.group(cls=_ExitCodes)
 def main():
     """Concurrence of bipartite pure states and superposition bounds."""
 
@@ -131,27 +140,21 @@ def cmd_state_info(state_file):
     _emit("\n".join(lines))
 
 
-def _build_spec(phi_file: str, varphi_file: str, alpha: complex,
-                beta: complex) -> SuperpositionSpec:
-    phi = _load_state_or_exit(phi_file)
-    varphi = _load_state_or_exit(varphi_file)
-    return _run_or_exit(SuperpositionSpec, alpha, beta, phi, varphi)
-
-
 @main.command("bounds")
 @click.argument("phi_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("varphi_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--alpha", type=COMPLEX, required=True, help="Weight of the first state.")
-@click.option("--beta", type=COMPLEX, required=True, help="Weight of the second state.")
+@click.option("--alpha", type=complex, required=True, help="Weight of the first state.")
+@click.option("--beta", type=complex, required=True, help="Weight of the second state.")
 @click.option("--regime-override", type=REGIME_CHOICE, default=None,
               help="Force the bound formulas of this regime instead of classifying.")
 @click.option("--tol", type=float, default=REGIME_TOL, show_default=True,
               help="Regime classification tolerance, in [0, 1).")
 def cmd_bounds(phi_file, varphi_file, alpha, beta, regime_override, tol):
     """Evaluate every applicable bound and print the report as JSON."""
-    spec = _build_spec(phi_file, varphi_file, alpha, beta)
+    spec = SuperpositionSpec(alpha, beta, _load_state_or_exit(phi_file),
+                             _load_state_or_exit(varphi_file))
     override = Regime(regime_override) if regime_override else None
-    report = _run_or_exit(evaluate, spec, tol=tol, regime_override=override)
+    report = evaluate(spec, tol=tol, regime_override=override)
     _emit(report.to_json())
 
 
@@ -192,7 +195,7 @@ def cmd_sweep(phi_file, varphi_file, steps, regime_override):
     phi = _load_state_or_exit(phi_file)
     varphi = _load_state_or_exit(varphi_file)
     override = Regime(regime_override) if regime_override else None
-    lines = _run_or_exit(_sweep_rows, phi, varphi, steps, override)
+    lines = _sweep_rows(phi, varphi, steps, override)
     _emit("\n".join(lines))
 
 
@@ -209,7 +212,7 @@ def cmd_figure(name, out, strict):
         raise click.UsageError("--strict applies to fig2 only")
     phi, varphi = fixture(f"{name}_pair")
     override = None if strict else Regime.ORTHOGONAL
-    lines = _run_or_exit(_sweep_rows, phi, varphi, 99, override)
+    lines = _sweep_rows(phi, varphi, 99, override)
     try:
         with open(out, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -223,8 +226,8 @@ def cmd_figure(name, out, strict):
               help="Local dimensions.")
 @click.option("--regime", type=REGIME_CHOICE, required=True,
               help="Regime the generated pairs must land in.")
-@click.option("--seed", type=int, default=None,
-              help="Campaign seed (default: env SB_SEED, else 0).")
+@click.option("--seed", type=int, default=0, envvar="SB_SEED", show_default=True,
+              show_envvar=True, help="Campaign seed.")
 @click.option("--tol", type=float, default=SANITY_TOL, show_default=True,
               help="Violation tolerance on the bound sandwich.")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
@@ -236,17 +239,10 @@ def cmd_figure(name, out, strict):
               help="Also write violations as JSONL to this path.")
 def cmd_verify(trials, dims, regime, seed, tol, jobs, weights, violations_out):
     """Run a randomized bound-verification campaign; exit 1 on any violation."""
-    if seed is None:
-        env = os.environ.get("SB_SEED")
-        try:
-            seed = int(env) if env is not None else 0
-        except ValueError:
-            _fail(f"SB_SEED={env!r} is not an integer", 2)
-    config = _run_or_exit(
-        EnsembleConfig, trials=trials, dim_a=dims[0], dim_b=dims[1],
-        regime=Regime(regime), seed=seed, weight_sampling=weights, tol=tol,
-    )
-    summary = _run_or_exit(verify_ensemble, config, jobs=jobs)
+    config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1],
+                            regime=Regime(regime), seed=seed, weight_sampling=weights,
+                            tol=tol)
+    summary = verify_ensemble(config, jobs=jobs)
     if violations_out is not None:
         try:
             with open(violations_out, "w", encoding="ascii") as fh:
@@ -256,7 +252,7 @@ def cmd_verify(trials, dims, regime, seed, tol, jobs, weights, violations_out):
             _write_failed(violations_out, exc)
     # wall_time goes to stderr so stdout stays byte-identical across runs
     _emit(json.dumps(summary.to_dict(), indent=2))
-    print(f"wall_time: {summary.wall_time:.3f}s", file=sys.stderr)
+    _stderr(f"wall_time: {summary.wall_time:.3f}s")
     if summary.violations:
         sys.exit(1)
 

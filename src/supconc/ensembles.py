@@ -10,10 +10,10 @@ draws, evaluates and judges its own trials a chunk of evaluation blocks at
 a time, so its memory grows with the violations it records and not with
 its length. The generator states of a chunk's trials are computed
 together, and its trials are drawn a block at a time, their states loaded
-one by one into one generator. Each trial makes three calls on it: the
-state load, one ``standard_normal`` of all its normals and one
-``random_raw`` of its weight words, plus one ``random_raw`` for a
-biorthogonal pair's splits.
+one by one into the chunk's own generator, so campaigns run in threads
+share none. Each trial makes three calls on it: the state load, one
+``standard_normal`` of all its normals and one ``random_raw`` of its
+weight words, plus one ``random_raw`` for a biorthogonal pair's splits.
 The raw words become the ``integers`` and ``uniform`` draws numpy's
 ``Generator`` would make from them (Lemire's bounded method on PCG64's
 buffered 32-bit halves, and 53-bit doubles), and the arithmetic on the
@@ -24,7 +24,6 @@ is drawn again from its own state by the public generators.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import numbers
@@ -461,27 +460,21 @@ def _reference_trial(config: EnsembleConfig, rng: np.random.Generator,
     return pair[0].matrix, pair[1].matrix, _weight_variates(rng, config.weight_sampling)
 
 
-@functools.cache
-def _loader() -> np.random.Generator:
-    """The process's one generator, into which each trial loads its own PCG64 state."""
-    return np.random.Generator(np.random.PCG64(0))
-
-
-def _block_draws(config: EnsembleConfig, words: np.ndarray,
+def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Generator,
                  ) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
     """The generator draws of the trials seeded by ``words``:
     ``(normals, splits, variates, redraw)``.
 
-    Each trial makes three generator calls: it loads its PCG64 state,
-    draws all its normals with one ``standard_normal`` and its weight
-    words with one ``random_raw`` (one word on the real grid, three for
-    complex-random weights). A biorthogonal trial first draws one more
-    word for its two splits, unless both sides are 2. The words are turned
-    into ``integers`` and ``uniform`` draws as numpy turns them (see
-    above): the splits trial by trial, since they set how many normals
-    follow, and the weights over the whole block. A split that draws one
-    32-bit half leaves the other buffered, and a real-grid weight takes it
-    instead of a fresh word. ``redraw`` flags the rows where numpy would
+    Each trial makes three calls on ``rng``, the caller's generator: it
+    loads its PCG64 state, draws all its normals with one
+    ``standard_normal`` and its weight words with one ``random_raw`` (one
+    word on the real grid, three for complex-random weights). A
+    biorthogonal trial first draws one more word for its two splits,
+    unless both sides are 2. The words are turned into ``integers`` and
+    ``uniform`` draws as numpy turns them (see above): the splits trial by
+    trial, since they set how many normals follow, and the weights over the
+    whole block. A split that draws one 32-bit half leaves the other
+    buffered, and a real-grid weight takes it instead of a fresh word. ``redraw`` flags the rows where numpy would
     discard a word and draw again (Lemire's method: 4 in 2**32 for a
     weight); their draws are not the trial's, and :func:`_draw_block` draws
     them again. A flagged split still draws its normals with the split it
@@ -492,7 +485,6 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray,
     n, size = dim_a * dim_b, len(words)
     biorthogonal = config.regime is Regime.BIORTHOGONAL
     real_grid = mode == "real-grid"
-    rng = _loader()
     bits = rng.bit_generator
     # a biorthogonal pair fills two complementary blocks: at most 2n normals
     normals = np.empty((size, 2 * n if biorthogonal else 4 * n))
@@ -528,7 +520,7 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray,
     return normals, splits, variates, redraw | weight_redraw
 
 
-def _draw_block(config: EnsembleConfig, words: np.ndarray,
+def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Generator,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The trials seeded by ``words``, rows of :func:`_seed_words`, one per row:
     ``(alpha, beta, phi, varphi)``, the components as ``(T, dim_a, dim_b)``
@@ -536,7 +528,8 @@ def _draw_block(config: EnsembleConfig, words: np.ndarray,
 
     Trial ``i`` is :func:`_reference_trial` on the state of
     ``default_rng([mask(seed), i])``, bit for bit, in whatever block it is
-    drawn. :func:`_block_draws` makes each trial's generator calls: a state
+    drawn. :func:`_block_draws` makes each trial's calls on ``rng``, the
+    caller's generator, into which each trial loads its own state: a state
     load, one ``standard_normal`` and one ``random_raw`` of its weight
     words, plus one ``random_raw`` for a biorthogonal pair's splits. The
     arithmetic on those draws (Haar normalisation, Gram-Schmidt, the
@@ -548,7 +541,7 @@ def _draw_block(config: EnsembleConfig, words: np.ndarray,
     """
     dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
     n, size = dim_a * dim_b, len(words)
-    normals, splits, variates, redraw = _block_draws(config, words)
+    normals, splits, variates, redraw = _block_draws(config, words, rng)
 
     if config.regime is Regime.BIORTHOGONAL:
         groups: dict[tuple[int, int], list[int]] = {}
@@ -580,7 +573,6 @@ def _draw_block(config: EnsembleConfig, words: np.ndarray,
         _scale_rows(varphi, _row_norms(varphi))
         redraw |= collinear
     phi, varphi = phi.reshape(size, dim_a, dim_b), varphi.reshape(size, dim_a, dim_b)
-    rng = _loader()
     for row in np.flatnonzero(redraw).tolist():
         rng.bit_generator.state = next(_pcg_states(words[row:row + 1]))
         phi[row], varphi[row], variates[row] = _reference_trial(config, rng)
@@ -595,7 +587,8 @@ def _draw_trial(config: EnsembleConfig,
     redrawn, bit for bit, in whatever block or process draws it and
     whenever it is digested.
     """
-    alpha, beta, phi, varphi = _draw_block(config, _seed_words(config.seed, [index]))
+    alpha, beta, phi, varphi = _draw_block(config, _seed_words(config.seed, [index]),
+                                           np.random.Generator(np.random.PCG64(0)))
     return alpha[0], beta[0], phi[0], varphi[0]
 
 
@@ -628,7 +621,8 @@ def _trial_rows(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
     """
     words = _seed_words(config.seed, range(start, stop))
     dims = (config.dim_a, config.dim_b)
-    blocks = (_draw_block(config, words[lo - start:hi - start])
+    rng = np.random.Generator(np.random.PCG64(0))
+    blocks = (_draw_block(config, words[lo - start:hi - start], rng)
               for lo, hi in _blocks(start, stop, *dims))
     try:
         alpha, beta, batch = _checked_blocks(blocks, dims)
@@ -660,9 +654,10 @@ def _judged(config: EnsembleConfig, start: int, stop: int) -> tuple:
     margin = np.maximum(np.maximum(upper, -lower), np.nan_to_num(formula, nan=0.0))
     flagged = np.flatnonzero(margin > config.tol).tolist()
     digests = []
+    rng = np.random.Generator(np.random.PCG64(0))
     for lo, hi in _blocks(0, len(flagged), config.dim_a, config.dim_b):
         words = _seed_words(config.seed, [start + row for row in flagged[lo:hi]])
-        digests += map(_digest, *_draw_block(config, words))
+        digests += map(_digest, *_draw_block(config, words, rng))
     violations = [Violation(config.seed, start + row, digest, float(margin[row]))
                   for row, digest in zip(flagged, digests)]
     # fmax skips NaN; np.nanmax would warn on an all-NaN column

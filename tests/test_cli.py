@@ -228,7 +228,12 @@ def test_bounds_exit_codes(runner, state_files):
     ("verify_ensemble", ["verify", "--trials", "1", "--dims", "2", "2", "--regime", "general"],
      "Unable to allocate 3.0 GiB", "error: out of memory: Unable to allocate 3.0 GiB\n"),
     ("_sweep_rows", ["sweep", "{bell_plus}", "{ket01}"], "", "error: out of memory\n"),
-], ids=["verify", "sweep"])
+    # a state file too large to load, read before any command's own work
+    ("load_state", ["state-info", "{bell_plus}"], "", "error: out of memory\n"),
+    ("load_state", ["bounds", "{bell_plus}", "{ket01}", "--alpha", "0.8", "--beta", "0.6"],
+     "", "error: out of memory\n"),
+    ("load_state", ["sweep", "{bell_plus}", "{ket01}"], "", "error: out of memory\n"),
+], ids=["verify", "sweep", "state-info-load", "bounds-load", "sweep-load"])
 def test_out_of_memory_exits_two(runner, state_files, monkeypatch, target, args, message,
                                  line):
     # running out of memory is not a violation found (exit 1): exit 2, one line
@@ -513,8 +518,8 @@ def test_figure_unwritable_path(runner):
     assert result.exit_code == 4
 
 
-class _UnwritableStdout(io.TextIOBase):
-    """A stdout whose every write raises ``error``."""
+class _UnwritableStream(io.TextIOBase):
+    """A stream whose every write raises ``error``."""
 
     def __init__(self, error):
         self.error = error
@@ -538,12 +543,38 @@ def test_unwritable_stdout_exits_four(state_files, command, error):
     # a failed stdout write is an output I/O failure: exit 4 with one error
     # line, not 1, the violations code, and no traceback
     stderr = io.StringIO()
-    with contextlib.redirect_stdout(_UnwritableStdout(error)), \
+    with contextlib.redirect_stdout(_UnwritableStream(error)), \
             contextlib.redirect_stderr(stderr), pytest.raises(SystemExit) as exit_info:
         main.main(args=[arg.format(**state_files) for arg in command], prog_name="supconc",
                   standalone_mode=False)
     assert exit_info.value.code == 4
     assert stderr.getvalue() == f"error: cannot write stdout: {error}\n"
+
+
+def _exit_code(command):
+    """The exit code of ``command`` run in this process, 0 if it returns."""
+    try:
+        main.main(args=command, prog_name="supconc", standalone_mode=False)
+    except SystemExit as exc:
+        return exc.code
+    return 0
+
+
+def test_unwritable_stderr_changes_no_exit_code(monkeypatch):
+    # the error line, a bug's traceback and verify's wall_time line go to
+    # stderr; where it cannot be written, the exit code is what it would be
+    args = ["verify", "--trials", "20", "--dims", "2", "2", "--regime", "general"]
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, contextlib.redirect_stderr(
+            _UnwritableStream(OSError(errno.ENOSPC, "No space left on device"))):
+        assert _exit_code(args) == 0
+        assert json.loads(stdout.getvalue())["trials_run"] == 20
+        assert _exit_code(["verify", "--trials", "0", *args[3:]]) == 2
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("no campaign today")
+
+        monkeypatch.setattr(cli, "verify_ensemble", broken)
+        assert _exit_code(args) == 3
 
 
 def test_closed_stdout_pipe_exits_four_past_the_final_flush(state_files):
@@ -634,11 +665,18 @@ def test_verify_seed_flag_wins_over_env(runner):
     assert both.stdout != runner.invoke(main, verify_args(trials=100, seed=3)).stdout
 
 
+def test_verify_help_exits_zero_and_names_the_seed_env_var(runner):
+    # click's exit after printing help passes through the group's handler
+    result = runner.invoke(main, ["verify", "--help"])
+    assert result.exit_code == 0
+    assert "[env var: SB_SEED; default: 0]" in " ".join(result.stdout.split())
+
+
 def test_verify_seed_env_must_be_an_integer(runner):
     result = runner.invoke(main, ["verify", "--trials", "10", "--dims", "2", "2",
                                   "--regime", "orthogonal"], env={"SB_SEED": "x"})
     assert result.exit_code == 2
-    assert result.stderr == "error: SB_SEED='x' is not an integer\n"
+    assert "SB_SEED" in result.stderr and "'x' is not a valid integer" in result.stderr
     assert result.stdout == ""
 
 

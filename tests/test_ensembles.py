@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -675,6 +677,11 @@ def test_seeding_matches_default_rng(seed):
         np.random.default_rng([masked, index]).bit_generator.state for index in _INDICES]
 
 
+def _generator():
+    """A generator for a draw's caller to load trial states into."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
 def _oracle_trial(config, index):
     """Trial ``index`` drawn by the public generators from ``default_rng([seed, index])``."""
     return _oracle_draw(config, np.random.default_rng([ensembles._mask_seed(config.seed), index]))
@@ -682,7 +689,7 @@ def _oracle_trial(config, index):
 
 def _oracle_state_trial(config, state):
     """The trial the public generators draw from the PCG64 ``state``."""
-    rng = np.random.Generator(np.random.PCG64(0))
+    rng = _generator()
     rng.bit_generator.state = state
     return _oracle_draw(config, rng)
 
@@ -715,7 +722,8 @@ def _trial_bytes(alpha, beta, phi, varphi):
 
 def _drawn(config, indices):
     """Trials ``indices`` of a campaign, drawn as one block."""
-    return ensembles._draw_block(config, ensembles._seed_words(config.seed, indices))
+    return ensembles._draw_block(config, ensembles._seed_words(config.seed, indices),
+                                 _generator())
 
 
 def _assert_rows_match_oracle(config, indices, drawn):
@@ -788,11 +796,10 @@ def test_collinear_redraws_are_limited(monkeypatch):
 # --- raw-word draws against numpy's own calls -------------------------------------
 
 
-def _per_call_draws(config, words):
-    """``_block_draws`` through numpy's own calls: for each trial a state load,
-    the splits by ``integers``, one ``standard_normal`` and ``_weight_variates``."""
+def _per_call_draws(config, words, rng):
+    """``_block_draws`` through numpy's own calls on ``rng``: for each trial a state
+    load, the splits by ``integers``, one ``standard_normal`` and ``_weight_variates``."""
     dim_a, dim_b = config.dim_a, config.dim_b
-    rng = np.random.Generator(np.random.PCG64(0))
     normals = np.zeros((len(words), 4 * dim_a * dim_b))
     splits, variates = [], []
     for row, state in enumerate(ensembles._pcg_states(words)):
@@ -828,20 +835,22 @@ def test_raw_word_draws_match_numpy_calls(monkeypatch, dims, trials, regime, wei
         config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1], regime=regime,
                                 seed=seed, weight_sampling=weights)
         words = ensembles._seed_words(seed, np.arange(trials))
-        expected = _per_call_draws(config, words)
-        _assert_draws_equal(config, ensembles._block_draws(config, words), expected)
+        expected = _per_call_draws(config, words, _generator())
+        _assert_draws_equal(config, ensembles._block_draws(config, words, _generator()),
+                            expected)
         cuts = [0, *sorted(np.random.default_rng([trials, 5]).choice(
             np.arange(1, trials), size=4, replace=False).tolist()), trials]
-        parts = [ensembles._block_draws(config, words[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        parts = [ensembles._block_draws(config, words[lo:hi], _generator())
+                 for lo, hi in zip(cuts, cuts[1:])]
         _assert_draws_equal(config, (np.concatenate([p[0] for p in parts]),
                                      [s for p in parts for s in p[1]],
                                      np.concatenate([p[2] for p in parts]),
                                      np.concatenate([p[3] for p in parts])), expected)
         # the whole trial, arithmetic included, is the per-call draws' trial
-        whole = ensembles._draw_block(config, words)
+        whole = ensembles._draw_block(config, words, _generator())
         with monkeypatch.context() as patch:
             patch.setattr(ensembles, "_block_draws", _per_call_draws)
-            reference = ensembles._draw_block(config, words)
+            reference = ensembles._draw_block(config, words, _generator())
         for part, ref in zip(whole, reference):
             assert part.tobytes() == ref.tobytes()
 
@@ -938,15 +947,15 @@ def test_lemire_redraws_go_through_numpy_calls(monkeypatch, dim_a, dim_b, regime
     monkeypatch.setattr(ensembles, "_reference_trial",
                         lambda *a: calls.append(1) or reference_trial(*a))
     words = np.zeros((2, 4), dtype=np.uint64)
-    normals, splits, variates, redraw = ensembles._block_draws(config, words)
+    normals, splits, variates, redraw = ensembles._block_draws(config, words, _generator())
     assert redraw.tolist() == [redrawn, redrawn]
     if not redrawn:
         assert splits == [split, split]
         assert variates.tolist() == [[weight], [weight]]
         _assert_draws_equal(config, (normals, splits, variates, redraw),
-                            _per_call_draws(config, words))
+                            _per_call_draws(config, words, _generator()))
     assert calls == []
-    drawn = ensembles._draw_block(config, words)
+    drawn = ensembles._draw_block(config, words, _generator())
     assert calls == ([1, 1] if redrawn else [])
     assert drawn[0].tolist() == [math.sqrt(weight / 100.0)] * 2
     for row in range(2):
@@ -976,7 +985,8 @@ def test_blocks_redraw_exactly_their_flagged_rows(monkeypatch, dim_a, dim_b, reg
                         lambda words: (states[row] for row in words[:, 0].tolist()))
     words = np.zeros((len(states), 4), dtype=np.uint64)
     words[:, 0] = np.arange(len(states))
-    assert np.flatnonzero(ensembles._block_draws(config, words)[3]).tolist() == flagged
+    redraw = ensembles._block_draws(config, words, _generator())[3]
+    assert np.flatnonzero(redraw).tolist() == flagged
     redrawn = []
     reference_trial = ensembles._reference_trial
 
@@ -985,7 +995,7 @@ def test_blocks_redraw_exactly_their_flagged_rows(monkeypatch, dim_a, dim_b, reg
         return reference_trial(config, rng)
 
     monkeypatch.setattr(ensembles, "_reference_trial", logged)
-    drawn = ensembles._draw_block(config, words)
+    drawn = ensembles._draw_block(config, words, _generator())
     assert redrawn == flagged
     for row, state in enumerate(states):
         assert (_trial_bytes(*(x[row] for x in drawn))
@@ -1022,18 +1032,10 @@ class _LoggedBits:
         return self._bits.random_raw(*args)
 
 
-@pytest.fixture
-def fresh_loader():
-    """The process's state-loading generator built afresh, and dropped after the test."""
-    ensembles._loader.cache_clear()
-    yield
-    ensembles._loader.cache_clear()
-
-
 @pytest.mark.parametrize("dims", [(2, 2), (2, 5), (3, 3)])
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("weights", ["real-grid", "complex-random"])
-def test_trials_make_three_generator_calls(monkeypatch, fresh_loader, dims, regime, weights):
+def test_trials_make_three_generator_calls(monkeypatch, dims, regime, weights):
     # a state load, one standard_normal and one random_raw per trial, and one
     # more random_raw for the splits of a biorthogonal pair with a side above 2
     log = []
@@ -1061,16 +1063,38 @@ def test_trials_make_three_generator_calls(monkeypatch, fresh_loader, dims, regi
     assert log.count("random_raw") == trials + split_words - carried
 
 
-def test_campaign_builds_one_generator(monkeypatch, fresh_loader):
-    # every trial loads its own state into the process's one generator: a
-    # campaign of three blocks, collinear redraws included, builds one PCG64
+def test_campaign_builds_one_generator_per_chunk(monkeypatch):
+    # each chunk loads its trials' states into a generator of its own, and
+    # its violations' states into one more for their digests, whatever its
+    # block count: two chunks of three blocks, collinear redraws included,
+    # build four PCG64s
     built = []
     real_pcg64 = np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda *a: built.append(a) or real_pcg64(*a))
     monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 0.97)   # most candidates are redrawn
+    monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 2)
     config = EnsembleConfig(trials=2000, dim_a=3, dim_b=3, regime=Regime.ORTHOGONAL,
-                            seed=20240901)
+                            seed=20240901, tol=-1.0)
     assert len(list(bounds._blocks(0, config.trials, 3, 3))) == 3
     summary = verify_ensemble(config)
-    assert summary.trials_run == 2000
-    assert len(built) == 1
+    assert len(summary.violations) == 2000
+    assert len(built) == 4
+
+
+def test_campaigns_in_threads_match_their_lone_runs():
+    # a campaign draws in generators of its own, so two campaigns in two
+    # threads, switched between as often as the interpreter allows, each
+    # summarise as when run alone
+    configs = [EnsembleConfig(trials=20000, dim_a=2, dim_b=2, regime=Regime.GENERAL,
+                              seed=seed) for seed in (1, 2)]
+    alone = [verify_ensemble(config).to_dict() for config in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                runs = pool.map(verify_ensemble, configs, timeout=120)
+                together = [summary.to_dict() for summary in runs]
+            assert together == alone
+    finally:
+        sys.setswitchinterval(interval)
