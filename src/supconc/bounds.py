@@ -70,6 +70,7 @@ from .errors import DeltaOutOfRange, DimensionMismatch, OutOfRange, SanityFailur
 from .measures import (
     _EXPANSION_FLOOR,
     GramTable,
+    _Buffers,
     _concurrence,
     _expansion,
     _gram_table,
@@ -379,15 +380,18 @@ def _family(columns, row: int = 0) -> tuple:
 # a 2x2 one into blocks of 2048. The bound stage runs once over the columns of
 # all blocks of a call or of a campaign's range, so its fixed cost is not paid
 # per block; what a larger block still saves is the component stage's and the
-# draw's numpy calls per block. At 32x32 a block's arrays are 128-256 KiB, so
-# glibc gives them back to the system at the end of a block and they are
-# faulted in again: in a fresh process, a pass over the six 250-trial 10x10
-# and 32x32 campaigns takes ~5000-10000 minor faults against ~250 at 4096
-# amplitudes, and max RSS rises from 39.7 to 40.3 MB. Those faults cost less
-# than the calls saved: on a 2-core x86-64 host (numpy 2.4, OpenBLAS, one
-# thread) the benchmark's 10x10 and 32x32 campaigns ran ~8 % more trials/s
-# than at 4096 amplitudes (5 of 5 alternating runs), and their peak RSS rose
-# by 0.7 MB (1.7 %).
+# draw's numpy calls per block: on a 2-core x86-64 host (numpy 2.4, OpenBLAS,
+# one thread) the benchmark's 10x10 and 32x32 campaigns ran ~8 % more
+# trials/s than at 4096 amplitudes, measured while every block still allocated
+# its own arrays. Above 2x2 those arrays take ~1 MB, 128-256 KiB each, which
+# glibc gives back to the system when they are freed, so that each block
+# faulted them in again: ~7900 minor faults per warmed in-process pass over
+# the benchmark's six 250-trial jobs-1 10x10 and 32x32 campaigns, ~3200-3500
+# in each 32x32 biorthogonal or orthogonal one. A campaign range, or an
+# evaluate_batch call, therefore draws and evaluates all its blocks in one set
+# of buffers (measures._Buffers): such a pass takes 4-1640 faults, at most the
+# ~290 of one set per campaign, and the campaigns ran ~12 % more trials/s
+# (10 of 10 alternating runs) for 0.35 MB (0.8 %) more peak RSS.
 _BLOCK_AMPLITUDES = 8192
 
 
@@ -461,14 +465,14 @@ class _Columns(NamedTuple):
     exact: np.ndarray
 
 
-def _component_columns(alpha, beta, phi, varphi) -> _Columns:
+def _component_columns(alpha, beta, phi, varphi, buffers: _Buffers) -> _Columns:
     """Stage 1 of the evaluation core, the component stage, on one block.
 
     Checks the components' norms, then the weights, raising for the block's
     first offending pair before any arithmetic on them (a NaN weight would
     warn in it), and reads the pairs from one Gram table of the component
-    stacks (:func:`supconc.measures._gram_table`): the regime traces, the
-    component concurrences and, above 2x2, the superpositions
+    stacks (:func:`supconc.measures._gram_table`), built in ``buffers``: the
+    regime traces, the component concurrences and, above 2x2, the superpositions
     (:func:`_expanded_superpositions`); 2x2 pairs are formed and take the
     closed form (:func:`_superpositions`). The overlap is the table's, summed
     from the amplitudes, so that the bounds do not take on the rounding of
@@ -479,7 +483,7 @@ def _component_columns(alpha, beta, phi, varphi) -> _Columns:
     _require_unit_norm(_norms_sq(phi))
     _require_unit_norm(_norms_sq(varphi))
     _require_unit_weights(alpha, beta)
-    table = _gram_table(phi, varphi)
+    table = _gram_table(phi, varphi, buffers)
     if phi.shape[1:] == (2, 2):
         c_phi, c_var = _concurrence(phi), _concurrence(varphi)
         norm_sq, exact = _superpositions(alpha, beta, phi, varphi)
@@ -540,8 +544,8 @@ def _evaluate_rows(alpha, beta, columns: _Columns, dims: tuple[int, int], *,
     )
 
 
-def _checked_blocks(blocks, dims: tuple[int, int], *, tol: float = REGIME_TOL,
-                    regime_override: Regime | None = None,
+def _checked_blocks(blocks, dims: tuple[int, int], *, buffers: _Buffers | None = None,
+                    tol: float = REGIME_TOL, regime_override: Regime | None = None,
                     ) -> tuple[np.ndarray, np.ndarray, BatchReport]:
     """Both stages of the evaluation core, and its bug checks, over blocks of pairs.
 
@@ -549,7 +553,11 @@ def _checked_blocks(blocks, dims: tuple[int, int], *, tol: float = REGIME_TOL,
     consecutive pairs, of at most an evaluation block each unless both
     component stacks hold one matrix. The component stage
     (:func:`_component_columns`) runs on each block as it comes, and checks
-    its norms and weights; the
+    its norms and weights. Every block builds its Gram blocks in one set of
+    ``buffers``: a campaign range's, whose blocks are drawn in the same set,
+    or, if none is given, one made for this call. Nothing of a block but its
+    columns is kept, so a block's stacks may be views into the buffers that
+    the next block overwrites. The
     bound stage (:func:`_evaluate_rows`) then runs once over the columns of
     all blocks, joined if there is more than one. Returns ``(alpha, beta,
     batch)``, the weights of all pairs and their :class:`BatchReport`.
@@ -559,7 +567,9 @@ def _checked_blocks(blocks, dims: tuple[int, int], *, tol: float = REGIME_TOL,
     ``SANITY_TOL``. A bound escape stays in the slacks for the caller to
     judge, as a campaign does at its own tolerance.
     """
-    parts = [(a, b, *_component_columns(a, b, phi, varphi)) for a, b, phi, varphi in blocks]
+    buffers = _Buffers() if buffers is None else buffers
+    parts = [(a, b, *_component_columns(a, b, phi, varphi, buffers))
+             for a, b, phi, varphi in blocks]
     alpha, beta, *columns = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     batch = _evaluate_rows(alpha, beta, _Columns(*columns), dims, tol=tol,
                            regime_override=regime_override)

@@ -8,13 +8,14 @@ One handler, the group's (:class:`_ExitCodes`), maps exceptions to these
 codes around every command's argument parsing and run, so the commands
 call the library directly. Stderr is written by :func:`_stderr`, which
 ignores a failed write: a stderr that cannot be written changes no exit
-code. All output is locale-independent; floats are printed with 17
+code, and neither does it for click's usage errors (:meth:`_ExitCodes.main`).
+All output is locale-independent; floats are printed with 17
 significant digits, and identical flags plus seed produce byte-identical
 stdout (wall-clock timing goes to stderr). Stdout is written by one helper,
 :func:`_emit`, which prints and flushes, so that a failed write exits 4
-like a failed output file, and not 1 or with a traceback. It prints
-rather than ``click.echo``, which keeps every stream it wrote to, text and
-all, alive.
+like a failed output file, and not 1 or with a traceback; a help page that
+cannot be written exits 4 too (:class:`_HelpOutput`). It prints rather than
+``click.echo``, which keeps every stream it wrote to, text and all, alive.
 """
 
 from __future__ import annotations
@@ -66,19 +67,24 @@ def _write_failed(target: str, exc: OSError):
     _fail(f"cannot write {target}: {exc}", 4)
 
 
+def _stdout_failed(exc: OSError):
+    """Exit 4 with one error line: stdout could not be written."""
+    # Python flushes stdout again on exit, and a failed flush there makes
+    # the status 120: on the null device it cannot fail
+    try:
+        fd = sys.stdout.fileno()
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+    except (OSError, ValueError):
+        pass   # a stdout with no file descriptor, as in-process callers set
+    _write_failed("stdout", exc)
+
+
 def _emit(text: str) -> None:
     """Print ``text`` to stdout and flush it; exit 4 if stdout cannot be written."""
     try:
         print(text, flush=True)
     except OSError as exc:
-        # Python flushes stdout again on exit, and a failed flush there makes
-        # the status 120: on the null device it cannot fail
-        try:
-            fd = sys.stdout.fileno()
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
-        except (OSError, ValueError):
-            pass   # a stdout with no file descriptor, as in-process callers set
-        _write_failed("stdout", exc)
+        _stdout_failed(exc)
 
 
 def _load_state_or_exit(path: str) -> PureState:
@@ -88,7 +94,22 @@ def _load_state_or_exit(path: str) -> PureState:
         _fail(f"{path}: {exc}", 2)
 
 
-class _ExitCodes(click.Group):
+class _HelpOutput:
+    """Argument parsing whose one output, the help page on stdout, exits 4
+    where it cannot be written, as :func:`_emit` does."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except OSError as exc:
+            _stdout_failed(exc)
+
+
+class _Command(_HelpOutput, click.Command):
+    """A command of the group, with its help page guarded."""
+
+
+class _ExitCodes(_HelpOutput, click.Group):
     """The group that sets every command's exit code, around both the parsing
     of the command's arguments and its run.
 
@@ -97,8 +118,33 @@ class _ExitCodes(click.Group):
     library error or on running out of memory, and 3, with the traceback,
     on any other exception: a bug, which must not exit 1 as a violation
     would. Click's own exceptions (usage errors, the exit after help) pass
-    through.
+    through to :meth:`main`. A help page, the group's or a command's, that
+    cannot be written exits 4 (:class:`_HelpOutput`).
     """
+
+    command_class = _Command
+
+    def main(self, *args, standalone_mode: bool = True, **kwargs):
+        """Click's ``main``. Its standalone mode, the console script's, is run
+        here, so that a click error (a usage error: exit 2) shown on a stderr
+        that cannot be written exits with its own code, as :func:`_stderr`
+        ignores a failed write; a click error still raises to a caller that
+        asks for no standalone mode."""
+        if not standalone_mode:
+            return super().main(*args, standalone_mode=False, **kwargs)
+        try:
+            code = super().main(*args, standalone_mode=False, **kwargs)
+        except click.ClickException as exc:
+            try:
+                exc.show()
+            except OSError:
+                pass
+            code = exc.exit_code
+        except click.Abort:
+            _stderr("Aborted!")
+            code = 1
+        # None after a command, which exits 0, or the code of click's Exit
+        sys.exit(code)
 
     def invoke(self, ctx):
         try:

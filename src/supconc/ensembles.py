@@ -10,10 +10,12 @@ draws, evaluates and judges its own trials a chunk of evaluation blocks at
 a time, so its memory grows with the violations it records and not with
 its length. The generator states of a chunk's trials are computed
 together, and its trials are drawn a block at a time, their states loaded
-one by one into the chunk's own generator, so campaigns run in threads
-share none. Each trial makes three calls on it: the state load, one
-``standard_normal`` of all its normals and one ``random_raw`` of its
-weight words, plus one ``random_raw`` for a biorthogonal pair's splits.
+one by one into the range's own generator, so campaigns run in threads
+share none; every block of a range is drawn and evaluated in the range's
+one set of block buffers. Each trial makes three calls on the generator:
+the state load, one ``standard_normal`` of all its normals and one
+``random_raw`` of its weight words, plus one ``random_raw`` for a
+biorthogonal pair's splits.
 The raw words become the ``integers`` and ``uniform`` draws numpy's
 ``Generator`` would make from them (Lemire's bounded method on PCG64's
 buffered 32-bit halves, and 53-bit doubles), and the arithmetic on the
@@ -36,6 +38,7 @@ import numpy as np
 
 from .bounds import SANITY_TOL, Regime, _block_size, _blocks, _checked_blocks
 from .errors import InternalError, InvalidSplit, OutOfRange, SanityFailure, UnknownFixture
+from .measures import _Buffers
 from .states import PureState, make_state, normalize
 
 _REDRAW_LIMIT = 100
@@ -350,13 +353,12 @@ def _scale_rows(z: np.ndarray, norms: np.ndarray) -> None:
     z.view(np.float64)[...] *= (1.0 / norms)[:, None]
 
 
-def _haar_rows(normals: np.ndarray) -> np.ndarray:
-    """:func:`_haar_vector` of each row of ``normals``, which holds its two draws."""
+def _haar_rows(normals: np.ndarray, z: np.ndarray) -> None:
+    """:func:`_haar_vector` of each row of ``normals``, which holds its two
+    draws, written into the rows of ``z``."""
     n = normals.shape[1] // 2
-    z = np.empty((len(normals), n), dtype=np.complex128)
     z.real, z.imag = normals[:, :n], normals[:, n:]
     _scale_rows(z, _row_norms(z))
-    return z
 
 
 _GRID = (1, 100)                                   # real-grid k: integers(1, 100)
@@ -461,6 +463,7 @@ def _reference_trial(config: EnsembleConfig, rng: np.random.Generator,
 
 
 def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Generator,
+                 buffers: _Buffers | None = None,
                  ) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
     """The generator draws of the trials seeded by ``words``:
     ``(normals, splits, variates, redraw)``.
@@ -479,7 +482,10 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Gener
     weight); their draws are not the trial's, and :func:`_draw_block` draws
     them again. A flagged split still draws its normals with the split it
     produced, a valid size. ``splits[row]`` is ``None`` outside the
-    biorthogonal regime; a biorthogonal row holds its normals at its head.
+    biorthogonal regime; a biorthogonal row holds its normals at its head,
+    and what follows them is left as the buffer held it. The normals are
+    drawn into the ``normals`` buffer of ``buffers`` (a set of their own if
+    none is given).
     """
     dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
     n, size = dim_a * dim_b, len(words)
@@ -487,7 +493,8 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Gener
     real_grid = mode == "real-grid"
     bits = rng.bit_generator
     # a biorthogonal pair fills two complementary blocks: at most 2n normals
-    normals = np.empty((size, 2 * n if biorthogonal else 4 * n))
+    buffers = _Buffers() if buffers is None else buffers
+    normals = buffers.take("normals", (size, 2 * n if biorthogonal else 4 * n), np.float64)
     raw = np.zeros((size, 1 if real_grid else 3), dtype=np.uint64)
     splits: list = [None] * size
     redraw = np.zeros(size, dtype=bool)
@@ -521,6 +528,7 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Gener
 
 
 def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Generator,
+                buffers: _Buffers | None = None,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The trials seeded by ``words``, rows of :func:`_seed_words`, one per row:
     ``(alpha, beta, phi, varphi)``, the components as ``(T, dim_a, dim_b)``
@@ -538,38 +546,51 @@ def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Genera
     a Lemire redraw of a weight or split word and a near-collinear
     orthogonal candidate, are drawn again from their own state by
     :func:`_reference_trial`.
+
+    The normals and the component stacks are written into ``buffers`` (a
+    set of their own if none is given), so the stacks returned hold until the
+    next block is drawn or evaluated in the same buffers; the weights are
+    arrays of their own.
     """
     dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
     n, size = dim_a * dim_b, len(words)
-    normals, splits, variates, redraw = _block_draws(config, words, rng)
+    buffers = _Buffers() if buffers is None else buffers
+    normals, splits, variates, redraw = _block_draws(config, words, rng, buffers)
+    phi, varphi = buffers.take("phi", (size, n)), buffers.take("varphi", (size, n))
 
     if config.regime is Regime.BIORTHOGONAL:
         groups: dict[tuple[int, int], list[int]] = {}
         for row, split in enumerate(splits):
             groups.setdefault(split, []).append(row)
-        phi = np.zeros((size, dim_a, dim_b), dtype=np.complex128)
-        varphi = np.zeros((size, dim_a, dim_b), dtype=np.complex128)
+        # clear what the previous block left outside this block's supports
+        phi.fill(0.0)
+        varphi.fill(0.0)
+        phi_m, var_m = phi.reshape(size, dim_a, dim_b), varphi.reshape(size, dim_a, dim_b)
         for (split_a, split_b), rows in groups.items():
             first = 2 * split_a * split_b
             second = 2 * (dim_a - split_a) * (dim_b - split_b)
-            drawn = normals[rows]
-            phi[rows, :split_a, :split_b] = (
-                _haar_rows(drawn[:, :first]).reshape(-1, split_a, split_b))
-            varphi[rows, split_a:, split_b:] = (
-                _haar_rows(drawn[:, first:first + second])
-                .reshape(-1, dim_a - split_a, dim_b - split_b))
+            z = np.empty((len(rows), first // 2), dtype=np.complex128)
+            _haar_rows(normals[rows, :first], z)
+            phi_m[rows, :split_a, :split_b] = z.reshape(-1, split_a, split_b)
+            z = np.empty((len(rows), second // 2), dtype=np.complex128)
+            _haar_rows(normals[rows, first:first + second], z)
+            var_m[rows, split_a:, split_b:] = z.reshape(-1, dim_a - split_a, dim_b - split_b)
     else:
-        phi, varphi = _haar_rows(normals[:, :2 * n]), _haar_rows(normals[:, 2 * n:])
+        _haar_rows(normals[:, :2 * n], phi)
+        _haar_rows(normals[:, 2 * n:], varphi)
     if config.regime is Regime.ORTHOGONAL:
         # the Gram-Schmidt step of orthogonal_pair on its first candidate,
-        # in place on varphi; _row_dots(phi_conj, v) is np.vdot(phi, v) per row
-        phi_conj = phi.conj()
-        varphi -= _row_dots(phi_conj, varphi)[:, None] * phi
+        # in place on varphi; _row_dots(phi_conj, v) is np.vdot(phi, v) per
+        # row. The conjugate and the projection go into the Gram stage's
+        # buffers, which the block's evaluation overwrites
+        phi_conj = np.conjugate(phi, out=buffers.take("m_conj", phi.shape))
+        projection = buffers.take("n_conj", phi.shape)
+        varphi -= np.multiply(_row_dots(phi_conj, varphi)[:, None], phi, out=projection)
         norm = _row_norms(varphi)
         collinear = norm < _COLLINEAR_TOL
         # rows redrawn below: any value will do, without a division by zero
         _scale_rows(varphi, np.where(collinear, 1.0, norm))
-        varphi -= _row_dots(phi_conj, varphi)[:, None] * phi
+        varphi -= np.multiply(_row_dots(phi_conj, varphi)[:, None], phi, out=projection)
         _scale_rows(varphi, _row_norms(varphi))
         redraw |= collinear
     phi, varphi = phi.reshape(size, dim_a, dim_b), varphi.reshape(size, dim_a, dim_b)
@@ -602,12 +623,16 @@ def _digest(alpha: complex, beta: complex, phi: np.ndarray, varphi: np.ndarray) 
     return h.hexdigest()[:12]
 
 
-def _trial_rows(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
+def _trial_rows(config: EnsembleConfig, start: int, stop: int,
+                rng: np.random.Generator | None = None,
+                buffers: _Buffers | None = None) -> np.ndarray:
     """Seed, draw and evaluate trials ``[start, stop)``: one row per trial.
 
     The trials' generators are seeded together (:func:`_seed_words`) and
     drawn block by block (:func:`supconc.bounds._blocks`,
-    :func:`_draw_block`) as the evaluation core
+    :func:`_draw_block`), their states loaded into ``rng`` and every block
+    drawn and evaluated in ``buffers`` (a generator and a set of buffers of
+    their own if none are given), as the evaluation core
     (:func:`supconc.bounds._checked_blocks`) takes the blocks: it reduces
     each block to the columns of its component stage, so only the columns
     grow with the range, and runs the bound stage once over them all. A row
@@ -621,11 +646,12 @@ def _trial_rows(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
     """
     words = _seed_words(config.seed, range(start, stop))
     dims = (config.dim_a, config.dim_b)
-    rng = np.random.Generator(np.random.PCG64(0))
-    blocks = (_draw_block(config, words[lo - start:hi - start], rng)
+    rng = np.random.Generator(np.random.PCG64(0)) if rng is None else rng
+    buffers = _Buffers() if buffers is None else buffers
+    blocks = (_draw_block(config, words[lo - start:hi - start], rng, buffers)
               for lo, hi in _blocks(start, stop, *dims))
     try:
-        alpha, beta, batch = _checked_blocks(blocks, dims)
+        alpha, beta, batch = _checked_blocks(blocks, dims, buffers=buffers)
     except SanityFailure as exc:
         trial = start + exc.row
         raise SanityFailure(f"{exc} (seed {config.seed}, trial {trial}, digest "
@@ -643,21 +669,22 @@ def _trial_rows(config: EnsembleConfig, start: int, stop: int) -> np.ndarray:
 # value is -inf.
 
 
-def _judged(config: EnsembleConfig, start: int, stop: int) -> tuple:
+def _judged(config: EnsembleConfig, start: int, stop: int, rng: np.random.Generator,
+            buffers: _Buffers) -> tuple:
     """The partial summary of trials ``[start, stop)``, from their rows (:func:`_trial_rows`).
 
     A violation is a trial whose margin ``max(upper slack, -lower slack,
     closed-form error)`` passes ``config.tol``; the violating trials are
-    redrawn together, in blocks, for their digests.
+    redrawn together, in blocks, for their digests. The rows and the
+    digests are drawn with ``rng`` in ``buffers``, the range's.
     """
-    upper, lower, formula, excess = _trial_rows(config, start, stop).T
+    upper, lower, formula, excess = _trial_rows(config, start, stop, rng, buffers).T
     margin = np.maximum(np.maximum(upper, -lower), np.nan_to_num(formula, nan=0.0))
     flagged = np.flatnonzero(margin > config.tol).tolist()
     digests = []
-    rng = np.random.Generator(np.random.PCG64(0))
     for lo, hi in _blocks(0, len(flagged), config.dim_a, config.dim_b):
         words = _seed_words(config.seed, [start + row for row in flagged[lo:hi]])
-        digests += map(_digest, *_draw_block(config, words, rng))
+        digests += map(_digest, *_draw_block(config, words, rng, buffers))
     violations = [Violation(config.seed, start + row, digest, float(margin[row]))
                   for row, digest in zip(flagged, digests)]
     # fmax skips NaN; np.nanmax would warn on an all-NaN column
@@ -696,10 +723,15 @@ def _run_range(config: EnsembleConfig, start: int, stop: int) -> tuple:
     each seeded, drawn, evaluated (:func:`_trial_rows`) and judged
     (:func:`_judged`) on its own, so the range's memory grows with its
     violations and not with its length; the chunks' partial summaries are
-    merged as they come.
+    merged as they come. The range builds one generator, which every trial
+    and digest redraw loads its state into, and one set of block buffers
+    (:class:`supconc.measures._Buffers`), which every block is drawn and
+    evaluated in.
     """
     step = _CHUNK_BLOCKS * _block_size(config.dim_a, config.dim_b)
-    return _merged(_judged(config, lo, min(lo + step, stop)) for lo in range(start, stop, step))
+    rng, buffers = np.random.Generator(np.random.PCG64(0)), _Buffers()
+    return _merged(_judged(config, lo, min(lo + step, stop), rng, buffers)
+                   for lo in range(start, stop, step))
 
 
 # Work, trials * dim_a * dim_b, below which a campaign runs in this process

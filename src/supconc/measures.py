@@ -186,16 +186,43 @@ def _gram(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     return _conj_gram(m.conj(), n)
 
 
-def _conj_gram(m_conj: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _conj_gram(m_conj: np.ndarray, n: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """:func:`_gram` of ``m`` and ``n`` from ``m_conj = m.conj()``, so that the
-    Gram blocks of one stack share its conjugate; the products are the same."""
+    Gram blocks of one stack share its conjugate; the products are the same.
+    Above 2x2 the block is written into ``out`` if one is given."""
     rows, cols = m_conj.shape[-2:]
     if (rows, cols) == (2, 2):
         # a batched matmul of 2x2 blocks costs more per block than its products
         return (n[..., :, None, :] * m_conj[..., None, :, :]).sum(axis=-1)
     if rows <= cols:
-        return n @ m_conj.swapaxes(-1, -2)
-    return m_conj.swapaxes(-1, -2) @ n
+        return np.matmul(n, m_conj.swapaxes(-1, -2), out=out)
+    return np.matmul(m_conj.swapaxes(-1, -2), n, out=out)
+
+
+class _Buffers:
+    """Arrays that one evaluation block after another writes into, instead of
+    allocating its own: a campaign range's draws and Gram blocks, or the Gram
+    blocks of one :func:`supconc.bounds.evaluate_batch` call.
+
+    A block's arrays, about 1 MB above 2x2, are large enough that glibc
+    returns them to the system when they are freed, and the next block
+    faults the same pages in again. :meth:`take` hands out the leading part
+    of one array per name, allocated at the first request and again only for
+    a larger one, holding whatever the previous block left there: what is
+    kept past a block must be a copy, and what is read must be written
+    first.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
+        """A C-contiguous ``shape`` array of ``dtype`` in the buffer ``name``."""
+        count = math.prod(shape)
+        array = self._arrays.get(name)
+        if array is None or array.size < count or array.dtype != dtype:
+            array = self._arrays[name] = np.empty(count, dtype)
+        return array[:count].reshape(shape)
 
 
 class GramTable(NamedTuple):
@@ -225,12 +252,27 @@ class GramTable(NamedTuple):
     overlap: np.ndarray
 
 
-def _gram_table(m: np.ndarray, n: np.ndarray) -> GramTable:
+def _gram_table(m: np.ndarray, n: np.ndarray, buffers: _Buffers | None = None) -> GramTable:
     """The :class:`GramTable` of stacks ``m`` and ``n`` of shape
     ``(T or 1, dim_a, dim_b)``: three batched products per pair, and
-    O(d^2) per pair for the rest. Each stack is conjugated once."""
-    m_conj, n_conj = m.conj(), n.conj()
-    a, b, c = _conj_gram(m_conj, m), _conj_gram(n_conj, n), _conj_gram(m_conj, n)
+    O(d^2) per pair for the rest. Each stack is conjugated once.
+
+    The conjugates and, above 2x2, the blocks ``A``, ``B`` and ``C`` are
+    written into ``buffers`` (a set of their own if none is given), so the
+    table's ``a`` and ``b`` hold until the next table is built in them; every
+    other entry is an array of its own.
+    """
+    buffers = _Buffers() if buffers is None else buffers
+    m_conj = np.conjugate(m, out=buffers.take("m_conj", m.shape))
+    n_conj = np.conjugate(n, out=buffers.take("n_conj", n.shape))
+    side = min(m.shape[1:])
+
+    def gram(x_conj, y, name):
+        out = (None if m.shape[1:] == (2, 2)
+               else buffers.take(name, (max(len(x_conj), len(y)), side, side)))
+        return _conj_gram(x_conj, y, out)
+
+    a, b, c = gram(m_conj, m, "a"), gram(n_conj, n, "b"), gram(m_conj, n, "c")
     # real and imaginary parts, interleaved: the real part of a Frobenius
     # product is the dot product of the two blocks' parts
     ra, rb, rc = (x.reshape(len(x), -1).view(np.float64) for x in (a, b, c))

@@ -591,6 +591,35 @@ def test_stacked_rows_do_not_depend_on_the_block_size(monkeypatch, block_amplitu
         assert getattr(blocked, field).tobytes() == getattr(whole, field).tobytes(), field
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 4), (4, 3), (5, 5)])
+@pytest.mark.parametrize("one_matrix", [False, True])
+def test_one_call_over_blocks_matches_one_call_per_block(monkeypatch, dims, one_matrix):
+    # blocks of four pairs: a call over 14 pairs takes blocks of 4, 4, 4 and
+    # 2, each built in the call's one set of buffers, and gives the report
+    # of one call per block, bit for bit; the Gram blocks are taken on side A
+    # (3x4), on side B (4x3), and of one phi against every varphi
+    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 4 * dims[0] * dims[1])
+    rng = np.random.default_rng(25)
+    phi = np.stack([haar_state(*dims, rng).matrix for _ in range(1 if one_matrix else 14)])
+    var = np.stack([haar_state(*dims, rng).matrix for _ in range(14)])
+    alpha, beta = map(np.array, zip(*(random_weights(rng) for _ in range(14))))
+    cuts = list(bounds._blocks(0, 14, *dims))
+    assert [hi - lo for lo, hi in cuts] == [4, 4, 4, 2]
+    whole = evaluate_batch(alpha, beta, phi, var)
+    parts = [evaluate_batch(alpha[lo:hi], beta[lo:hi], phi if one_matrix else phi[lo:hi],
+                            var[lo:hi]) for lo, hi in cuts]
+    for field in fields(whole):
+        value = getattr(whole, field.name)
+        if isinstance(value, np.ndarray):
+            joined = np.concatenate([getattr(part, field.name) for part in parts])
+            assert np.array_equal(value, joined, equal_nan=value.dtype != object), field.name
+        elif isinstance(value, tuple):
+            for column, *part_columns in zip(value, *(getattr(part, field.name) for part in parts)):
+                assert np.array_equal(column, np.concatenate(part_columns), equal_nan=True)
+        else:
+            assert all(getattr(part, field.name) == value for part in parts), field.name
+
+
 def test_broadcast_evaluation_forms_superpositions_a_block_at_a_time():
     # one (999, 32, 32) complex stack takes 16 MB; the core holds a few
     # 8-row blocks of superpositions and the length-999 columns at a time

@@ -538,10 +538,15 @@ class _UnwritableStream(io.TextIOBase):
     ["bounds", "{bell_plus}", "{ket01}", "--alpha", "0.8", "--beta", "0.6"],
     ["sweep", "{bell_plus}", "{ket01}"],
     ["state-info", "{bell_plus}"],
-], ids=["verify", "verify-violations", "bounds", "sweep", "state-info"])
+    ["verify", "--help"],
+    ["sweep", "--help"],
+    ["--help"],
+], ids=["verify", "verify-violations", "bounds", "sweep", "state-info", "verify-help",
+        "sweep-help", "help"])
 def test_unwritable_stdout_exits_four(state_files, command, error):
     # a failed stdout write is an output I/O failure: exit 4 with one error
-    # line, not 1, the violations code, and no traceback
+    # line, not 1, the violations code, and no traceback; a help page, the
+    # group's or a command's, included
     stderr = io.StringIO()
     with contextlib.redirect_stdout(_UnwritableStream(error)), \
             contextlib.redirect_stderr(stderr), pytest.raises(SystemExit) as exit_info:
@@ -561,14 +566,24 @@ def _exit_code(command):
 
 
 def test_unwritable_stderr_changes_no_exit_code(monkeypatch):
-    # the error line, a bug's traceback and verify's wall_time line go to
-    # stderr; where it cannot be written, the exit code is what it would be
+    # the error line, a bug's traceback, verify's wall_time line and click's
+    # usage errors go to stderr; where it cannot be written, the exit code is
+    # what it would be
     args = ["verify", "--trials", "20", "--dims", "2", "2", "--regime", "general"]
     with contextlib.redirect_stdout(io.StringIO()) as stdout, contextlib.redirect_stderr(
             _UnwritableStream(OSError(errno.ENOSPC, "No space left on device"))):
         assert _exit_code(args) == 0
         assert json.loads(stdout.getvalue())["trials_run"] == 20
         assert _exit_code(["verify", "--trials", "0", *args[3:]]) == 2
+        # click shows a usage error, here a bad SB_SEED, in its standalone
+        # mode, the console script's: exit 2, the bad input code
+        with monkeypatch.context() as patch, pytest.raises(SystemExit) as exit_info:
+            patch.setenv("SB_SEED", "x")
+            main.main(args=args, prog_name="supconc")
+        assert exit_info.value.code == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main.main(args=["verify", "--dims", "2"], prog_name="supconc")
+        assert exit_info.value.code == 2
 
         def broken(*args, **kwargs):
             raise RuntimeError("no campaign today")

@@ -9,6 +9,7 @@ import pytest
 
 import supconc.bounds as bounds
 import supconc.ensembles as ensembles
+import supconc.measures as measures
 
 from supconc import (
     EnsembleConfig,
@@ -29,7 +30,7 @@ from supconc import (
     state_to_json,
     verify_ensemble,
 )
-from supconc.measures import _GRAM_FLOOR, _schmidt_concurrence
+from supconc.measures import _GRAM_FLOOR, _Buffers, _schmidt_concurrence
 
 S2 = math.sqrt(0.5)
 
@@ -796,9 +797,10 @@ def test_collinear_redraws_are_limited(monkeypatch):
 # --- raw-word draws against numpy's own calls -------------------------------------
 
 
-def _per_call_draws(config, words, rng):
+def _per_call_draws(config, words, rng, buffers=None):
     """``_block_draws`` through numpy's own calls on ``rng``: for each trial a state
-    load, the splits by ``integers``, one ``standard_normal`` and ``_weight_variates``."""
+    load, the splits by ``integers``, one ``standard_normal`` and ``_weight_variates``.
+    The normals are an array of their own; ``buffers`` is not used."""
     dim_a, dim_b = config.dim_a, config.dim_b
     normals = np.zeros((len(words), 4 * dim_a * dim_b))
     splits, variates = [], []
@@ -1063,11 +1065,11 @@ def test_trials_make_three_generator_calls(monkeypatch, dims, regime, weights):
     assert log.count("random_raw") == trials + split_words - carried
 
 
-def test_campaign_builds_one_generator_per_chunk(monkeypatch):
-    # each chunk loads its trials' states into a generator of its own, and
-    # its violations' states into one more for their digests, whatever its
-    # block count: two chunks of three blocks, collinear redraws included,
-    # build four PCG64s
+def test_campaign_builds_one_generator_per_range(monkeypatch):
+    # a range loads its trials' states, and its violations' states for their
+    # digests, into one generator of its own, whatever its chunk and block
+    # counts: a range of three blocks in two chunks, collinear redraws
+    # included, builds one PCG64
     built = []
     real_pcg64 = np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda *a: built.append(a) or real_pcg64(*a))
@@ -1078,7 +1080,141 @@ def test_campaign_builds_one_generator_per_chunk(monkeypatch):
     assert len(list(bounds._blocks(0, config.trials, 3, 3))) == 3
     summary = verify_ensemble(config)
     assert len(summary.violations) == 2000
-    assert len(built) == 4
+    assert len(built) == 1
+
+
+# --- block buffers reused across a range -------------------------------------------
+
+
+def _range_rows(monkeypatch, config):
+    """The rows of ``config``'s trials as one range computes them, chunk by
+    chunk, and the digests of its violations."""
+    rows = []
+    trial_rows = ensembles._trial_rows
+    with monkeypatch.context() as patch:
+        patch.setattr(ensembles, "_trial_rows",
+                      lambda *args: rows.append(trial_rows(*args)) or rows[-1])
+        violations = ensembles._run_range(config, 0, config.trials)[0]
+    return np.concatenate(rows), [v.digest for v in violations]
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 4), (4, 3)])
+@pytest.mark.parametrize("regime", list(Regime))
+@pytest.mark.parametrize("weights", ["real-grid", "complex-random"])
+def test_reused_buffers_give_every_trial_its_own_row(monkeypatch, dims, regime, weights):
+    # blocks of three trials and chunks of two blocks: 26 trials are chunks
+    # of 6, 6, 6, 6 and 2 trials and end in a short block, every block drawn,
+    # evaluated and, at tol = -1, redrawn for its digests in the range's one
+    # set of buffers. Each trial's row and digest are those it has on its own
+    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 3 * dims[0] * dims[1])
+    monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 2)
+    config = EnsembleConfig(trials=26, dim_a=dims[0], dim_b=dims[1], regime=regime,
+                            seed=20240901, weight_sampling=weights, tol=-1.0)
+    rows, digests = _range_rows(monkeypatch, config)
+    assert rows.shape == (26, 4)
+    for index in range(config.trials):
+        alone = ensembles._trial_rows(config, index, index + 1)
+        assert np.array_equal(rows[index:index + 1], alone, equal_nan=True), f"trial {index}"
+    assert digests == [ensembles._digest(*ensembles._draw_trial(config, index))
+                       for index in range(config.trials)]
+
+
+def test_biorthogonal_blocks_clear_what_the_previous_block_left():
+    # a block drawn in buffers that a block of other splits wrote before is
+    # the block drawn in buffers of its own: the amplitudes the first block
+    # left outside the second's supports are cleared
+    config = EnsembleConfig(trials=16, dim_a=5, dim_b=5, regime=Regime.BIORTHOGONAL,
+                            seed=20240901, weight_sampling="complex-random")
+    rng, buffers = _generator(), _Buffers()
+    first = ensembles._draw_block(config, ensembles._seed_words(config.seed, range(8)), rng,
+                                  buffers)
+    left = [x.copy() for x in first[2:]]
+    second = ensembles._draw_block(config, ensembles._seed_words(config.seed, range(8, 16)),
+                                   rng, buffers)
+    alone = _drawn(config, range(8, 16))
+    for part, own in zip(second, alone):
+        assert part.tobytes() == own.tobytes()
+    assert any(((old != 0) & (new == 0)).any() for old, new in zip(left, alone[2:]))
+
+
+def test_collinear_redraws_are_written_into_the_range_buffers(monkeypatch):
+    # a tolerance of 0.9 redraws many 2x2 orthogonal trials, row by row into
+    # the block's stacks in the range's buffers: every row is still its own
+    monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 0.9)
+    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 16)
+    monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 3)
+    config = EnsembleConfig(trials=40, dim_a=2, dim_b=2, regime=Regime.ORTHOGONAL, seed=11,
+                            weight_sampling="complex-random", tol=-1.0)
+    redrawn = []
+    reference_trial = ensembles._reference_trial
+    monkeypatch.setattr(ensembles, "_reference_trial",
+                        lambda *a: redrawn.append(1) or reference_trial(*a))
+    rows, digests = _range_rows(monkeypatch, config)
+    assert redrawn
+    for index in range(config.trials):
+        alone = ensembles._trial_rows(config, index, index + 1)
+        assert np.array_equal(rows[index:index + 1], alone, equal_nan=True), f"trial {index}"
+    assert digests == [ensembles._digest(*_oracle_trial(config, index))
+                       for index in range(config.trials)]
+
+
+@pytest.mark.parametrize("dim_a,dim_b,regime,make_states", [
+    (4, 4, Regime.BIORTHOGONAL,
+     lambda: [_split_state(low, high) for low, high in
+              [(0, 0x7F4A7C15), (_INV3, 0x7F4A7C15), (5, 0x12345), (0, 0x2468)]]),
+    (2, 2, Regime.GENERAL, lambda: [_weight_state(leftover) for leftover in (4, 1, 5, 2)]),
+])
+def test_lemire_redraws_are_written_into_reused_buffers(monkeypatch, dim_a, dim_b, regime,
+                                                        make_states):
+    # rows whose split or weight word numpy redraws, drawn after a block of
+    # the same trials in another order in the same buffers, are their trials
+    states = make_states()
+    config = EnsembleConfig(trials=len(states), dim_a=dim_a, dim_b=dim_b, regime=regime,
+                            seed=0)
+    monkeypatch.setattr(ensembles, "_pcg_states",
+                        lambda words: (states[row] for row in words[:, 0].tolist()))
+    words = np.zeros((len(states), 4), dtype=np.uint64)
+    words[:, 0] = np.arange(len(states))
+    rng, buffers = _generator(), _Buffers()
+    assert ensembles._block_draws(config, words, rng)[3].any()
+    ensembles._draw_block(config, words[::-1].copy(), rng, buffers)
+    drawn = ensembles._draw_block(config, words, rng, buffers)
+    for row, state in enumerate(states):
+        assert (_trial_bytes(*(x[row] for x in drawn))
+                == _trial_bytes(*_oracle_state_trial(config, state))), f"row {row}"
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_a_range_draws_and_evaluates_every_block_in_one_set_of_buffers(monkeypatch, regime):
+    # the range's normals, component stacks, their conjugates and the Gram
+    # blocks A, B and C are one array each, reused by every block of every
+    # chunk and by the digest redraws, and the stacks that reach the
+    # component stage are the ones drawn in them
+    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 36)   # blocks of four 3x3 trials
+    monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 2)
+    taken: dict[str, list] = {}
+    take = _Buffers.take
+
+    def recorded(self, name, shape, dtype=np.complex128):
+        taken.setdefault(name, []).append(take(self, name, shape, dtype))
+        return taken[name][-1]
+
+    monkeypatch.setattr(_Buffers, "take", recorded)
+    stacks = []
+    component_columns = bounds._component_columns
+    monkeypatch.setattr(bounds, "_component_columns", lambda alpha, beta, phi, varphi, buffers:
+                        stacks.append((phi, varphi)) or
+                        component_columns(alpha, beta, phi, varphi, buffers))
+    config = EnsembleConfig(trials=30, dim_a=3, dim_b=3, regime=regime, seed=20240901,
+                            tol=-1.0)
+    assert len(ensembles._run_range(config, 0, config.trials)[0]) == 30
+    assert {"normals", "phi", "varphi", "m_conj", "n_conj", "a", "b", "c"} <= taken.keys()
+    for name, arrays in taken.items():
+        assert all(np.shares_memory(array, arrays[0]) for array in arrays), name
+    assert len(stacks) == 8
+    for phi, varphi in stacks:
+        assert np.shares_memory(phi, taken["phi"][0])
+        assert np.shares_memory(varphi, taken["varphi"][0])
 
 
 def test_campaigns_in_threads_match_their_lone_runs():
