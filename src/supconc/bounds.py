@@ -30,8 +30,9 @@ and each result is a field of their reports: the closed form
 the dimension-general ones ``qudit_upper``/``qudit_lower`` and the
 usefulness of the lower bound ``lower_useful``. The core runs in two
 stages. The component stage (:func:`_component_columns`) takes the stacks
-a block of at most ``_BLOCK_AMPLITUDES`` amplitudes at a time, which
-bounds its memory, and reduces each pair to a few numbers. It reads each
+a block of at most ``_BLOCK_AMPLITUDES`` amplitudes at a time (16 pairs at
+32x32), which bounds its memory to one block's conjugates and Gram blocks,
+1.25 MiB at 32x32, and reduces each pair to a few numbers. It reads each
 pair from three Gram blocks of its components on the smaller side, ``A``,
 ``B`` and ``C`` with ``tr C = <phi|varphi>``
 (:func:`supconc.measures._gram_table`): the two reduced-state overlaps
@@ -376,23 +377,22 @@ def _family(columns, row: int = 0) -> tuple:
 
 # Blocks bound memory: the component stage of the evaluation core, and a
 # campaign's draws, take stacked arrays of at most this many amplitudes, so a
-# 32x32 stack is cut into blocks of 8 pairs, a 10x10 one into blocks of 81 and
-# a 2x2 one into blocks of 2048. The bound stage runs once over the columns of
-# all blocks of a call or of a campaign's range, so its fixed cost is not paid
-# per block; what a larger block still saves is the component stage's and the
-# draw's numpy calls per block: on a 2-core x86-64 host (numpy 2.4, OpenBLAS,
-# one thread) the benchmark's 10x10 and 32x32 campaigns ran ~8 % more
-# trials/s than at 4096 amplitudes, measured while every block still allocated
-# its own arrays. Above 2x2 those arrays take ~1 MB, 128-256 KiB each, which
-# glibc gives back to the system when they are freed, so that each block
-# faulted them in again: ~7900 minor faults per warmed in-process pass over
-# the benchmark's six 250-trial jobs-1 10x10 and 32x32 campaigns, ~3200-3500
-# in each 32x32 biorthogonal or orthogonal one. A campaign range, or an
-# evaluate_batch call, therefore draws and evaluates all its blocks in one set
-# of buffers (measures._Buffers): such a pass takes 4-1640 faults, at most the
-# ~290 of one set per campaign, and the campaigns ran ~12 % more trials/s
-# (10 of 10 alternating runs) for 0.35 MB (0.8 %) more peak RSS.
-_BLOCK_AMPLITUDES = 8192
+# 32x32 stack is cut into blocks of 16 pairs, a 10x10 one into blocks of 163
+# and a 2x2 one into blocks of 4096. The bound stage runs once over the columns
+# of all blocks of a call or of a campaign's range, so its fixed cost is not
+# paid per block; what a larger block still saves is the draw's and the
+# component stage's fixed cost per block: at 32x32, 357-375 Python-level calls
+# and 225-315 us per block of general or orthogonal trials. A campaign
+# range, or an evaluate_batch call, draws and evaluates all its blocks in one
+# set of buffers (measures._Buffers), so a larger block no longer faults its
+# arrays in again block after block: at 32x32 they take 1.75 MiB, the two
+# stacks, their two conjugates, whose bytes the normals are drawn into, and
+# A, B and C, 256 KiB each. On a 2-core x86-64 host (numpy 2.4, OpenBLAS, one
+# thread) the benchmark's 10x10 and 32x32 campaigns ran ~11 % more trials/s
+# than at 8192 amplitudes (10 of 10 alternating runs) for 0.5 MB (1.1 %) more
+# peak RSS, and in-process passes over its six jobs-1 campaigns took 5-11 %
+# less time; at 32768 amplitudes they took no less than at 16384.
+_BLOCK_AMPLITUDES = 16384
 
 
 def _block_size(dim_a: int, dim_b: int) -> int:

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification found violations, 2 bad input
 (flags, files, validation) or out of memory, 3 a bug: a failed internal
 invariant (``SanityFailure``, ``InternalError`` or ``DeltaOutOfRange``) or
-any other exception (its traceback goes to stderr), 4 output I/O failure.
+any other exception (its traceback goes to stderr), 4 output I/O failure,
+130 (128 + SIGINT) interrupted by Ctrl-C, with ``Aborted!`` on stderr.
 One handler, the group's (:class:`_ExitCodes`), maps exceptions to these
 codes around every command's argument parsing and run, so the commands
 call the library directly. Stderr is written by :func:`_stderr`, which
@@ -128,8 +129,9 @@ class _ExitCodes(_HelpOutput, click.Group):
         """Click's ``main``. Its standalone mode, the console script's, is run
         here, so that a click error (a usage error: exit 2) shown on a stderr
         that cannot be written exits with its own code, as :func:`_stderr`
-        ignores a failed write; a click error still raises to a caller that
-        asks for no standalone mode."""
+        ignores a failed write, and an interrupt (click's ``Abort``) exits
+        130 rather than the violations code 1; a click error still raises to
+        a caller that asks for no standalone mode."""
         if not standalone_mode:
             return super().main(*args, standalone_mode=False, **kwargs)
         try:
@@ -142,7 +144,7 @@ class _ExitCodes(_HelpOutput, click.Group):
             code = exc.exit_code
         except click.Abort:
             _stderr("Aborted!")
-            code = 1
+            code = 130
         # None after a command, which exits 0, or the code of click's Exit
         sys.exit(code)
 

@@ -484,17 +484,19 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Gener
     produced, a valid size. ``splits[row]`` is ``None`` outside the
     biorthogonal regime; a biorthogonal row holds its normals at its head,
     and what follows them is left as the buffer held it. The normals are
-    drawn into the ``normals`` buffer of ``buffers`` (a set of their own if
-    none is given).
+    drawn into the ``"conj"`` buffer of ``buffers`` (a set of their own if
+    none is given), whose bytes the block's conjugates take once the
+    normals have been read (:func:`supconc.measures._gram_table`).
     """
     dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
     n, size = dim_a * dim_b, len(words)
     biorthogonal = config.regime is Regime.BIORTHOGONAL
     real_grid = mode == "real-grid"
     bits = rng.bit_generator
-    # a biorthogonal pair fills two complementary blocks: at most 2n normals
+    # a row's 4n normals take the bytes of its 2n conjugate amplitudes; a
+    # biorthogonal pair fills two complementary blocks, at most 2n normals
     buffers = _Buffers() if buffers is None else buffers
-    normals = buffers.take("normals", (size, 2 * n if biorthogonal else 4 * n), np.float64)
+    normals = buffers.take("conj", (size, 4 * n), np.float64)
     raw = np.zeros((size, 1 if real_grid else 3), dtype=np.uint64)
     splits: list = [None] * size
     redraw = np.zeros(size, dtype=bool)
@@ -547,10 +549,11 @@ def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Genera
     orthogonal candidate, are drawn again from their own state by
     :func:`_reference_trial`.
 
-    The normals and the component stacks are written into ``buffers`` (a
-    set of their own if none is given), so the stacks returned hold until the
-    next block is drawn or evaluated in the same buffers; the weights are
-    arrays of their own.
+    The normals, in the bytes the block's conjugates take after them, and
+    the component stacks are written into ``buffers`` (a set of their own if
+    none is given), so the stacks returned hold until the next block is
+    drawn or evaluated in the same buffers; the weights are arrays of their
+    own.
     """
     dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
     n, size = dim_a * dim_b, len(words)
@@ -581,10 +584,11 @@ def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Genera
     if config.regime is Regime.ORTHOGONAL:
         # the Gram-Schmidt step of orthogonal_pair on its first candidate,
         # in place on varphi; _row_dots(phi_conj, v) is np.vdot(phi, v) per
-        # row. The conjugate and the projection go into the Gram stage's
-        # buffers, which the block's evaluation overwrites
-        phi_conj = np.conjugate(phi, out=buffers.take("m_conj", phi.shape))
-        projection = buffers.take("n_conj", phi.shape)
+        # row. The conjugate and the projection go into the bytes of the
+        # normals, read by now, and of the Gram stage's conjugates, which
+        # the block's evaluation overwrites
+        phi_conj, projection = buffers.take("conj", (2, *phi.shape))
+        np.conjugate(phi, out=phi_conj)
         varphi -= np.multiply(_row_dots(phi_conj, varphi)[:, None], phi, out=projection)
         norm = _row_norms(varphi)
         collinear = norm < _COLLINEAR_TOL
@@ -708,12 +712,13 @@ def _merged(parts) -> tuple:
 
 # Evaluation blocks of trials that a range seeds, draws, evaluates and judges
 # at a time, so that only one chunk's draws, columns and rows are alive
-# whatever the range's length: 32768 trials at 2x2, 128 at 32x32. Smaller
-# chunks pay the seeding's and the bound stage's fixed costs more often:
-# in-process general campaigns on a 2-core x86-64 host, best of 5, took 164-169
-# us per 32x32 trial in chunks of 2 blocks, 130-134 in chunks of 16 and
-# 128-129 in chunks of 64 (10x10: 21, 17-19 and 16-19 us).
-_CHUNK_BLOCKS = 16
+# whatever the range's length: 32768 trials at 2x2, 1304 at 10x10 and 128 at
+# 32x32. Smaller chunks pay the seeding's and the bound stage's fixed costs
+# more often: in-process general campaigns on a 2-core x86-64 host, best of 5,
+# took 164-169 us per 32x32 trial in chunks of 16 trials, 130-134 in chunks of
+# 128 and 128-129 in chunks of 512 (10x10: 21, 17-19 and 16-19 us in chunks
+# of 162, 1296 and 5184 trials).
+_CHUNK_BLOCKS = 8
 
 
 def _run_range(config: EnsembleConfig, start: int, stop: int) -> tuple:

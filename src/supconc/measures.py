@@ -204,25 +204,27 @@ class _Buffers:
     allocating its own: a campaign range's draws and Gram blocks, or the Gram
     blocks of one :func:`supconc.bounds.evaluate_batch` call.
 
-    A block's arrays, about 1 MB above 2x2, are large enough that glibc
+    A block's arrays, up to 1.75 MiB at 32x32, are large enough that glibc
     returns them to the system when they are freed, and the next block
-    faults the same pages in again. :meth:`take` hands out the leading part
+    faults the same pages in again. :meth:`take` hands out the leading bytes
     of one array per name, allocated at the first request and again only for
-    a larger one, holding whatever the previous block left there: what is
-    kept past a block must be a copy, and what is read must be written
-    first.
+    a larger one, as an array of any dtype, holding whatever the previous
+    block left there: what is kept past a block must be a copy, and what is
+    read must be written first. Two requests under one name share their
+    bytes: a block's normals, read before its conjugates are written, are
+    drawn into the conjugates' (``"conj"``, :func:`_gram_table`).
     """
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple[int, ...], dtype=np.complex128) -> np.ndarray:
-        """A C-contiguous ``shape`` array of ``dtype`` in the buffer ``name``."""
-        count = math.prod(shape)
+        """A C-contiguous ``shape`` array of ``dtype`` in the bytes of the buffer ``name``."""
+        size = math.prod(shape) * np.dtype(dtype).itemsize
         array = self._arrays.get(name)
-        if array is None or array.size < count or array.dtype != dtype:
-            array = self._arrays[name] = np.empty(count, dtype)
-        return array[:count].reshape(shape)
+        if array is None or array.size < size:
+            array = self._arrays[name] = np.empty(size, np.uint8)
+        return array[:size].view(dtype).reshape(shape)
 
 
 class GramTable(NamedTuple):
@@ -257,14 +259,18 @@ def _gram_table(m: np.ndarray, n: np.ndarray, buffers: _Buffers | None = None) -
     ``(T or 1, dim_a, dim_b)``: three batched products per pair, and
     O(d^2) per pair for the rest. Each stack is conjugated once.
 
-    The conjugates and, above 2x2, the blocks ``A``, ``B`` and ``C`` are
-    written into ``buffers`` (a set of their own if none is given), so the
-    table's ``a`` and ``b`` hold until the next table is built in them; every
-    other entry is an array of its own.
+    The conjugates, one after the other in the buffer ``"conj"``, and, above
+    2x2, the blocks ``A``, ``B`` and ``C`` are written into ``buffers`` (a
+    set of their own if none is given), so the table's ``a`` and ``b`` hold
+    until the next table is built in them; every other entry is an array of
+    its own. A campaign range draws each block's normals into the same
+    bytes as its conjugates: the normals are read into the stacks ``m`` and
+    ``n`` before this overwrites them.
     """
     buffers = _Buffers() if buffers is None else buffers
-    m_conj = np.conjugate(m, out=buffers.take("m_conj", m.shape))
-    n_conj = np.conjugate(n, out=buffers.take("n_conj", n.shape))
+    conj = buffers.take("conj", (len(m) + len(n), *m.shape[1:]))
+    m_conj = np.conjugate(m, out=conj[:len(m)])
+    n_conj = np.conjugate(n, out=conj[len(m):])
     side = min(m.shape[1:])
 
     def gram(x_conj, y, name):

@@ -7,8 +7,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -385,17 +387,19 @@ def _haar_pair(dim, seed):
     return haar_state(dim, dim, rng), haar_state(dim, dim, rng)
 
 
-@pytest.mark.parametrize("pair, override, block", [
-    ("fig2", Regime.ORTHOGONAL, 81),   # 99 rows in blocks of 81, 18
-    ("haar32", None, 8),               # 13 blocks, the last one of 3 rows
+@pytest.mark.parametrize("pair, override, steps", [
+    ("fig2", Regime.ORTHOGONAL, 199),   # 199 rows in blocks of 163, 36
+    ("haar32", None, 99),               # 7 blocks of 16, the last one of 3 rows
 ])
-def test_sweep_rows_across_blocks_match_evaluate(pair, override, block):
+def test_sweep_rows_across_blocks_match_evaluate(pair, override, steps):
     phi, var = fixture("fig2_pair") if pair == "fig2" else _haar_pair(32, 32)
-    assert next(_blocks(0, 99, phi.dim_a, phi.dim_b)) == (0, block)
-    rows = parse_csv("\n".join(_sweep_rows(phi, var, 99, override)))
-    assert len(rows) == 99
+    # at least two default blocks, the last one short
+    (first, first_end), *_, (last, last_end) = _blocks(0, steps, phi.dim_a, phi.dim_b)
+    assert last_end - last < first_end - first == bounds._block_size(phi.dim_a, phi.dim_b)
+    rows = parse_csv("\n".join(_sweep_rows(phi, var, steps, override)))
+    assert len(rows) == steps
     for k, row in enumerate(rows, 1):
-        a_sq = k / 100
+        a_sq = k / (steps + 1)
         report = evaluate(SuperpositionSpec(math.sqrt(a_sq), math.sqrt(1.0 - a_sq), phi, var),
                           regime_override=override)
         assert row["alpha_squared"] == a_sq
@@ -605,6 +609,46 @@ def test_closed_stdout_pipe_exits_four_past_the_final_flush(state_files):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 4
     assert stderr.startswith("error: cannot write stdout: ") and stderr.count("\n") == 1
+
+
+def test_an_interrupted_command_exits_130(monkeypatch):
+    # Ctrl-C is click's Abort: exit 130 (128 + SIGINT), which a script can
+    # tell from the violations code 1, with Aborted! and no traceback
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "verify_ensemble", interrupted)
+    with contextlib.redirect_stdout(io.StringIO()) as stdout, \
+            contextlib.redirect_stderr(io.StringIO()) as stderr, \
+            pytest.raises(SystemExit) as exit_info:
+        main.main(args=["verify", "--trials", "20", "--dims", "2", "2", "--regime", "general"],
+                  prog_name="supconc")
+    assert exit_info.value.code == 130
+    assert stdout.getvalue() == ""
+    assert stderr.getvalue().split() == ["Aborted!"]
+
+
+def test_sigint_stops_a_campaign_with_exit_130():
+    # SIGINT in a process of its own, once the campaign runs: its import of
+    # supconc has ended (-X importtime writes a line per finished import)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-X", "importtime", "-m", "supconc.cli", "verify",
+                             "--trials", "1000000000", "--dims", "2", "2", "--regime", "general"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        for line in proc.stderr:
+            if line.rstrip().endswith(b"| supconc"):
+                break
+        time.sleep(0.5)
+        proc.send_signal(signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130
+    assert stdout == b""
+    assert [line for line in stderr.splitlines()
+            if line.strip() and not line.startswith(b"import time:")] == [b"Aborted!"]
 
 
 def test_figure_deterministic_bytes(runner, tmp_path):

@@ -609,6 +609,28 @@ def test_chunked_ranges_match_one_chunk(monkeypatch, regime):
         assert _summary_key(chunked) == _summary_key(whole)
 
 
+@pytest.mark.parametrize("dims", [(3, 5), (5, 3), (10, 10), (32, 32)])
+def test_campaign_output_does_not_depend_on_block_or_chunk_size(monkeypatch, dims):
+    # the summary, every trial digested at tol = -1, is the same at the
+    # default block and chunk sizes as at blocks of 8192 amplitudes in chunks
+    # of 16, at jobs=1 and 2: three blocks of 8192 amplitudes, the last one
+    # short, are two of the default 16384
+    sizes = [(8192, 16), (bounds._BLOCK_AMPLITUDES, ensembles._CHUNK_BLOCKS)]
+    trials = 2 * (8192 // (dims[0] * dims[1])) + 5
+    assert len(list(bounds._blocks(0, trials, *dims))) == 2
+    for regime in Regime:
+        for weights in ensembles.WEIGHT_MODES:
+            config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1], regime=regime,
+                                    seed=20240901, weight_sampling=weights, tol=-1.0)
+            summaries = []
+            for block_amplitudes, chunk_blocks in sizes:
+                _inline_pool(monkeypatch, 2, block_amplitudes)
+                monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", chunk_blocks)
+                summaries += [verify_ensemble(config, jobs=jobs).to_dict() for jobs in (1, 2)]
+            assert len(summaries[0]["violations"]) == trials
+            assert all(summary == summaries[0] for summary in summaries[1:]), (regime, weights)
+
+
 def test_campaign_memory_does_not_grow_with_its_trials(monkeypatch):
     # a range keeps one chunk's draws, columns and rows at a time, and the
     # campaign no per-trial array: with chunks of 2 blocks of 256 2x2 trials,
@@ -1075,11 +1097,12 @@ def test_campaign_builds_one_generator_per_range(monkeypatch):
     monkeypatch.setattr(np.random, "PCG64", lambda *a: built.append(a) or real_pcg64(*a))
     monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 0.97)   # most candidates are redrawn
     monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 2)
-    config = EnsembleConfig(trials=2000, dim_a=3, dim_b=3, regime=Regime.ORTHOGONAL,
+    trials = 2 * bounds._block_size(3, 3) + 360
+    config = EnsembleConfig(trials=trials, dim_a=3, dim_b=3, regime=Regime.ORTHOGONAL,
                             seed=20240901, tol=-1.0)
     assert len(list(bounds._blocks(0, config.trials, 3, 3))) == 3
     summary = verify_ensemble(config)
-    assert len(summary.violations) == 2000
+    assert len(summary.violations) == trials
     assert len(built) == 1
 
 
@@ -1186,10 +1209,11 @@ def test_lemire_redraws_are_written_into_reused_buffers(monkeypatch, dim_a, dim_
 
 @pytest.mark.parametrize("regime", list(Regime))
 def test_a_range_draws_and_evaluates_every_block_in_one_set_of_buffers(monkeypatch, regime):
-    # the range's normals, component stacks, their conjugates and the Gram
-    # blocks A, B and C are one array each, reused by every block of every
-    # chunk and by the digest redraws, and the stacks that reach the
-    # component stage are the ones drawn in them
+    # the range's component stacks, their conjugates and the Gram blocks A,
+    # B and C are one array each, reused by every block of every chunk and
+    # by the digest redraws, and the stacks that reach the component stage
+    # are the ones drawn in them. Each block's normals are drawn into the
+    # bytes of its two conjugate stacks
     monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 36)   # blocks of four 3x3 trials
     monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 2)
     taken: dict[str, list] = {}
@@ -1200,21 +1224,55 @@ def test_a_range_draws_and_evaluates_every_block_in_one_set_of_buffers(monkeypat
         return taken[name][-1]
 
     monkeypatch.setattr(_Buffers, "take", recorded)
-    stacks = []
+    stacks, events = [], []
     component_columns = bounds._component_columns
     monkeypatch.setattr(bounds, "_component_columns", lambda alpha, beta, phi, varphi, buffers:
                         stacks.append((phi, varphi)) or
                         component_columns(alpha, beta, phi, varphi, buffers))
+    block_draws = ensembles._block_draws
+    monkeypatch.setattr(ensembles, "_block_draws",
+                        lambda *args: events.append(block_draws(*args)) or events[-1])
+    conj_gram = measures._conj_gram
+
+    def gram_stage(x_conj, y, out=None):
+        if out is not None:   # a Gram block of _gram_table above 2x2
+            events.append(x_conj)
+        return conj_gram(x_conj, y, out)
+
+    monkeypatch.setattr(measures, "_conj_gram", gram_stage)
     config = EnsembleConfig(trials=30, dim_a=3, dim_b=3, regime=regime, seed=20240901,
                             tol=-1.0)
     assert len(ensembles._run_range(config, 0, config.trials)[0]) == 30
-    assert {"normals", "phi", "varphi", "m_conj", "n_conj", "a", "b", "c"} <= taken.keys()
+    assert taken.keys() == {"conj", "phi", "varphi", "a", "b", "c"}
     for name, arrays in taken.items():
         assert all(np.shares_memory(array, arrays[0]) for array in arrays), name
     assert len(stacks) == 8
     for phi, varphi in stacks:
         assert np.shares_memory(phi, taken["phi"][0])
         assert np.shares_memory(varphi, taken["varphi"][0])
+    # a block is drawn, then its Gram products take (m_conj, m), (n_conj, n)
+    # and (m_conj, n); a digest redraw is drawn only
+    blocks = [(events[k - 1][0], events[k], events[k + 1]) for k in range(1, len(events))
+              if isinstance(events[k - 1], tuple) and not isinstance(events[k], tuple)]
+    assert len(blocks) == 8
+    for normals, m_conj, n_conj in blocks:
+        assert np.shares_memory(normals, m_conj) and np.shares_memory(normals, n_conj)
+
+
+@pytest.mark.parametrize("regime", list(Regime))
+def test_a_32x32_range_takes_at_most_1_75_mib_of_buffers(monkeypatch, regime):
+    # a block of 16 32x32 trials: the two stacks, the conjugates that the
+    # normals share and the Gram blocks A, B and C, 256 KiB each, and nothing
+    # else, across two chunks of a block and a short block
+    made = []
+    init = _Buffers.__init__
+    monkeypatch.setattr(_Buffers, "__init__", lambda self: made.append(self) or init(self))
+    monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 1)
+    config = EnsembleConfig(trials=bounds._block_size(32, 32) + 4, dim_a=32, dim_b=32,
+                            regime=regime, seed=20240901, tol=-1.0)
+    assert len(ensembles._run_range(config, 0, config.trials)[0]) == config.trials
+    assert len(made) == 1
+    assert sum(array.nbytes for array in made[0]._arrays.values()) <= 1.75 * 2 ** 20
 
 
 def test_campaigns_in_threads_match_their_lone_runs():
