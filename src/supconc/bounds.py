@@ -63,7 +63,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -145,7 +144,7 @@ def classify_pair(phi: PureState, varphi: PureState, tol: float = REGIME_TOL) ->
     """
     _require_regime_tol(tol)
     overlap = inner_product(phi, varphi)   # first: it checks the spaces match
-    table = _gram_table(phi.matrix[None], varphi.matrix[None])
+    table = _gram_table(phi.matrix[None], varphi.matrix[None], _Buffers())
     return _REGIMES[_regime_codes(table.ab, table.cc, overlap, tol)[0]]
 
 
@@ -450,23 +449,10 @@ def _expanded_superpositions(alpha, beta, phi, varphi,
     return norm_sq, exact
 
 
-class _Columns(NamedTuple):
-    """What the bound stage reads of stacked pairs, one entry per pair: the
-    overlap, the regime traces of the pairs' :class:`GramTable` (``ab`` and
-    ``cc``), the component concurrences, and each superposition's ``norm^2``
-    and concurrence."""
-
-    overlap: np.ndarray
-    ab: np.ndarray
-    cc: np.ndarray
-    c_phi: np.ndarray
-    c_varphi: np.ndarray
-    norm_squared: np.ndarray
-    exact: np.ndarray
-
-
-def _component_columns(alpha, beta, phi, varphi, buffers: _Buffers) -> _Columns:
-    """Stage 1 of the evaluation core, the component stage, on one block.
+def _component_columns(alpha, beta, phi, varphi, buffers: _Buffers) -> tuple:
+    """Stage 1 of the evaluation core, the component stage, on one block:
+    what the bound stage reads of its pairs, the columns ``(overlap, ab,
+    cc, c_phi, c_varphi, norm_squared, exact)``.
 
     Checks the components' norms, then the weights, raising for the block's
     first offending pair before any arithmetic on them (a NaN weight would
@@ -476,9 +462,10 @@ def _component_columns(alpha, beta, phi, varphi, buffers: _Buffers) -> _Columns:
     (:func:`_expanded_superpositions`); 2x2 pairs are formed and take the
     closed form (:func:`_superpositions`). The overlap is the table's, summed
     from the amplitudes, so that the bounds do not take on the rounding of
-    the Gram products. Each is computed once per component stack, once for
-    all pairs of a one-matrix stack, and each column holds one entry per
-    pair.
+    the Gram products; ``ab`` and ``cc`` are the table's regime traces, and
+    ``norm_squared`` and ``exact`` each superposition's ``norm^2`` and
+    concurrence. Each is computed once per component stack, once for all
+    pairs of a one-matrix stack, and each column holds one entry per pair.
     """
     _require_unit_norm(_norms_sq(phi))
     _require_unit_norm(_norms_sq(varphi))
@@ -491,16 +478,15 @@ def _component_columns(alpha, beta, phi, varphi, buffers: _Buffers) -> _Columns:
         c_phi, c_var = _purity_concurrence(table.a, phi), _purity_concurrence(table.b, varphi)
         norm_sq, exact = _expanded_superpositions(alpha, beta, phi, varphi, table)
     # a column of a one-matrix stack holds one entry
-    return _Columns(*(x if len(x) == len(alpha) else x.repeat(len(alpha))
-                      for x in (table.overlap, table.ab, table.cc, c_phi, c_var, norm_sq,
-                                exact)))
+    return tuple(x if len(x) == len(alpha) else x.repeat(len(alpha))
+                 for x in (table.overlap, table.ab, table.cc, c_phi, c_var, norm_sq, exact))
 
 
-def _evaluate_rows(alpha, beta, columns: _Columns, dims: tuple[int, int], *,
+def _evaluate_rows(alpha, beta, columns, dims: tuple[int, int], *,
                    tol: float, regime_override: Regime | None) -> BatchReport:
     """Stage 2 of the evaluation core, the bound stage, unchecked: every report
     quantity of ``dim_a x dim_b`` pairs with weights ``alpha`` and ``beta``
-    from their :class:`_Columns`.
+    from their columns (:func:`_component_columns`).
 
     O(1) per pair and one column entry per pair: the regime, both bound
     kernels, the closed form, ``lower_useful`` and the slacks. It runs once
@@ -544,7 +530,7 @@ def _evaluate_rows(alpha, beta, columns: _Columns, dims: tuple[int, int], *,
     )
 
 
-def _checked_blocks(blocks, dims: tuple[int, int], *, buffers: _Buffers | None = None,
+def _checked_blocks(blocks, dims: tuple[int, int], buffers: _Buffers, *,
                     tol: float = REGIME_TOL, regime_override: Regime | None = None,
                     ) -> tuple[np.ndarray, np.ndarray, BatchReport]:
     """Both stages of the evaluation core, and its bug checks, over blocks of pairs.
@@ -553,26 +539,24 @@ def _checked_blocks(blocks, dims: tuple[int, int], *, buffers: _Buffers | None =
     consecutive pairs, of at most an evaluation block each unless both
     component stacks hold one matrix. The component stage
     (:func:`_component_columns`) runs on each block as it comes, and checks
-    its norms and weights. Every block builds its Gram blocks in one set of
-    ``buffers``: a campaign range's, whose blocks are drawn in the same set,
-    or, if none is given, one made for this call. Nothing of a block but its
-    columns is kept, so a block's stacks may be views into the buffers that
-    the next block overwrites. The
-    bound stage (:func:`_evaluate_rows`) then runs once over the columns of
-    all blocks, joined if there is more than one. Returns ``(alpha, beta,
-    batch)``, the weights of all pairs and their :class:`BatchReport`.
+    its norms and weights. Every block builds its Gram blocks in the
+    caller's one set of ``buffers``: a campaign range's, whose blocks are
+    drawn in the same set, or an :func:`evaluate_batch` call's. Nothing of a
+    block but its columns is kept, so a block's stacks may be views into the
+    buffers that the next block overwrites. The bound stage
+    (:func:`_evaluate_rows`) then runs once over the columns of all blocks,
+    joined if there is more than one. Returns ``(alpha, beta, batch)``, the
+    weights of all pairs and their :class:`BatchReport`.
     Rejects a cancelled superposition (:class:`ZeroVector`), then raises
     :class:`SanityFailure` naming the pair in ``row`` for a bug: a NaN
     concurrence or slack, or a concurrence outside its range by more than
     ``SANITY_TOL``. A bound escape stays in the slacks for the caller to
     judge, as a campaign does at its own tolerance.
     """
-    buffers = _Buffers() if buffers is None else buffers
     parts = [(a, b, *_component_columns(a, b, phi, varphi, buffers))
              for a, b, phi, varphi in blocks]
     alpha, beta, *columns = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
-    batch = _evaluate_rows(alpha, beta, _Columns(*columns), dims, tol=tol,
-                           regime_override=regime_override)
+    batch = _evaluate_rows(alpha, beta, columns, dims, tol=tol, regime_override=regime_override)
     _require_nonzero_norm(np.sqrt(batch.norm_squared))
     _check_claims(batch, 0.0, limit=math.inf)
     return alpha, beta, batch
@@ -638,7 +622,8 @@ def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
     cuts = [(0, len(alpha))] if len(phi) == len(varphi) == 1 else _blocks(0, len(alpha), *dims)
     blocks = ((alpha[lo:hi], beta[lo:hi], *(x if len(x) == 1 else x[lo:hi] for x in (phi, varphi)))
               for lo, hi in cuts)
-    _, _, batch = _checked_blocks(blocks, dims, tol=tol, regime_override=regime_override)
+    _, _, batch = _checked_blocks(blocks, dims, _Buffers(), tol=tol,
+                                  regime_override=regime_override)
     # only an override can misapply the closed form; on a classified pair
     # its error is the pair's distance from exact biorthogonality
     _check_claims(batch, 0.0 if regime_override is None else np.nan_to_num(batch.formula_error))

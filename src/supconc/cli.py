@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 verification found violations, 2 bad input
 (flags, files, validation) or out of memory, 3 a bug: a failed internal
 invariant (``SanityFailure``, ``InternalError`` or ``DeltaOutOfRange``) or
 any other exception (its traceback goes to stderr), 4 output I/O failure,
-130 (128 + SIGINT) interrupted by Ctrl-C, with ``Aborted!`` on stderr.
+130 (128 + SIGINT) interrupted by Ctrl-C, with ``Aborted!`` on stderr: one
+SIGINT ends a ``verify --jobs N`` campaign too, whose pool processes
+ignore it and are terminated (:func:`supconc.ensembles.verify_ensemble`).
 One handler, the group's (:class:`_ExitCodes`), maps exceptions to these
 codes around every command's argument parsing and run, so the commands
 call the library directly. Stderr is written by :func:`_stderr`, which

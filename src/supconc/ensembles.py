@@ -30,9 +30,10 @@ import hashlib
 import math
 import numbers
 import os
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from multiprocessing import Pool
 
 import numpy as np
 
@@ -463,8 +464,7 @@ def _reference_trial(config: EnsembleConfig, rng: np.random.Generator,
 
 
 def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Generator,
-                 buffers: _Buffers | None = None,
-                 ) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+                 buffers: _Buffers) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
     """The generator draws of the trials seeded by ``words``:
     ``(normals, splits, variates, redraw)``.
 
@@ -477,16 +477,15 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Gener
     ``uniform`` draws as numpy turns them (see above): the splits trial by
     trial, since they set how many normals follow, and the weights over the
     whole block. A split that draws one 32-bit half leaves the other
-    buffered, and a real-grid weight takes it instead of a fresh word. ``redraw`` flags the rows where numpy would
-    discard a word and draw again (Lemire's method: 4 in 2**32 for a
-    weight); their draws are not the trial's, and :func:`_draw_block` draws
-    them again. A flagged split still draws its normals with the split it
-    produced, a valid size. ``splits[row]`` is ``None`` outside the
-    biorthogonal regime; a biorthogonal row holds its normals at its head,
-    and what follows them is left as the buffer held it. The normals are
-    drawn into the ``"conj"`` buffer of ``buffers`` (a set of their own if
-    none is given), whose bytes the block's conjugates take once the
-    normals have been read (:func:`supconc.measures._gram_table`).
+    buffered, and a real-grid weight takes it instead of a fresh word.
+    ``redraw`` flags the rows where numpy would discard a word and draw
+    again (Lemire's method: 4 in 2**32 for a weight); their draws are not
+    the trial's, and :func:`_draw_block` draws them again. A flagged split
+    still draws its normals with the split it produced, a valid size.
+    ``splits[row]`` is ``None`` outside the biorthogonal regime; a
+    biorthogonal row holds its normals at its head, and what follows them is
+    left as the buffer held it. The normals are drawn into the ``"conj"``
+    buffer of ``buffers`` (:class:`supconc.measures._Buffers`).
     """
     dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
     n, size = dim_a * dim_b, len(words)
@@ -495,7 +494,6 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Gener
     bits = rng.bit_generator
     # a row's 4n normals take the bytes of its 2n conjugate amplitudes; a
     # biorthogonal pair fills two complementary blocks, at most 2n normals
-    buffers = _Buffers() if buffers is None else buffers
     normals = buffers.take("conj", (size, 4 * n), np.float64)
     raw = np.zeros((size, 1 if real_grid else 3), dtype=np.uint64)
     splits: list = [None] * size
@@ -530,8 +528,7 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Gener
 
 
 def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Generator,
-                buffers: _Buffers | None = None,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                buffers: _Buffers) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The trials seeded by ``words``, rows of :func:`_seed_words`, one per row:
     ``(alpha, beta, phi, varphi)``, the components as ``(T, dim_a, dim_b)``
     coefficient matrices.
@@ -549,15 +546,13 @@ def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Genera
     orthogonal candidate, are drawn again from their own state by
     :func:`_reference_trial`.
 
-    The normals, in the bytes the block's conjugates take after them, and
-    the component stacks are written into ``buffers`` (a set of their own if
-    none is given), so the stacks returned hold until the next block is
-    drawn or evaluated in the same buffers; the weights are arrays of their
-    own.
+    The normals, an orthogonal pair's Gram-Schmidt scratch and the
+    component stacks are written into ``buffers``, so the stacks returned
+    hold until the next block is drawn or evaluated in the same buffers; the
+    weights are arrays of their own.
     """
     dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
     n, size = dim_a * dim_b, len(words)
-    buffers = _Buffers() if buffers is None else buffers
     normals, splits, variates, redraw = _block_draws(config, words, rng, buffers)
     phi, varphi = buffers.take("phi", (size, n)), buffers.take("varphi", (size, n))
 
@@ -584,9 +579,7 @@ def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Genera
     if config.regime is Regime.ORTHOGONAL:
         # the Gram-Schmidt step of orthogonal_pair on its first candidate,
         # in place on varphi; _row_dots(phi_conj, v) is np.vdot(phi, v) per
-        # row. The conjugate and the projection go into the bytes of the
-        # normals, read by now, and of the Gram stage's conjugates, which
-        # the block's evaluation overwrites
+        # row. The conjugate and the projection are scratch in "conj"
         phi_conj, projection = buffers.take("conj", (2, *phi.shape))
         np.conjugate(phi, out=phi_conj)
         varphi -= np.multiply(_row_dots(phi_conj, varphi)[:, None], phi, out=projection)
@@ -610,10 +603,10 @@ def _draw_trial(config: EnsembleConfig,
 
     The one-row block draw (:func:`_draw_block`), so the same trial is
     redrawn, bit for bit, in whatever block or process draws it and
-    whenever it is digested.
+    whenever it is digested; it makes its own generator and buffers.
     """
     alpha, beta, phi, varphi = _draw_block(config, _seed_words(config.seed, [index]),
-                                           np.random.Generator(np.random.PCG64(0)))
+                                           np.random.Generator(np.random.PCG64(0)), _Buffers())
     return alpha[0], beta[0], phi[0], varphi[0]
 
 
@@ -627,16 +620,14 @@ def _digest(alpha: complex, beta: complex, phi: np.ndarray, varphi: np.ndarray) 
     return h.hexdigest()[:12]
 
 
-def _trial_rows(config: EnsembleConfig, start: int, stop: int,
-                rng: np.random.Generator | None = None,
-                buffers: _Buffers | None = None) -> np.ndarray:
+def _trial_rows(config: EnsembleConfig, start: int, stop: int, rng: np.random.Generator,
+                buffers: _Buffers) -> np.ndarray:
     """Seed, draw and evaluate trials ``[start, stop)``: one row per trial.
 
     The trials' generators are seeded together (:func:`_seed_words`) and
     drawn block by block (:func:`supconc.bounds._blocks`,
     :func:`_draw_block`), their states loaded into ``rng`` and every block
-    drawn and evaluated in ``buffers`` (a generator and a set of buffers of
-    their own if none are given), as the evaluation core
+    drawn and evaluated in ``buffers``, as the evaluation core
     (:func:`supconc.bounds._checked_blocks`) takes the blocks: it reduces
     each block to the columns of its component stage, so only the columns
     grow with the range, and runs the bound stage once over them all. A row
@@ -650,12 +641,10 @@ def _trial_rows(config: EnsembleConfig, start: int, stop: int,
     """
     words = _seed_words(config.seed, range(start, stop))
     dims = (config.dim_a, config.dim_b)
-    rng = np.random.Generator(np.random.PCG64(0)) if rng is None else rng
-    buffers = _Buffers() if buffers is None else buffers
     blocks = (_draw_block(config, words[lo - start:hi - start], rng, buffers)
               for lo, hi in _blocks(start, stop, *dims))
     try:
-        alpha, beta, batch = _checked_blocks(blocks, dims, buffers=buffers)
+        alpha, beta, batch = _checked_blocks(blocks, dims, buffers)
     except SanityFailure as exc:
         trial = start + exc.row
         raise SanityFailure(f"{exc} (seed {config.seed}, trial {trial}, digest "
@@ -739,6 +728,11 @@ def _run_range(config: EnsembleConfig, start: int, stop: int) -> tuple:
                    for lo in range(start, stop, step))
 
 
+def _pool_range(task: tuple) -> tuple:
+    """:func:`_run_range` of a ``(config, start, stop)`` task, as a pool process runs it."""
+    return _run_range(*task)
+
+
 # Work, trials * dim_a * dim_b, below which a campaign runs in this process
 # whatever --jobs asks: starting a pool worker costs ~12-15 ms, more than it
 # saves on such a campaign. On a 2-core host, one process against two: 250
@@ -770,6 +764,9 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     ``config.tol``. This is the campaign's one judge of a bound escape, so
     ``config.tol`` is the tolerance whatever its value. A bug in a range
     raises :class:`SanityFailure` and ends the campaign without a summary.
+    The pool's processes ignore SIGINT, and the pool is terminated when
+    this process leaves it, so one Ctrl-C, which interrupts this process's
+    range or its wait for the pool's, ends the campaign and its processes.
     A ``jobs`` that is not an integer of at least 1 raises
     :class:`OutOfRange` before anything is drawn.
     """
@@ -784,16 +781,17 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
         parts = [_run_range(config, 0, config.trials)]
     else:
         # this process runs the first share of the blocks and workers - 1
-        # pool processes the rest, which goes out first: a fork-started pool
-        # forks every worker at the first submit. A few ranges per worker
-        # even out their loads
+        # pool processes, started with the pool, the rest, which goes out
+        # first. A few ranges per worker even out their loads
         own = -(-blocks // workers)
         split = own * size   # the first trial of the pool's share
         step = -(-(blocks - own) // (4 * (workers - 1))) * size
-        starts = range(split, config.trials, step)
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            rest = pool.map(_run_range, [config] * len(starts), starts,
-                            [min(lo + step, config.trials) for lo in starts])
+        tasks = [(config, lo, min(lo + step, config.trials))
+                 for lo in range(split, config.trials, step)]
+        with Pool(workers - 1, initializer=signal.signal,
+                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+            # in trial order, each read as it is reached
+            rest = pool.imap(_pool_range, tasks)
             parts = [_run_range(config, 0, split), *rest]
     violations, upper, lower, formula, excesses, excess = _merged(parts)
     return VerificationSummary(

@@ -189,11 +189,11 @@ def _gram(m: np.ndarray, n: np.ndarray) -> np.ndarray:
 def _conj_gram(m_conj: np.ndarray, n: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """:func:`_gram` of ``m`` and ``n`` from ``m_conj = m.conj()``, so that the
     Gram blocks of one stack share its conjugate; the products are the same.
-    Above 2x2 the block is written into ``out`` if one is given."""
+    The block is written into ``out`` if one is given."""
     rows, cols = m_conj.shape[-2:]
     if (rows, cols) == (2, 2):
         # a batched matmul of 2x2 blocks costs more per block than its products
-        return (n[..., :, None, :] * m_conj[..., None, :, :]).sum(axis=-1)
+        return np.sum(n[..., :, None, :] * m_conj[..., None, :, :], axis=-1, out=out)
     if rows <= cols:
         return np.matmul(n, m_conj.swapaxes(-1, -2), out=out)
     return np.matmul(m_conj.swapaxes(-1, -2), n, out=out)
@@ -211,8 +211,18 @@ class _Buffers:
     a larger one, as an array of any dtype, holding whatever the previous
     block left there: what is kept past a block must be a copy, and what is
     read must be written first. Two requests under one name share their
-    bytes: a block's normals, read before its conjugates are written, are
-    drawn into the conjugates' (``"conj"``, :func:`_gram_table`).
+    bytes. A campaign block's ``"conj"`` holds, one after the other, its
+    normals (:func:`supconc.ensembles._block_draws`), an orthogonal pair's
+    Gram-Schmidt scratch (:func:`supconc.ensembles._draw_block`) and the
+    conjugates of its component stacks (:func:`_gram_table`); each is read
+    before the next is written.
+
+    A set is made only where its blocks are owned: by a campaign range
+    (:func:`supconc.ensembles._run_range`), the redraw of one trial
+    (:func:`supconc.ensembles._draw_trial`), an
+    :func:`supconc.bounds.evaluate_batch` call and a
+    :func:`supconc.bounds.classify_pair` call. Every stage below them takes
+    the set as an argument.
     """
 
     def __init__(self):
@@ -254,29 +264,24 @@ class GramTable(NamedTuple):
     overlap: np.ndarray
 
 
-def _gram_table(m: np.ndarray, n: np.ndarray, buffers: _Buffers | None = None) -> GramTable:
+def _gram_table(m: np.ndarray, n: np.ndarray, buffers: _Buffers) -> GramTable:
     """The :class:`GramTable` of stacks ``m`` and ``n`` of shape
     ``(T or 1, dim_a, dim_b)``: three batched products per pair, and
     O(d^2) per pair for the rest. Each stack is conjugated once.
 
-    The conjugates, one after the other in the buffer ``"conj"``, and, above
-    2x2, the blocks ``A``, ``B`` and ``C`` are written into ``buffers`` (a
-    set of their own if none is given), so the table's ``a`` and ``b`` hold
-    until the next table is built in them; every other entry is an array of
-    its own. A campaign range draws each block's normals into the same
-    bytes as its conjugates: the normals are read into the stacks ``m`` and
-    ``n`` before this overwrites them.
+    The conjugates, one after the other in the buffer ``"conj"``, and the
+    blocks ``A``, ``B`` and ``C`` are written into ``buffers``, so the
+    table's ``a`` and ``b`` hold until the next table is built in them;
+    every other entry is an array of its own. ``m`` and ``n`` must not be
+    in the bytes of ``"conj"`` when this is called.
     """
-    buffers = _Buffers() if buffers is None else buffers
     conj = buffers.take("conj", (len(m) + len(n), *m.shape[1:]))
     m_conj = np.conjugate(m, out=conj[:len(m)])
     n_conj = np.conjugate(n, out=conj[len(m):])
     side = min(m.shape[1:])
 
     def gram(x_conj, y, name):
-        out = (None if m.shape[1:] == (2, 2)
-               else buffers.take(name, (max(len(x_conj), len(y)), side, side)))
-        return _conj_gram(x_conj, y, out)
+        return _conj_gram(x_conj, y, buffers.take(name, (max(len(x_conj), len(y)), side, side)))
 
     a, b, c = gram(m_conj, m, "a"), gram(n_conj, n, "b"), gram(m_conj, n, "c")
     # real and imaginary parts, interleaved: the real part of a Frobenius

@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import weakref
 from pathlib import Path
@@ -133,6 +134,7 @@ _MALFORMED_STATE_FILES = {
                  + b', 0], [0, 0], [0, 0], [0, 0]]}',
     "non_ascii": ('{"dim_a": 2, "dim_b": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]], '
                   '"note": "\u00e9"}').encode("latin-1"),
+    "top_level_list": b"[]",
 }
 
 
@@ -596,14 +598,18 @@ def test_unwritable_stderr_changes_no_exit_code(monkeypatch):
         assert _exit_code(args) == 3
 
 
+def _cli_env():
+    """The environment of a ``python -m supconc.cli`` child: this package first."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+
+
 def test_closed_stdout_pipe_exits_four_past_the_final_flush(state_files):
     # in a process of its own, exit 4 must also hold past Python's flush of
     # stdout on exit, whose failure would make the status 120
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.Popen([sys.executable, "-m", "supconc.cli", "state-info",
                              state_files["bell_plus"]],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     proc.stdout.close()   # before the command writes: its first write fails
     stderr = proc.stderr.read().decode()
     proc.stderr.close()
@@ -631,11 +637,9 @@ def test_an_interrupted_command_exits_130(monkeypatch):
 def test_sigint_stops_a_campaign_with_exit_130():
     # SIGINT in a process of its own, once the campaign runs: its import of
     # supconc has ended (-X importtime writes a line per finished import)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.Popen([sys.executable, "-X", "importtime", "-m", "supconc.cli", "verify",
                              "--trials", "1000000000", "--dims", "2", "2", "--regime", "general"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     try:
         for line in proc.stderr:
             if line.rstrip().endswith(b"| supconc"):
@@ -645,6 +649,41 @@ def test_sigint_stops_a_campaign_with_exit_130():
         stdout, stderr = proc.communicate(timeout=60)
     finally:
         proc.kill()
+    assert proc.returncode == 130
+    assert stdout == b""
+    assert [line for line in stderr.splitlines()
+            if line.strip() and not line.startswith(b"import time:")] == [b"Aborted!"]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+def test_one_sigint_stops_a_pooled_campaign_and_its_processes():
+    # Ctrl-C sends SIGINT to the terminal's foreground process group: here a
+    # group of its own, once the --jobs 2 campaign's pool runs (the pool
+    # imports multiprocessing.pool when it starts). One signal ends the
+    # campaign with exit 130 and Aborted!, no traceback from this process or
+    # the pool's, and no process of the group left
+    proc = subprocess.Popen([sys.executable, "-X", "importtime", "-m", "supconc.cli", "verify",
+                             "--trials", "1000000000", "--dims", "10", "10", "--regime",
+                             "general", "--jobs", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+                            start_new_session=True)
+    # a pool that never starts ends the wait: the group holds the pipe open
+    watchdog = threading.Timer(60, os.killpg, (proc.pid, signal.SIGKILL))
+    watchdog.start()
+    try:
+        for line in proc.stderr:
+            if line.rstrip().endswith(b"| multiprocessing.pool"):
+                break
+        time.sleep(0.5)
+        os.killpg(proc.pid, signal.SIGINT)
+        stdout, stderr = proc.communicate(timeout=30)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)   # no process of the group is left
+    finally:
+        watchdog.cancel()
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
     assert proc.returncode == 130
     assert stdout == b""
     assert [line for line in stderr.splitlines()
@@ -747,6 +786,17 @@ def test_verify_violations_out(runner, tmp_path):
     assert out.read_text() == ""
 
 
+def test_verify_violations_out_unwritable_exits_four(runner, tmp_path):
+    # a violations file in a missing directory cannot be written: exit 4, an
+    # output I/O failure, with one error line and before the summary
+    out = tmp_path / "missing" / "violations.jsonl"
+    result = runner.invoke(main, verify_args(trials=20) + ["--violations-out", str(out)])
+    assert result.exit_code == 4
+    assert result.stderr.startswith(f"error: cannot write {out}: ")
+    assert result.stderr.count("\n") == 1
+    assert result.stdout == ""
+
+
 def test_verify_negative_tol_forces_violations(runner, tmp_path):
     # margins are compared against tol, so a negative tol flags every trial;
     # exercises the exit-1 path and the JSONL emission
@@ -799,10 +849,11 @@ def test_verify_flag_errors(runner):
     assert result.exit_code == 2
 
 
-def test_verify_too_many_trials_is_bad_input(runner):
-    # trial indices are seeded below 2**64; the config rejects more before
-    # any allocation
-    result = runner.invoke(main, verify_args(trials=2**64))
+@pytest.mark.parametrize("trials", [0, 2**64])
+def test_verify_trial_count_out_of_range_is_bad_input(runner, trials):
+    # trial indices are seeded below 2**64; the config rejects more, and
+    # none, before any allocation
+    result = runner.invoke(main, verify_args(trials=trials))
     assert result.exit_code == 2
     assert "error: trials must be >= 1 and below 2**64" in result.stderr
 

@@ -136,6 +136,9 @@ def test_biorthogonal_pair_invalid_split():
         biorthogonal_pair(2, 2, 0, 1, rng)
     with pytest.raises(InvalidSplit):
         biorthogonal_pair(2, 2, 1, 2, rng)
+    # no orthogonal pair lives in a joint dimension of 1
+    with pytest.raises(InvalidSplit, match="joint dimension of at least 2"):
+        orthogonal_pair(1, 1, rng)
 
 
 def test_fixture_fig1_is_renormalized_three_decimal_values():
@@ -281,17 +284,17 @@ def test_ensemble_config_rejects_non_real_tol(tol):
         EnsembleConfig(**_config(tol=tol))
 
 
-class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records ``max_workers``, each
-    ``chunksize`` and the first trial of each range mapped, maps inline (and
-    lazily, as the pool's results are read)."""
+class _InlinePool:
+    """Stands in for multiprocessing's ``Pool``: records its process count,
+    each ``chunksize`` and the first trial of each range mapped, and maps
+    inline (and lazily, as the pool's results are read)."""
 
     created: list[int] = []
     chunksizes: list[int] = []
     starts: list[list[int]] = []
 
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
+    def __init__(self, processes, initializer=None, initargs=()):
+        self.created.append(processes)
 
     def __enter__(self):
         return self
@@ -299,21 +302,22 @@ class _InlineExecutor:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables, chunksize=1):
+    def imap(self, fn, tasks, chunksize=1):
+        tasks = list(tasks)
         self.chunksizes.append(chunksize)
-        self.starts.append(list(iterables[1]))
-        return map(fn, *iterables)
+        self.starts.append([start for _, start, _ in tasks])
+        return map(fn, tasks)
 
 
 def _inline_pool(monkeypatch, cpus, block_amplitudes, pool_floor=0):
-    """Route verify_ensemble's pool through _InlineExecutor on ``cpus`` CPUs,
+    """Route verify_ensemble's pool through _InlinePool on ``cpus`` CPUs,
     with evaluation blocks of ``block_amplitudes`` amplitudes and campaigns
     of ``pool_floor`` amplitudes of work or more allowed into the pool."""
     monkeypatch.setattr(ensembles, "_POOL_FLOOR", pool_floor)
-    monkeypatch.setattr(_InlineExecutor, "created", [])
-    monkeypatch.setattr(_InlineExecutor, "chunksizes", [])
-    monkeypatch.setattr(_InlineExecutor, "starts", [])
-    monkeypatch.setattr(ensembles, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(_InlinePool, "created", [])
+    monkeypatch.setattr(_InlinePool, "chunksizes", [])
+    monkeypatch.setattr(_InlinePool, "starts", [])
+    monkeypatch.setattr(ensembles, "Pool", _InlinePool)
     monkeypatch.setattr(ensembles.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", block_amplitudes)
 
@@ -325,11 +329,11 @@ def _inline_pool(monkeypatch, cpus, block_amplitudes, pool_floor=0):
     (1, 2, 4, 1),         # --jobs 2 on a one-block campaign
 ])
 def test_verify_ensemble_clamps_workers(monkeypatch, trials, jobs, cpus, workers):
-    # a fork-started pool forks all max_workers processes at the first
-    # submit, so --jobs must not reach the pool unclamped. ``workers`` counts
-    # every process, this one included: it runs the first share of the
-    # blocks as one range and a pool of workers - 1 processes the rest. One-trial
-    # blocks make one block per trial, and a clamp to one process runs inline
+    # a pool starts all its processes at once, so --jobs must not reach it
+    # unclamped. ``workers`` counts every process, this one included: it runs
+    # the first share of the blocks as one range and a pool of workers - 1
+    # processes the rest. One-trial blocks make one block per trial, and a
+    # clamp to one process runs inline
     _inline_pool(monkeypatch, cpus, 4)
     config = EnsembleConfig(trials=trials, dim_a=2, dim_b=2,
                             regime=Regime.GENERAL, seed=3)
@@ -339,9 +343,9 @@ def test_verify_ensemble_clamps_workers(monkeypatch, trials, jobs, cpus, workers
     # a few ranges of whole blocks per pool process, one task each: 5 -> 1
     # block here and ranges of 1, 100 -> 50 blocks here and ranges of 13
     size = math.ceil((trials - own) / (4 * (workers - 1))) if pooled else 0
-    assert _InlineExecutor.created == ([workers - 1] if pooled else [])
-    assert _InlineExecutor.starts == ([list(range(own, trials, size))] if pooled else [])
-    assert _InlineExecutor.chunksizes == ([1] if pooled else [])
+    assert _InlinePool.created == ([workers - 1] if pooled else [])
+    assert _InlinePool.starts == ([list(range(own, trials, size))] if pooled else [])
+    assert _InlinePool.chunksizes == ([1] if pooled else [])
     assert _summary_key(summary) == _summary_key(verify_ensemble(config))
 
 
@@ -369,11 +373,11 @@ def test_campaigns_below_the_work_floor_run_in_this_process(monkeypatch, dims, t
                             regime=Regime.GENERAL, seed=5)
     assert len(list(bounds._blocks(0, trials, *dims))) > 1
     summary = verify_ensemble(config, jobs=2)
-    assert _InlineExecutor.created == []
+    assert _InlinePool.created == []
     assert _summary_key(summary) == _summary_key(verify_ensemble(config))
     monkeypatch.setattr(ensembles, "_POOL_FLOOR", trials * dims[0] * dims[1])
     assert _summary_key(verify_ensemble(config, jobs=2)) == _summary_key(summary)
-    assert _InlineExecutor.created == [1]
+    assert _InlinePool.created == [1]
 
 
 @pytest.mark.parametrize("bad_trials, named", [({1, 4}, 1), ({4}, 4)])
@@ -396,8 +400,8 @@ def test_pooled_campaign_raises_for_its_first_bad_trial(monkeypatch, bad_trials,
     monkeypatch.setattr(bounds, "_evaluate_rows", broken)
     with pytest.raises(SanityFailure, match=f"trial {named},"):
         verify_ensemble(config, jobs=2)
-    assert _InlineExecutor.created == [1]
-    assert _InlineExecutor.starts == [[3, 4, 5]]
+    assert _InlinePool.created == [1]
+    assert _InlinePool.starts == [[3, 4, 5]]
 
 
 # (digest, margin) of every trial of `verify --tol -1 --trials 20`, recorded
@@ -458,8 +462,8 @@ def test_run_range_split_matches_one_range(dims, trials, regime):
     # range [0, T) gives the rows of the ranges [0, 7) and [7, T)
     config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1], regime=regime,
                             seed=20240901, weight_sampling="complex-random", tol=-1.0)
-    whole_rows = ensembles._trial_rows(config, 0, trials)
-    split_rows = [ensembles._trial_rows(config, 0, 7), ensembles._trial_rows(config, 7, trials)]
+    whole_rows = _rows(config, 0, trials)
+    split_rows = [_rows(config, 0, 7), _rows(config, 7, trials)]
     assert whole_rows.shape == (trials, 4)
     assert np.array_equal(whole_rows, np.concatenate(split_rows), equal_nan=True)
 
@@ -472,10 +476,10 @@ def test_ranges_across_block_boundaries_match_one_range(monkeypatch, regime):
     # mid-block give the rows of one range in blocks of the default size
     config = EnsembleConfig(trials=30, dim_a=3, dim_b=3, regime=regime, seed=20240901,
                             weight_sampling="complex-random", tol=-1.0)
-    whole_rows = ensembles._trial_rows(config, 0, 30)
+    whole_rows = _rows(config, 0, 30)
     monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 36)
     assert list(bounds._blocks(6, 13, 3, 3)) == [(6, 10), (10, 13)]
-    split_rows = [ensembles._trial_rows(config, lo, hi)
+    split_rows = [_rows(config, lo, hi)
                   for lo, hi in ((0, 6), (6, 13), (13, 30))]
     assert np.array_equal(whole_rows, np.concatenate(split_rows), equal_nan=True)
 
@@ -500,9 +504,9 @@ def test_rows_do_not_depend_on_the_concurrence_route_of_their_neighbours(dims, t
     below_floor = c_sq < _GRAM_FLOOR * (max(dims) + 1) ** 2
     assert below_floor.any() and not below_floor.all()
 
-    whole_rows = ensembles._trial_rows(config, 0, trials)
-    split_rows = [ensembles._trial_rows(config, 0, 7), ensembles._trial_rows(config, 7, trials)]
-    one_rows = [ensembles._trial_rows(config, index, index + 1) for index in range(trials)]
+    whole_rows = _rows(config, 0, trials)
+    split_rows = [_rows(config, 0, 7), _rows(config, 7, trials)]
+    one_rows = [_rows(config, index, index + 1) for index in range(trials)]
     assert np.array_equal(whole_rows, np.concatenate(split_rows), equal_nan=True)
     assert np.array_equal(whole_rows, np.concatenate(one_rows), equal_nan=True)
 
@@ -568,15 +572,15 @@ def test_ranges_keep_violations_in_trial_order(monkeypatch):
     # blocks of 60 amplitudes cut 57 3x5 trials into 15 blocks of at most
     # 4; jobs=4 on 4 CPUs runs the first 4 blocks here as one range and maps
     # the other 11 onto 3 pool processes as ranges of one block, and the
-    # inline executor runs them in order without starting a process
+    # inline pool runs them in order without starting a process
     _inline_pool(monkeypatch, 4, 60)
     config = EnsembleConfig(trials=57, dim_a=3, dim_b=5, regime=Regime.ORTHOGONAL,
                             seed=-5, weight_sampling="complex-random", tol=-1.0)
     ranged = verify_ensemble(config, jobs=4)
     serial = verify_ensemble(config)
-    assert _InlineExecutor.created == [3]
-    assert _InlineExecutor.chunksizes == [1]
-    assert _InlineExecutor.starts == [list(range(16, 57, 4))]
+    assert _InlinePool.created == [3]
+    assert _InlinePool.chunksizes == [1]
+    assert _InlinePool.starts == [list(range(16, 57, 4))]
     assert ranged.violations == serial.violations
     assert [v.trial_index for v in ranged.violations] == list(range(57))
     assert _summary_key(ranged) == _summary_key(serial)
@@ -604,7 +608,7 @@ def test_chunked_ranges_match_one_chunk(monkeypatch, regime):
         whole = verify_ensemble(config)
         monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 3)
         chunked = verify_ensemble(config, jobs=2)
-        assert _InlineExecutor.starts[-1] == [100, 128, 156, 184]
+        assert _InlinePool.starts[-1] == [100, 128, 156, 184]
         assert chunked.violations == whole.violations
         assert _summary_key(chunked) == _summary_key(whole)
 
@@ -677,7 +681,7 @@ def test_largest_campaigns_seed_one_chunk_at_a_time(monkeypatch, trials, jobs):
         verify_ensemble(config, jobs=jobs)
     chunk = ensembles._CHUNK_BLOCKS * bounds._block_size(2, 2)
     assert seeded == [list(range(chunk))]
-    assert _InlineExecutor.created == ([1] if jobs == 2 else [])
+    assert _InlinePool.created == ([1] if jobs == 2 else [])
 
 
 _SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, -5, 2 ** 64 - 1]
@@ -703,6 +707,11 @@ def test_seeding_matches_default_rng(seed):
 def _generator():
     """A generator for a draw's caller to load trial states into."""
     return np.random.Generator(np.random.PCG64(0))
+
+
+def _rows(config, start, stop):
+    """The rows of trials ``[start, stop)`` as a range of their own computes them."""
+    return ensembles._trial_rows(config, start, stop, _generator(), _Buffers())
 
 
 def _oracle_trial(config, index):
@@ -746,7 +755,7 @@ def _trial_bytes(alpha, beta, phi, varphi):
 def _drawn(config, indices):
     """Trials ``indices`` of a campaign, drawn as one block."""
     return ensembles._draw_block(config, ensembles._seed_words(config.seed, indices),
-                                 _generator())
+                                 _generator(), _Buffers())
 
 
 def _assert_rows_match_oracle(config, indices, drawn):
@@ -819,7 +828,7 @@ def test_collinear_redraws_are_limited(monkeypatch):
 # --- raw-word draws against numpy's own calls -------------------------------------
 
 
-def _per_call_draws(config, words, rng, buffers=None):
+def _per_call_draws(config, words, rng, buffers):
     """``_block_draws`` through numpy's own calls on ``rng``: for each trial a state
     load, the splits by ``integers``, one ``standard_normal`` and ``_weight_variates``.
     The normals are an array of their own; ``buffers`` is not used."""
@@ -859,22 +868,22 @@ def test_raw_word_draws_match_numpy_calls(monkeypatch, dims, trials, regime, wei
         config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1], regime=regime,
                                 seed=seed, weight_sampling=weights)
         words = ensembles._seed_words(seed, np.arange(trials))
-        expected = _per_call_draws(config, words, _generator())
-        _assert_draws_equal(config, ensembles._block_draws(config, words, _generator()),
-                            expected)
+        expected = _per_call_draws(config, words, _generator(), _Buffers())
+        _assert_draws_equal(
+            config, ensembles._block_draws(config, words, _generator(), _Buffers()), expected)
         cuts = [0, *sorted(np.random.default_rng([trials, 5]).choice(
             np.arange(1, trials), size=4, replace=False).tolist()), trials]
-        parts = [ensembles._block_draws(config, words[lo:hi], _generator())
+        parts = [ensembles._block_draws(config, words[lo:hi], _generator(), _Buffers())
                  for lo, hi in zip(cuts, cuts[1:])]
         _assert_draws_equal(config, (np.concatenate([p[0] for p in parts]),
                                      [s for p in parts for s in p[1]],
                                      np.concatenate([p[2] for p in parts]),
                                      np.concatenate([p[3] for p in parts])), expected)
         # the whole trial, arithmetic included, is the per-call draws' trial
-        whole = ensembles._draw_block(config, words, _generator())
+        whole = ensembles._draw_block(config, words, _generator(), _Buffers())
         with monkeypatch.context() as patch:
             patch.setattr(ensembles, "_block_draws", _per_call_draws)
-            reference = ensembles._draw_block(config, words, _generator())
+            reference = ensembles._draw_block(config, words, _generator(), _Buffers())
         for part, ref in zip(whole, reference):
             assert part.tobytes() == ref.tobytes()
 
@@ -971,15 +980,16 @@ def test_lemire_redraws_go_through_numpy_calls(monkeypatch, dim_a, dim_b, regime
     monkeypatch.setattr(ensembles, "_reference_trial",
                         lambda *a: calls.append(1) or reference_trial(*a))
     words = np.zeros((2, 4), dtype=np.uint64)
-    normals, splits, variates, redraw = ensembles._block_draws(config, words, _generator())
+    normals, splits, variates, redraw = ensembles._block_draws(config, words, _generator(),
+                                                               _Buffers())
     assert redraw.tolist() == [redrawn, redrawn]
     if not redrawn:
         assert splits == [split, split]
         assert variates.tolist() == [[weight], [weight]]
         _assert_draws_equal(config, (normals, splits, variates, redraw),
-                            _per_call_draws(config, words, _generator()))
+                            _per_call_draws(config, words, _generator(), _Buffers()))
     assert calls == []
-    drawn = ensembles._draw_block(config, words, _generator())
+    drawn = ensembles._draw_block(config, words, _generator(), _Buffers())
     assert calls == ([1, 1] if redrawn else [])
     assert drawn[0].tolist() == [math.sqrt(weight / 100.0)] * 2
     for row in range(2):
@@ -1009,7 +1019,7 @@ def test_blocks_redraw_exactly_their_flagged_rows(monkeypatch, dim_a, dim_b, reg
                         lambda words: (states[row] for row in words[:, 0].tolist()))
     words = np.zeros((len(states), 4), dtype=np.uint64)
     words[:, 0] = np.arange(len(states))
-    redraw = ensembles._block_draws(config, words, _generator())[3]
+    redraw = ensembles._block_draws(config, words, _generator(), _Buffers())[3]
     assert np.flatnonzero(redraw).tolist() == flagged
     redrawn = []
     reference_trial = ensembles._reference_trial
@@ -1019,7 +1029,7 @@ def test_blocks_redraw_exactly_their_flagged_rows(monkeypatch, dim_a, dim_b, reg
         return reference_trial(config, rng)
 
     monkeypatch.setattr(ensembles, "_reference_trial", logged)
-    drawn = ensembles._draw_block(config, words, _generator())
+    drawn = ensembles._draw_block(config, words, _generator(), _Buffers())
     assert redrawn == flagged
     for row, state in enumerate(states):
         assert (_trial_bytes(*(x[row] for x in drawn))
@@ -1136,7 +1146,7 @@ def test_reused_buffers_give_every_trial_its_own_row(monkeypatch, dims, regime, 
     rows, digests = _range_rows(monkeypatch, config)
     assert rows.shape == (26, 4)
     for index in range(config.trials):
-        alone = ensembles._trial_rows(config, index, index + 1)
+        alone = _rows(config, index, index + 1)
         assert np.array_equal(rows[index:index + 1], alone, equal_nan=True), f"trial {index}"
     assert digests == [ensembles._digest(*ensembles._draw_trial(config, index))
                        for index in range(config.trials)]
@@ -1175,7 +1185,7 @@ def test_collinear_redraws_are_written_into_the_range_buffers(monkeypatch):
     rows, digests = _range_rows(monkeypatch, config)
     assert redrawn
     for index in range(config.trials):
-        alone = ensembles._trial_rows(config, index, index + 1)
+        alone = _rows(config, index, index + 1)
         assert np.array_equal(rows[index:index + 1], alone, equal_nan=True), f"trial {index}"
     assert digests == [ensembles._digest(*_oracle_trial(config, index))
                        for index in range(config.trials)]
@@ -1199,7 +1209,7 @@ def test_lemire_redraws_are_written_into_reused_buffers(monkeypatch, dim_a, dim_
     words = np.zeros((len(states), 4), dtype=np.uint64)
     words[:, 0] = np.arange(len(states))
     rng, buffers = _generator(), _Buffers()
-    assert ensembles._block_draws(config, words, rng)[3].any()
+    assert ensembles._block_draws(config, words, rng, _Buffers())[3].any()
     ensembles._draw_block(config, words[::-1].copy(), rng, buffers)
     drawn = ensembles._draw_block(config, words, rng, buffers)
     for row, state in enumerate(states):
@@ -1207,14 +1217,16 @@ def test_lemire_redraws_are_written_into_reused_buffers(monkeypatch, dim_a, dim_
                 == _trial_bytes(*_oracle_state_trial(config, state))), f"row {row}"
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
 @pytest.mark.parametrize("regime", list(Regime))
-def test_a_range_draws_and_evaluates_every_block_in_one_set_of_buffers(monkeypatch, regime):
+def test_a_range_draws_and_evaluates_every_block_in_one_set_of_buffers(monkeypatch, dims,
+                                                                       regime):
     # the range's component stacks, their conjugates and the Gram blocks A,
-    # B and C are one array each, reused by every block of every chunk and
-    # by the digest redraws, and the stacks that reach the component stage
-    # are the ones drawn in them. Each block's normals are drawn into the
-    # bytes of its two conjugate stacks
-    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 36)   # blocks of four 3x3 trials
+    # B and C are one array each at every size, reused by every block of
+    # every chunk and by the digest redraws, and the stacks that reach the
+    # component stage are the ones drawn in them. Each block's normals are
+    # drawn into the bytes of its two conjugate stacks
+    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 4 * dims[0] * dims[1])   # four trials
     monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 2)
     taken: dict[str, list] = {}
     take = _Buffers.take
@@ -1235,13 +1247,15 @@ def test_a_range_draws_and_evaluates_every_block_in_one_set_of_buffers(monkeypat
     conj_gram = measures._conj_gram
 
     def gram_stage(x_conj, y, out=None):
-        if out is not None:   # a Gram block of _gram_table above 2x2
+        block = conj_gram(x_conj, y, out)
+        if out is not None:   # a Gram block of _gram_table, not of _gram
+            assert block is out
             events.append(x_conj)
-        return conj_gram(x_conj, y, out)
+        return block
 
     monkeypatch.setattr(measures, "_conj_gram", gram_stage)
-    config = EnsembleConfig(trials=30, dim_a=3, dim_b=3, regime=regime, seed=20240901,
-                            tol=-1.0)
+    config = EnsembleConfig(trials=30, dim_a=dims[0], dim_b=dims[1], regime=regime,
+                            seed=20240901, tol=-1.0)
     assert len(ensembles._run_range(config, 0, config.trials)[0]) == 30
     assert taken.keys() == {"conj", "phi", "varphi", "a", "b", "c"}
     for name, arrays in taken.items():

@@ -31,7 +31,7 @@ from supconc import (
 )
 from supconc import bounds
 from supconc.bounds import REGIME_TOL, SANITY_TOL
-from supconc.measures import _concurrence, _expansion, _gram_table
+from supconc.measures import _Buffers, _concurrence, _expansion, _gram_table
 from supconc.cli import main
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
@@ -288,7 +288,7 @@ def test_expansion_fallback_takes_exactly_the_rows_below_its_floor(seed, dims, l
         patch.setattr(bounds, "_superpositions",
                       lambda a, *rest: formed.append(a) or superpositions(a, *rest))
         batch = evaluate_batch(alpha, beta, phi, var)
-    norm_sq, x = _expansion(alpha, beta, _gram_table(phi, var))
+    norm_sq, x = _expansion(alpha, beta, _gram_table(phi, var, _Buffers()))
     above = x >= expansion_floor(dims)
     if above.all():
         assert formed == []

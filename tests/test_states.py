@@ -61,6 +61,8 @@ def test_make_state_rejects_unnormalized():
 def test_make_state_rejects_wrong_length():
     with pytest.raises(DimensionMismatch):
         make_state(2, 3, [1, 0, 0, 0])
+    with pytest.raises(DimensionMismatch, match="dimensions must be positive"):
+        PureState(0, 2, [])
 
 
 def test_amplitudes_are_read_only():
