@@ -6,7 +6,8 @@ invariant (``SanityFailure``, ``InternalError`` or ``DeltaOutOfRange``) or
 any other exception (its traceback goes to stderr), 4 output I/O failure,
 130 (128 + SIGINT) interrupted by Ctrl-C, with ``Aborted!`` on stderr: one
 SIGINT ends a ``verify --jobs N`` campaign too, whose pool processes
-ignore it and are terminated (:func:`supconc.ensembles.verify_ensemble`).
+ignore it and are terminated (:func:`supconc.ensembles.verify_ensemble`);
+a pool process that dies ends one with exit 3.
 One handler, the group's (:class:`_ExitCodes`), maps exceptions to these
 codes around every command's argument parsing and run, so the commands
 call the library directly. Stderr is written by :func:`_stderr`, which

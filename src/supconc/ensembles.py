@@ -32,8 +32,8 @@ import numbers
 import os
 import signal
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -728,9 +728,15 @@ def _run_range(config: EnsembleConfig, start: int, stop: int) -> tuple:
                    for lo in range(start, stop, step))
 
 
-def _pool_range(task: tuple) -> tuple:
-    """:func:`_run_range` of a ``(config, start, stop)`` task, as a pool process runs it."""
-    return _run_range(*task)
+def _terminate(pool: ProcessPoolExecutor) -> None:
+    """Cancel the pool's queued ranges and terminate its processes."""
+    if hasattr(pool, "terminate_workers"):   # Python 3.14 and later
+        pool.terminate_workers()
+        return
+    processes = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for process in processes:
+        process.terminate()
 
 
 # Work, trials * dim_a * dim_b, below which a campaign runs in this process
@@ -764,9 +770,11 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     ``config.tol``. This is the campaign's one judge of a bound escape, so
     ``config.tol`` is the tolerance whatever its value. A bug in a range
     raises :class:`SanityFailure` and ends the campaign without a summary.
-    The pool's processes ignore SIGINT, and the pool is terminated when
-    this process leaves it, so one Ctrl-C, which interrupts this process's
-    range or its wait for the pool's, ends the campaign and its processes.
+    A pool process that dies raises ``BrokenProcessPool``. The pool's
+    processes ignore SIGINT, and whatever ends the campaign early cancels
+    the pool's queued ranges and terminates its processes, so one Ctrl-C,
+    which interrupts this process's range or its wait for the pool's, ends
+    the campaign and its processes.
     A ``jobs`` that is not an integer of at least 1 raises
     :class:`OutOfRange` before anything is drawn.
     """
@@ -781,18 +789,23 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
         parts = [_run_range(config, 0, config.trials)]
     else:
         # this process runs the first share of the blocks and workers - 1
-        # pool processes, started with the pool, the rest, which goes out
-        # first. A few ranges per worker even out their loads
+        # pool processes the rest, which goes out first: a fork-started pool
+        # forks every worker at the first submit. A few ranges per worker
+        # even out their loads
         own = -(-blocks // workers)
         split = own * size   # the first trial of the pool's share
         step = -(-(blocks - own) // (4 * (workers - 1))) * size
-        tasks = [(config, lo, min(lo + step, config.trials))
-                 for lo in range(split, config.trials, step)]
-        with Pool(workers - 1, initializer=signal.signal,
-                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            # in trial order, each read as it is reached
-            rest = pool.imap(_pool_range, tasks)
-            parts = [_run_range(config, 0, split), *rest]
+        starts = range(split, config.trials, step)
+        with ProcessPoolExecutor(workers - 1, initializer=signal.signal,
+                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+            try:
+                rest = pool.map(_run_range, [config] * len(starts), starts,
+                                [min(lo + step, config.trials) for lo in starts])
+                parts = [_run_range(config, 0, split), *rest]
+            except BaseException:
+                # Ctrl-C, a bug or a dead pool process: nothing left is waited for
+                _terminate(pool)
+                raise
     violations, upper, lower, formula, excesses, excess = _merged(parts)
     return VerificationSummary(
         trials_run=config.trials,

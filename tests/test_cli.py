@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -659,7 +660,8 @@ def test_sigint_stops_a_campaign_with_exit_130():
 def test_one_sigint_stops_a_pooled_campaign_and_its_processes():
     # Ctrl-C sends SIGINT to the terminal's foreground process group: here a
     # group of its own, once the --jobs 2 campaign's pool runs (the pool
-    # imports multiprocessing.pool when it starts). One signal ends the
+    # imports multiprocessing's popen_fork, or the module of its start
+    # method, when it starts its processes). One signal ends the
     # campaign with exit 130 and Aborted!, no traceback from this process or
     # the pool's, and no process of the group left
     proc = subprocess.Popen([sys.executable, "-X", "importtime", "-m", "supconc.cli", "verify",
@@ -672,7 +674,7 @@ def test_one_sigint_stops_a_pooled_campaign_and_its_processes():
     watchdog.start()
     try:
         for line in proc.stderr:
-            if line.rstrip().endswith(b"| multiprocessing.pool"):
+            if line.rsplit(b"|", 1)[-1].strip().startswith(b"multiprocessing.popen_"):
                 break
         time.sleep(0.5)
         os.killpg(proc.pid, signal.SIGINT)
@@ -688,6 +690,46 @@ def test_one_sigint_stops_a_pooled_campaign_and_its_processes():
     assert stdout == b""
     assert [line for line in stderr.splitlines()
             if line.strip() and not line.startswith(b"import time:")] == [b"Aborted!"]
+
+
+# `supconc` with every pool process killed (SIGKILL, as the OOM killer
+# sends) when it starts its first range; the pool is entered at any work
+_DYING_POOL = """
+import multiprocessing, os, signal, sys
+from supconc import cli, ensembles
+multiprocessing.set_start_method("fork")   # the pool's processes run the range below
+run_range, parent = ensembles._run_range, os.getpid()
+def dying_range(config, start, stop):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_range(config, start, stop)
+ensembles._run_range, ensembles._POOL_FLOOR, os.cpu_count = dying_range, 0, lambda: 2
+cli.main(sys.argv[1:], prog_name="supconc")
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the pool's processes must inherit the dying range")
+def test_a_dead_pool_process_ends_a_campaign_with_exit_3():
+    # the pool is broken, so the campaign raises BrokenProcessPool, a bug's
+    # exit 3 with its traceback, with no summary, at once and with no process
+    # of its group left: it does not wait for the dead process's ranges
+    proc = subprocess.Popen([sys.executable, "-c", _DYING_POOL, "verify", "--trials", "400",
+                             "--dims", "10", "10", "--regime", "general", "--jobs", "2"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+                            start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=60)
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == 3
+    assert stdout == b""
+    assert b"BrokenProcessPool" in stderr
+    assert stderr.splitlines()[-1].startswith(b"error: ")
 
 
 def test_figure_deterministic_bytes(runner, tmp_path):

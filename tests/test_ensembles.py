@@ -284,17 +284,19 @@ def test_ensemble_config_rejects_non_real_tol(tol):
         EnsembleConfig(**_config(tol=tol))
 
 
-class _InlinePool:
-    """Stands in for multiprocessing's ``Pool``: records its process count,
-    each ``chunksize`` and the first trial of each range mapped, and maps
-    inline (and lazily, as the pool's results are read)."""
+class _InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records ``max_workers``, each
+    ``chunksize``, the first trial of each range mapped and each call to
+    terminate its processes, and maps inline (and lazily, as the pool's
+    results are read)."""
 
     created: list[int] = []
     chunksizes: list[int] = []
     starts: list[list[int]] = []
+    terminated: list[int] = []
 
-    def __init__(self, processes, initializer=None, initargs=()):
-        self.created.append(processes)
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.created.append(max_workers)
 
     def __enter__(self):
         return self
@@ -302,22 +304,23 @@ class _InlinePool:
     def __exit__(self, *exc):
         return False
 
-    def imap(self, fn, tasks, chunksize=1):
-        tasks = list(tasks)
+    def map(self, fn, *iterables, chunksize=1):
         self.chunksizes.append(chunksize)
-        self.starts.append([start for _, start, _ in tasks])
-        return map(fn, tasks)
+        self.starts.append(list(iterables[1]))
+        return map(fn, *iterables)
+
+    def terminate_workers(self):
+        self.terminated.append(self.created[-1])
 
 
 def _inline_pool(monkeypatch, cpus, block_amplitudes, pool_floor=0):
-    """Route verify_ensemble's pool through _InlinePool on ``cpus`` CPUs,
+    """Route verify_ensemble's pool through _InlineExecutor on ``cpus`` CPUs,
     with evaluation blocks of ``block_amplitudes`` amplitudes and campaigns
     of ``pool_floor`` amplitudes of work or more allowed into the pool."""
     monkeypatch.setattr(ensembles, "_POOL_FLOOR", pool_floor)
-    monkeypatch.setattr(_InlinePool, "created", [])
-    monkeypatch.setattr(_InlinePool, "chunksizes", [])
-    monkeypatch.setattr(_InlinePool, "starts", [])
-    monkeypatch.setattr(ensembles, "Pool", _InlinePool)
+    for record in ("created", "chunksizes", "starts", "terminated"):
+        monkeypatch.setattr(_InlineExecutor, record, [])
+    monkeypatch.setattr(ensembles, "ProcessPoolExecutor", _InlineExecutor)
     monkeypatch.setattr(ensembles.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", block_amplitudes)
 
@@ -329,11 +332,11 @@ def _inline_pool(monkeypatch, cpus, block_amplitudes, pool_floor=0):
     (1, 2, 4, 1),         # --jobs 2 on a one-block campaign
 ])
 def test_verify_ensemble_clamps_workers(monkeypatch, trials, jobs, cpus, workers):
-    # a pool starts all its processes at once, so --jobs must not reach it
-    # unclamped. ``workers`` counts every process, this one included: it runs
-    # the first share of the blocks as one range and a pool of workers - 1
-    # processes the rest. One-trial blocks make one block per trial, and a
-    # clamp to one process runs inline
+    # a fork-started pool forks all max_workers processes at the first
+    # submit, so --jobs must not reach the pool unclamped. ``workers`` counts
+    # every process, this one included: it runs the first share of the
+    # blocks as one range and a pool of workers - 1 processes the rest. One-trial
+    # blocks make one block per trial, and a clamp to one process runs inline
     _inline_pool(monkeypatch, cpus, 4)
     config = EnsembleConfig(trials=trials, dim_a=2, dim_b=2,
                             regime=Regime.GENERAL, seed=3)
@@ -343,9 +346,9 @@ def test_verify_ensemble_clamps_workers(monkeypatch, trials, jobs, cpus, workers
     # a few ranges of whole blocks per pool process, one task each: 5 -> 1
     # block here and ranges of 1, 100 -> 50 blocks here and ranges of 13
     size = math.ceil((trials - own) / (4 * (workers - 1))) if pooled else 0
-    assert _InlinePool.created == ([workers - 1] if pooled else [])
-    assert _InlinePool.starts == ([list(range(own, trials, size))] if pooled else [])
-    assert _InlinePool.chunksizes == ([1] if pooled else [])
+    assert _InlineExecutor.created == ([workers - 1] if pooled else [])
+    assert _InlineExecutor.starts == ([list(range(own, trials, size))] if pooled else [])
+    assert _InlineExecutor.chunksizes == ([1] if pooled else [])
     assert _summary_key(summary) == _summary_key(verify_ensemble(config))
 
 
@@ -373,11 +376,11 @@ def test_campaigns_below_the_work_floor_run_in_this_process(monkeypatch, dims, t
                             regime=Regime.GENERAL, seed=5)
     assert len(list(bounds._blocks(0, trials, *dims))) > 1
     summary = verify_ensemble(config, jobs=2)
-    assert _InlinePool.created == []
+    assert _InlineExecutor.created == []
     assert _summary_key(summary) == _summary_key(verify_ensemble(config))
     monkeypatch.setattr(ensembles, "_POOL_FLOOR", trials * dims[0] * dims[1])
     assert _summary_key(verify_ensemble(config, jobs=2)) == _summary_key(summary)
-    assert _InlinePool.created == [1]
+    assert _InlineExecutor.created == [1]
 
 
 @pytest.mark.parametrize("bad_trials, named", [({1, 4}, 1), ({4}, 4)])
@@ -400,8 +403,10 @@ def test_pooled_campaign_raises_for_its_first_bad_trial(monkeypatch, bad_trials,
     monkeypatch.setattr(bounds, "_evaluate_rows", broken)
     with pytest.raises(SanityFailure, match=f"trial {named},"):
         verify_ensemble(config, jobs=2)
-    assert _InlinePool.created == [1]
-    assert _InlinePool.starts == [[3, 4, 5]]
+    assert _InlineExecutor.created == [1]
+    assert _InlineExecutor.starts == [[3, 4, 5]]
+    # the bug ends the campaign: the pool's queued ranges are cancelled
+    assert _InlineExecutor.terminated == [1]
 
 
 # (digest, margin) of every trial of `verify --tol -1 --trials 20`, recorded
@@ -572,15 +577,15 @@ def test_ranges_keep_violations_in_trial_order(monkeypatch):
     # blocks of 60 amplitudes cut 57 3x5 trials into 15 blocks of at most
     # 4; jobs=4 on 4 CPUs runs the first 4 blocks here as one range and maps
     # the other 11 onto 3 pool processes as ranges of one block, and the
-    # inline pool runs them in order without starting a process
+    # inline executor runs them in order without starting a process
     _inline_pool(monkeypatch, 4, 60)
     config = EnsembleConfig(trials=57, dim_a=3, dim_b=5, regime=Regime.ORTHOGONAL,
                             seed=-5, weight_sampling="complex-random", tol=-1.0)
     ranged = verify_ensemble(config, jobs=4)
     serial = verify_ensemble(config)
-    assert _InlinePool.created == [3]
-    assert _InlinePool.chunksizes == [1]
-    assert _InlinePool.starts == [list(range(16, 57, 4))]
+    assert _InlineExecutor.created == [3]
+    assert _InlineExecutor.chunksizes == [1]
+    assert _InlineExecutor.starts == [list(range(16, 57, 4))]
     assert ranged.violations == serial.violations
     assert [v.trial_index for v in ranged.violations] == list(range(57))
     assert _summary_key(ranged) == _summary_key(serial)
@@ -608,7 +613,7 @@ def test_chunked_ranges_match_one_chunk(monkeypatch, regime):
         whole = verify_ensemble(config)
         monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 3)
         chunked = verify_ensemble(config, jobs=2)
-        assert _InlinePool.starts[-1] == [100, 128, 156, 184]
+        assert _InlineExecutor.starts[-1] == [100, 128, 156, 184]
         assert chunked.violations == whole.violations
         assert _summary_key(chunked) == _summary_key(whole)
 
@@ -681,7 +686,7 @@ def test_largest_campaigns_seed_one_chunk_at_a_time(monkeypatch, trials, jobs):
         verify_ensemble(config, jobs=jobs)
     chunk = ensembles._CHUNK_BLOCKS * bounds._block_size(2, 2)
     assert seeded == [list(range(chunk))]
-    assert _InlinePool.created == ([1] if jobs == 2 else [])
+    assert _InlineExecutor.created == ([1] if jobs == 2 else [])
 
 
 _SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, -5, 2 ** 64 - 1]
