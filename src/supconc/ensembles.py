@@ -3,9 +3,9 @@
 Every generator takes an explicit ``numpy.random.Generator``; nothing in
 this module touches global RNG state. Trial ``i`` of a verification
 campaign is what the public generators (:func:`_reference_trial`) draw
-from ``default_rng([seed, i])``, so results are bit-identical for a given
-config no matter how trials are scheduled, including across worker
-processes. A campaign runs as ranges of trials, each of which seeds,
+from ``default_rng([seed mod 2**64, i])``, so results are bit-identical
+for a given config no matter how trials are scheduled, including across
+worker processes. A campaign runs as ranges of trials, each of which seeds,
 draws, evaluates and judges its own trials a chunk of evaluation blocks at
 a time, so its memory grows with the violations it records and not with
 its length. The generator states of a chunk's trials are computed
@@ -739,12 +739,23 @@ def _terminate(pool: ProcessPoolExecutor) -> None:
         process.terminate()
 
 
-# Work, trials * dim_a * dim_b, below which a campaign runs in this process
-# whatever --jobs asks: starting a pool worker costs ~12-15 ms, more than it
-# saves on such a campaign. On a 2-core host, one process against two: 250
-# 10x10 trials (25000) 7 ms against 19 ms; 1000 10x10 trials and 100 32x32
-# ones (~100000) even, at 26-38 ms; 2000 10x10 trials 69 against 50 ms.
-_POOL_FLOOR = 100_000
+# A campaign runs in this process whatever --jobs asks unless the pool's share
+# of its trials has at least _POOL_FLOOR amplitudes of work, counted as
+# trials * (dim_a * dim_b + _TRIAL_AMPLITUDES): starting a pool worker costs
+# ~12-15 ms, more than a smaller share saves. A trial takes ~0.13 us per
+# amplitude of work, its fixed cost ~50 amplitudes' worth (~7 us at 2x2, 20
+# at 10x10, ~140 at 32x32). In-process general campaigns on a 2-core x86-64
+# host, one process against two, 12-16 alternating calls per size: --jobs 2
+# was slower at 1000 and 1250 10x10 trials (pool shares of 52000 and 90000
+# amplitudes), 100-200 32x32 trials (39000-95000), 3000 3x3 and 5x5 trials
+# (70000, 78000) and 6000 2x2 trials (103000); within 10 % either way at
+# 1500 10x10, 4000 5x5 and 10000 2x2 trials (98000-104000); faster at 2000
+# 10x10 (129000), 6000 and 12000 3x3 (139000, 278000) and 8000 2x2 trials
+# (211000), and at 250 32x32 (131000) in 28 of 44 calls. The total work
+# alone cannot place the crossover: this process keeps the larger share of
+# an odd block count.
+_TRIAL_AMPLITUDES = 50
+_POOL_FLOOR = 110_000
 
 
 def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummary:
@@ -752,19 +763,21 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
 
     Ranges of trials are the unit of work (:func:`_run_range`): each seeds,
     draws, evaluates and judges its own trials, a chunk of blocks at a time,
-    and returns its partial summary. With ``jobs > 1``, more than one block
-    and CPU, and at least ``_POOL_FLOOR`` amplitudes of work (``trials *
-    dim_a * dim_b``), a campaign runs in ``min(jobs, blocks, CPUs)``
+    and returns its partial summary. With ``jobs > 1`` and more than one
+    block and CPU, a campaign runs in ``min(jobs, blocks, CPUs)``
     processes, this one included: this process runs the first
     ``ceil(blocks / processes)`` blocks as one range, and a pool of the
     other processes the rest, cut into at most four ranges of whole blocks
-    per pool process; otherwise the whole campaign is one range run here.
-    The split is worked out from the trial count, so nothing here grows
-    with it. Deterministic for a given config regardless of ``jobs``: trial
-    ``i`` is drawn from ``default_rng([seed, i])``, and its row does not
-    depend on its range, chunk or block. The ranges' partial summaries come
-    back in trial order, this process's share first, so a bug raises for
-    the first bad trial; the summary merges them: a max, min or count per
+    per pool process, if that share has at least ``_POOL_FLOOR``
+    amplitudes of work (``trials * (dim_a * dim_b + _TRIAL_AMPLITUDES)``,
+    the last a trial's fixed cost); otherwise the whole campaign is one
+    range run here. The split is worked out from the trial count, so
+    nothing here grows with it. Deterministic for a given config
+    regardless of ``jobs``: trial ``i`` is drawn from
+    ``default_rng([seed mod 2**64, i])``, and its row does not depend on
+    its range, chunk or block. The ranges' partial summaries come back in
+    trial order, this process's share first, so a bug raises for the
+    first bad trial; the summary merges them: a max, min or count per
     quantity, and the violations in trial order. A trial violates where
     its margin ``max(upper slack, -lower slack, closed-form error)`` passes
     ``config.tol``. This is the campaign's one judge of a bound escape, so
@@ -785,15 +798,17 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     size = _block_size(config.dim_a, config.dim_b)
     blocks = -(-config.trials // size)   # ceilings in integers: exact at any trial count
     workers = min(jobs, blocks, os.cpu_count() or 1)
-    if workers <= 1 or config.trials * config.dim_a * config.dim_b < _POOL_FLOOR:
+    # this process runs the first share of the blocks and workers - 1 pool
+    # processes the rest
+    own = -(-blocks // workers)
+    split = own * size   # the first trial of the pool's share
+    work = (config.trials - split) * (config.dim_a * config.dim_b + _TRIAL_AMPLITUDES)
+    if workers <= 1 or work < _POOL_FLOOR:
         parts = [_run_range(config, 0, config.trials)]
     else:
-        # this process runs the first share of the blocks and workers - 1
-        # pool processes the rest, which goes out first: a fork-started pool
-        # forks every worker at the first submit. A few ranges per worker
-        # even out their loads
-        own = -(-blocks // workers)
-        split = own * size   # the first trial of the pool's share
+        # the pool's share goes out first: a fork-started pool forks every
+        # worker at the first submit. A few ranges per worker even out their
+        # loads
         step = -(-(blocks - own) // (4 * (workers - 1))) * size
         starts = range(split, config.trials, step)
         with ProcessPoolExecutor(workers - 1, initializer=signal.signal,

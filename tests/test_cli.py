@@ -8,6 +8,7 @@ import json
 import math
 import multiprocessing
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -605,17 +606,62 @@ def _cli_env():
         [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
 
 
-def test_closed_stdout_pipe_exits_four_past_the_final_flush(state_files):
-    # in a process of its own, exit 4 must also hold past Python's flush of
-    # stdout on exit, whose failure would make the status 120
-    proc = subprocess.Popen([sys.executable, "-m", "supconc.cli", "state-info",
-                             state_files["bell_plus"]],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
-    proc.stdout.close()   # before the command writes: its first write fails
-    stderr = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 4
-    assert stderr.startswith("error: cannot write stdout: ") and stderr.count("\n") == 1
+_CAMPAIGN = ["verify", "--trials", "20", "--dims", "2", "2", "--regime", "general", "--seed", "42"]
+
+
+@pytest.mark.parametrize("args, stdout, stderr, address_space, code", [
+    # a pipe its reader closes before the command writes: the first write fails
+    (["state-info", "{bell_plus}"], 0, None, None, 4),
+    # a pipe its reader closes after one byte: the 5000 violations (~550 kB)
+    # outgrow the pipe's buffer, where 20 would be written before it closes
+    (["verify", "--trials", "5000", *_CAMPAIGN[3:], "--tol", "-1"], 1, None, None, 4),
+    (_CAMPAIGN, "/dev/full", None, None, 4),
+    (["--help"], "/dev/full", None, None, 4),
+    # a stderr that cannot be written changes no exit code: a passing
+    # campaign's wall_time line is dropped
+    (_CAMPAIGN, os.devnull, "/dev/full", None, 0),
+    # a 10000x10000 trial needs ~3 GiB of normals: under a 2 GB address
+    # space the allocation fails at once
+    (["verify", "--trials", "1", "--dims", "10000", "10000", "--regime", "general",
+      "--seed", "1"], os.devnull, None, 2 * 10 ** 9, 2),
+], ids=["pipe-closed", "pipe-closed-after-one-byte", "stdout-full", "help-stdout-full",
+        "stderr-full", "address-space-limit"])
+def test_exit_codes_hold_in_a_process_of_its_own(state_files, args, stdout, stderr,
+                                                 address_space, code):
+    # on real file descriptors and limits, and past Python's flush of stdout
+    # on exit, whose failure would make the status 120. ``stdout`` is a file
+    # or the byte count a pipe's reader reads before it closes the pipe, and
+    # ``stderr`` a file or, if None, a pipe read to its end;
+    # OPENBLAS_NUM_THREADS=1 keeps BLAS threads out of the address space
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    with contextlib.ExitStack() as files:
+        out = subprocess.PIPE if isinstance(stdout, int) else files.enter_context(
+            open(stdout, "wb"))
+        err = subprocess.PIPE if stderr is None else files.enter_context(open(stderr, "wb"))
+        proc = subprocess.Popen([sys.executable, "-m", "supconc.cli",
+                                 *[arg.format(**state_files) for arg in args]],
+                                stdout=out, stderr=err,
+                                env=dict(_cli_env(), OPENBLAS_NUM_THREADS="1"),
+                                preexec_fn=limit if address_space else None)
+    watchdog = threading.Timer(60, proc.kill)   # a child that hangs ends the reads
+    watchdog.start()
+    try:
+        if proc.stdout:
+            proc.stdout.read(stdout)
+            proc.stdout.close()
+        if proc.stderr:
+            errors = proc.stderr.read().decode()
+            proc.stderr.close()
+            # one error line, and no traceback
+            prefix = {2: "error: out of memory: ", 4: "error: cannot write stdout: "}[code]
+            assert errors.startswith(prefix) and errors.count("\n") == 1, errors
+        assert proc.wait(timeout=60) == code
+    finally:
+        watchdog.cancel()
+        proc.kill()
+        proc.wait()
 
 
 def test_an_interrupted_command_exits_130(monkeypatch):
@@ -776,10 +822,47 @@ def test_verify_stdout_byte_identical(runner):
     assert r1.stdout == r2.stdout
 
 
-def test_verify_jobs_do_not_change_stdout(runner):
-    r1 = runner.invoke(main, verify_args(trials=100))
-    r2 = runner.invoke(main, verify_args(trials=100) + ["--jobs", "2"])
-    assert r1.stdout == r2.stdout
+# Campaigns whose pool share at --jobs 2 is past the work floor. 2x5 and 5x2
+# take the concurrence's reduced state on either side: 12000 trials are 8
+# blocks of 1638 (the last of 534), all in one chunk per range. 3000 10x10
+# trials are 19 blocks of 163 and chunks of 8, 8 and 3 blocks at --jobs 1; at
+# --jobs 2 this process's 10 blocks are chunks of 8 and 2, the pool's ranges
+# 3, 3 and 3 blocks, and --tol -1 makes every trial a violation, digested in
+# its chunk. 400 32x32 trials are 25 blocks of 16: chunks of 8, 8, 8 and 1
+# blocks at --jobs 1, and at --jobs 2 a 13-block range here (8 and 5) and
+# pool ranges of 3, 3, 3 and 3. A range draws and evaluates every block in
+# one set of buffers, and the chunks and ranges differ between the two runs,
+# so a block follows another block at one --jobs and not at the other: a
+# block that read what the previous one left changes a digest
+_POOLED_CAMPAIGNS = [
+    "--trials 12000 --dims 2 5 --regime biorthogonal",
+    "--trials 12000 --dims 2 5 --regime general",
+    "--trials 12000 --dims 5 2 --regime biorthogonal",
+    "--trials 12000 --dims 5 2 --regime general",
+    "--trials 3000 --dims 10 10 --regime biorthogonal --tol -1",
+    "--trials 400 --dims 32 32 --regime orthogonal --tol -1",
+    "--trials 400 --dims 32 32 --regime biorthogonal --tol -1",
+]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+@pytest.mark.parametrize("campaign", _POOLED_CAMPAIGNS, ids=[
+    "12000-2x5-biorthogonal", "12000-2x5-general", "12000-5x2-biorthogonal",
+    "12000-5x2-general", "3000-10x10-biorthogonal-tol-1", "400-32x32-orthogonal-tol-1",
+    "400-32x32-biorthogonal-tol-1"])
+def test_verify_jobs_do_not_change_stdout(runner, monkeypatch, campaign):
+    # at the default block and chunk sizes: a pool process started by
+    # forkserver or spawn would not see a patched one. Each run ends in a
+    # summary, passed or with violations, and the two runs in the same one
+    args = ["verify", *campaign.split(), "--seed", "20240901"]
+    serial = runner.invoke(main, [*args, "--jobs", "1"])
+    pool = mock.Mock(wraps=ensembles.ProcessPoolExecutor)
+    monkeypatch.setattr(ensembles, "ProcessPoolExecutor", pool)
+    parallel = runner.invoke(main, [*args, "--jobs", "2"])
+    assert pool.call_count == 1
+    assert serial.exit_code <= 1, serial.output
+    assert parallel.exit_code == serial.exit_code
+    assert parallel.stdout_bytes == serial.stdout_bytes
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
