@@ -2,26 +2,26 @@
 
 Every generator takes an explicit ``numpy.random.Generator``; nothing in
 this module touches global RNG state. Trial ``i`` of a verification
-campaign is what the public generators (:func:`_reference_trial`) draw
-from ``default_rng([seed mod 2**64, i])``, so results are bit-identical
-for a given config no matter how trials are scheduled, including across
-worker processes. A campaign runs as ranges of trials, each of which seeds,
-draws, evaluates and judges its own trials a chunk of evaluation blocks at
-a time, so its memory grows with the violations it records and not with
-its length. The generator states of a chunk's trials are computed
-together, and its trials are drawn a block at a time, their states loaded
-one by one into the range's own generator, so campaigns run in threads
-share none; every block of a range is drawn and evaluated in the range's
-one set of block buffers. Each trial makes three calls on the generator:
-the state load, one ``standard_normal`` of all its normals and one
-``random_raw`` of its weight words, plus one ``random_raw`` for a
+campaign is what the public generators draw from
+``default_rng([seed mod 2**64, i])`` (:func:`_draw_block`), so results are
+bit-identical for a given config no matter how trials are scheduled,
+including across worker processes. A campaign runs as ranges of trials,
+each of which seeds, draws, evaluates and judges its own trials a chunk of
+evaluation blocks at a time, so its memory grows with the violations it
+records and not with its length. The generator states of a chunk's trials
+are computed together, and its trials are drawn a block at a time, their
+states loaded one by one into the range's own generator, so campaigns run
+in threads share none; every block of a range is drawn and evaluated in
+the range's one set of block buffers. Each trial makes three calls on the
+generator: the state load, one ``standard_normal`` of all its normals and
+one ``random_raw`` of its weight words, plus one ``random_raw`` for a
 biorthogonal pair's splits.
 The raw words become the ``integers`` and ``uniform`` draws numpy's
 ``Generator`` would make from them (Lemire's bounded method on PCG64's
-buffered 32-bit halves, and 53-bit doubles), and the arithmetic on the
-draws runs over the block. Every row this cannot reproduce, a rare Lemire
-redraw of a weight or split word or a near-collinear orthogonal candidate,
-is drawn again from its own state by the public generators.
+buffered 32-bit halves, and 53-bit doubles). A rare row whose split or
+weight word numpy would discard makes numpy's own calls again from its
+state instead. The arithmetic on the draws runs over the block, one path
+for every row.
 """
 
 from __future__ import annotations
@@ -370,8 +370,8 @@ def _weight_variates(rng: np.random.Generator, mode: str) -> list:
     """One trial's weight draws: ``[k]`` for ``|alpha|^2 = k / 100``, or
     ``[|alpha|^2, arg alpha, arg beta]``.
 
-    Through numpy's own calls: the weights of :func:`_reference_trial`,
-    which the raw-word conversion of :func:`_block_draws` reproduces.
+    Through numpy's own calls: the weights that the raw-word conversion of
+    :func:`_block_draws` reproduces, and that it draws for a row it cannot.
     """
     if mode == "real-grid":
         return [rng.integers(*_GRID)]
@@ -441,51 +441,32 @@ def _normal_count(config: EnsembleConfig, split: tuple[int, int] | None) -> int:
     return 2 * (split_a * split_b + (config.dim_a - split_a) * (config.dim_b - split_b))
 
 
-def _reference_trial(config: EnsembleConfig, rng: np.random.Generator,
-                     ) -> tuple[np.ndarray, np.ndarray, list]:
-    """One trial through the public generators on the state loaded in ``rng``.
-
-    The definition of a trial that the block draw reproduces: a biorthogonal
-    pair draws its splits by ``integers`` and then
-    :func:`biorthogonal_pair`, an orthogonal one :func:`orthogonal_pair`
-    and a general one two :func:`haar_state`; then
-    :func:`_weight_variates`. Returns the pair's coefficient matrices and
-    the variates.
-    """
-    dims = config.dim_a, config.dim_b
-    if config.regime is Regime.BIORTHOGONAL:
-        split = int(rng.integers(1, dims[0])), int(rng.integers(1, dims[1]))
-        pair = biorthogonal_pair(*dims, *split, rng)
-    elif config.regime is Regime.ORTHOGONAL:
-        pair = orthogonal_pair(*dims, rng)
-    else:
-        pair = haar_state(*dims, rng), haar_state(*dims, rng)
-    return pair[0].matrix, pair[1].matrix, _weight_variates(rng, config.weight_sampling)
-
-
 def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Generator,
-                 buffers: _Buffers) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+                 buffers: _Buffers) -> tuple[np.ndarray, list, np.ndarray]:
     """The generator draws of the trials seeded by ``words``:
-    ``(normals, splits, variates, redraw)``.
+    ``(normals, splits, variates)``.
 
-    Each trial makes three calls on ``rng``, the caller's generator: it
-    loads its PCG64 state, draws all its normals with one
-    ``standard_normal`` and its weight words with one ``random_raw`` (one
-    word on the real grid, three for complex-random weights). A
-    biorthogonal trial first draws one more word for its two splits,
-    unless both sides are 2. The words are turned into ``integers`` and
-    ``uniform`` draws as numpy turns them (see above): the splits trial by
-    trial, since they set how many normals follow, and the weights over the
-    whole block. A split that draws one 32-bit half leaves the other
-    buffered, and a real-grid weight takes it instead of a fresh word.
-    ``redraw`` flags the rows where numpy would discard a word and draw
-    again (Lemire's method: 4 in 2**32 for a weight); their draws are not
-    the trial's, and :func:`_draw_block` draws them again. A flagged split
-    still draws its normals with the split it produced, a valid size.
-    ``splits[row]`` is ``None`` outside the biorthogonal regime; a
-    biorthogonal row holds its normals at its head, and what follows them is
-    left as the buffer held it. The normals are drawn into the ``"conj"``
-    buffer of ``buffers`` (:class:`supconc.measures._Buffers`).
+    A trial draws its splits by ``integers`` if it is biorthogonal, then the
+    normals of :func:`biorthogonal_pair`, :func:`orthogonal_pair` or two
+    :func:`haar_state`, then :func:`_weight_variates`. Each trial makes
+    three calls on ``rng``, the caller's generator: it loads its PCG64
+    state, draws all its normals with one ``standard_normal`` and its weight
+    words with one ``random_raw`` (one word on the real grid, three for
+    complex-random weights). A biorthogonal trial first draws one more word
+    for its two splits, unless both sides are 2. The words are turned into
+    ``integers`` and ``uniform`` draws as numpy turns them (see above): the
+    splits trial by trial, since they set how many normals follow, and the
+    weights over the whole block. A split that draws one 32-bit half leaves
+    the other buffered, and a real-grid weight takes it instead of a fresh
+    word. Where numpy would discard a word and draw again (Lemire's method,
+    ``2**32 mod span`` in ``2**32`` per 32-bit draw: 4 for a weight's span
+    of 99), the row reloads its state and makes numpy's own calls instead:
+    ``integers`` for the splits, ``standard_normal`` into the same row and
+    :func:`_weight_variates`. ``splits[row]`` is ``None`` outside the
+    biorthogonal regime; a biorthogonal row holds its normals at its head,
+    and what follows them is left as the buffer held it. The normals are
+    drawn into the ``"conj"`` buffer of ``buffers``
+    (:class:`supconc.measures._Buffers`).
     """
     dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
     n, size = dim_a * dim_b, len(words)
@@ -524,7 +505,13 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Gener
             raw[row, 0] = bits.random_raw() if half is None else half
 
     variates, weight_redraw = _weights_from_raw(raw, mode)
-    return normals, splits, variates, redraw | weight_redraw
+    for row in np.flatnonzero(redraw | weight_redraw).tolist():
+        bits.state = next(_pcg_states(words[row:row + 1]))
+        if biorthogonal:
+            splits[row] = int(rng.integers(1, dim_a)), int(rng.integers(1, dim_b))
+        rng.standard_normal(out=normals[row, :_normal_count(config, splits[row])])
+        variates[row] = _weight_variates(rng, mode)
+    return normals, splits, variates
 
 
 def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Generator,
@@ -533,18 +520,18 @@ def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Genera
     ``(alpha, beta, phi, varphi)``, the components as ``(T, dim_a, dim_b)``
     coefficient matrices.
 
-    Trial ``i`` is :func:`_reference_trial` on the state of
+    Trial ``i`` is what the public generators draw from the state of
     ``default_rng([mask(seed), i])``, bit for bit, in whatever block it is
-    drawn. :func:`_block_draws` makes each trial's calls on ``rng``, the
-    caller's generator, into which each trial loads its own state: a state
-    load, one ``standard_normal`` and one ``random_raw`` of its weight
-    words, plus one ``random_raw`` for a biorthogonal pair's splits. The
-    arithmetic on those draws (Haar normalisation, Gram-Schmidt, the
-    weights) runs over all rows at once, each row in the operations that
-    one trial on its own takes. The rare rows that this does not reproduce,
-    a Lemire redraw of a weight or split word and a near-collinear
-    orthogonal candidate, are drawn again from their own state by
-    :func:`_reference_trial`.
+    drawn: a biorthogonal pair draws its splits by ``integers`` and then
+    :func:`biorthogonal_pair`, an orthogonal one :func:`orthogonal_pair`
+    and a general one two :func:`haar_state`; then the weights
+    (:func:`_weight_variates`). The one exception, an orthogonal candidate
+    that :func:`orthogonal_pair` would retry, has a probability below 1e-36
+    per trial (see below). :func:`_block_draws` makes each trial's
+    calls on ``rng``, the caller's generator, into which each trial loads
+    its own state. The arithmetic on those draws (Haar normalisation,
+    Gram-Schmidt, the weights) runs over all rows at once, each row in the
+    operations that one trial on its own takes.
 
     The normals, an orthogonal pair's Gram-Schmidt scratch and the
     component stacks are written into ``buffers``, so the stacks returned
@@ -553,7 +540,7 @@ def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Genera
     """
     dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
     n, size = dim_a * dim_b, len(words)
-    normals, splits, variates, redraw = _block_draws(config, words, rng, buffers)
+    normals, splits, variates = _block_draws(config, words, rng, buffers)
     phi, varphi = buffers.take("phi", (size, n)), buffers.take("varphi", (size, n))
 
     if config.regime is Regime.BIORTHOGONAL:
@@ -577,23 +564,20 @@ def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Genera
         _haar_rows(normals[:, :2 * n], phi)
         _haar_rows(normals[:, 2 * n:], varphi)
     if config.regime is Regime.ORTHOGONAL:
-        # the Gram-Schmidt step of orthogonal_pair on its first candidate,
-        # in place on varphi; _row_dots(phi_conj, v) is np.vdot(phi, v) per
-        # row. The conjugate and the projection are scratch in "conj"
+        # the two Gram-Schmidt steps of orthogonal_pair on its first
+        # candidate, in place on varphi; _row_dots(phi_conj, v) is
+        # np.vdot(phi, v) per row. The conjugate and the projection are
+        # scratch in "conj". orthogonal_pair retries a candidate whose residual
+        # is below _COLLINEAR_TOL = 1e-6, that is |<phi|cand>|^2 > 1 - 1e-12.
+        # For Haar vectors in C^n, |<phi|cand>|^2 ~ Beta(1, n - 1), so that
+        # has probability (1e-12)^(n - 1) <= 1e-36 at n = dim_a * dim_b >= 4:
+        # no campaign, of fewer than 2^64 ~ 1.8e19 trials, meets one
         phi_conj, projection = buffers.take("conj", (2, *phi.shape))
         np.conjugate(phi, out=phi_conj)
-        varphi -= np.multiply(_row_dots(phi_conj, varphi)[:, None], phi, out=projection)
-        norm = _row_norms(varphi)
-        collinear = norm < _COLLINEAR_TOL
-        # rows redrawn below: any value will do, without a division by zero
-        _scale_rows(varphi, np.where(collinear, 1.0, norm))
-        varphi -= np.multiply(_row_dots(phi_conj, varphi)[:, None], phi, out=projection)
-        _scale_rows(varphi, _row_norms(varphi))
-        redraw |= collinear
+        for _ in range(2):
+            varphi -= np.multiply(_row_dots(phi_conj, varphi)[:, None], phi, out=projection)
+            _scale_rows(varphi, _row_norms(varphi))
     phi, varphi = phi.reshape(size, dim_a, dim_b), varphi.reshape(size, dim_a, dim_b)
-    for row in np.flatnonzero(redraw).tolist():
-        rng.bit_generator.state = next(_pcg_states(words[row:row + 1]))
-        phi[row], varphi[row], variates[row] = _reference_trial(config, rng)
     return (*_weights(variates, mode), phi, varphi)
 
 
@@ -658,8 +642,8 @@ def _trial_rows(config: EnsembleConfig, start: int, stop: int, rng: np.random.Ge
 
 # A partial summary is a campaign's summary over one range of its trials:
 # (violations, max upper slack, min lower slack, max closed-form error,
-# zero-delta excess count, max zero-delta excess), where a maximum over no
-# value is -inf.
+# zero-delta excess count, max zero-delta excess, trials judged), where a
+# maximum over no value is -inf.
 
 
 def _judged(config: EnsembleConfig, start: int, stop: int, rng: np.random.Generator,
@@ -684,19 +668,19 @@ def _judged(config: EnsembleConfig, start: int, stop: int, rng: np.random.Genera
     return (violations, float(upper.max()), float(lower.min()),
             float(np.fmax.reduce(formula, initial=-math.inf)),
             int(np.count_nonzero(excess > config.tol)),
-            float(np.fmax.reduce(excess, initial=-math.inf)))
+            float(np.fmax.reduce(excess, initial=-math.inf)), len(margin))
 
 
 def _merged(parts) -> tuple:
     """The partial summary of consecutive ranges of trials from theirs, read
     one at a time in trial order."""
-    violations, upper, lower, formula, excesses, excess = (
-        [], -math.inf, math.inf, -math.inf, 0, -math.inf)
+    violations, upper, lower, formula, excesses, excess, judged = (
+        [], -math.inf, math.inf, -math.inf, 0, -math.inf, 0)
     for part in parts:
         violations += part[0]
         upper, lower, formula = max(upper, part[1]), min(lower, part[2]), max(formula, part[3])
-        excesses, excess = excesses + part[4], max(excess, part[5])
-    return violations, upper, lower, formula, excesses, excess
+        excesses, excess, judged = excesses + part[4], max(excess, part[5]), judged + part[6]
+    return violations, upper, lower, formula, excesses, excess, judged
 
 
 # Evaluation blocks of trials that a range seeds, draws, evaluates and judges
@@ -758,14 +742,22 @@ _TRIAL_AMPLITUDES = 50
 _POOL_FLOOR = 110_000
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummary:
     """Run a campaign: draw pairs and weights, evaluate, record violations.
 
     Ranges of trials are the unit of work (:func:`_run_range`): each seeds,
     draws, evaluates and judges its own trials, a chunk of blocks at a time,
     and returns its partial summary. With ``jobs > 1`` and more than one
-    block and CPU, a campaign runs in ``min(jobs, blocks, CPUs)``
-    processes, this one included: this process runs the first
+    block and CPU that this process may run on (its affinity mask), a
+    campaign runs in ``min(jobs, blocks, CPUs)`` processes, this one
+    included: this process runs the first
     ``ceil(blocks / processes)`` blocks as one range, and a pool of the
     other processes the rest, cut into at most four ranges of whole blocks
     per pool process, if that share has at least ``_POOL_FLOOR``
@@ -778,7 +770,9 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     its range, chunk or block. The ranges' partial summaries come back in
     trial order, this process's share first, so a bug raises for the
     first bad trial; the summary merges them: a max, min or count per
-    quantity, and the violations in trial order. A trial violates where
+    quantity, and the violations in trial order. ``trials_run`` counts the
+    trials the ranges judged, and a count other than ``config.trials``
+    raises :class:`InternalError`. A trial violates where
     its margin ``max(upper slack, -lower slack, closed-form error)`` passes
     ``config.tol``. This is the campaign's one judge of a bound escape, so
     ``config.tol`` is the tolerance whatever its value. A bug in a range
@@ -797,7 +791,7 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     t0 = time.perf_counter()
     size = _block_size(config.dim_a, config.dim_b)
     blocks = -(-config.trials // size)   # ceilings in integers: exact at any trial count
-    workers = min(jobs, blocks, os.cpu_count() or 1)
+    workers = min(jobs, blocks, _usable_cpus())
     # this process runs the first share of the blocks and workers - 1 pool
     # processes the rest
     own = -(-blocks // workers)
@@ -821,9 +815,11 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
                 # Ctrl-C, a bug or a dead pool process: nothing left is waited for
                 _terminate(pool)
                 raise
-    violations, upper, lower, formula, excesses, excess = _merged(parts)
+    violations, upper, lower, formula, excesses, excess, judged = _merged(parts)
+    if judged != config.trials:
+        raise InternalError(f"the ranges judged {judged} of the {config.trials} trials")
     return VerificationSummary(
-        trials_run=config.trials,
+        trials_run=judged,
         violations=tuple(violations),
         max_upper_slack=upper,
         min_lower_slack=lower,

@@ -271,15 +271,16 @@ def test_unexpected_exception_exits_three_with_its_traceback(runner, monkeypatch
     assert result.stdout == ""
 
 
-def test_failed_redraw_loop_exits_three(runner, monkeypatch):
-    # an orthogonal partner that is never found is a failed internal
-    # invariant (InternalError): a bug, exit 3, not bad input
-    monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 2.0)
-    monkeypatch.setattr(ensembles, "_REDRAW_LIMIT", 3)
+def test_lost_trials_exit_three(runner, monkeypatch):
+    # ranges that judge fewer trials than the campaign asked for break an
+    # internal invariant (InternalError): a bug, exit 3, not bad input
+    run_range = ensembles._run_range
+    monkeypatch.setattr(ensembles, "_run_range",
+                        lambda config, start, stop: run_range(config, start, stop - 1))
     result = runner.invoke(main, ["verify", "--trials", "3", "--dims", "2", "2",
                                   "--regime", "orthogonal", "--seed", "1"])
     assert result.exit_code == 3
-    assert result.stderr == "error: no orthogonal partner found in 3 redraws\n"
+    assert result.stderr == "error: the ranges judged 2 of the 3 trials\n"
     assert result.stdout == ""
 
 
@@ -702,7 +703,7 @@ def test_sigint_stops_a_campaign_with_exit_130():
             if line.strip() and not line.startswith(b"import time:")] == [b"Aborted!"]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+@pytest.mark.skipif(ensembles._usable_cpus() < 2, reason="a pool needs two usable CPUs")
 def test_one_sigint_stops_a_pooled_campaign_and_its_processes():
     # Ctrl-C sends SIGINT to the terminal's foreground process group: here a
     # group of its own, once the --jobs 2 campaign's pool runs (the pool
@@ -749,7 +750,8 @@ def dying_range(config, start, stop):
     if os.getpid() != parent:
         os.kill(os.getpid(), signal.SIGKILL)
     return run_range(config, start, stop)
-ensembles._run_range, ensembles._POOL_FLOOR, os.cpu_count = dying_range, 0, lambda: 2
+ensembles._run_range, ensembles._POOL_FLOOR = dying_range, 0
+os.sched_getaffinity = lambda pid: {0, 1}   # the CPUs a pool may use
 cli.main(sys.argv[1:], prog_name="supconc")
 """
 
@@ -845,7 +847,7 @@ _POOLED_CAMPAIGNS = [
 ]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a pool needs two CPUs")
+@pytest.mark.skipif(ensembles._usable_cpus() < 2, reason="a pool needs two usable CPUs")
 @pytest.mark.parametrize("campaign", _POOLED_CAMPAIGNS, ids=[
     "12000-2x5-biorthogonal", "12000-2x5-general", "12000-5x2-biorthogonal",
     "12000-5x2-general", "3000-10x10-biorthogonal-tol-1", "400-32x32-orthogonal-tol-1",

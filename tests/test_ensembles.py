@@ -307,22 +307,31 @@ class _InlineExecutor:
         self.terminated.append(self.created[-1])
 
 
+def _usable(monkeypatch, cpus):
+    """Let this process run on ``cpus`` of twice as many CPUs, as
+    ``taskset`` would."""
+    monkeypatch.setattr(ensembles.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(ensembles.os, "cpu_count", lambda: 2 * cpus)
+
+
 def _inline_pool(monkeypatch, cpus, block_amplitudes, pool_floor=0):
-    """Route verify_ensemble's pool through _InlineExecutor on ``cpus`` CPUs,
-    with evaluation blocks of ``block_amplitudes`` amplitudes and campaigns
-    of ``pool_floor`` amplitudes of work or more allowed into the pool."""
+    """Route verify_ensemble's pool through _InlineExecutor on ``cpus`` usable
+    CPUs, with evaluation blocks of ``block_amplitudes`` amplitudes and
+    campaigns of ``pool_floor`` amplitudes of work or more allowed into the
+    pool."""
     monkeypatch.setattr(ensembles, "_POOL_FLOOR", pool_floor)
     for record in ("created", "chunksizes", "starts", "terminated"):
         monkeypatch.setattr(_InlineExecutor, record, [])
     monkeypatch.setattr(ensembles, "ProcessPoolExecutor", _InlineExecutor)
-    monkeypatch.setattr(ensembles.os, "cpu_count", lambda: cpus)
+    _usable(monkeypatch, cpus)
     monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", block_amplitudes)
 
 
 @pytest.mark.parametrize("trials,jobs,cpus,workers", [
     (5, 5000, 64, 5),     # one process per block: 5 one-trial blocks
-    (100, 4, 2, 2),       # one process per CPU
-    (100, 3, None, 1),    # unknown CPU count
+    (100, 4, 2, 2),       # one process per usable CPU
+    (100, 3, 1, 1),       # one usable CPU of two: the campaign stays here
     (1, 2, 4, 1),         # --jobs 2 on a one-block campaign
 ])
 def test_verify_ensemble_clamps_workers(monkeypatch, trials, jobs, cpus, workers):
@@ -346,6 +355,34 @@ def test_verify_ensemble_clamps_workers(monkeypatch, trials, jobs, cpus, workers
     assert _summary_key(summary) == _summary_key(verify_ensemble(config))
 
 
+@pytest.mark.parametrize("cpu_count,usable", [(4, 4), (None, 1)])
+def test_usable_cpus_without_an_affinity_mask(monkeypatch, cpu_count, usable):
+    # where the OS keeps no affinity mask: the CPU count, or 1 where unknown
+    monkeypatch.delattr(ensembles.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(ensembles.os, "cpu_count", lambda: cpu_count)
+    assert ensembles._usable_cpus() == usable
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("which,change,judged", [
+    (lambda start, stop: start == 0, -1, 5),    # the range of this process loses a trial
+    (lambda start, stop: stop == 6, -1, 5),     # the campaign's last range loses one
+    (lambda start, stop: stop == 6, 1, 7),      # and judges one too many
+], ids=["first-short", "last-short", "last-long"])
+def test_ranges_that_judge_other_trial_counts_raise(monkeypatch, jobs, which, change, judged):
+    # trials_run counts the trials the ranges judged: six one-trial blocks,
+    # trials 0-2 here and 3-5 in the pool at --jobs 2, one range at --jobs 1.
+    # A range that runs other trials than it was given is a bug
+    _inline_pool(monkeypatch, 2, 4)
+    run_range = ensembles._run_range
+    monkeypatch.setattr(ensembles, "_run_range", lambda config, start, stop: run_range(
+        config, start, stop + change * which(start, stop)))
+    config = EnsembleConfig(trials=6, dim_a=2, dim_b=2, regime=Regime.GENERAL, seed=11)
+    with pytest.raises(InternalError, match=f"judged {judged} of the 6 trials"):
+        verify_ensemble(config, jobs=jobs)
+    assert _InlineExecutor.created == ([1] if jobs == 2 else [])
+
+
 @pytest.mark.parametrize("jobs", [2.5, "2", 0, -3, True])
 def test_verify_ensemble_validates_jobs(monkeypatch, jobs):
     # as --jobs is validated: an integer (not a bool) of at least 1, checked
@@ -354,7 +391,7 @@ def test_verify_ensemble_validates_jobs(monkeypatch, jobs):
         raise AssertionError("a range ran")
 
     monkeypatch.setattr(ensembles, "_run_range", drawn)
-    monkeypatch.setattr(ensembles.os, "cpu_count", lambda: 8)
+    _usable(monkeypatch, 8)
     config = EnsembleConfig(trials=60000, dim_a=2, dim_b=2, regime=Regime.GENERAL, seed=1)
     with pytest.raises(OutOfRange, match="jobs must be an integer >= 1"):
         verify_ensemble(config, jobs=jobs)
@@ -817,28 +854,39 @@ def test_draw_block_matches_public_generators(dims, trials, regime, weights):
         _assert_rows_match_oracle(config, scattered, _drawn(config, scattered))
 
 
-def test_collinear_candidates_are_redrawn_from_their_trial(monkeypatch):
-    # a tolerance of 0.9 rejects many first candidates at 2x2: those trials
-    # draw further candidates, and then their weights, from their own stream
+def test_orthogonal_pair_redraws_collinear_candidates(monkeypatch):
+    # a tolerance of 0.9 rejects many first candidates at 2x2: orthogonal_pair
+    # draws further candidates from the same stream until one leaves a residual
+    # of 0.9, and Gram-Schmidts that one
     monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 0.9)
-    config = EnsembleConfig(trials=40, dim_a=2, dim_b=2, regime=Regime.ORTHOGONAL,
-                            seed=11, weight_sampling="complex-random")
     rejected = 0
-    for index in range(config.trials):
-        rng = np.random.default_rng([config.seed, index])
-        phi, cand = haar_state(2, 2, rng).amplitudes, haar_state(2, 2, rng).amplitudes
-        rejected += np.linalg.norm(cand - np.vdot(phi, cand) * phi) < 0.9
-    assert 0 < rejected < config.trials
-    _assert_rows_match_oracle(config, range(config.trials), _drawn(config, range(config.trials)))
+    for index in range(40):
+        rng = np.random.default_rng([11, index])
+        phi = ensembles._haar_vector(4, rng)
+        while True:
+            cand = ensembles._haar_vector(4, rng)
+            v = cand - np.vdot(phi, cand) * phi
+            if np.linalg.norm(v) >= 0.9:
+                break
+            rejected += 1
+        v = v / np.linalg.norm(v)
+        v = v - np.vdot(phi, v) * phi
+        pair = orthogonal_pair(2, 2, np.random.default_rng([11, index]))
+        assert pair[0].amplitudes.tobytes() == phi.tobytes()
+        assert pair[1].amplitudes.tobytes() == (v / np.linalg.norm(v)).tobytes()
+    assert 0 < rejected
 
 
-def test_collinear_redraws_are_limited(monkeypatch):
-    # no residual norm reaches 2: every candidate is rejected
+def test_orthogonal_pair_redraws_are_limited(monkeypatch):
+    # no residual norm reaches 2: every candidate is rejected, and the third
+    # rejection raises a bug's InternalError after four Haar vectors
     monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 2.0)
     monkeypatch.setattr(ensembles, "_REDRAW_LIMIT", 3)
-    config = EnsembleConfig(trials=3, dim_a=2, dim_b=2, regime=Regime.ORTHOGONAL, seed=1)
-    with pytest.raises(InternalError, match="3 redraws"):
-        _drawn(config, range(3))
+    rng, drawn = np.random.default_rng(1), np.random.default_rng(1)
+    with pytest.raises(InternalError, match="no orthogonal partner found in 3 redraws"):
+        orthogonal_pair(2, 2, rng)
+    drawn.standard_normal(4 * 2 * 4)
+    assert rng.bit_generator.state == drawn.bit_generator.state
 
 
 # --- raw-word draws against numpy's own calls -------------------------------------
@@ -860,12 +908,11 @@ def _per_call_draws(config, words, rng, buffers):
         normals[row, :count] = rng.standard_normal(count)
         splits.append(split)
         variates.append(ensembles._weight_variates(rng, config.weight_sampling))
-    return normals, splits, np.array(variates, dtype=np.float64), np.zeros(len(words), bool)
+    return normals, splits, np.array(variates, dtype=np.float64)
 
 
 def _assert_draws_equal(config, drawn, expected):
-    normals, splits, variates, redraw = drawn
-    assert redraw.tobytes() == expected[3].tobytes()
+    normals, splits, variates = drawn
     assert splits == expected[1]
     assert variates.tobytes() == expected[2].tobytes()
     for row, split in enumerate(splits):
@@ -893,8 +940,7 @@ def test_raw_word_draws_match_numpy_calls(monkeypatch, dims, trials, regime, wei
                  for lo, hi in zip(cuts, cuts[1:])]
         _assert_draws_equal(config, (np.concatenate([p[0] for p in parts]),
                                      [s for p in parts for s in p[1]],
-                                     np.concatenate([p[2] for p in parts]),
-                                     np.concatenate([p[3] for p in parts])), expected)
+                                     np.concatenate([p[2] for p in parts])), expected)
         # the whole trial, arithmetic included, is the per-call draws' trial
         whole = ensembles._draw_block(config, words, _generator(), _Buffers())
         with monkeypatch.context() as patch:
@@ -976,11 +1022,29 @@ _RETRY_CASES = [
 ]
 
 
+def _logged_variates(monkeypatch):
+    """Log each ``_weight_variates`` call, which only a replay makes."""
+    calls, weight_variates = [], ensembles._weight_variates
+    monkeypatch.setattr(ensembles, "_weight_variates",
+                        lambda *a: calls.append(1) or weight_variates(*a))
+    return calls
+
+
+def _logged_replays(monkeypatch, states):
+    """Load ``states[w]`` for a row whose first seed word is ``w``, and log the
+    rows of each state load (the block's, then the replays') and each
+    ``_weight_variates`` call."""
+    loads = []
+    monkeypatch.setattr(ensembles, "_pcg_states", lambda words: (
+        loads.append(words[:, 0].tolist()) or (states[row] for row in loads[-1])))
+    return loads, _logged_variates(monkeypatch)
+
+
 @pytest.mark.parametrize("dim_a,dim_b,regime,make_state,redrawn", _RETRY_CASES)
 def test_lemire_redraws_go_through_numpy_calls(monkeypatch, dim_a, dim_b, regime, make_state,
                                                redrawn):
-    # the raw-word draw flags a trial whose word numpy would discard, and the
-    # block draws that trial again through the public generators
+    # the raw-word draw finds a trial whose word numpy would discard, and
+    # draws that trial again through numpy's own calls: its draws are numpy's
     state = make_state()
     config = EnsembleConfig(trials=1, dim_a=dim_a, dim_b=dim_b, regime=regime, seed=0)
     rng = np.random.Generator(np.random.PCG64(0))
@@ -990,23 +1054,16 @@ def test_lemire_redraws_go_through_numpy_calls(monkeypatch, dim_a, dim_b, regime
         split = int(rng.integers(1, dim_a)), int(rng.integers(1, dim_b))
     rng.standard_normal(ensembles._normal_count(config, split))
     weight = int(rng.integers(1, 100))
-    calls = []
-    reference_trial = ensembles._reference_trial
-    monkeypatch.setattr(ensembles, "_pcg_states", lambda words: iter([state] * len(words)))
-    monkeypatch.setattr(ensembles, "_reference_trial",
-                        lambda *a: calls.append(1) or reference_trial(*a))
     words = np.zeros((2, 4), dtype=np.uint64)
-    normals, splits, variates, redraw = ensembles._block_draws(config, words, _generator(),
-                                                               _Buffers())
-    assert redraw.tolist() == [redrawn, redrawn]
-    if not redrawn:
-        assert splits == [split, split]
-        assert variates.tolist() == [[weight], [weight]]
-        _assert_draws_equal(config, (normals, splits, variates, redraw),
-                            _per_call_draws(config, words, _generator(), _Buffers()))
-    assert calls == []
+    words[1, 0] = 1
+    loads, variates = _logged_replays(monkeypatch, [state, state])
+    drawn = ensembles._block_draws(config, words, _generator(), _Buffers())
+    assert loads[1:] == ([[0], [1]] if redrawn else [])
+    assert len(variates) == len(loads) - 1
+    assert drawn[1] == [split, split]
+    assert drawn[2].tolist() == [[weight], [weight]]
+    _assert_draws_equal(config, drawn, _per_call_draws(config, words, _generator(), _Buffers()))
     drawn = ensembles._draw_block(config, words, _generator(), _Buffers())
-    assert calls == ([1, 1] if redrawn else [])
     assert drawn[0].tolist() == [math.sqrt(weight / 100.0)] * 2
     for row in range(2):
         assert (_trial_bytes(*(x[row] for x in drawn))
@@ -1031,22 +1088,12 @@ def test_blocks_redraw_exactly_their_flagged_rows(monkeypatch, dim_a, dim_b, reg
     states = make_states()
     config = EnsembleConfig(trials=len(states), dim_a=dim_a, dim_b=dim_b, regime=regime,
                             seed=0)
-    monkeypatch.setattr(ensembles, "_pcg_states",
-                        lambda words: (states[row] for row in words[:, 0].tolist()))
     words = np.zeros((len(states), 4), dtype=np.uint64)
     words[:, 0] = np.arange(len(states))
-    redraw = ensembles._block_draws(config, words, _generator(), _Buffers())[3]
-    assert np.flatnonzero(redraw).tolist() == flagged
-    redrawn = []
-    reference_trial = ensembles._reference_trial
-
-    def logged(config, rng):
-        redrawn.append(states.index(rng.bit_generator.state))
-        return reference_trial(config, rng)
-
-    monkeypatch.setattr(ensembles, "_reference_trial", logged)
+    loads, variates = _logged_replays(monkeypatch, states)
     drawn = ensembles._draw_block(config, words, _generator(), _Buffers())
-    assert redrawn == flagged
+    assert loads == [list(range(len(states))), *([row] for row in flagged)]
+    assert len(variates) == len(flagged)
     for row, state in enumerate(states):
         assert (_trial_bytes(*(x[row] for x in drawn))
                 == _trial_bytes(*_oracle_state_trial(config, state))), f"row {row}"
@@ -1113,23 +1160,77 @@ def test_trials_make_three_generator_calls(monkeypatch, dims, regime, weights):
     assert log.count("random_raw") == trials + split_words - carried
 
 
+_EVERY = 5
+
+
+def _forced(seed, index):
+    """Whether a campaign under :func:`_force_state` loads the forced state for trial ``index``."""
+    return ensembles._seed_words(seed, [index])[0, 0] % _EVERY == 0
+
+
+def _force_state(monkeypatch, state):
+    """Load ``state`` for every trial that :func:`_forced` names, by the first
+    word of its seed, and log each ``_weight_variates`` call."""
+    pcg_states = ensembles._pcg_states
+    monkeypatch.setattr(ensembles, "_pcg_states", lambda words: (
+        state if word % _EVERY == 0 else own
+        for word, own in zip(words[:, 0].tolist(), pcg_states(words))))
+    return _logged_variates(monkeypatch)
+
+
 def test_campaign_builds_one_generator_per_range(monkeypatch):
     # a range loads its trials' states, and its violations' states for their
     # digests, into one generator of its own, whatever its chunk and block
-    # counts: a range of three blocks in two chunks, collinear redraws
-    # included, builds one PCG64
+    # counts: a range of three blocks in two chunks, replays of trials whose
+    # weight word numpy discards included, builds one PCG64
+    replays = _force_state(monkeypatch, _weight_state(1))
     built = []
     real_pcg64 = np.random.PCG64
     monkeypatch.setattr(np.random, "PCG64", lambda *a: built.append(a) or real_pcg64(*a))
-    monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 0.97)   # most candidates are redrawn
+    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 4 * 40)
     monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 2)
-    trials = 2 * bounds._block_size(3, 3) + 360
-    config = EnsembleConfig(trials=trials, dim_a=3, dim_b=3, regime=Regime.ORTHOGONAL,
+    config = EnsembleConfig(trials=89, dim_a=2, dim_b=2, regime=Regime.GENERAL,
                             seed=20240901, tol=-1.0)
-    assert len(list(bounds._blocks(0, config.trials, 3, 3))) == 3
+    assert len(list(bounds._blocks(0, config.trials, 2, 2))) == 3
     summary = verify_ensemble(config)
-    assert len(summary.violations) == trials
+    assert len(summary.violations) == config.trials
+    assert replays
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("dims,regime,make_state", [
+    ((2, 2), Regime.GENERAL, lambda: _weight_state(1)),
+    ((2, 2), Regime.ORTHOGONAL, lambda: _weight_state(1)),
+    ((4, 4), Regime.BIORTHOGONAL, lambda: _split_state(0, 0x7F4A7C15)),
+    ((2, 3), Regime.BIORTHOGONAL,
+     lambda: _split_state(12345, pow(99, -1, 1 << 32) * 2 % (1 << 32))),
+], ids=["general-weight", "orthogonal-weight", "biorthogonal-split", "biorthogonal-half"])
+def test_campaign_replays_call_no_public_generator(monkeypatch, dims, regime, make_state):
+    # about one trial in five loads a state of which numpy discards a weight
+    # or split word. In blocks of three trials and chunks of two blocks, all
+    # drawn in the range's one set of buffers and, at tol = -1, drawn again
+    # for their digests, each such trial replays numpy's calls, twice, and no
+    # public generator is called: every digest is its trial's
+    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 3 * dims[0] * dims[1])
+    monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 2)
+    config = EnsembleConfig(trials=26, dim_a=dims[0], dim_b=dims[1], regime=regime,
+                            seed=20240901, tol=-1.0)
+    state = make_state()
+    forced = [index for index in range(config.trials) if _forced(config.seed, index)]
+    assert forced
+    digests = [ensembles._digest(*(_oracle_state_trial(config, state) if index in forced
+                                   else _oracle_trial(config, index)))
+               for index in range(config.trials)]
+
+    def public(*args):
+        raise AssertionError("a public generator was called")
+
+    for name in ("haar_state", "orthogonal_pair", "biorthogonal_pair"):
+        monkeypatch.setattr(ensembles, name, public)
+    replays = _force_state(monkeypatch, state)
+    summary = verify_ensemble(config)
+    assert [v.digest for v in summary.violations] == digests
+    assert len(replays) == 2 * len(forced)
 
 
 # --- block buffers reused across a range -------------------------------------------
@@ -1186,27 +1287,6 @@ def test_biorthogonal_blocks_clear_what_the_previous_block_left():
     assert any(((old != 0) & (new == 0)).any() for old, new in zip(left, alone[2:]))
 
 
-def test_collinear_redraws_are_written_into_the_range_buffers(monkeypatch):
-    # a tolerance of 0.9 redraws many 2x2 orthogonal trials, row by row into
-    # the block's stacks in the range's buffers: every row is still its own
-    monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 0.9)
-    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 16)
-    monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 3)
-    config = EnsembleConfig(trials=40, dim_a=2, dim_b=2, regime=Regime.ORTHOGONAL, seed=11,
-                            weight_sampling="complex-random", tol=-1.0)
-    redrawn = []
-    reference_trial = ensembles._reference_trial
-    monkeypatch.setattr(ensembles, "_reference_trial",
-                        lambda *a: redrawn.append(1) or reference_trial(*a))
-    rows, digests = _range_rows(monkeypatch, config)
-    assert redrawn
-    for index in range(config.trials):
-        alone = _rows(config, index, index + 1)
-        assert np.array_equal(rows[index:index + 1], alone, equal_nan=True), f"trial {index}"
-    assert digests == [ensembles._digest(*_oracle_trial(config, index))
-                       for index in range(config.trials)]
-
-
 @pytest.mark.parametrize("dim_a,dim_b,regime,make_states", [
     (4, 4, Regime.BIORTHOGONAL,
      lambda: [_split_state(low, high) for low, high in
@@ -1220,14 +1300,13 @@ def test_lemire_redraws_are_written_into_reused_buffers(monkeypatch, dim_a, dim_
     states = make_states()
     config = EnsembleConfig(trials=len(states), dim_a=dim_a, dim_b=dim_b, regime=regime,
                             seed=0)
-    monkeypatch.setattr(ensembles, "_pcg_states",
-                        lambda words: (states[row] for row in words[:, 0].tolist()))
     words = np.zeros((len(states), 4), dtype=np.uint64)
     words[:, 0] = np.arange(len(states))
+    variates = _logged_replays(monkeypatch, states)[1]
     rng, buffers = _generator(), _Buffers()
-    assert ensembles._block_draws(config, words, rng, _Buffers())[3].any()
     ensembles._draw_block(config, words[::-1].copy(), rng, buffers)
     drawn = ensembles._draw_block(config, words, rng, buffers)
+    assert len(variates) == 4
     for row, state in enumerate(states):
         assert (_trial_bytes(*(x[row] for x in drawn))
                 == _trial_bytes(*_oracle_state_trial(config, state))), f"row {row}"

@@ -213,6 +213,12 @@ def test_reduced_density_rejects_unknown_side(side):
         reduced_density(bell_plus(), side)
 
 
+def test_reduced_density_rejects_a_bare_matrix():
+    # a plain array carries no split into A and B: no partial trace is defined
+    with pytest.raises(DimensionMismatch, match="cannot take a partial trace of ndarray"):
+        reduced_density(np.eye(4), "A")
+
+
 @pytest.mark.parametrize("da,db", [(2, 2), (3, 5), (6, 2)])
 def test_partial_trace_consistency(da, db):
     rng = np.random.default_rng(da * 10 + db)
