@@ -48,8 +48,9 @@ the closed form ``2|a00 a11 - a01 a10|``. The two routes agree within
 runs once over the columns of all blocks, of a call or of a campaign's
 range of trials, so its fixed cost is paid once rather than once per
 block. One entry, :func:`_checked_blocks`, runs both stages and the bug
-checks on the blocks that :func:`evaluate_batch` cuts from its stacks or
-that a campaign draws.
+checks, once, on the blocks that :func:`evaluate_batch` cuts from its
+stacks or that a campaign draws; only the limit on a bound's slack
+differs between the two.
 
 The universal-inverter map (``measures.lambda_map`` and
 ``lambda_sandwich``) and the singular-value ``measures.i_concurrence`` stay
@@ -82,9 +83,9 @@ from .states import (
     SuperpositionSpec,
     _first,
     _require_nonzero_norm,
+    _require_same_space,
     _require_unit_norm,
     _require_unit_weights,
-    inner_product,
 )
 
 REGIME_TOL = 1e-9    # default tolerance on |<phi|varphi>| and the trace overlaps
@@ -106,14 +107,6 @@ _REGIMES = np.array([Regime.BIORTHOGONAL, Regime.ORTHOGONAL, Regime.GENERAL], dt
 
 def _frobenius_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", x.conj(), x).real
-
-
-def _norms_sq(x: np.ndarray) -> np.ndarray:
-    """``norm^2`` of each matrix of a contiguous stack, from the row dots of its
-    real and imaginary parts: no conjugate is made, and the last bits may
-    differ from :func:`_frobenius_sq`'s, so only the unit-norm checks read it."""
-    parts = x.view(np.float64)
-    return np.einsum("tij,tij->t", parts, parts)
 
 
 def _require_regime_tol(tol: float) -> None:
@@ -140,12 +133,16 @@ def classify_pair(phi: PureState, varphi: PureState, tol: float = REGIME_TOL) ->
     ``Tr(rho_phi^B rho_varphi^B)`` are at most ``tol``; since vanishing
     reduced overlaps force orthogonal local supports, biorthogonality
     implies plain orthogonality, and the classifier checks it first.
-    A ``tol`` outside [0, 1) raises :class:`OutOfRange`.
+    The traces and ``<phi|varphi>`` are those of the pair's Gram table
+    (:func:`supconc.measures._gram_table`), which :func:`evaluate` reads
+    too, so both give a pair the same regime. States on different spaces
+    raise :class:`DimensionMismatch`, and a ``tol`` outside [0, 1)
+    :class:`OutOfRange`.
     """
     _require_regime_tol(tol)
-    overlap = inner_product(phi, varphi)   # first: it checks the spaces match
+    _require_same_space(phi, varphi)
     table = _gram_table(phi.matrix[None], varphi.matrix[None], _Buffers())
-    return _REGIMES[_regime_codes(table.ab, table.cc, overlap, tol)[0]]
+    return _REGIMES[_regime_codes(table.ab, table.cc, table.overlap, tol)[0]]
 
 
 _ORTHOGONAL_REGIMES = (Regime.BIORTHOGONAL, Regime.ORTHOGONAL)
@@ -217,7 +214,7 @@ def _slack(target, families):
     return upper, lower
 
 
-def _check_claims(batch: BatchReport, formula_error, limit: float = SANITY_TOL) -> None:
+def _check_claims(batch: BatchReport, formula_error, limit: float) -> None:
     """Raise :class:`SanityFailure` for the first pair of ``batch`` that escapes its claims.
 
     A pair escapes when its concurrence leaves ``[0, sqrt(2 (d-1)/d)]``
@@ -467,8 +464,8 @@ def _component_columns(alpha, beta, phi, varphi, buffers: _Buffers) -> tuple:
     concurrence. Each is computed once per component stack, once for all
     pairs of a one-matrix stack, and each column holds one entry per pair.
     """
-    _require_unit_norm(_norms_sq(phi))
-    _require_unit_norm(_norms_sq(varphi))
+    _require_unit_norm(phi)
+    _require_unit_norm(varphi)
     _require_unit_weights(alpha, beta)
     table = _gram_table(phi, varphi, buffers)
     if phi.shape[1:] == (2, 2):
@@ -530,10 +527,11 @@ def _evaluate_rows(alpha, beta, columns, dims: tuple[int, int], *,
     )
 
 
-def _checked_blocks(blocks, dims: tuple[int, int], buffers: _Buffers, *,
+def _checked_blocks(blocks, dims: tuple[int, int], buffers: _Buffers, *, limit: float,
                     tol: float = REGIME_TOL, regime_override: Regime | None = None,
                     ) -> tuple[np.ndarray, np.ndarray, BatchReport]:
-    """Both stages of the evaluation core, and its bug checks, over blocks of pairs.
+    """Both stages of the evaluation core, and its one pass of bug checks, over
+    blocks of pairs.
 
     ``blocks`` yields the ``(alpha, beta, phi, varphi)`` stacks of
     consecutive pairs, of at most an evaluation block each unless both
@@ -548,17 +546,23 @@ def _checked_blocks(blocks, dims: tuple[int, int], buffers: _Buffers, *,
     joined if there is more than one. Returns ``(alpha, beta, batch)``, the
     weights of all pairs and their :class:`BatchReport`.
     Rejects a cancelled superposition (:class:`ZeroVector`), then raises
-    :class:`SanityFailure` naming the pair in ``row`` for a bug: a NaN
-    concurrence or slack, or a concurrence outside its range by more than
-    ``SANITY_TOL``. A bound escape stays in the slacks for the caller to
-    judge, as a campaign does at its own tolerance.
+    :class:`SanityFailure` naming the first pair that escapes its claims in
+    ``row`` (:func:`_check_claims`): a NaN concurrence or slack, a
+    concurrence outside its range by more than ``SANITY_TOL``, or a slack
+    past ``limit``, and under ``regime_override`` a closed-form error past
+    it too. :func:`evaluate_batch` passes ``SANITY_TOL``; a campaign passes
+    ``inf``, so that a bound escape stays in the slacks for it to judge at
+    its own tolerance.
     """
     parts = [(a, b, *_component_columns(a, b, phi, varphi, buffers))
              for a, b, phi, varphi in blocks]
     alpha, beta, *columns = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
     batch = _evaluate_rows(alpha, beta, columns, dims, tol=tol, regime_override=regime_override)
     _require_nonzero_norm(np.sqrt(batch.norm_squared))
-    _check_claims(batch, 0.0, limit=math.inf)
+    # only an override can misapply the closed form; on a classified pair
+    # its error is the pair's distance from exact biorthogonality
+    _check_claims(batch, 0.0 if regime_override is None else np.nan_to_num(batch.formula_error),
+                  limit)
     return alpha, beta, batch
 
 
@@ -597,10 +601,11 @@ def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
     concurrence out of range or past a filled bound by more than
     ``SANITY_TOL``, or, under ``regime_override`` only, a closed form that
     far from the direct value (on a pair biorthogonal within ``tol`` it is
-    off by O(sqrt(tol)), reported in ``formula_error``). Validated input
-    goes to the evaluation core in blocks (:func:`_checked_blocks`), which
-    campaigns call without this bound judge: they judge the slacks at their
-    own tolerance.
+    off by O(sqrt(tol)), reported in ``formula_error``). The checks run
+    once, in the evaluation core (:func:`_checked_blocks`) at ``SANITY_TOL``,
+    and the first offending pair is the one named. Campaigns call the core
+    with no bound judge (``inf``): they judge the slacks at their own
+    tolerance.
     """
     alpha, beta, phi, varphi = (np.asarray(x, dtype=np.complex128)
                                 for x in (alpha, beta, phi, varphi))
@@ -622,12 +627,8 @@ def evaluate_batch(alpha, beta, phi, varphi, *, tol: float = REGIME_TOL,
     cuts = [(0, len(alpha))] if len(phi) == len(varphi) == 1 else _blocks(0, len(alpha), *dims)
     blocks = ((alpha[lo:hi], beta[lo:hi], *(x if len(x) == 1 else x[lo:hi] for x in (phi, varphi)))
               for lo, hi in cuts)
-    _, _, batch = _checked_blocks(blocks, dims, _Buffers(), tol=tol,
-                                  regime_override=regime_override)
-    # only an override can misapply the closed form; on a classified pair
-    # its error is the pair's distance from exact biorthogonality
-    _check_claims(batch, 0.0 if regime_override is None else np.nan_to_num(batch.formula_error))
-    return batch
+    return _checked_blocks(blocks, dims, _Buffers(), limit=SANITY_TOL, tol=tol,
+                           regime_override=regime_override)[2]
 
 
 def evaluate(spec: SuperpositionSpec, *, tol: float = REGIME_TOL,

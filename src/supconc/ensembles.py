@@ -495,10 +495,8 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Gener
                     if reject:
                         redraw[row] = True
                 half = halves.pop() if halves else None
-            splits[row] = split = tuple(split)
-            rng.standard_normal(out=normals[row, :_normal_count(config, split)])
-        else:
-            rng.standard_normal(out=normals[row])
+            splits[row] = tuple(split)
+        rng.standard_normal(out=normals[row, :_normal_count(config, splits[row])])
         if not real_grid:
             raw[row] = bits.random_raw(3)
         else:
@@ -628,7 +626,7 @@ def _trial_rows(config: EnsembleConfig, start: int, stop: int, rng: np.random.Ge
     blocks = (_draw_block(config, words[lo - start:hi - start], rng, buffers)
               for lo, hi in _blocks(start, stop, *dims))
     try:
-        alpha, beta, batch = _checked_blocks(blocks, dims, buffers)
+        alpha, beta, batch = _checked_blocks(blocks, dims, buffers, limit=math.inf)
     except SanityFailure as exc:
         trial = start + exc.row
         raise SanityFailure(f"{exc} (seed {config.seed}, trial {trial}, digest "
@@ -713,7 +711,16 @@ def _run_range(config: EnsembleConfig, start: int, stop: int) -> tuple:
 
 
 def _terminate(pool: ProcessPoolExecutor) -> None:
-    """Cancel the pool's queued ranges and terminate its processes."""
+    """Cancel the pool's queued ranges and terminate its processes.
+
+    The processes are terminated, not shut down: a pool range is up to a
+    quarter of a worker's share of the campaign, and ``shutdown`` cancels
+    only the queued ranges, so the pool's exit would wait for the running
+    ones to finish.
+    """
+    # Python 3.10-3.13 name the processes only in the private _processes;
+    # 3.14 has terminate_workers for this, which is called there so that
+    # nothing relies on _processes staying
     if hasattr(pool, "terminate_workers"):   # Python 3.14 and later
         pool.terminate_workers()
         return
@@ -802,7 +809,8 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     else:
         # the pool's share goes out first: a fork-started pool forks every
         # worker at the first submit. A few ranges per worker even out their
-        # loads
+        # loads, and no more than a few: map submits every range at once, and
+        # chunk-sized ranges ran a 2**63-trial campaign out of memory
         step = -(-(blocks - own) // (4 * (workers - 1))) * size
         starts = range(split, config.trials, step)
         with ProcessPoolExecutor(workers - 1, initializer=signal.signal,

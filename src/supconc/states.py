@@ -93,11 +93,31 @@ def _raise_first(values, holds, error) -> None:
         raise error(float(np.ravel(values)[row]))
 
 
-def _require_unit_norm(norm_sq) -> None:
+def _require_unit_norm(stack: np.ndarray) -> None:
+    """Raise :class:`NotNormalized` for the first matrix of a contiguous complex
+    ``(T, dim_a, dim_b)`` stack whose ``norm^2`` is not 1 within ``NORM_TOL``.
+
+    The one unit-norm check: a :class:`PureState` is checked as a one-matrix
+    stack and the evaluation core's component stacks as they come, so a
+    state is accepted at construction exactly when the core accepts it.
+    ``norm^2`` is the sum of the row dots of the stack's real and imaginary
+    parts, with no conjugate made.
+    """
+    parts = stack.view(np.float64)
+    norm_sq = np.einsum("tij,tij->t", parts, parts)
     _raise_first(norm_sq, abs(norm_sq - 1.0) <= NORM_TOL, NotNormalized)
 
 
 def _require_unit_weights(alpha, beta) -> None:
+    """Raise :class:`WeightsNotNormalized` for the first pair of weights with
+    ``|alpha|^2 + |beta|^2`` not 1 within ``NORM_TOL``.
+
+    The one weight check, of a :class:`SuperpositionSpec` and of the
+    evaluation core. It sums over 1-d arrays whatever it is given, since
+    numpy's scalar ``abs`` may round apart from its array ``abs``: a spec's
+    Python scalars and a batch's arrays then get the same sums.
+    """
+    alpha, beta = np.atleast_1d(alpha, beta)
     # a weight past ~1e154 squares to inf, which fails the check: bad input,
     # not an overflow warning or a Python OverflowError
     with np.errstate(over="ignore"):
@@ -118,7 +138,9 @@ class PureState:
     Invariants (checked at construction):
 
     * ``len(amplitudes) == dim_a * dim_b``
-    * ``sum |amplitude|^2 == 1`` within ``NORM_TOL``
+    * ``sum |amplitude|^2 == 1`` within ``NORM_TOL``, summed by the check
+      of the evaluation core's stacks (:func:`_require_unit_norm`), so that
+      :func:`supconc.bounds.evaluate` accepts every state built here
     """
 
     dim_a: int
@@ -129,7 +151,7 @@ class PureState:
         _require_positive(self.dim_a, self.dim_b)
         object.__setattr__(self, "amplitudes",
                            _frozen(self.amplitudes, (self.dim_a * self.dim_b,)))
-        _require_unit_norm(np.vdot(self.amplitudes, self.amplitudes).real)
+        _require_unit_norm(self.matrix[None])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -160,7 +182,13 @@ class OperatorAB:
 
 @dataclass(frozen=True)
 class SuperpositionSpec:
-    """Weights and components of the superposition alpha*phi + beta*varphi."""
+    """Weights and components of the superposition alpha*phi + beta*varphi.
+
+    The components share one space, and ``|alpha|^2 + |beta|^2 == 1``
+    within ``NORM_TOL``, summed by the check of the evaluation core's
+    weight arrays (:func:`_require_unit_weights`), so that
+    :func:`supconc.bounds.evaluate` accepts every spec built here.
+    """
 
     alpha: complex
     beta: complex

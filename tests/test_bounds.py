@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -457,6 +458,62 @@ def test_evaluate_sanity_failure_on_misapplied_override():
     spec = SuperpositionSpec(S2, S2, fixture("bell_plus"), fixture("bell_minus"))
     with pytest.raises(SanityFailure):
         evaluate(spec, regime_override=Regime.BIORTHOGONAL)
+
+
+def _bugs(monkeypatch):
+    """Make the bound stage put the pairs of ``bugs["escapes"]`` 1e-6 past
+    their upper bounds and give those of ``bugs["nans"]`` a NaN concurrence;
+    returns the ``bugs`` dict, with both sets empty."""
+    bugs = {"escapes": set(), "nans": set()}
+    evaluate_rows = bounds._evaluate_rows
+
+    def broken(*args, **kwargs):
+        batch = evaluate_rows(*args, **kwargs)
+        rows = np.arange(len(batch.exact_concurrence))
+        escapes, nans = (np.isin(rows, list(bugs[key])) for key in ("escapes", "nans"))
+        return dataclasses.replace(
+            batch, upper_slack=np.where(escapes, 1e-6, batch.upper_slack),
+            exact_concurrence=np.where(nans, np.nan, batch.exact_concurrence))
+
+    monkeypatch.setattr(bounds, "_evaluate_rows", broken)
+    return bugs
+
+
+def _haar_stacks(rng, pairs, dim):
+    return (np.stack([haar_state(dim, dim, rng).matrix for _ in range(pairs)])
+            for _ in range(2))
+
+
+def test_evaluate_batch_names_its_first_bug(monkeypatch):
+    # pair 1 escapes its upper bound and pair 3 has a NaN concurrence: the
+    # bug checks run once, so the first of them is named
+    bugs = _bugs(monkeypatch)
+    bugs["escapes"], bugs["nans"] = {1}, {3}
+    phis, varphis = _haar_stacks(np.random.default_rng(5), 5, 3)
+    weights = np.full(5, S2)
+    with pytest.raises(SanityFailure) as info:
+        evaluate_batch(weights, weights, phis, varphis)
+    assert info.value.row == 1
+
+
+def test_evaluate_batch_bug_scan_names_the_first(monkeypatch):
+    # seeded batches of 3x3 pairs with escapes and NaNs on random pairs: the
+    # pair named is the first that has either
+    bugs = _bugs(monkeypatch)
+    rng = np.random.default_rng(8)
+    phis, varphis = _haar_stacks(rng, 12, 3)
+    weights = np.full(12, S2)
+    for _ in range(40):
+        size = int(rng.integers(1, 13))
+        bugs["escapes"], bugs["nans"] = ({int(r) for r in np.flatnonzero(rng.random(size) < 0.2)}
+                                         for _ in range(2))
+        bad = bugs["escapes"] | bugs["nans"]
+        if not bad:
+            evaluate_batch(weights[:size], weights[:size], phis[:size], varphis[:size])
+            continue
+        with pytest.raises(SanityFailure) as info:
+            evaluate_batch(weights[:size], weights[:size], phis[:size], varphis[:size])
+        assert info.value.row == min(bad)
 
 
 @pytest.mark.parametrize("tol", [-1e-12, 1.0, 5.0, math.nan, -math.inf])

@@ -121,6 +121,19 @@ def test_state_info_rejects_unnormalized(runner, tmp_path):
     assert "not normalized" in result.stderr
 
 
+def test_state_file_at_the_norm_tolerance_is_judged_alike(runner, tmp_path, state_files):
+    # norm^2 a few units in the last place from 1 + NORM_TOL: state-info
+    # loads the file exactly when bounds takes it
+    edge = tmp_path / "edge.json"
+    edge.write_text(json.dumps({"dim_a": 2, "dim_b": 2, "amplitudes": [
+        [-0.26516808408408254, -0.4537040044410531], [0.2054643217656891, -0.39478634867751017],
+        [0.539567547891007, 0.22075328907167172], [-0.42983866990745395, 0.0337680247525682]]}))
+    info = runner.invoke(main, ["state-info", str(edge)])
+    report = runner.invoke(main, ["bounds", str(edge), state_files["bell_plus"],
+                                  "--alpha", "0.6", "--beta", "0.8"])
+    assert info.exit_code == report.exit_code
+
+
 def test_state_info_missing_file(runner, tmp_path):
     result = runner.invoke(main, ["state-info", str(tmp_path / "nope.json")])
     assert result.exit_code == 2

@@ -278,24 +278,40 @@ def test_ensemble_config_rejects_non_real_tol(tol):
         EnsembleConfig(**_config(tol=tol))
 
 
+class _StubProcess:
+    """A pool process, numbered ``pid``, that records each call to terminate it
+    in ``terminated``."""
+
+    def __init__(self, pid, terminated):
+        self.pid, self._terminated = pid, terminated
+
+    def terminate(self):
+        self._terminated.append(self.pid)
+
+
 class _InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records ``max_workers``, each
-    ``chunksize``, the first trial of each range mapped and each call to
-    terminate its processes, and maps inline (and lazily, as the pool's
-    results are read)."""
+    """Stands in for ProcessPoolExecutor as Python 3.10-3.13 have it: records
+    ``max_workers``, each ``chunksize``, the first trial of each range
+    mapped, each ``shutdown`` call as ``(wait, cancel_futures)`` and each
+    pool process terminated, and maps inline (and lazily, as the pool's
+    results are read). Its processes, ``_processes`` keyed by pid, are
+    stubs numbered from 0, and ``shutdown`` drops them, as the pool's does."""
 
     created: list[int] = []
     chunksizes: list[int] = []
     starts: list[list[int]] = []
+    shutdowns: list[tuple[bool, bool]] = []
     terminated: list[int] = []
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         self.created.append(max_workers)
+        self._processes = {pid: _StubProcess(pid, self.terminated) for pid in range(max_workers)}
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        self.shutdown(wait=True)
         return False
 
     def map(self, fn, *iterables, chunksize=1):
@@ -303,8 +319,20 @@ class _InlineExecutor:
         self.starts.append(list(iterables[1]))
         return map(fn, *iterables)
 
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns.append((wait, cancel_futures))
+        self._processes = None
+
+
+class _InlineExecutor314(_InlineExecutor):
+    """:class:`_InlineExecutor` with the ``terminate_workers`` of Python 3.14,
+    which shuts the pool down and terminates the processes it had."""
+
     def terminate_workers(self):
-        self.terminated.append(self.created[-1])
+        processes = list(self._processes.values())
+        self.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            process.terminate()
 
 
 def _usable(monkeypatch, cpus):
@@ -315,15 +343,15 @@ def _usable(monkeypatch, cpus):
     monkeypatch.setattr(ensembles.os, "cpu_count", lambda: 2 * cpus)
 
 
-def _inline_pool(monkeypatch, cpus, block_amplitudes, pool_floor=0):
-    """Route verify_ensemble's pool through _InlineExecutor on ``cpus`` usable
-    CPUs, with evaluation blocks of ``block_amplitudes`` amplitudes and
-    campaigns of ``pool_floor`` amplitudes of work or more allowed into the
-    pool."""
+def _inline_pool(monkeypatch, cpus, block_amplitudes, pool_floor=0, executor=_InlineExecutor):
+    """Route verify_ensemble's pool through ``executor``, an _InlineExecutor,
+    on ``cpus`` usable CPUs, with evaluation blocks of ``block_amplitudes``
+    amplitudes and campaigns of ``pool_floor`` amplitudes of work or more
+    allowed into the pool."""
     monkeypatch.setattr(ensembles, "_POOL_FLOOR", pool_floor)
-    for record in ("created", "chunksizes", "starts", "terminated"):
+    for record in ("created", "chunksizes", "starts", "shutdowns", "terminated"):
         monkeypatch.setattr(_InlineExecutor, record, [])
-    monkeypatch.setattr(ensembles, "ProcessPoolExecutor", _InlineExecutor)
+    monkeypatch.setattr(ensembles, "ProcessPoolExecutor", executor)
     _usable(monkeypatch, cpus)
     monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", block_amplitudes)
 
@@ -352,6 +380,9 @@ def test_verify_ensemble_clamps_workers(monkeypatch, trials, jobs, cpus, workers
     assert _InlineExecutor.created == ([workers - 1] if pooled else [])
     assert _InlineExecutor.starts == ([list(range(own, trials, size))] if pooled else [])
     assert _InlineExecutor.chunksizes == ([1] if pooled else [])
+    # a campaign that ends well leaves the pool to the with block's exit
+    assert _InlineExecutor.shutdowns == ([(True, False)] if pooled else [])
+    assert _InlineExecutor.terminated == []
     assert _summary_key(summary) == _summary_key(verify_ensemble(config))
 
 
@@ -431,12 +462,15 @@ def test_campaigns_below_the_work_floor_run_in_this_process(monkeypatch, dims, t
     assert _InlineExecutor.created == [1]
 
 
+@pytest.mark.parametrize("executor", [_InlineExecutor, _InlineExecutor314],
+                         ids=["py3.10-3.13", "py3.14"])
 @pytest.mark.parametrize("bad_trials, named", [({1, 4}, 1), ({4}, 4)])
-def test_pooled_campaign_raises_for_its_first_bad_trial(monkeypatch, bad_trials, named):
+def test_pooled_campaign_raises_for_its_first_bad_trial(monkeypatch, bad_trials, named,
+                                                        executor):
     # six one-trial blocks at jobs=2: trials 0-2 run in this process as one
     # range, 3-5 in the pool as three, and a bug in either share is reported
     # for the first bad trial
-    _inline_pool(monkeypatch, 2, 4)
+    _inline_pool(monkeypatch, 2, 4, executor=executor)
     config = EnsembleConfig(trials=6, dim_a=2, dim_b=2, regime=Regime.GENERAL, seed=11,
                             weight_sampling="complex-random")
     bad_alphas = [ensembles._draw_trial(config, i)[0] for i in bad_trials]
@@ -453,8 +487,11 @@ def test_pooled_campaign_raises_for_its_first_bad_trial(monkeypatch, bad_trials,
         verify_ensemble(config, jobs=2)
     assert _InlineExecutor.created == [1]
     assert _InlineExecutor.starts == [[3, 4, 5]]
-    # the bug ends the campaign: the pool's queued ranges are cancelled
-    assert _InlineExecutor.terminated == [1]
+    # the bug ends the campaign: the pool's queued ranges are cancelled and
+    # its one process terminated, with or without terminate_workers; the
+    # with block's exit then waits for nothing
+    assert _InlineExecutor.shutdowns == [(False, True), (True, False)]
+    assert _InlineExecutor.terminated == [0]
 
 
 # (digest, margin) of every trial of `verify --tol -1 --trials 20`, recorded

@@ -1,7 +1,8 @@
 """Property tests for numerics near their edges: near-biorthogonal pairs,
 near-orthogonal saturating pairs under a loose tolerance, near
-cancellation of the superposition, stacked evaluation of all three, and
-non-finite input."""
+cancellation of the superposition, stacked evaluation of all three,
+non-finite input, and inputs within a few units in the last place of the
+norm, weight and regime tolerances, which every entry point judges alike."""
 
 import cmath
 import json
@@ -16,8 +17,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from supconc import (
+    NotNormalized,
+    PureState,
     Regime,
     SuperpositionSpec,
+    WeightsNotNormalized,
     ZeroVector,
     biorthogonal_pair,
     classify_pair,
@@ -31,6 +35,7 @@ from supconc import (
 )
 from supconc import bounds
 from supconc.bounds import REGIME_TOL, SANITY_TOL
+from supconc.states import NORM_TOL
 from supconc.measures import _Buffers, _concurrence, _expansion, _gram_table
 from supconc.cli import main
 
@@ -341,3 +346,121 @@ def test_cancelled_rows_raise_zero_vector_for_the_first():
     assert "vector norm 0.0 " not in str(info.value)
     with pytest.raises(ZeroVector, match="vector norm 0.0 "):
         evaluate_batch(s2[2:], s2[2:], phis[2:], varphis[2:])
+
+
+# --- one judgement per invariant ---------------------------------------------
+# A state's norm, a pair's weights and its regime are each computed once, so
+# the entry points that check them (PureState, SuperpositionSpec,
+# classify_pair, evaluate and evaluate_batch) judge alike even an input
+# within a few units in the last place of a tolerance. Each test asserts
+# that they agree, whatever they decide.
+
+BELL, KET01 = fixture("bell_plus"), fixture("ket01")
+S2 = math.sqrt(0.5)
+
+
+def raises(error, call) -> bool:
+    try:
+        call()
+    except error:
+        return True
+    return False
+
+
+def norm_judged_alike(amplitudes, dim_a, dim_b, other) -> bool:
+    """Whether ``PureState`` builds from ``amplitudes`` exactly when
+    ``evaluate_batch`` takes them as a component, paired with the one-matrix
+    stack ``other`` at weights (0.6, 0.8)."""
+    built = not raises(NotNormalized, lambda: PureState(dim_a, dim_b, amplitudes))
+    taken = not raises(NotNormalized, lambda: evaluate_batch(
+        [0.6], [0.8], np.reshape(amplitudes, (1, dim_a, dim_b)), other))
+    return built == taken
+
+
+def weights_judged_alike(alpha, beta) -> bool:
+    """Whether ``SuperpositionSpec`` builds with weights ``alpha`` and ``beta``
+    exactly when ``evaluate_batch`` takes them."""
+    built = not raises(WeightsNotNormalized,
+                       lambda: SuperpositionSpec(alpha, beta, BELL, KET01))
+    taken = not raises(WeightsNotNormalized, lambda: evaluate_batch(
+        [alpha], [beta], BELL.matrix[None], KET01.matrix[None]))
+    return built == taken
+
+
+def test_norm_at_its_tolerance_is_judged_alike():
+    # norm^2 a few units in the last place from 1 + NORM_TOL
+    amplitudes = [-0.26516808408408254 - 0.4537040044410531j,
+                  0.2054643217656891 - 0.39478634867751017j,
+                  0.539567547891007 + 0.22075328907167172j,
+                  -0.42983866990745395 + 0.0337680247525682j]
+    assert norm_judged_alike(amplitudes, 2, 2, BELL.matrix[None])
+
+
+def test_weights_at_their_tolerance_are_judged_alike():
+    # |alpha|^2 + |beta|^2 a few units in the last place from 1 + NORM_TOL
+    assert weights_judged_alike(-0.5699304061195498 + 0.014210284100274058j,
+                                -0.752877338497982 - 0.328866406436397j)
+
+
+def test_regime_at_its_tolerance_is_judged_alike():
+    # |<phi|varphi>| a few units in the last place from REGIME_TOL
+    phi = make_state(2, 2, [-0.0886738388157023 - 0.08356369795195107j,
+                            -0.23707719083544404 + 0.3923643605986634j,
+                            -0.077981524495598 + 0.30524208920699764j,
+                            0.002468735635301271 - 0.822033288237229j])
+    var = make_state(2, 2, [-0.6056835891287153 + 0.09649913835112164j,
+                            -0.00611094100748051 + 0.5659856725511893j,
+                            -0.1393493537899522 - 0.4909281815531041j,
+                            0.13350325768612176 + 0.15876504453722803j])
+    assert classify_pair(phi, var) is evaluate(SuperpositionSpec(S2, S2, phi, var)).regime
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 10, 32])
+def test_norm_boundary_scan_is_judged_alike(dim):
+    # Haar states scaled 21 ways, so that norm^2 lands within 2e-16 of
+    # 1 + NORM_TOL, paired with a basis state
+    rng = np.random.default_rng(2)
+    other = np.zeros((1, dim, dim), dtype=complex)
+    other[0, 0, 0] = 1.0
+    apart = [(row, k) for row in range(24)
+             for amps in [haar_state(dim, dim, rng).amplitudes] for k in range(-10, 11)
+             if not norm_judged_alike(amps * math.sqrt(1.0 + NORM_TOL + k * 2e-17),
+                                      dim, dim, other)]
+    assert apart == []
+
+
+def test_weight_boundary_scan_is_judged_alike():
+    # weight pairs scaled 7 ways, so that |alpha|^2 + |beta|^2 lands within
+    # 3e-16 of 1 + NORM_TOL
+    rng = np.random.default_rng(9)
+    apart = []
+    for a_re, a_im, b_re, b_im in rng.standard_normal((600, 4)):
+        alpha, beta = complex(a_re, a_im), complex(b_re, b_im)
+        size = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
+        for k in range(-3, 4):
+            scale = math.sqrt(1.0 + NORM_TOL + k * 1e-16) / size
+            if not weights_judged_alike(alpha * scale, beta * scale):
+                apart.append((alpha * scale, beta * scale))
+    assert apart == []
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 10])
+def test_regime_boundary_scan_is_judged_alike(dim):
+    # Haar states phi, each with 31 states varphi whose overlaps lie within
+    # 1.5e-15 (relative) of REGIME_TOL
+    rng = np.random.default_rng(1)
+    apart = []
+    for _ in range(8):
+        phi = haar_state(dim, dim, rng)
+        other = haar_state(dim, dim, rng).amplitudes
+        perp = other - np.vdot(phi.amplitudes, other) * phi.amplitudes
+        perp /= np.linalg.norm(perp)
+        phase = cmath.exp(2j * math.pi * rng.random())
+        for k in range(-15, 16):
+            overlap = REGIME_TOL * (1.0 + k * 1e-16) * phase
+            var = make_state(dim, dim, overlap * phi.amplitudes
+                             + math.sqrt(1.0 - abs(overlap) ** 2) * perp)
+            regimes = classify_pair(phi, var), evaluate(SuperpositionSpec(S2, S2, phi, var)).regime
+            if regimes[0] is not regimes[1]:
+                apart.append((k, *regimes))
+    assert apart == []
