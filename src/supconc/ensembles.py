@@ -31,8 +31,10 @@ import math
 import numbers
 import os
 import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -732,11 +734,13 @@ def _terminate(pool: ProcessPoolExecutor) -> None:
 
 # A campaign runs in this process whatever --jobs asks unless the pool's share
 # of its trials has at least _POOL_FLOOR amplitudes of work, counted as
-# trials * (dim_a * dim_b + _TRIAL_AMPLITUDES): starting a pool worker costs
-# ~12-15 ms, more than a smaller share saves. A trial takes ~0.13 us per
-# amplitude of work, its fixed cost ~50 amplitudes' worth (~7 us at 2x2, 20
-# at 10x10, ~140 at 32x32). In-process general campaigns on a 2-core x86-64
-# host, one process against two, 12-16 alternating calls per size: --jobs 2
+# trials * (dim_a * dim_b + _TRIAL_AMPLITUDES). Only a process's first
+# pooled campaign starts the pool (~12-15 ms per worker under fork, 100-160
+# ms under forkserver and spawn); later campaigns of the same size reuse it
+# (_idle_pool). A trial takes ~0.13 us per amplitude of work, its fixed cost
+# ~50 amplitudes' worth (~7 us at 2x2, 20 at 10x10, ~140 at 32x32).
+# In-process general campaigns on a 2-core x86-64 host, one process against
+# two, 12-16 alternating calls per size, each starting its pool: --jobs 2
 # was slower at 1000 and 1250 10x10 trials (pool shares of 52000 and 90000
 # amplitudes), 100-200 32x32 trials (39000-95000), 3000 3x3 and 5x5 trials
 # (70000, 78000) and 6000 2x2 trials (103000); within 10 % either way at
@@ -744,9 +748,55 @@ def _terminate(pool: ProcessPoolExecutor) -> None:
 # 10x10 (129000), 6000 and 12000 3x3 (139000, 278000) and 8000 2x2 trials
 # (211000), and at 250 32x32 (131000) in 28 of 44 calls. The total work
 # alone cannot place the crossover: this process keeps the larger share of
-# an odd block count.
+# an odd block count. A warm pool does not move the floor: forced into one,
+# 250-trial 10x10 campaigns (a share of 13050) saved 0.7-2 ms of ~7 ms each,
+# and the floor is what keeps a cold pool, as every `supconc verify` run
+# has, off shares that small.
 _TRIAL_AMPLITUDES = 50
 _POOL_FLOOR = 110_000
+
+
+# The idle pool, (processes, executor), or None: the executor of the last
+# pooled campaign that ended well, which no campaign holds. Its workers stay
+# until this process exits (concurrent.futures joins them then) or a campaign
+# of another size replaces it
+_idle = None
+_IDLE_LOCK = threading.Lock()
+
+
+def _idle_pool(processes: int | None = None) -> ProcessPoolExecutor | None:
+    """Take the idle pool if it has ``processes`` processes, else shut it down.
+
+    The taking is under a lock, so campaigns in threads never share a pool.
+    An idle pool of another size (any size, with ``processes`` None) is
+    shut down and its processes waited for: its manager thread is joined,
+    so a pool started next does not fork while that thread lives.
+    """
+    global _idle
+    with _IDLE_LOCK:
+        idle, _idle = _idle, None
+    if idle is not None and idle[0] == processes:
+        return idle[1]
+    if idle is not None:
+        idle[1].shutdown(wait=True)
+    return None
+
+
+def _give_back(processes: int, pool: ProcessPoolExecutor) -> None:
+    """Make ``pool``, of ``processes`` processes, the idle pool, unless another
+    campaign's already is; then shut it down."""
+    global _idle
+    with _IDLE_LOCK:
+        if _idle is None:
+            _idle, pool = (processes, pool), None
+    if pool is not None:
+        pool.shutdown(wait=True)
+
+
+def _new_pool(processes: int) -> ProcessPoolExecutor:
+    """A pool of ``processes`` processes that ignore SIGINT."""
+    return ProcessPoolExecutor(processes, initializer=signal.signal,
+                               initargs=(signal.SIGINT, signal.SIG_IGN))
 
 
 def _usable_cpus() -> int:
@@ -784,9 +834,18 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     ``config.tol``. This is the campaign's one judge of a bound escape, so
     ``config.tol`` is the tolerance whatever its value. A bug in a range
     raises :class:`SanityFailure` and ends the campaign without a summary.
-    A pool process that dies raises ``BrokenProcessPool``. The pool's
+    The pool is kept for the process's next pooled campaign: a campaign
+    that ends well leaves it idle, and the next campaign whose pool has as
+    many processes takes it (:func:`_idle_pool`), so only a process's first
+    pooled campaign, or the first after a change of size or an early end,
+    pays the pool's start-up. The idle pool's processes stay until this
+    process exits or a campaign ends early. A pool process that dies
+    during a campaign raises ``BrokenProcessPool``; one that died while the
+    pool was idle breaks the pool before any range is sent, and the pool is
+    then replaced once. The pool's
     processes ignore SIGINT, and whatever ends the campaign early cancels
-    the pool's queued ranges and terminates its processes, so one Ctrl-C,
+    the pool's queued ranges and terminates its processes, and keeps no
+    pool, so one Ctrl-C,
     which interrupts this process's range or its wait for the pool's, ends
     the campaign and its processes.
     A ``jobs`` that is not an integer of at least 1 raises
@@ -813,16 +872,29 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
         # chunk-sized ranges ran a 2**63-trial campaign out of memory
         step = -(-(blocks - own) // (4 * (workers - 1))) * size
         starts = range(split, config.trials, step)
-        with ProcessPoolExecutor(workers - 1, initializer=signal.signal,
-                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+        ranges = ([config] * len(starts), starts, [min(lo + step, config.trials) for lo in starts])
+        processes = workers - 1
+        pool = _idle_pool(processes)
+        reused = pool is not None
+        if not reused:
+            pool = _new_pool(processes)
+        try:
             try:
-                rest = pool.map(_run_range, [config] * len(starts), starts,
-                                [min(lo + step, config.trials) for lo in starts])
-                parts = [_run_range(config, 0, split), *rest]
-            except BaseException:
-                # Ctrl-C, a bug or a dead pool process: nothing left is waited for
-                _terminate(pool)
-                raise
+                rest = pool.map(_run_range, *ranges)
+            except BrokenProcessPool:
+                if not reused:
+                    raise
+                # a process of the idle pool died while it was idle: the
+                # pool broke before any range was sent
+                pool.shutdown(wait=True)
+                pool = _new_pool(processes)
+                rest = pool.map(_run_range, *ranges)
+            parts = [_run_range(config, 0, split), *rest]
+        except BaseException:
+            # Ctrl-C, a bug or a dead pool process: nothing left is waited for
+            _terminate(pool)
+            raise
+        _give_back(processes, pool)
     violations, upper, lower, formula, excesses, excess, judged = _merged(parts)
     if judged != config.trials:
         raise InternalError(f"the ranges judged {judged} of the {config.trials} trials")

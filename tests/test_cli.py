@@ -793,6 +793,47 @@ def test_a_dead_pool_process_ends_a_campaign_with_exit_3():
     assert stderr.splitlines()[-1].startswith(b"error: ")
 
 
+# three pooled campaigns in one process, 250 32x32 trials each at --jobs 2;
+# after each, whether it passed and the pids of the process's pool
+_THREE_POOLED_CAMPAIGNS = """
+import multiprocessing
+from supconc import EnsembleConfig, Regime, verify_ensemble
+for seed in (1, 2, 3):
+    config = EnsembleConfig(trials=250, dim_a=32, dim_b=32, regime=Regime.GENERAL, seed=seed)
+    passed = verify_ensemble(config, jobs=2).passed
+    print(passed, *sorted(process.pid for process in multiprocessing.active_children()))
+"""
+
+
+@pytest.mark.skipif(ensembles._usable_cpus() < 2, reason="a pool needs two usable CPUs")
+def test_a_process_that_keeps_an_idle_pool_exits_and_leaves_no_process():
+    # the campaigns share one pool, which is left idle after the last of
+    # them; the process still exits 0, with no process of its group left.
+    # Under fork the pool's processes are joined before the process exits;
+    # a forkserver or resource tracker process ends when it reads the end
+    # of the process's pipe, so the group is given a moment to empty
+    proc = subprocess.Popen([sys.executable, "-c", _THREE_POOLED_CAMPAIGNS],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+                            start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=60)
+        deadline = time.monotonic() + 10
+        with pytest.raises(ProcessLookupError):
+            while time.monotonic() < deadline:
+                os.killpg(proc.pid, 0)
+                time.sleep(0.01)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == 0
+    assert stderr == b""
+    lines = [line.split(maxsplit=1) for line in stdout.splitlines()]
+    assert [passed for passed, _ in lines] == [b"True"] * 3
+    # one pool process, the same after every campaign
+    assert len({pids for _, pids in lines}) == 1 and len(lines[0][1].split()) == 1
+
+
 def test_figure_deterministic_bytes(runner, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert runner.invoke(main, ["figure", "fig1", "--out", str(out1)]).exit_code == 0

@@ -1,8 +1,14 @@
 import dataclasses
 import math
+import multiprocessing
+import os
+import signal
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -307,13 +313,6 @@ class _InlineExecutor:
         self.created.append(max_workers)
         self._processes = {pid: _StubProcess(pid, self.terminated) for pid in range(max_workers)}
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.shutdown(wait=True)
-        return False
-
     def map(self, fn, *iterables, chunksize=1):
         self.chunksizes.append(chunksize)
         self.starts.append(list(iterables[1]))
@@ -380,10 +379,15 @@ def test_verify_ensemble_clamps_workers(monkeypatch, trials, jobs, cpus, workers
     assert _InlineExecutor.created == ([workers - 1] if pooled else [])
     assert _InlineExecutor.starts == ([list(range(own, trials, size))] if pooled else [])
     assert _InlineExecutor.chunksizes == ([1] if pooled else [])
-    # a campaign that ends well leaves the pool to the with block's exit
-    assert _InlineExecutor.shutdowns == ([(True, False)] if pooled else [])
+    # a campaign that ends well shuts no pool down: it leaves it idle, and a
+    # second campaign of the same size takes it and starts none
+    assert _InlineExecutor.shutdowns == []
     assert _InlineExecutor.terminated == []
     assert _summary_key(summary) == _summary_key(verify_ensemble(config))
+    assert _summary_key(verify_ensemble(config, jobs=jobs)) == _summary_key(summary)
+    assert _InlineExecutor.created == ([workers - 1] if pooled else [])
+    assert _InlineExecutor.starts == 2 * ([list(range(own, trials, size))] if pooled else [])
+    assert _InlineExecutor.shutdowns == []
 
 
 @pytest.mark.parametrize("cpu_count,usable", [(4, 4), (None, 1)])
@@ -452,7 +456,8 @@ def test_campaigns_below_the_work_floor_run_in_this_process(monkeypatch, dims, t
     assert summary == _summary_key(verify_ensemble(config))
     # this process runs the first half of the blocks, rounded up, and the
     # pool the rest; a floor on either side of the share's work moves the
-    # campaign across, so one pool is started in all
+    # campaign across, so one pool is started in all, and left idle, not
+    # shut down, by the campaign that ran in it
     size = bounds._block_size(*dims)
     blocks = -(-trials // size)
     share = trials - -(-blocks // 2) * size
@@ -460,6 +465,8 @@ def test_campaigns_below_the_work_floor_run_in_this_process(monkeypatch, dims, t
     monkeypatch.setattr(ensembles, "_POOL_FLOOR", work + 1 if pooled else work)
     assert _summary_key(verify_ensemble(config, jobs=2)) == summary
     assert _InlineExecutor.created == [1]
+    assert len(_InlineExecutor.starts) == 1
+    assert _InlineExecutor.shutdowns == []
 
 
 @pytest.mark.parametrize("executor", [_InlineExecutor, _InlineExecutor314],
@@ -488,10 +495,118 @@ def test_pooled_campaign_raises_for_its_first_bad_trial(monkeypatch, bad_trials,
     assert _InlineExecutor.created == [1]
     assert _InlineExecutor.starts == [[3, 4, 5]]
     # the bug ends the campaign: the pool's queued ranges are cancelled and
-    # its one process terminated, with or without terminate_workers; the
-    # with block's exit then waits for nothing
-    assert _InlineExecutor.shutdowns == [(False, True), (True, False)]
+    # its one process terminated, with or without terminate_workers, and the
+    # pool is not kept, so the next campaign starts one
+    assert _InlineExecutor.shutdowns == [(False, True)]
     assert _InlineExecutor.terminated == [0]
+    with pytest.raises(SanityFailure, match=f"trial {named},"):
+        verify_ensemble(config, jobs=2)
+    assert _InlineExecutor.created == [1, 1]
+    assert _InlineExecutor.terminated == [0, 0]
+
+
+def _broken_map(*args, **kwargs):
+    """A pool's ``map`` once one of its processes has died: submit raises."""
+    raise BrokenProcessPool("A child process terminated abruptly")
+
+
+def test_a_pool_broken_while_idle_is_replaced_once(monkeypatch):
+    # a pool that broke while idle is shut down and replaced by a new one,
+    # which runs the campaign as the broken one would have
+    _inline_pool(monkeypatch, 2, 4)
+    config = EnsembleConfig(trials=6, dim_a=2, dim_b=2, regime=Regime.GENERAL, seed=11)
+    serial = _summary_key(verify_ensemble(config))
+    assert _summary_key(verify_ensemble(config, jobs=2)) == serial
+    broken = ensembles._idle[1]
+    broken.map = _broken_map
+    assert _summary_key(verify_ensemble(config, jobs=2)) == serial
+    assert _InlineExecutor.created == [1, 1]
+    assert _InlineExecutor.shutdowns == [(True, False)]
+    assert ensembles._idle[1] is not broken
+    # once only: a replacement that breaks too ends the campaign, and so
+    # does a new pool that breaks, which is not replaced
+    monkeypatch.setattr(_InlineExecutor, "map", _broken_map)
+    for created in ([1, 1, 1], [1, 1, 1, 1]):
+        with pytest.raises(BrokenProcessPool):
+            verify_ensemble(config, jobs=2)
+        assert _InlineExecutor.created == created
+        assert ensembles._idle is None
+    assert _InlineExecutor.terminated == [0, 0]
+
+
+class _MeetingExecutor(_InlineExecutor):
+    """:class:`_InlineExecutor` whose ``map`` waits until two of its pools
+    map: two campaigns that pass it hold a pool each at the same time.
+    Records each pool made in ``made``."""
+
+    meeting: threading.Barrier | None = None
+    made: list = []
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        super().__init__(max_workers, initializer, initargs)
+        self.made.append(self)
+
+    def map(self, fn, *iterables, chunksize=1):
+        self.meeting.wait(timeout=60)
+        return super().map(fn, *iterables, chunksize=chunksize)
+
+
+def test_pooled_campaigns_in_threads_take_a_pool_each(monkeypatch):
+    # two pooled campaigns at once in two threads: the second finds no idle
+    # pool and starts its own, so no pool runs ranges of two campaigns. Each
+    # summarises as when run alone; of the two pools given back, one is
+    # kept idle and the other shut down
+    _inline_pool(monkeypatch, 2, 4, executor=_MeetingExecutor)
+    monkeypatch.setattr(_MeetingExecutor, "meeting", threading.Barrier(2))
+    monkeypatch.setattr(_MeetingExecutor, "made", [])
+    configs = [EnsembleConfig(trials=6, dim_a=2, dim_b=2, regime=Regime.GENERAL, seed=seed)
+               for seed in (1, 2)]
+    alone = [_summary_key(verify_ensemble(config)) for config in configs]
+    with ThreadPoolExecutor(max_workers=2) as threads:
+        runs = threads.map(verify_ensemble, configs, [2, 2], timeout=120)
+        together = [_summary_key(summary) for summary in runs]
+    assert together == alone
+    assert _InlineExecutor.created == [1, 1]
+    assert len({id(pool) for pool in _MeetingExecutor.made}) == 2
+    assert _InlineExecutor.shutdowns == [(True, False)]
+    assert ensembles._idle[1] in _MeetingExecutor.made
+
+
+# 250 32x32 trials, as campaign_large runs them: at jobs=2 the pool's share
+# of 122 trials passes the work floor
+_POOLED_32X32 = EnsembleConfig(trials=250, dim_a=32, dim_b=32, regime=Regime.GENERAL,
+                               seed=20240901)
+
+
+@pytest.mark.skipif(ensembles._usable_cpus() < 2, reason="a pool needs two usable CPUs")
+def test_pooled_campaigns_in_one_process_start_one_pool(monkeypatch):
+    # the first campaign leaves its pool idle and the second takes it
+    pool = mock.Mock(wraps=ensembles.ProcessPoolExecutor)
+    monkeypatch.setattr(ensembles, "ProcessPoolExecutor", pool)
+    serial = _summary_key(verify_ensemble(_POOLED_32X32))
+    runs = [_summary_key(verify_ensemble(_POOLED_32X32, jobs=2)) for _ in range(2)]
+    assert runs == [serial, serial]
+    assert pool.call_count == 1
+
+
+@pytest.mark.skipif(ensembles._usable_cpus() < 2, reason="a pool needs two usable CPUs")
+def test_a_pool_process_killed_while_idle_does_not_fail_the_next_campaign():
+    # SIGKILL, as the OOM killer sends, to the idle pool's process between
+    # two campaigns: the next campaign replaces the broken pool and ends
+    # with the summary of jobs=1, not BrokenProcessPool
+    serial = _summary_key(verify_ensemble(_POOLED_32X32))
+    before = {process.pid for process in multiprocessing.active_children()}
+    assert _summary_key(verify_ensemble(_POOLED_32X32, jobs=2)) == serial
+    workers = {process.pid for process in multiprocessing.active_children()} - before
+    assert len(workers) == 1
+    for pid in workers:
+        os.kill(pid, signal.SIGKILL)
+    # a task sent to the idle pool fails once the pool's manager thread has
+    # seen the death and marked the pool broken, so that from then on a
+    # submit to it raises at once, before any range is sent
+    with pytest.raises(BrokenProcessPool):
+        ensembles._idle[1].submit(int).result(timeout=60)
+    assert _summary_key(verify_ensemble(_POOLED_32X32, jobs=2)) == serial
 
 
 # (digest, margin) of every trial of `verify --tol -1 --trials 20`, recorded
