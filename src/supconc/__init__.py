@@ -29,6 +29,7 @@ from .ensembles import (
     haar_state,
     haar_unitary,
     orthogonal_pair,
+    release_pool,
     verify_ensemble,
 )
 from .errors import (
@@ -85,7 +86,7 @@ __all__ = [
     "evaluate_batch",
     "EnsembleConfig", "VerificationSummary", "Violation",
     "biorthogonal_pair", "fixture", "haar_state", "haar_unitary",
-    "orthogonal_pair", "verify_ensemble",
+    "orthogonal_pair", "release_pool", "verify_ensemble",
     "DeltaOutOfRange", "DimensionMismatch", "InternalError",
     "InvalidSplit", "NotHermitian", "NotNormalized", "NotTwoQubit",
     "NotUnitary", "OutOfRange", "SanityFailure", "SupconcError",

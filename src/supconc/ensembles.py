@@ -34,7 +34,6 @@ import signal
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -757,28 +756,48 @@ _POOL_FLOOR = 110_000
 
 
 # The idle pool, (processes, executor), or None: the executor of the last
-# pooled campaign that ended well, which no campaign holds. Its workers stay
-# until this process exits (concurrent.futures joins them then) or a campaign
-# of another size replaces it
+# pooled campaign that ended well, which no campaign holds. Its processes,
+# and its manager thread in this process, stay until this process exits
+# (concurrent.futures joins them then), a campaign of another size replaces
+# it or release_pool() shuts it down
 _idle = None
 _IDLE_LOCK = threading.Lock()
 
 
-def _idle_pool(processes: int | None = None) -> ProcessPoolExecutor | None:
-    """Take the idle pool if it has ``processes`` processes, else shut it down.
+def _forget_pool() -> None:
+    """In a child forked from this process: the idle pool is the parent's,
+    whose processes and manager thread the child does not have, and the
+    lock may have been held by a thread the child does not have either."""
+    global _idle, _IDLE_LOCK
+    _idle, _IDLE_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):   # POSIX
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _idle_pool(processes: int) -> ProcessPoolExecutor | None:
+    """Take the idle pool if it has ``processes`` processes, all alive.
 
     The taking is under a lock, so campaigns in threads never share a pool.
-    An idle pool of another size (any size, with ``processes`` None) is
-    shut down and its processes waited for: its manager thread is joined,
-    so a pool started next does not fork while that thread lives.
+    An idle pool of another size, or with a process that died while it was
+    idle, is shut down and its processes waited for: its manager thread is
+    joined, so a pool started next does not fork while that thread lives.
     """
     global _idle
     with _IDLE_LOCK:
         idle, _idle = _idle, None
-    if idle is not None and idle[0] == processes:
-        return idle[1]
-    if idle is not None:
-        idle[1].shutdown(wait=True)
+    if idle is None:
+        return None
+    size, pool = idle
+    # Python 3.10-3.14 name the processes only in the private _processes,
+    # and mark a pool whose process death they have seen in _broken. That
+    # mark is read last: the pool's manager thread sets it before it reaps
+    # the dead process, after which is_alive cannot tell the death
+    if size == processes and all(
+            process.is_alive() for process in pool._processes.values()) and not pool._broken:
+        return pool
+    pool.shutdown(wait=True)
     return None
 
 
@@ -793,10 +812,12 @@ def _give_back(processes: int, pool: ProcessPoolExecutor) -> None:
         pool.shutdown(wait=True)
 
 
-def _new_pool(processes: int) -> ProcessPoolExecutor:
-    """A pool of ``processes`` processes that ignore SIGINT."""
-    return ProcessPoolExecutor(processes, initializer=signal.signal,
-                               initargs=(signal.SIGINT, signal.SIG_IGN))
+def release_pool() -> None:
+    """Shut down the pool that pooled campaigns left idle, if any, and wait
+    for its processes and its manager thread, so that this process holds
+    no pool process and no thread of the pool's (before an ``os.fork``,
+    say). The next pooled campaign starts a new pool."""
+    _idle_pool(0)   # no pool has 0 processes: the idle one is shut down
 
 
 def _usable_cpus() -> int:
@@ -838,16 +859,20 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
     that ends well leaves it idle, and the next campaign whose pool has as
     many processes takes it (:func:`_idle_pool`), so only a process's first
     pooled campaign, or the first after a change of size or an early end,
-    pays the pool's start-up. The idle pool's processes stay until this
-    process exits or a campaign ends early. A pool process that dies
-    during a campaign raises ``BrokenProcessPool``; one that died while the
-    pool was idle breaks the pool before any range is sent, and the pool is
-    then replaced once. The pool's
-    processes ignore SIGINT, and whatever ends the campaign early cancels
-    the pool's queued ranges and terminates its processes, and keeps no
-    pool, so one Ctrl-C,
-    which interrupts this process's range or its wait for the pool's, ends
-    the campaign and its processes.
+    pays the pool's start-up. ``supconc verify`` runs one campaign per
+    process and pays it once either way; a caller that runs campaigns in a
+    loop pays it once in all. Until this process exits, a campaign ends
+    early or :func:`release_pool` is called, the idle pool's processes
+    stay, and so does its manager thread: an ``os.fork`` in this process
+    forks it with that thread running (a forked child forgets the idle
+    pool and starts its own). A pool process that dies during a campaign
+    raises ``BrokenProcessPool``; an idle pool with a process found dead
+    when the next campaign takes it is shut down, and the campaign starts
+    a new one. The pool's processes ignore SIGINT, and whatever ends the
+    campaign early cancels the pool's queued ranges, terminates its
+    processes and keeps no pool, so one Ctrl-C, which interrupts this
+    process's range or its wait for the pool's, ends the campaign and its
+    processes.
     A ``jobs`` that is not an integer of at least 1 raises
     :class:`OutOfRange` before anything is drawn.
     """
@@ -872,23 +897,12 @@ def verify_ensemble(config: EnsembleConfig, jobs: int = 1) -> VerificationSummar
         # chunk-sized ranges ran a 2**63-trial campaign out of memory
         step = -(-(blocks - own) // (4 * (workers - 1))) * size
         starts = range(split, config.trials, step)
-        ranges = ([config] * len(starts), starts, [min(lo + step, config.trials) for lo in starts])
         processes = workers - 1
-        pool = _idle_pool(processes)
-        reused = pool is not None
-        if not reused:
-            pool = _new_pool(processes)
+        pool = _idle_pool(processes) or ProcessPoolExecutor(
+            processes, initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN))
         try:
-            try:
-                rest = pool.map(_run_range, *ranges)
-            except BrokenProcessPool:
-                if not reused:
-                    raise
-                # a process of the idle pool died while it was idle: the
-                # pool broke before any range was sent
-                pool.shutdown(wait=True)
-                pool = _new_pool(processes)
-                rest = pool.map(_run_range, *ranges)
+            rest = pool.map(_run_range, [config] * len(starts), starts,
+                            [min(lo + step, config.trials) for lo in starts])
             parts = [_run_range(config, 0, split), *rest]
         except BaseException:
             # Ctrl-C, a bug or a dead pool process: nothing left is waited for

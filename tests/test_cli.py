@@ -834,6 +834,53 @@ def test_a_process_that_keeps_an_idle_pool_exits_and_leaves_no_process():
     assert len({pids for _, pids in lines}) == 1 and len(lines[0][1].split()) == 1
 
 
+# a pooled campaign, 250 32x32 trials at --jobs 2, then a fork whose child
+# runs the campaign again, then the campaign again here, then release_pool;
+# prints what each side saw, and whether this process kept a thread and a
+# process of the pool's after the campaigns and after release_pool
+_FORK_AFTER_A_POOLED_CAMPAIGN = """
+import multiprocessing, os, threading
+from supconc import EnsembleConfig, Regime, release_pool, verify_ensemble
+config = EnsembleConfig(trials=250, dim_a=32, dim_b=32, regime=Regime.GENERAL, seed=1)
+slack = verify_ensemble(config, jobs=2).max_upper_slack
+pool = sorted(process.pid for process in multiprocessing.active_children())
+pid = os.fork()
+if pid == 0:
+    summary = verify_ensemble(config, jobs=2)
+    release_pool()
+    os._exit(0 if summary.passed and summary.max_upper_slack == slack else 1)
+print("child", os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+again = verify_ensemble(config, jobs=2).max_upper_slack == slack
+print("again", again, sorted(process.pid for process in multiprocessing.active_children()) == pool)
+print("kept", threading.active_count() > 1, len(pool))
+release_pool()
+print("released", threading.active_count(), len(multiprocessing.active_children()))
+"""
+
+
+@pytest.mark.skipif(ensembles._usable_cpus() < 2, reason="a pool needs two usable CPUs")
+def test_a_process_forked_after_a_pooled_campaign_starts_its_own_pool():
+    # the child inherits the idle pool's slot but not its manager thread:
+    # taking the parent's pool hung the child. Its campaign starts its own
+    # pool, and the parent's pool serves the parent's next campaign. Until
+    # release_pool the process keeps the pool's thread and process, and
+    # after it holds neither
+    proc = subprocess.Popen([sys.executable, "-W", "error", "-c", _FORK_AFTER_A_POOLED_CAMPAIGN],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+                            start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        # a hung child, and its pool's processes, go with the group
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == 0, stderr
+    assert stderr == b""
+    assert stdout.decode().splitlines() == [
+        "child 0", "again True True", "kept True 1", "released 1 0"]
+
+
 def test_figure_deterministic_bytes(runner, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert runner.invoke(main, ["figure", "fig1", "--out", str(out1)]).exit_code == 0

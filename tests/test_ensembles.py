@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import sys
@@ -286,13 +287,16 @@ def test_ensemble_config_rejects_non_real_tol(tol):
 
 class _StubProcess:
     """A pool process, numbered ``pid``, that records each call to terminate it
-    in ``terminated``."""
+    in ``terminated``, and is alive until ``alive`` is set false."""
 
     def __init__(self, pid, terminated):
-        self.pid, self._terminated = pid, terminated
+        self.pid, self._terminated, self.alive = pid, terminated, True
 
     def terminate(self):
         self._terminated.append(self.pid)
+
+    def is_alive(self):
+        return self.alive
 
 
 class _InlineExecutor:
@@ -301,7 +305,10 @@ class _InlineExecutor:
     mapped, each ``shutdown`` call as ``(wait, cancel_futures)`` and each
     pool process terminated, and maps inline (and lazily, as the pool's
     results are read). Its processes, ``_processes`` keyed by pid, are
-    stubs numbered from 0, and ``shutdown`` drops them, as the pool's does."""
+    stubs numbered from 0, and ``shutdown`` drops them, as the pool's does;
+    ``_broken`` is the pool's mark of a process death it has seen."""
+
+    _broken = False
 
     created: list[int] = []
     chunksizes: list[int] = []
@@ -506,32 +513,34 @@ def test_pooled_campaign_raises_for_its_first_bad_trial(monkeypatch, bad_trials,
 
 
 def _broken_map(*args, **kwargs):
-    """A pool's ``map`` once one of its processes has died: submit raises."""
+    """A pool's ``map`` once one of its processes has died."""
     raise BrokenProcessPool("A child process terminated abruptly")
 
 
-def test_a_pool_broken_while_idle_is_replaced_once(monkeypatch):
-    # a pool that broke while idle is shut down and replaced by a new one,
-    # which runs the campaign as the broken one would have
+def test_an_idle_pool_with_a_dead_process_is_replaced(monkeypatch):
+    # an idle pool whose process died, whether or not the pool has seen the
+    # death yet, is shut down when the next campaign would take it, and a
+    # new pool runs the campaign as the idle one would have
     _inline_pool(monkeypatch, 2, 4)
     config = EnsembleConfig(trials=6, dim_a=2, dim_b=2, regime=Regime.GENERAL, seed=11)
     serial = _summary_key(verify_ensemble(config))
     assert _summary_key(verify_ensemble(config, jobs=2)) == serial
-    broken = ensembles._idle[1]
-    broken.map = _broken_map
+    dead = ensembles._idle[1]
+    dead._processes[0].alive = False              # not seen by the pool
     assert _summary_key(verify_ensemble(config, jobs=2)) == serial
-    assert _InlineExecutor.created == [1, 1]
-    assert _InlineExecutor.shutdowns == [(True, False)]
-    assert ensembles._idle[1] is not broken
-    # once only: a replacement that breaks too ends the campaign, and so
-    # does a new pool that breaks, which is not replaced
+    seen = ensembles._idle[1]
+    seen._broken = "A child process terminated abruptly"   # seen
+    assert _summary_key(verify_ensemble(config, jobs=2)) == serial
+    assert _InlineExecutor.created == [1, 1, 1]
+    assert _InlineExecutor.shutdowns == [(True, False)] * 2
+    assert ensembles._idle[1] not in (dead, seen)
+    # a pool that breaks during a campaign ends it, and is not kept
     monkeypatch.setattr(_InlineExecutor, "map", _broken_map)
-    for created in ([1, 1, 1], [1, 1, 1, 1]):
-        with pytest.raises(BrokenProcessPool):
-            verify_ensemble(config, jobs=2)
-        assert _InlineExecutor.created == created
-        assert ensembles._idle is None
-    assert _InlineExecutor.terminated == [0, 0]
+    with pytest.raises(BrokenProcessPool):
+        verify_ensemble(config, jobs=2)
+    assert ensembles._idle is None
+    assert _InlineExecutor.created == [1, 1, 1]
+    assert _InlineExecutor.terminated == [0]
 
 
 class _MeetingExecutor(_InlineExecutor):
@@ -592,21 +601,20 @@ def test_pooled_campaigns_in_one_process_start_one_pool(monkeypatch):
 @pytest.mark.skipif(ensembles._usable_cpus() < 2, reason="a pool needs two usable CPUs")
 def test_a_pool_process_killed_while_idle_does_not_fail_the_next_campaign():
     # SIGKILL, as the OOM killer sends, to the idle pool's process between
-    # two campaigns: the next campaign replaces the broken pool and ends
-    # with the summary of jobs=1, not BrokenProcessPool
+    # two campaigns: the next campaign, started as soon as the process has
+    # died, whether or not the pool's manager thread has seen the death,
+    # starts a new pool and ends with the summary of jobs=1, not
+    # BrokenProcessPool
     serial = _summary_key(verify_ensemble(_POOLED_32X32))
-    before = {process.pid for process in multiprocessing.active_children()}
     assert _summary_key(verify_ensemble(_POOLED_32X32, jobs=2)) == serial
-    workers = {process.pid for process in multiprocessing.active_children()} - before
-    assert len(workers) == 1
-    for pid in workers:
-        os.kill(pid, signal.SIGKILL)
-    # a task sent to the idle pool fails once the pool's manager thread has
-    # seen the death and marked the pool broken, so that from then on a
-    # submit to it raises at once, before any range is sent
-    with pytest.raises(BrokenProcessPool):
-        ensembles._idle[1].submit(int).result(timeout=60)
-    assert _summary_key(verify_ensemble(_POOLED_32X32, jobs=2)) == serial
+    for _ in range(3):
+        processes = list(ensembles._idle[1]._processes.values())
+        assert len(processes) == 1
+        for process in processes:
+            os.kill(process.pid, signal.SIGKILL)
+        assert multiprocessing.connection.wait([p.sentinel for p in processes], timeout=60)
+        assert _summary_key(verify_ensemble(_POOLED_32X32, jobs=2)) == serial
+        assert ensembles._idle[1]._processes.keys().isdisjoint(p.pid for p in processes)
 
 
 # (digest, margin) of every trial of `verify --tol -1 --trials 20`, recorded
