@@ -20,8 +20,9 @@ The raw words become the ``integers`` and ``uniform`` draws numpy's
 ``Generator`` would make from them (Lemire's bounded method on PCG64's
 buffered 32-bit halves, and 53-bit doubles). A rare row whose split or
 weight word numpy would discard makes numpy's own calls again from its
-state instead. The arithmetic on the draws runs over the block, one path
-for every row.
+state instead. The arithmetic on the draws (:func:`_pair_rows`) runs over
+the block, one path for every row; the public generators run the same
+arithmetic on the one row of a single ``standard_normal`` call.
 """
 
 from __future__ import annotations
@@ -41,30 +42,42 @@ import numpy as np
 from .bounds import SANITY_TOL, Regime, _block_size, _blocks, _checked_blocks
 from .errors import InternalError, InvalidSplit, OutOfRange, SanityFailure, UnknownFixture
 from .measures import _Buffers
-from .states import PureState, make_state, normalize
+from .states import PureState, _require_positive, make_state, normalize
 
-_REDRAW_LIMIT = 100
-_COLLINEAR_TOL = 1e-6   # residual norm below which a Gram-Schmidt draw is retried
+_COLLINEAR_TOL = 1e-6   # first Gram-Schmidt residual below which an orthogonal draw fails
 
 WEIGHT_MODES = ("real-grid", "complex-random")
 
 
-def _haar_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return z / np.linalg.norm(z)
-
-
 def haar_state(dim_a: int, dim_b: int, rng: np.random.Generator) -> PureState:
-    """Haar-random pure state: a normalized vector of standard complex Gaussians."""
-    return PureState(dim_a, dim_b, _haar_vector(dim_a * dim_b, rng))
+    """Haar-random pure state: a normalized vector of standard complex Gaussians.
+
+    The one-row case of the campaign's draw (:func:`_haar_rows`): the real
+    parts are the first ``dim_a * dim_b`` normals of one ``standard_normal``
+    call, the imaginary parts the rest.
+    """
+    _require_positive(dim_a, dim_b)
+    z = np.empty((1, dim_a * dim_b), dtype=np.complex128)
+    _haar_rows(rng.standard_normal((1, 2 * z.size)), z)
+    return PureState(dim_a, dim_b, z[0])
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""
+    _require_positive(dim)
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def _one_pair(regime: Regime, dims: tuple[int, int], split: tuple[int, int] | None,
+              rng: np.random.Generator) -> tuple[PureState, PureState]:
+    """The one-row case of the campaign's draw (:func:`_pair_rows`): the
+    pair that one ``standard_normal`` call of its normals makes."""
+    normals = rng.standard_normal((1, _normal_count(dims, split)))
+    phi, varphi = _pair_rows(regime, normals, [split], dims, _Buffers())
+    return PureState(*dims, phi[0]), PureState(*dims, varphi[0])
 
 
 def orthogonal_pair(dim_a: int, dim_b: int,
@@ -72,24 +85,15 @@ def orthogonal_pair(dim_a: int, dim_b: int,
     """Two Haar-random states with ``|<phi|varphi>| <= 1e-12``.
 
     Gram-Schmidt on two independent draws, re-orthogonalized once for
-    good measure; near-collinear second draws are retried.
+    good measure (:func:`_pair_rows`). A second draw whose first residual
+    is below ``_COLLINEAR_TOL`` raises :class:`InternalError`: that has a
+    chance of ``(1e-12)^(D - 1)`` at ``D = dim_a * dim_b``, 1e-12 at
+    ``D = 2``.
     """
-    n = dim_a * dim_b
-    if n < 2:
+    _require_positive(dim_a, dim_b)
+    if dim_a * dim_b < 2:
         raise InvalidSplit("need a joint dimension of at least 2 for an orthogonal pair")
-    phi = _haar_vector(n, rng)
-    for _ in range(_REDRAW_LIMIT):
-        cand = _haar_vector(n, rng)
-        v = cand - np.vdot(phi, cand) * phi
-        norm = np.linalg.norm(v)
-        if norm < _COLLINEAR_TOL:
-            continue
-        v = v / norm
-        v = v - np.vdot(phi, v) * phi
-        return PureState(dim_a, dim_b, phi), PureState(dim_a, dim_b, v / np.linalg.norm(v))
-    raise InternalError(
-        f"no orthogonal partner found in {_REDRAW_LIMIT} redraws"
-    )
+    return _one_pair(Regime.ORTHOGONAL, (dim_a, dim_b), None, rng)
 
 
 def biorthogonal_pair(dim_a: int, dim_b: int, split_a: int, split_b: int,
@@ -98,17 +102,15 @@ def biorthogonal_pair(dim_a: int, dim_b: int, split_a: int, split_b: int,
 
     ``phi`` lives on the first ``split_a x split_b`` block of the local
     bases, ``varphi`` on the complementary block, so both reduced-overlap
-    traces vanish identically.
+    traces vanish identically. Each block is Haar-random
+    (:func:`_pair_rows`).
     """
+    _require_positive(dim_a, dim_b)
     if not (1 <= split_a < dim_a):
         raise InvalidSplit(f"split_a = {split_a} not in [1, {dim_a - 1}]")
     if not (1 <= split_b < dim_b):
         raise InvalidSplit(f"split_b = {split_b} not in [1, {dim_b - 1}]")
-    phi_m = np.zeros((dim_a, dim_b), dtype=np.complex128)
-    var_m = np.zeros((dim_a, dim_b), dtype=np.complex128)
-    for block in (phi_m[:split_a, :split_b], var_m[split_a:, split_b:]):
-        block[...] = _haar_vector(block.size, rng).reshape(block.shape)
-    return PureState(dim_a, dim_b, phi_m), PureState(dim_a, dim_b, var_m)
+    return _one_pair(Regime.BIORTHOGONAL, (dim_a, dim_b), (split_a, split_b), rng)
 
 
 # --- reference fixtures ----------------------------------------------------
@@ -356,8 +358,9 @@ def _scale_rows(z: np.ndarray, norms: np.ndarray) -> None:
 
 
 def _haar_rows(normals: np.ndarray, z: np.ndarray) -> None:
-    """:func:`_haar_vector` of each row of ``normals``, which holds its two
-    draws, written into the rows of ``z``."""
+    """A Haar-random vector from each row of ``normals``, written into the
+    rows of ``z``: the first half of the row is its real parts, the second
+    its imaginary parts, and the vector is divided by its norm."""
     n = normals.shape[1] // 2
     z.real, z.imag = normals[:, :n], normals[:, n:]
     _scale_rows(z, _row_norms(z))
@@ -434,12 +437,13 @@ def _weights(variates: np.ndarray, mode: str) -> tuple[np.ndarray, np.ndarray]:
     return weights[:, 0], weights[:, 1]
 
 
-def _normal_count(config: EnsembleConfig, split: tuple[int, int] | None) -> int:
-    """The normals one trial draws: two Haar vectors, or a biorthogonal pair's two blocks."""
+def _normal_count(dims: tuple[int, int], split: tuple[int, int] | None) -> int:
+    """The normals one pair draws: two Haar vectors, or a biorthogonal pair's two blocks."""
+    dim_a, dim_b = dims
     if split is None:
-        return 4 * config.dim_a * config.dim_b
+        return 4 * dim_a * dim_b
     split_a, split_b = split
-    return 2 * (split_a * split_b + (config.dim_a - split_a) * (config.dim_b - split_b))
+    return 2 * (split_a * split_b + (dim_a - split_a) * (dim_b - split_b))
 
 
 def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Generator,
@@ -470,7 +474,7 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Gener
     (:class:`supconc.measures._Buffers`).
     """
     dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
-    n, size = dim_a * dim_b, len(words)
+    dims, n, size = (dim_a, dim_b), dim_a * dim_b, len(words)
     biorthogonal = config.regime is Regime.BIORTHOGONAL
     real_grid = mode == "real-grid"
     bits = rng.bit_generator
@@ -497,7 +501,7 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Gener
                         redraw[row] = True
                 half = halves.pop() if halves else None
             splits[row] = tuple(split)
-        rng.standard_normal(out=normals[row, :_normal_count(config, splits[row])])
+        rng.standard_normal(out=normals[row, :_normal_count(dims, splits[row])])
         if not real_grid:
             raw[row] = bits.random_raw(3)
         else:
@@ -508,41 +512,39 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Gener
         bits.state = next(_pcg_states(words[row:row + 1]))
         if biorthogonal:
             splits[row] = int(rng.integers(1, dim_a)), int(rng.integers(1, dim_b))
-        rng.standard_normal(out=normals[row, :_normal_count(config, splits[row])])
+        rng.standard_normal(out=normals[row, :_normal_count(dims, splits[row])])
         variates[row] = _weight_variates(rng, mode)
     return normals, splits, variates
 
 
-def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Generator,
-                buffers: _Buffers) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The trials seeded by ``words``, rows of :func:`_seed_words`, one per row:
-    ``(alpha, beta, phi, varphi)``, the components as ``(T, dim_a, dim_b)``
-    coefficient matrices.
+def _pair_rows(regime: Regime, normals: np.ndarray, splits: list, dims: tuple[int, int],
+               buffers: _Buffers) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs of ``regime`` that the rows of ``normals`` make, one per row:
+    ``(phi, varphi)`` as ``(T, dim_a, dim_b)`` coefficient matrices.
 
-    Trial ``i`` is what the public generators draw from the state of
-    ``default_rng([mask(seed), i])``, bit for bit, in whatever block it is
-    drawn: a biorthogonal pair draws its splits by ``integers`` and then
-    :func:`biorthogonal_pair`, an orthogonal one :func:`orthogonal_pair`
-    and a general one two :func:`haar_state`; then the weights
-    (:func:`_weight_variates`). The one exception, an orthogonal candidate
-    that :func:`orthogonal_pair` would retry, has a probability below 1e-36
-    per trial (see below). :func:`_block_draws` makes each trial's
-    calls on ``rng``, the caller's generator, into which each trial loads
-    its own state. The arithmetic on those draws (Haar normalisation,
-    Gram-Schmidt, the weights) runs over all rows at once, each row in the
-    operations that one trial on its own takes.
+    The one draw arithmetic of every regime, run by a campaign on a block
+    (:func:`_draw_block`) and by the public generators on one row. A
+    general row holds two Haar vectors' normals (:func:`_haar_rows`). An
+    orthogonal row holds the same, and Gram-Schmidt takes the second vector
+    onto ``phi``'s complement twice; a first residual below
+    ``_COLLINEAR_TOL``, that is ``|<phi|cand>|^2 > 1 - 1e-12``, raises
+    :class:`InternalError`. For Haar vectors in ``C^D`` that overlap is
+    ``Beta(1, D - 1)``, so it happens with probability ``(1e-12)^(D - 1)``:
+    below 1e-36 at a campaign's ``D >= 4``, which no campaign, of fewer than
+    ``2^64 ~ 1.8e19`` trials, meets. A biorthogonal row holds, at its head,
+    the normals of a Haar vector on the ``split_a x split_b`` block of
+    ``splits[row]`` and then of one on the complementary block; the rows of
+    one split are drawn together. ``splits[row]`` is ``None`` outside the
+    biorthogonal regime.
 
-    The normals, an orthogonal pair's Gram-Schmidt scratch and the
-    component stacks are written into ``buffers``, so the stacks returned
-    hold until the next block is drawn or evaluated in the same buffers; the
-    weights are arrays of their own.
+    The components are written into ``buffers``, and an orthogonal pair's
+    Gram-Schmidt scratch into its ``"conj"``, which may hold ``normals``:
+    they are read before it is written.
     """
-    dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
-    n, size = dim_a * dim_b, len(words)
-    normals, splits, variates = _block_draws(config, words, rng, buffers)
+    dim_a, dim_b = dims
+    n, size = dim_a * dim_b, len(normals)
     phi, varphi = buffers.take("phi", (size, n)), buffers.take("varphi", (size, n))
-
-    if config.regime is Regime.BIORTHOGONAL:
+    if regime is Regime.BIORTHOGONAL:
         groups: dict[tuple[int, int], list[int]] = {}
         for row, split in enumerate(splits):
             groups.setdefault(split, []).append(row)
@@ -562,22 +564,46 @@ def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Genera
     else:
         _haar_rows(normals[:, :2 * n], phi)
         _haar_rows(normals[:, 2 * n:], varphi)
-    if config.regime is Regime.ORTHOGONAL:
-        # the two Gram-Schmidt steps of orthogonal_pair on its first
-        # candidate, in place on varphi; _row_dots(phi_conj, v) is
-        # np.vdot(phi, v) per row. The conjugate and the projection are
-        # scratch in "conj". orthogonal_pair retries a candidate whose residual
-        # is below _COLLINEAR_TOL = 1e-6, that is |<phi|cand>|^2 > 1 - 1e-12.
-        # For Haar vectors in C^n, |<phi|cand>|^2 ~ Beta(1, n - 1), so that
-        # has probability (1e-12)^(n - 1) <= 1e-36 at n = dim_a * dim_b >= 4:
-        # no campaign, of fewer than 2^64 ~ 1.8e19 trials, meets one
+    if regime is Regime.ORTHOGONAL:
+        # in place on varphi; _row_dots(phi_conj, v) is np.vdot(phi, v) per row
         phi_conj, projection = buffers.take("conj", (2, *phi.shape))
         np.conjugate(phi, out=phi_conj)
-        for _ in range(2):
+        for step in range(2):
             varphi -= np.multiply(_row_dots(phi_conj, varphi)[:, None], phi, out=projection)
-            _scale_rows(varphi, _row_norms(varphi))
-    phi, varphi = phi.reshape(size, dim_a, dim_b), varphi.reshape(size, dim_a, dim_b)
-    return (*_weights(variates, mode), phi, varphi)
+            norms = _row_norms(varphi)
+            if step == 0 and norms.min() < _COLLINEAR_TOL:
+                raise InternalError(f"an orthogonal pair's second draw left a Gram-Schmidt "
+                                    f"residual of {norms.min()!r}, below {_COLLINEAR_TOL}")
+            _scale_rows(varphi, norms)
+    return phi.reshape(size, dim_a, dim_b), varphi.reshape(size, dim_a, dim_b)
+
+
+def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Generator,
+                buffers: _Buffers) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The trials seeded by ``words``, rows of :func:`_seed_words`, one per row:
+    ``(alpha, beta, phi, varphi)``, the components as ``(T, dim_a, dim_b)``
+    coefficient matrices.
+
+    Trial ``i`` is what the public generators draw from the state of
+    ``default_rng([mask(seed), i])``, bit for bit, in whatever block it is
+    drawn: a biorthogonal pair draws its splits by ``integers`` and then
+    :func:`biorthogonal_pair`, an orthogonal one :func:`orthogonal_pair`
+    and a general one two :func:`haar_state`; then the weights
+    (:func:`_weight_variates`). :func:`_block_draws` makes each trial's
+    calls on ``rng``, the caller's generator, into which each trial loads
+    its own state. The arithmetic on those draws, :func:`_pair_rows` and
+    the weights, runs over all rows at once, each row in the operations that
+    one trial on its own takes.
+
+    The normals, the scratch of :func:`_pair_rows` and the component stacks
+    are written into ``buffers``, so the stacks returned hold until the next
+    block is drawn or evaluated in the same buffers; the weights are arrays
+    of their own.
+    """
+    normals, splits, variates = _block_draws(config, words, rng, buffers)
+    phi, varphi = _pair_rows(config.regime, normals, splits, (config.dim_a, config.dim_b),
+                             buffers)
+    return (*_weights(variates, config.weight_sampling), phi, varphi)
 
 
 def _draw_trial(config: EnsembleConfig,

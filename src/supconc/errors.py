@@ -63,7 +63,7 @@ class UnknownFixture(SupconcError, KeyError):
 
 
 class InternalError(SupconcError, RuntimeError):
-    """A bounded retry loop or internal consistency check failed."""
+    """An internal consistency check failed."""
 
 
 class SanityFailure(SupconcError, RuntimeError):

@@ -213,13 +213,14 @@ class _Buffers:
     read must be written first. Two requests under one name share their
     bytes. A campaign block's ``"conj"`` holds, one after the other, its
     normals (:func:`supconc.ensembles._block_draws`), an orthogonal pair's
-    Gram-Schmidt scratch (:func:`supconc.ensembles._draw_block`) and the
+    Gram-Schmidt scratch (:func:`supconc.ensembles._pair_rows`) and the
     conjugates of its component stacks (:func:`_gram_table`); each is read
     before the next is written.
 
     A set is made only where its blocks are owned: by a campaign range
     (:func:`supconc.ensembles._run_range`), the redraw of one trial
-    (:func:`supconc.ensembles._draw_trial`), an
+    (:func:`supconc.ensembles._draw_trial`), a public generator's one-row
+    draw (:func:`supconc.ensembles._one_pair`), an
     :func:`supconc.bounds.evaluate_batch` call and a
     :func:`supconc.bounds.classify_pair` call. Every stage below them takes
     the set as an argument.

@@ -13,12 +13,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import supconc.bounds as bounds
+import supconc.cli as cli
 import supconc.ensembles as ensembles
 import supconc.measures as measures
 
 from supconc import (
+    DimensionMismatch,
     EnsembleConfig,
     InternalError,
     InvalidSplit,
@@ -56,18 +59,137 @@ def test_haar_state_deterministic_for_seed():
     assert np.array_equal(a.amplitudes, b.amplitudes)
 
 
-def test_haar_state_component_mean():
-    # law of large numbers: E|amplitude_i|^2 = 1/(dim_a dim_b); each
-    # component is Beta(1, n-1)-distributed with variance (n-1)/(n^2 (n+1))
-    rng = np.random.default_rng(7)
-    samples = 100_000
-    n = 4
-    acc = np.zeros(n)
-    for _ in range(samples):
-        acc += np.abs(haar_state(2, 2, rng).amplitudes) ** 2
-    mean = acc / samples
-    sigma = math.sqrt((n - 1) / (n ** 2 * (n + 1)))
-    assert np.all(np.abs(mean - 1 / n) < 3 * sigma / math.sqrt(samples))
+@pytest.mark.parametrize("draw", [
+    lambda rng: haar_state(-1, 2, rng),
+    lambda rng: haar_state(2, 0, rng),
+    lambda rng: haar_unitary(-1, rng),
+    lambda rng: haar_unitary(0, rng),
+    lambda rng: orthogonal_pair(-1, -2, rng),
+    lambda rng: biorthogonal_pair(-2, 3, 1, 1, rng),
+], ids=["haar_state", "haar_state-0", "haar_unitary", "haar_unitary-0", "orthogonal_pair",
+        "biorthogonal_pair"])
+def test_bad_dimensions_fail_before_any_draw(draw):
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    with pytest.raises(DimensionMismatch, match="dimensions must be positive"):
+        draw(rng)
+    assert rng.bit_generator.state == state
+
+
+# --- exact moments of the campaign's draws ----------------------------------------
+#
+# What a campaign's pairs must be, whatever stream draws them: Haar states
+# have a mean purity Tr rho_A^2 = (d_A + d_B) / (d_A d_B + 1) (Lubkin, J. Math.
+# Phys. 19, 1028 (1978); Page, PRL 71, 1291 (1993)); two independent ones
+# have E Tr(rho_A^phi rho_A^varphi) = 1/d_A, E|<phi|varphi>|^2 = 1/D and
+# E|<phi|varphi>|^4 = 2/(D (D + 1)), D = d_A d_B; an orthogonal partner is
+# Haar on phi's complement, E[|varphi><varphi| | phi] = (I - |phi><phi|)/(D - 1),
+# so E Tr(rho_A^phi rho_A^varphi) = (d_B - E Tr rho_A^2)/(D - 1); a
+# biorthogonal pair has uniform splits, Haar blocks and cross traces of 0.
+# Each mean is held within |z| < 5 of its value, a false alarm of 5.7e-7 per
+# moment, at fixed seeds.
+
+_MOMENT_CASES = [((2, 2), 20000), ((3, 5), 10000), ((10, 10), 2000)]
+
+
+def _moment_draws(regime, dims, trials):
+    """``(alpha, beta, phi, varphi)`` of a campaign's first ``trials`` trials,
+    drawn block by block as its ranges draw them."""
+    config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1], regime=regime,
+                            seed=20240901, weight_sampling="complex-random")
+    return [np.concatenate(x) for x in zip(*(_drawn(config, range(lo, hi))
+                                            for lo, hi in bounds._blocks(0, trials, *dims)))]
+
+
+def _reduced(m):
+    """``(rho_A, rho_B)`` of a stack of coefficient matrices."""
+    return m @ m.conj().transpose(0, 2, 1), m.transpose(0, 2, 1) @ m.conj()
+
+
+def _trace_products(x, y):
+    """``Tr(x y)`` of each pair of Hermitian matrices in two stacks."""
+    return np.einsum("tij,tij->t", x, y.conj()).real
+
+
+def _purity(d_a, d_b):
+    return (d_a + d_b) / (d_a * d_b + 1)
+
+
+def _assert_block_purities(rho, rows, cols):
+    """The purities of the reduced blocks ``rho`` of Haar ``rows x cols``
+    blocks: 1 on a product block, one row or column wide, and about the Haar
+    mean on the others."""
+    purity, product = _trace_products(rho, rho), np.minimum(rows, cols) == 1
+    assert np.abs(purity[product] - 1.0).max(initial=0.0) <= 1e-12
+    if not product.all():
+        _assert_mean((purity - _purity(rows, cols))[~product], 0.0)
+
+
+def _assert_mean(samples, expected, sigma=None):
+    """The mean of ``samples`` is within 5 standard errors of ``expected``;
+    ``sigma``, the samples' standard deviation, is estimated if not given."""
+    samples = np.asarray(samples, dtype=np.float64)
+    sigma = samples.std(ddof=1) if sigma is None else sigma
+    error = samples.mean() - expected
+    assert abs(error) <= 5.0 * sigma / math.sqrt(samples.size), (
+        f"mean {samples.mean()!r}, expected {expected!r}")
+
+
+@pytest.mark.parametrize("dims,trials", _MOMENT_CASES)
+def test_general_pairs_have_their_exact_moments(dims, trials):
+    d_a, d_b = dims
+    n = d_a * d_b
+    alpha, _, phi, varphi = _moment_draws(Regime.GENERAL, dims, trials)
+    rho_phi, rho_var = _reduced(phi)[0], _reduced(varphi)[0]
+    for rho in (rho_phi, rho_var):
+        _assert_mean(_trace_products(rho, rho), _purity(d_a, d_b))
+    _assert_mean(_trace_products(rho_phi, rho_var), 1 / d_a)
+    overlap_sq = np.abs(np.einsum("tij,tij->t", phi.conj(), varphi)) ** 2
+    _assert_mean(overlap_sq, 1 / n)
+    _assert_mean(overlap_sq ** 2, 2 / (n * (n + 1)))
+    # complex-random weights: |alpha|^2 uniform on [1e-6, 1 - 1e-6], arg
+    # alpha uniform on [0, 2 pi)
+    _assert_mean(np.abs(alpha) ** 2, 0.5)
+    _assert_mean(np.cos(np.angle(alpha)), 0.0)
+    if n == 4:
+        # each |amplitude|^2 of a Haar state in C^n is Beta(1, n - 1)
+        sigma = math.sqrt((n - 1) / (n ** 2 * (n + 1)))
+        for amplitudes in (phi, varphi):
+            for column in (np.abs(amplitudes.reshape(trials, n)) ** 2).T:
+                _assert_mean(column, 1 / n, sigma)
+
+
+@pytest.mark.parametrize("dims,trials", _MOMENT_CASES)
+def test_orthogonal_pairs_have_their_exact_moments(dims, trials):
+    d_a, d_b = dims
+    n = d_a * d_b
+    _, _, phi, varphi = _moment_draws(Regime.ORTHOGONAL, dims, trials)
+    rho_phi, rho_var = _reduced(phi)[0], _reduced(varphi)[0]
+    for rho in (rho_phi, rho_var):
+        _assert_mean(_trace_products(rho, rho), _purity(d_a, d_b))
+    _assert_mean(_trace_products(rho_phi, rho_var), (d_b - _purity(d_a, d_b)) / (n - 1))
+    assert np.abs(np.einsum("tij,tij->t", phi.conj(), varphi)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dims,trials", _MOMENT_CASES)
+def test_biorthogonal_pairs_have_their_exact_moments(dims, trials):
+    d_a, d_b = dims
+    _, _, phi, varphi = _moment_draws(Regime.BIORTHOGONAL, dims, trials)
+    # phi lives on the split_a x split_b block, varphi on its complement
+    split_a = np.count_nonzero(np.any(phi != 0, axis=2), axis=1)
+    split_b = np.count_nonzero(np.any(phi != 0, axis=1), axis=1)
+    assert np.array_equal(np.count_nonzero(varphi, axis=(1, 2)),
+                          (d_a - split_a) * (d_b - split_b))
+    for split, dim in ((split_a, d_a), (split_b, d_b)):
+        p = 1 / (dim - 1)
+        for value in range(1, dim):
+            _assert_mean(split == value, p, math.sqrt(p * (1 - p)))
+    (rho_a_phi, rho_b_phi), (rho_a_var, rho_b_var) = _reduced(phi), _reduced(varphi)
+    _assert_block_purities(rho_a_phi, split_a, split_b)
+    _assert_block_purities(rho_a_var, d_a - split_a, d_b - split_b)
+    assert not _trace_products(rho_a_phi, rho_a_var).any()
+    assert not _trace_products(rho_b_phi, rho_b_var).any()
+    assert not np.einsum("tij,tij->t", phi.conj(), varphi).any()
 
 
 # <W|s> of the draws from default_rng([20240901, i]) at 2x3, in the order
@@ -939,16 +1061,37 @@ def _oracle_state_trial(config, state):
     return _oracle_draw(config, rng)
 
 
-def _oracle_draw(config, rng):
-    """``(alpha, beta, phi, varphi)`` of one trial, by the public generators on ``rng``."""
-    dims = config.dim_a, config.dim_b
+def _oracle_haar(n, rng):
+    """A Haar vector in ``C^n`` by numpy's plain per-vector calls: the real
+    parts, then the imaginary parts, divided by ``np.linalg.norm``."""
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return z / np.linalg.norm(z)
+
+
+def _oracle_pair(config, rng):
+    """``(phi, varphi)`` of one trial on ``rng``, by numpy's plain per-vector
+    calls: a biorthogonal pair's splits, then Haar vectors (an orthogonal
+    pair's second one Gram-Schmidted onto the first's complement twice, a
+    biorthogonal pair's on complementary blocks)."""
+    dims, n = (config.dim_a, config.dim_b), config.dim_a * config.dim_b
+    if config.regime is Regime.BIORTHOGONAL:
+        split_a, split_b = int(rng.integers(1, dims[0])), int(rng.integers(1, dims[1]))
+        phi, varphi = np.zeros(dims, dtype=np.complex128), np.zeros(dims, dtype=np.complex128)
+        for block in (phi[:split_a, :split_b], varphi[split_a:, split_b:]):
+            block[...] = _oracle_haar(block.size, rng).reshape(block.shape)
+        return phi, varphi
+    phi, varphi = _oracle_haar(n, rng), _oracle_haar(n, rng)
     if config.regime is Regime.ORTHOGONAL:
-        pair = orthogonal_pair(*dims, rng)
-    elif config.regime is Regime.BIORTHOGONAL:
-        split = int(rng.integers(1, dims[0])), int(rng.integers(1, dims[1]))
-        pair = biorthogonal_pair(*dims, *split, rng)
-    else:
-        pair = haar_state(*dims, rng), haar_state(*dims, rng)
+        for _ in range(2):
+            varphi = varphi - np.vdot(phi, varphi) * phi
+            varphi = varphi / np.linalg.norm(varphi)
+    return phi, varphi
+
+
+def _oracle_draw(config, rng):
+    """``(alpha, beta, phi, varphi)`` of one trial on ``rng``: its pair
+    (:func:`_oracle_pair`), then its weights by numpy's calls."""
+    phi, varphi = _oracle_pair(config, rng)
     if config.weight_sampling == "real-grid":
         a_sq = int(rng.integers(1, 100)) / 100.0
         alpha, beta = complex(math.sqrt(a_sq)), complex(math.sqrt(1.0 - a_sq))
@@ -957,7 +1100,20 @@ def _oracle_draw(config, rng):
         th = rng.uniform(0.0, 2.0 * math.pi, size=2)
         alpha = math.sqrt(mag) * complex(math.cos(th[0]), math.sin(th[0]))
         beta = math.sqrt(1.0 - mag) * complex(math.cos(th[1]), math.sin(th[1]))
-    return alpha, beta, pair[0].amplitudes, pair[1].amplitudes
+    return alpha, beta, phi, varphi
+
+
+def _public_pair(config, rng):
+    """:func:`_oracle_pair` by the public generators."""
+    dims = config.dim_a, config.dim_b
+    if config.regime is Regime.ORTHOGONAL:
+        pair = orthogonal_pair(*dims, rng)
+    elif config.regime is Regime.BIORTHOGONAL:
+        split = int(rng.integers(1, dims[0])), int(rng.integers(1, dims[1]))
+        pair = biorthogonal_pair(*dims, *split, rng)
+    else:
+        pair = haar_state(*dims, rng), haar_state(*dims, rng)
+    return pair[0].amplitudes, pair[1].amplitudes
 
 
 def _trial_bytes(alpha, beta, phi, varphi):
@@ -1012,41 +1168,33 @@ def test_draw_block_matches_public_generators(dims, trials, regime, weights):
                     == _trial_bytes(*_oracle_trial(config, index)))
         scattered = [trials - 1, 0, 2 ** 40 + 3]
         _assert_rows_match_oracle(config, scattered, _drawn(config, scattered))
+        # the public generators, the same arithmetic on one row, draw the
+        # oracle's pair and leave the generator where the oracle leaves it
+        for index in scattered:
+            public, oracle = (np.random.default_rng([ensembles._mask_seed(seed), index])
+                              for _ in range(2))
+            assert (_trial_bytes(0j, 0j, *_public_pair(config, public))
+                    == _trial_bytes(0j, 0j, *_oracle_pair(config, oracle)))
+            assert public.bit_generator.state == oracle.bit_generator.state
 
 
-def test_orthogonal_pair_redraws_collinear_candidates(monkeypatch):
-    # a tolerance of 0.9 rejects many first candidates at 2x2: orthogonal_pair
-    # draws further candidates from the same stream until one leaves a residual
-    # of 0.9, and Gram-Schmidts that one
-    monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 0.9)
-    rejected = 0
-    for index in range(40):
-        rng = np.random.default_rng([11, index])
-        phi = ensembles._haar_vector(4, rng)
-        while True:
-            cand = ensembles._haar_vector(4, rng)
-            v = cand - np.vdot(phi, cand) * phi
-            if np.linalg.norm(v) >= 0.9:
-                break
-            rejected += 1
-        v = v / np.linalg.norm(v)
-        v = v - np.vdot(phi, v) * phi
-        pair = orthogonal_pair(2, 2, np.random.default_rng([11, index]))
-        assert pair[0].amplitudes.tobytes() == phi.tobytes()
-        assert pair[1].amplitudes.tobytes() == (v / np.linalg.norm(v)).tobytes()
-    assert 0 < rejected
-
-
-def test_orthogonal_pair_redraws_are_limited(monkeypatch):
-    # no residual norm reaches 2: every candidate is rejected, and the third
-    # rejection raises a bug's InternalError after four Haar vectors
+def test_a_collinear_orthogonal_draw_is_a_bug_for_every_caller(monkeypatch):
+    # no first Gram-Schmidt residual reaches 2: the one check of the shared
+    # arithmetic raises a bug's InternalError, for the public generator after
+    # its one call of 16 normals, and for a campaign, which exits 3
     monkeypatch.setattr(ensembles, "_COLLINEAR_TOL", 2.0)
-    monkeypatch.setattr(ensembles, "_REDRAW_LIMIT", 3)
     rng, drawn = np.random.default_rng(1), np.random.default_rng(1)
-    with pytest.raises(InternalError, match="no orthogonal partner found in 3 redraws"):
+    with pytest.raises(InternalError, match="Gram-Schmidt residual"):
         orthogonal_pair(2, 2, rng)
-    drawn.standard_normal(4 * 2 * 4)
+    drawn.standard_normal(16)
     assert rng.bit_generator.state == drawn.bit_generator.state
+    config = EnsembleConfig(trials=8, dim_a=2, dim_b=2, regime=Regime.ORTHOGONAL, seed=1)
+    with pytest.raises(InternalError, match="Gram-Schmidt residual"):
+        verify_ensemble(config)
+    result = CliRunner().invoke(cli.main, ["verify", "--trials", "8", "--dims", "2", "2",
+                                           "--regime", "orthogonal", "--seed", "1"])
+    assert result.exit_code == 3
+    assert "Gram-Schmidt residual" in result.stderr
 
 
 # --- raw-word draws against numpy's own calls -------------------------------------
@@ -1076,7 +1224,7 @@ def _assert_draws_equal(config, drawn, expected):
     assert splits == expected[1]
     assert variates.tobytes() == expected[2].tobytes()
     for row, split in enumerate(splits):
-        count = ensembles._normal_count(config, split)
+        count = ensembles._normal_count((config.dim_a, config.dim_b), split)
         assert normals[row, :count].tobytes() == expected[0][row, :count].tobytes(), f"row {row}"
 
 
@@ -1212,7 +1360,7 @@ def test_lemire_redraws_go_through_numpy_calls(monkeypatch, dim_a, dim_b, regime
     split = None
     if regime is Regime.BIORTHOGONAL:
         split = int(rng.integers(1, dim_a)), int(rng.integers(1, dim_b))
-    rng.standard_normal(ensembles._normal_count(config, split))
+    rng.standard_normal(ensembles._normal_count((config.dim_a, config.dim_b), split))
     weight = int(rng.integers(1, 100))
     words = np.zeros((2, 4), dtype=np.uint64)
     words[1, 0] = 1
