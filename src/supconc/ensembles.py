@@ -8,27 +8,29 @@ bit-identical for a given config no matter how trials are scheduled,
 including across worker processes. A campaign runs as ranges of trials,
 each of which seeds, draws, evaluates and judges its own trials a chunk of
 evaluation blocks at a time, so its memory grows with the violations it
-records and not with its length. The generator states of a chunk's trials
-are computed together, and its trials are drawn a block at a time, their
-states loaded one by one into the range's own generator, so campaigns run
-in threads share none; every block of a range is drawn and evaluated in
-the range's one set of block buffers. Each trial makes three calls on the
-generator: the state load, one ``standard_normal`` of all its normals and
-one ``random_raw`` of its weight words, plus one ``random_raw`` for a
-biorthogonal pair's splits.
+records and not with its length. The seed words of a chunk's trials are
+computed together, and its trials are drawn a block at a time, each trial
+in a generator of its own that numpy's PCG64 seeds from its words
+(:func:`_trial_generator`), so campaigns run in threads share none; every
+block of a range is drawn and evaluated in the range's one set of block
+buffers. Each trial makes one ``standard_normal`` call of all its normals
+and one ``random_raw`` of its weight words on its generator, plus one
+``random_raw`` for a biorthogonal pair's splits.
 The raw words become the ``integers`` and ``uniform`` draws numpy's
 ``Generator`` would make from them (Lemire's bounded method on PCG64's
 buffered 32-bit halves, and 53-bit doubles). A rare row whose split or
-weight word numpy would discard makes numpy's own calls again from its
-state instead. The arithmetic on the draws (:func:`_pair_rows`) runs over
-the block, one path for every row; the public generators run the same
-arithmetic on the one row of a single ``standard_normal`` call.
+weight word numpy would discard makes numpy's own calls again on a new
+generator of its trial instead. The arithmetic on the draws
+(:func:`_pair_rows`) runs over the block, one path for every row; the
+public generators run the same arithmetic on the one row of a single
+``standard_normal`` call.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing.connection
 import numbers
 import os
 import signal
@@ -249,12 +251,11 @@ def _mask_seed(seed: int) -> int:
 #
 # Trial i of a campaign draws from np.random.default_rng([mask(seed), i]):
 # a PCG64 seeded by SeedSequence([mask(seed), i]) (NEP 19). Building that
-# generator costs more than most small trials; its seeding is integer
-# arithmetic, done here for a chunk of trials at once.
+# SeedSequence costs more than most small trials; the words it generates
+# for PCG64 are integer arithmetic, done here for a chunk of trials at once,
+# and numpy's PCG64 is seeded from them.
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG64's 128-bit LCG multiplier
 
 
 def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
@@ -320,18 +321,29 @@ def _seed_words(seed: int, indices) -> np.ndarray:
     return (state[0::2] | state[1::2] << np.uint64(32)).T
 
 
-def _pcg_states(words: np.ndarray):
-    """PCG64's ``bit_generator.state`` seeded by each row of :func:`_seed_words`.
+class _TrialSeed(np.random.bit_generator.ISeedSequence):
+    """The seed sequence of one trial for PCG64: its row of :func:`_seed_words`."""
 
-    PCG64 takes the first two words as its initial state and the last two
-    as its stream, sets ``inc = 2 * stream + 1``, steps its LCG
-    ``s -> s * M + inc`` from 0, adds the initial state and steps once more.
-    """
-    for s_hi, s_lo, i_hi, i_lo in words.tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-               "has_uint32": 0, "uinteger": 0}
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        """The row, for PCG64's one request of 4 uint64 words, as a C-contiguous array.
+
+        PCG64 reads the words through the array's data pointer, so a strided
+        row, as :func:`_seed_words` returns, is copied. Any other request,
+        or a row of another size, is a bug.
+        """
+        state = np.ascontiguousarray(self.words, dtype=np.uint64)
+        if n_words != 4 or np.dtype(dtype) != np.uint64 or state.shape != (4,):
+            raise InternalError(f"{n_words} {np.dtype(dtype)} words of a {state.shape} trial seed")
+        return state
+
+
+def _trial_generator(words: np.ndarray) -> np.random.Generator:
+    """The generator of ``default_rng([mask(seed), i])`` for trial ``i``,
+    numpy's PCG64 seeded from the trial's row of :func:`_seed_words`."""
+    return np.random.Generator(np.random.PCG64(_TrialSeed(words)))
 
 
 # --- trial drawing --------------------------------------------------------------
@@ -446,38 +458,37 @@ def _normal_count(dims: tuple[int, int], split: tuple[int, int] | None) -> int:
     return 2 * (split_a * split_b + (dim_a - split_a) * (dim_b - split_b))
 
 
-def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Generator,
+def _block_draws(config: EnsembleConfig, words: np.ndarray,
                  buffers: _Buffers) -> tuple[np.ndarray, list, np.ndarray]:
     """The generator draws of the trials seeded by ``words``:
     ``(normals, splits, variates)``.
 
     A trial draws its splits by ``integers`` if it is biorthogonal, then the
     normals of :func:`biorthogonal_pair`, :func:`orthogonal_pair` or two
-    :func:`haar_state`, then :func:`_weight_variates`. Each trial makes
-    three calls on ``rng``, the caller's generator: it loads its PCG64
-    state, draws all its normals with one ``standard_normal`` and its weight
-    words with one ``random_raw`` (one word on the real grid, three for
-    complex-random weights). A biorthogonal trial first draws one more word
-    for its two splits, unless both sides are 2. The words are turned into
-    ``integers`` and ``uniform`` draws as numpy turns them (see above): the
-    splits trial by trial, since they set how many normals follow, and the
-    weights over the whole block. A split that draws one 32-bit half leaves
-    the other buffered, and a real-grid weight takes it instead of a fresh
-    word. Where numpy would discard a word and draw again (Lemire's method,
+    :func:`haar_state`, then :func:`_weight_variates`. Each trial draws on
+    a generator of its own (:func:`_trial_generator`): all its normals with
+    one ``standard_normal`` and its weight words with one ``random_raw``
+    (one word on the real grid, three for complex-random weights). A
+    biorthogonal trial first draws one more word for its two splits, unless
+    both sides are 2. The words are turned into ``integers`` and
+    ``uniform`` draws as numpy turns them (see above): the splits trial by
+    trial, since they set how many normals follow, and the weights over the
+    whole block. A split that draws one 32-bit half leaves the other
+    buffered, and a real-grid weight takes it instead of a fresh word.
+    Where numpy would discard a word and draw again (Lemire's method,
     ``2**32 mod span`` in ``2**32`` per 32-bit draw: 4 for a weight's span
-    of 99), the row reloads its state and makes numpy's own calls instead:
-    ``integers`` for the splits, ``standard_normal`` into the same row and
-    :func:`_weight_variates`. ``splits[row]`` is ``None`` outside the
-    biorthogonal regime; a biorthogonal row holds its normals at its head,
-    and what follows them is left as the buffer held it. The normals are
-    drawn into the ``"conj"`` buffer of ``buffers``
+    of 99), the row makes numpy's own calls instead, on a new generator of
+    its trial: ``integers`` for the splits, ``standard_normal`` into the
+    same row and :func:`_weight_variates`. ``splits[row]`` is ``None``
+    outside the biorthogonal regime; a biorthogonal row holds its normals
+    at its head, and what follows them is left as the buffer held it. The
+    normals are drawn into the ``"conj"`` buffer of ``buffers``
     (:class:`supconc.measures._Buffers`).
     """
     dim_a, dim_b, mode = config.dim_a, config.dim_b, config.weight_sampling
     dims, n, size = (dim_a, dim_b), dim_a * dim_b, len(words)
     biorthogonal = config.regime is Regime.BIORTHOGONAL
     real_grid = mode == "real-grid"
-    bits = rng.bit_generator
     # a row's 4n normals take the bytes of its 2n conjugate amplitudes; a
     # biorthogonal pair fills two complementary blocks, at most 2n normals
     normals = buffers.take("conj", (size, 4 * n), np.float64)
@@ -486,8 +497,8 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Gener
     redraw = np.zeros(size, dtype=bool)
     # (side, span) of the splits that draw, each from the next 32-bit half
     split_spans = [(side, dim - 1) for side, dim in enumerate((dim_a, dim_b)) if dim > 2]
-    for row, state in enumerate(_pcg_states(words)):
-        bits.state = state
+    for row, rng in enumerate(map(_trial_generator, words)):
+        bits = rng.bit_generator
         half = None   # a 32-bit half the splits left buffered
         if biorthogonal:
             split = [1, 1]
@@ -509,7 +520,7 @@ def _block_draws(config: EnsembleConfig, words: np.ndarray, rng: np.random.Gener
 
     variates, weight_redraw = _weights_from_raw(raw, mode)
     for row in np.flatnonzero(redraw | weight_redraw).tolist():
-        bits.state = next(_pcg_states(words[row:row + 1]))
+        rng = _trial_generator(words[row])
         if biorthogonal:
             splits[row] = int(rng.integers(1, dim_a)), int(rng.integers(1, dim_b))
         rng.standard_normal(out=normals[row, :_normal_count(dims, splits[row])])
@@ -578,7 +589,7 @@ def _pair_rows(regime: Regime, normals: np.ndarray, splits: list, dims: tuple[in
     return phi.reshape(size, dim_a, dim_b), varphi.reshape(size, dim_a, dim_b)
 
 
-def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Generator,
+def _draw_block(config: EnsembleConfig, words: np.ndarray,
                 buffers: _Buffers) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The trials seeded by ``words``, rows of :func:`_seed_words`, one per row:
     ``(alpha, beta, phi, varphi)``, the components as ``(T, dim_a, dim_b)``
@@ -590,17 +601,16 @@ def _draw_block(config: EnsembleConfig, words: np.ndarray, rng: np.random.Genera
     :func:`biorthogonal_pair`, an orthogonal one :func:`orthogonal_pair`
     and a general one two :func:`haar_state`; then the weights
     (:func:`_weight_variates`). :func:`_block_draws` makes each trial's
-    calls on ``rng``, the caller's generator, into which each trial loads
-    its own state. The arithmetic on those draws, :func:`_pair_rows` and
-    the weights, runs over all rows at once, each row in the operations that
-    one trial on its own takes.
+    calls on a generator of the trial's own. The arithmetic on those draws,
+    :func:`_pair_rows` and the weights, runs over all rows at once, each row
+    in the operations that one trial on its own takes.
 
     The normals, the scratch of :func:`_pair_rows` and the component stacks
     are written into ``buffers``, so the stacks returned hold until the next
     block is drawn or evaluated in the same buffers; the weights are arrays
     of their own.
     """
-    normals, splits, variates = _block_draws(config, words, rng, buffers)
+    normals, splits, variates = _block_draws(config, words, buffers)
     phi, varphi = _pair_rows(config.regime, normals, splits, (config.dim_a, config.dim_b),
                              buffers)
     return (*_weights(variates, config.weight_sampling), phi, varphi)
@@ -612,11 +622,9 @@ def _draw_trial(config: EnsembleConfig,
 
     The one-row block draw (:func:`_draw_block`), so the same trial is
     redrawn, bit for bit, in whatever block or process draws it and
-    whenever it is digested; it makes its own generator and buffers.
+    whenever it is digested; it makes its own buffers.
     """
-    alpha, beta, phi, varphi = _draw_block(config, _seed_words(config.seed, [index]),
-                                           np.random.Generator(np.random.PCG64(0)), _Buffers())
-    return alpha[0], beta[0], phi[0], varphi[0]
+    return tuple(x[0] for x in _draw_block(config, _seed_words(config.seed, [index]), _Buffers()))
 
 
 def _digest(alpha: complex, beta: complex, phi: np.ndarray, varphi: np.ndarray) -> str:
@@ -629,13 +637,13 @@ def _digest(alpha: complex, beta: complex, phi: np.ndarray, varphi: np.ndarray) 
     return h.hexdigest()[:12]
 
 
-def _trial_rows(config: EnsembleConfig, start: int, stop: int, rng: np.random.Generator,
+def _trial_rows(config: EnsembleConfig, start: int, stop: int,
                 buffers: _Buffers) -> np.ndarray:
     """Seed, draw and evaluate trials ``[start, stop)``: one row per trial.
 
-    The trials' generators are seeded together (:func:`_seed_words`) and
-    drawn block by block (:func:`supconc.bounds._blocks`,
-    :func:`_draw_block`), their states loaded into ``rng`` and every block
+    The trials' seed words are computed together (:func:`_seed_words`) and
+    the trials drawn block by block (:func:`supconc.bounds._blocks`,
+    :func:`_draw_block`), each on a generator of its own, and every block
     drawn and evaluated in ``buffers``, as the evaluation core
     (:func:`supconc.bounds._checked_blocks`) takes the blocks: it reduces
     each block to the columns of its component stage, so only the columns
@@ -650,7 +658,7 @@ def _trial_rows(config: EnsembleConfig, start: int, stop: int, rng: np.random.Ge
     """
     words = _seed_words(config.seed, range(start, stop))
     dims = (config.dim_a, config.dim_b)
-    blocks = (_draw_block(config, words[lo - start:hi - start], rng, buffers)
+    blocks = (_draw_block(config, words[lo - start:hi - start], buffers)
               for lo, hi in _blocks(start, stop, *dims))
     try:
         alpha, beta, batch = _checked_blocks(blocks, dims, buffers, limit=math.inf)
@@ -671,22 +679,21 @@ def _trial_rows(config: EnsembleConfig, start: int, stop: int, rng: np.random.Ge
 # maximum over no value is -inf.
 
 
-def _judged(config: EnsembleConfig, start: int, stop: int, rng: np.random.Generator,
-            buffers: _Buffers) -> tuple:
+def _judged(config: EnsembleConfig, start: int, stop: int, buffers: _Buffers) -> tuple:
     """The partial summary of trials ``[start, stop)``, from their rows (:func:`_trial_rows`).
 
     A violation is a trial whose margin ``max(upper slack, -lower slack,
     closed-form error)`` passes ``config.tol``; the violating trials are
     redrawn together, in blocks, for their digests. The rows and the
-    digests are drawn with ``rng`` in ``buffers``, the range's.
+    digests are drawn in ``buffers``, the range's.
     """
-    upper, lower, formula, excess = _trial_rows(config, start, stop, rng, buffers).T
+    upper, lower, formula, excess = _trial_rows(config, start, stop, buffers).T
     margin = np.maximum(np.maximum(upper, -lower), np.nan_to_num(formula, nan=0.0))
     flagged = np.flatnonzero(margin > config.tol).tolist()
     digests = []
     for lo, hi in _blocks(0, len(flagged), config.dim_a, config.dim_b):
         words = _seed_words(config.seed, [start + row for row in flagged[lo:hi]])
-        digests += map(_digest, *_draw_block(config, words, rng, buffers))
+        digests += map(_digest, *_draw_block(config, words, buffers))
     violations = [Violation(config.seed, start + row, digest, float(margin[row]))
                   for row, digest in zip(flagged, digests)]
     # fmax skips NaN; np.nanmax would warn on an all-NaN column
@@ -726,14 +733,14 @@ def _run_range(config: EnsembleConfig, start: int, stop: int) -> tuple:
     each seeded, drawn, evaluated (:func:`_trial_rows`) and judged
     (:func:`_judged`) on its own, so the range's memory grows with its
     violations and not with its length; the chunks' partial summaries are
-    merged as they come. The range builds one generator, which every trial
-    and digest redraw loads its state into, and one set of block buffers
+    merged as they come. The range makes one set of block buffers
     (:class:`supconc.measures._Buffers`), which every block is drawn and
-    evaluated in.
+    evaluated in; each trial, and each digest redraw, is drawn on a
+    generator of its own.
     """
     step = _CHUNK_BLOCKS * _block_size(config.dim_a, config.dim_b)
-    rng, buffers = np.random.Generator(np.random.PCG64(0)), _Buffers()
-    return _merged(_judged(config, lo, min(lo + step, stop), rng, buffers)
+    buffers = _Buffers()
+    return _merged(_judged(config, lo, min(lo + step, stop), buffers)
                    for lo in range(start, stop, step))
 
 
@@ -817,11 +824,12 @@ def _idle_pool(processes: int) -> ProcessPoolExecutor | None:
         return None
     size, pool = idle
     # Python 3.10-3.14 name the processes only in the private _processes,
-    # and mark a pool whose process death they have seen in _broken. That
-    # mark is read last: the pool's manager thread sets it before it reaps
-    # the dead process, after which is_alive cannot tell the death
-    if size == processes and all(
-            process.is_alive() for process in pool._processes.values()) and not pool._broken:
+    # and mark a pool whose process death they have seen in _broken. A
+    # process's sentinel is ready from its exit on, before and after it is
+    # reaped, whereas is_alive, a waitpid, reads an exited process that is
+    # not yet a zombie as running
+    if size == processes and not pool._broken and not multiprocessing.connection.wait(
+            [process.sentinel for process in pool._processes.values()], timeout=0):
         return pool
     pool.shutdown(wait=True)
     return None

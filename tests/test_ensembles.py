@@ -409,16 +409,24 @@ def test_ensemble_config_rejects_non_real_tol(tol):
 
 class _StubProcess:
     """A pool process, numbered ``pid``, that records each call to terminate it
-    in ``terminated``, and is alive until ``alive`` is set false."""
+    in ``terminated``. Its ``sentinel`` is the read end of a real pipe, ready
+    once :meth:`exit` closes the write end, as a process's is once it exits;
+    ``is_alive`` reads True throughout, as it does for a process that has
+    exited but is not yet a zombie."""
 
     def __init__(self, pid, terminated):
-        self.pid, self._terminated, self.alive = pid, terminated, True
+        self.pid, self._terminated = pid, terminated
+        self._reader, self._writer = multiprocessing.Pipe(duplex=False)
+        self.sentinel = self._reader.fileno()
 
     def terminate(self):
         self._terminated.append(self.pid)
 
     def is_alive(self):
-        return self.alive
+        return True
+
+    def exit(self):
+        self._writer.close()
 
 
 class _InlineExecutor:
@@ -648,7 +656,7 @@ def test_an_idle_pool_with_a_dead_process_is_replaced(monkeypatch):
     serial = _summary_key(verify_ensemble(config))
     assert _summary_key(verify_ensemble(config, jobs=2)) == serial
     dead = ensembles._idle[1]
-    dead._processes[0].alive = False              # not seen by the pool
+    dead._processes[0].exit()                     # not seen by the pool
     assert _summary_key(verify_ensemble(config, jobs=2)) == serial
     seen = ensembles._idle[1]
     seen._broken = "A child process terminated abruptly"   # seen
@@ -663,6 +671,22 @@ def test_an_idle_pool_with_a_dead_process_is_replaced(monkeypatch):
     assert ensembles._idle is None
     assert _InlineExecutor.created == [1, 1, 1]
     assert _InlineExecutor.terminated == [0]
+
+
+@pytest.mark.parametrize("exited", [[], [0], [1], [0, 1]])
+def test_an_idle_pool_whose_process_exited_unreaped_is_not_taken(monkeypatch, exited):
+    # between a pool process's exit and its reaping, its sentinel is ready
+    # and is_alive still reads it as running: a pool with such a process is
+    # shut down and its processes waited for, not handed to the next campaign
+    _inline_pool(monkeypatch, 3, 4)
+    pool = _InlineExecutor(2)
+    for pid in exited:
+        pool._processes[pid].exit()
+    assert all(process.is_alive() for process in pool._processes.values())
+    monkeypatch.setattr(ensembles, "_idle", (2, pool))
+    assert ensembles._idle_pool(2) is (None if exited else pool)
+    assert ensembles._idle is None
+    assert _InlineExecutor.shutdowns == ([(True, False)] if exited else [])
 
 
 class _MeetingExecutor(_InlineExecutor):
@@ -1032,21 +1056,43 @@ def test_seeding_matches_default_rng(seed):
     masked = ensembles._mask_seed(seed)
     words = ensembles._seed_words(seed, _INDICES)
     assert words.dtype == np.uint64 and words.shape == (len(_INDICES), 4)
+    # each row seeds default_rng's PCG64 state, and so does a copy of it whose
+    # words are strided, which PCG64 would misread were it not copied
+    strided = np.zeros((4, 3), dtype=np.uint64)
     for row, index in zip(words, _INDICES):
         expected = np.random.SeedSequence([masked, index]).generate_state(4, np.uint64)
         assert np.array_equal(row, expected)
-    assert list(ensembles._pcg_states(words)) == [
-        np.random.default_rng([masked, index]).bit_generator.state for index in _INDICES]
+        state = np.random.default_rng([masked, index]).bit_generator.state
+        assert ensembles._trial_generator(row).bit_generator.state == state
+        strided[:, 1] = row
+        assert not strided[:, 1].flags.c_contiguous
+        assert ensembles._trial_generator(strided[:, 1]).bit_generator.state == state
 
 
-def _generator():
-    """A generator for a draw's caller to load trial states into."""
-    return np.random.Generator(np.random.PCG64(0))
+@pytest.mark.parametrize("n_words,dtype,row", [
+    (8, np.uint32, 4), (4, np.uint32, 4), (2, np.uint64, 4), (5, np.uint64, 4),
+    (4, np.int64, 4), (4, np.uint64, 3), (4, np.uint64, 5)])
+def test_trial_seeds_generate_only_their_4_uint64_words(n_words, dtype, row):
+    # a PCG64 asks for 4 uint64 words; another request, or a row of another
+    # size, would seed a state from words the row does not hold
+    words = ensembles._seed_words(7, range(3))[1]
+    seed = ensembles._TrialSeed(np.resize(words, row))
+    with pytest.raises(InternalError, match="words of a .* trial seed"):
+        seed.generate_state(n_words, dtype)
+    state = ensembles._TrialSeed(words).generate_state(4, np.uint64)
+    assert state.flags.c_contiguous and np.array_equal(state, words)
+
+
+def _state_generator(state):
+    """A generator at the PCG64 ``state``."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = state
+    return rng
 
 
 def _rows(config, start, stop):
     """The rows of trials ``[start, stop)`` as a range of their own computes them."""
-    return ensembles._trial_rows(config, start, stop, _generator(), _Buffers())
+    return ensembles._trial_rows(config, start, stop, _Buffers())
 
 
 def _oracle_trial(config, index):
@@ -1056,9 +1102,7 @@ def _oracle_trial(config, index):
 
 def _oracle_state_trial(config, state):
     """The trial the public generators draw from the PCG64 ``state``."""
-    rng = _generator()
-    rng.bit_generator.state = state
-    return _oracle_draw(config, rng)
+    return _oracle_draw(config, _state_generator(state))
 
 
 def _oracle_haar(n, rng):
@@ -1124,7 +1168,7 @@ def _trial_bytes(alpha, beta, phi, varphi):
 def _drawn(config, indices):
     """Trials ``indices`` of a campaign, drawn as one block."""
     return ensembles._draw_block(config, ensembles._seed_words(config.seed, indices),
-                                 _generator(), _Buffers())
+                                 _Buffers())
 
 
 def _assert_rows_match_oracle(config, indices, drawn):
@@ -1200,15 +1244,16 @@ def test_a_collinear_orthogonal_draw_is_a_bug_for_every_caller(monkeypatch):
 # --- raw-word draws against numpy's own calls -------------------------------------
 
 
-def _per_call_draws(config, words, rng, buffers):
-    """``_block_draws`` through numpy's own calls on ``rng``: for each trial a state
-    load, the splits by ``integers``, one ``standard_normal`` and ``_weight_variates``.
-    The normals are an array of their own; ``buffers`` is not used."""
+def _per_call_draws(config, words, buffers):
+    """``_block_draws`` through numpy's own calls: for each trial its generator
+    (``_trial_generator``), the splits by ``integers``, one ``standard_normal``
+    and ``_weight_variates``. The normals are an array of their own;
+    ``buffers`` is not used."""
     dim_a, dim_b = config.dim_a, config.dim_b
     normals = np.zeros((len(words), 4 * dim_a * dim_b))
     splits, variates = [], []
-    for row, state in enumerate(ensembles._pcg_states(words)):
-        rng.bit_generator.state = state
+    for row, seed in enumerate(words):
+        rng = ensembles._trial_generator(seed)
         split, count = None, 4 * dim_a * dim_b
         if config.regime is Regime.BIORTHOGONAL:
             split = int(rng.integers(1, dim_a)), int(rng.integers(1, dim_b))
@@ -1239,27 +1284,27 @@ def test_raw_word_draws_match_numpy_calls(monkeypatch, dims, trials, regime, wei
         config = EnsembleConfig(trials=trials, dim_a=dims[0], dim_b=dims[1], regime=regime,
                                 seed=seed, weight_sampling=weights)
         words = ensembles._seed_words(seed, np.arange(trials))
-        expected = _per_call_draws(config, words, _generator(), _Buffers())
-        _assert_draws_equal(
-            config, ensembles._block_draws(config, words, _generator(), _Buffers()), expected)
+        expected = _per_call_draws(config, words, _Buffers())
+        _assert_draws_equal(config, ensembles._block_draws(config, words, _Buffers()), expected)
         cuts = [0, *sorted(np.random.default_rng([trials, 5]).choice(
             np.arange(1, trials), size=4, replace=False).tolist()), trials]
-        parts = [ensembles._block_draws(config, words[lo:hi], _generator(), _Buffers())
+        parts = [ensembles._block_draws(config, words[lo:hi], _Buffers())
                  for lo, hi in zip(cuts, cuts[1:])]
         _assert_draws_equal(config, (np.concatenate([p[0] for p in parts]),
                                      [s for p in parts for s in p[1]],
                                      np.concatenate([p[2] for p in parts])), expected)
         # the whole trial, arithmetic included, is the per-call draws' trial
-        whole = ensembles._draw_block(config, words, _generator(), _Buffers())
+        whole = ensembles._draw_block(config, words, _Buffers())
         with monkeypatch.context() as patch:
             patch.setattr(ensembles, "_block_draws", _per_call_draws)
-            reference = ensembles._draw_block(config, words, _generator(), _Buffers())
+            reference = ensembles._draw_block(config, words, _Buffers())
         for part, ref in zip(whole, reference):
             assert part.tobytes() == ref.tobytes()
 
 
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG64's 128-bit LCG multiplier
 
 
 def _state_before(output, inc, high):
@@ -1270,11 +1315,11 @@ def _state_before(output, inc, high):
     """
     rot = high >> 58
     lo = high ^ ((output << rot | output >> (64 - rot)) & _MASK64 if rot else output)
-    return (((high << 64 | lo) - inc) * pow(ensembles._PCG_MULT, -1, 1 << 128)) & _MASK128
+    return (((high << 64 | lo) - inc) * pow(_PCG_MULT, -1, 1 << 128)) & _MASK128
 
 
 def _steps_back(state, inc, steps):
-    inverse = pow(ensembles._PCG_MULT, -1, 1 << 128)
+    inverse = pow(_PCG_MULT, -1, 1 << 128)
     for _ in range(steps):
         state = ((state - inc) * inverse) & _MASK128
     return state
@@ -1339,12 +1384,12 @@ def _logged_variates(monkeypatch):
 
 
 def _logged_replays(monkeypatch, states):
-    """Load ``states[w]`` for a row whose first seed word is ``w``, and log the
-    rows of each state load (the block's, then the replays') and each
-    ``_weight_variates`` call."""
+    """Give a row whose first seed word is ``w`` a generator at ``states[w]``,
+    and log ``w`` for each generator made (the block's rows, then the
+    replays') and each ``_weight_variates`` call."""
     loads = []
-    monkeypatch.setattr(ensembles, "_pcg_states", lambda words: (
-        loads.append(words[:, 0].tolist()) or (states[row] for row in loads[-1])))
+    monkeypatch.setattr(ensembles, "_trial_generator", lambda words: (
+        loads.append(int(words[0])) or _state_generator(states[loads[-1]])))
     return loads, _logged_variates(monkeypatch)
 
 
@@ -1355,8 +1400,7 @@ def test_lemire_redraws_go_through_numpy_calls(monkeypatch, dim_a, dim_b, regime
     # draws that trial again through numpy's own calls: its draws are numpy's
     state = make_state()
     config = EnsembleConfig(trials=1, dim_a=dim_a, dim_b=dim_b, regime=regime, seed=0)
-    rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = state
+    rng = _state_generator(state)
     split = None
     if regime is Regime.BIORTHOGONAL:
         split = int(rng.integers(1, dim_a)), int(rng.integers(1, dim_b))
@@ -1365,13 +1409,13 @@ def test_lemire_redraws_go_through_numpy_calls(monkeypatch, dim_a, dim_b, regime
     words = np.zeros((2, 4), dtype=np.uint64)
     words[1, 0] = 1
     loads, variates = _logged_replays(monkeypatch, [state, state])
-    drawn = ensembles._block_draws(config, words, _generator(), _Buffers())
-    assert loads[1:] == ([[0], [1]] if redrawn else [])
-    assert len(variates) == len(loads) - 1
+    drawn = ensembles._block_draws(config, words, _Buffers())
+    assert loads == [0, 1] + ([0, 1] if redrawn else [])
+    assert len(variates) == len(loads) - 2
     assert drawn[1] == [split, split]
     assert drawn[2].tolist() == [[weight], [weight]]
-    _assert_draws_equal(config, drawn, _per_call_draws(config, words, _generator(), _Buffers()))
-    drawn = ensembles._draw_block(config, words, _generator(), _Buffers())
+    _assert_draws_equal(config, drawn, _per_call_draws(config, words, _Buffers()))
+    drawn = ensembles._draw_block(config, words, _Buffers())
     assert drawn[0].tolist() == [math.sqrt(weight / 100.0)] * 2
     for row in range(2):
         assert (_trial_bytes(*(x[row] for x in drawn))
@@ -1390,17 +1434,17 @@ def test_lemire_redraws_go_through_numpy_calls(monkeypatch, dim_a, dim_b, regime
 ])
 def test_blocks_redraw_exactly_their_flagged_rows(monkeypatch, dim_a, dim_b, regime,
                                                   make_states, flagged):
-    # each row of the block loads its own state, wherever it is drawn or
-    # redrawn, so a loop that redraws the wrong row, or from the wrong
-    # state, leaves a row unlike its trial
+    # each row of the block draws on a generator of its own, wherever it is
+    # drawn or redrawn, so a loop that redraws the wrong row, or from the
+    # wrong seed, leaves a row unlike its trial
     states = make_states()
     config = EnsembleConfig(trials=len(states), dim_a=dim_a, dim_b=dim_b, regime=regime,
                             seed=0)
     words = np.zeros((len(states), 4), dtype=np.uint64)
     words[:, 0] = np.arange(len(states))
     loads, variates = _logged_replays(monkeypatch, states)
-    drawn = ensembles._draw_block(config, words, _generator(), _Buffers())
-    assert loads == [list(range(len(states))), *([row] for row in flagged)]
+    drawn = ensembles._draw_block(config, words, _Buffers())
+    assert loads == [*range(len(states)), *flagged]
     assert len(variates) == len(flagged)
     for row, state in enumerate(states):
         assert (_trial_bytes(*(x[row] for x in drawn))
@@ -1418,19 +1462,10 @@ def test_lemire_states_are_built_as_described():
 
 
 class _LoggedBits:
-    """A PCG64 that logs state loads and ``random_raw`` calls."""
+    """A PCG64 that logs ``random_raw`` calls."""
 
     def __init__(self, bits, log):
         self._bits, self._log = bits, log
-
-    @property
-    def state(self):
-        return self._bits.state
-
-    @state.setter
-    def state(self, value):
-        self._log.append("state")
-        self._bits.state = value
 
     def random_raw(self, *args):
         self._log.append("random_raw")
@@ -1441,13 +1476,15 @@ class _LoggedBits:
 @pytest.mark.parametrize("regime", list(Regime))
 @pytest.mark.parametrize("weights", ["real-grid", "complex-random"])
 def test_trials_make_three_generator_calls(monkeypatch, dims, regime, weights):
-    # a state load, one standard_normal and one random_raw per trial, and one
-    # more random_raw for the splits of a biorthogonal pair with a side above 2
+    # a generator of its own, one standard_normal and one random_raw per
+    # trial, and one more random_raw for the splits of a biorthogonal pair
+    # with a side above 2
     log = []
     real_generator = np.random.Generator
 
     class LoggedGenerator:
         def __init__(self, bits):
+            log.append("Generator")
             self._rng = real_generator(bits)
             self.bit_generator = _LoggedBits(bits, log)
 
@@ -1463,8 +1500,8 @@ def test_trials_make_three_generator_calls(monkeypatch, dims, regime, weights):
     split_words = trials if regime is Regime.BIORTHOGONAL and max(dims) > 2 else 0
     # a split that draws one half leaves the other for a real-grid weight
     carried = trials if split_words and min(dims) == 2 and weights == "real-grid" else 0
-    assert sorted(set(log)) == ["random_raw", "standard_normal", "state"]
-    assert log.count("state") == log.count("standard_normal") == trials
+    assert sorted(set(log)) == ["Generator", "random_raw", "standard_normal"]
+    assert log.count("Generator") == log.count("standard_normal") == trials
     assert log.count("random_raw") == trials + split_words - carried
 
 
@@ -1472,38 +1509,17 @@ _EVERY = 5
 
 
 def _forced(seed, index):
-    """Whether a campaign under :func:`_force_state` loads the forced state for trial ``index``."""
+    """Whether a campaign under :func:`_force_state` draws trial ``index`` at the forced state."""
     return ensembles._seed_words(seed, [index])[0, 0] % _EVERY == 0
 
 
 def _force_state(monkeypatch, state):
-    """Load ``state`` for every trial that :func:`_forced` names, by the first
-    word of its seed, and log each ``_weight_variates`` call."""
-    pcg_states = ensembles._pcg_states
-    monkeypatch.setattr(ensembles, "_pcg_states", lambda words: (
-        state if word % _EVERY == 0 else own
-        for word, own in zip(words[:, 0].tolist(), pcg_states(words))))
+    """Give every trial that :func:`_forced` names, by the first word of its
+    seed, a generator at ``state``, and log each ``_weight_variates`` call."""
+    trial_generator = ensembles._trial_generator
+    monkeypatch.setattr(ensembles, "_trial_generator", lambda words: (
+        _state_generator(state) if int(words[0]) % _EVERY == 0 else trial_generator(words)))
     return _logged_variates(monkeypatch)
-
-
-def test_campaign_builds_one_generator_per_range(monkeypatch):
-    # a range loads its trials' states, and its violations' states for their
-    # digests, into one generator of its own, whatever its chunk and block
-    # counts: a range of three blocks in two chunks, replays of trials whose
-    # weight word numpy discards included, builds one PCG64
-    replays = _force_state(monkeypatch, _weight_state(1))
-    built = []
-    real_pcg64 = np.random.PCG64
-    monkeypatch.setattr(np.random, "PCG64", lambda *a: built.append(a) or real_pcg64(*a))
-    monkeypatch.setattr(bounds, "_BLOCK_AMPLITUDES", 4 * 40)
-    monkeypatch.setattr(ensembles, "_CHUNK_BLOCKS", 2)
-    config = EnsembleConfig(trials=89, dim_a=2, dim_b=2, regime=Regime.GENERAL,
-                            seed=20240901, tol=-1.0)
-    assert len(list(bounds._blocks(0, config.trials, 2, 2))) == 3
-    summary = verify_ensemble(config)
-    assert len(summary.violations) == config.trials
-    assert replays
-    assert len(built) == 1
 
 
 @pytest.mark.parametrize("dims,regime,make_state", [
@@ -1514,7 +1530,7 @@ def test_campaign_builds_one_generator_per_range(monkeypatch):
      lambda: _split_state(12345, pow(99, -1, 1 << 32) * 2 % (1 << 32))),
 ], ids=["general-weight", "orthogonal-weight", "biorthogonal-split", "biorthogonal-half"])
 def test_campaign_replays_call_no_public_generator(monkeypatch, dims, regime, make_state):
-    # about one trial in five loads a state of which numpy discards a weight
+    # about one trial in five draws at a state of which numpy discards a weight
     # or split word. In blocks of three trials and chunks of two blocks, all
     # drawn in the range's one set of buffers and, at tol = -1, drawn again
     # for their digests, each such trial replays numpy's calls, twice, and no
@@ -1583,12 +1599,11 @@ def test_biorthogonal_blocks_clear_what_the_previous_block_left():
     # left outside the second's supports are cleared
     config = EnsembleConfig(trials=16, dim_a=5, dim_b=5, regime=Regime.BIORTHOGONAL,
                             seed=20240901, weight_sampling="complex-random")
-    rng, buffers = _generator(), _Buffers()
-    first = ensembles._draw_block(config, ensembles._seed_words(config.seed, range(8)), rng,
-                                  buffers)
+    buffers = _Buffers()
+    first = ensembles._draw_block(config, ensembles._seed_words(config.seed, range(8)), buffers)
     left = [x.copy() for x in first[2:]]
     second = ensembles._draw_block(config, ensembles._seed_words(config.seed, range(8, 16)),
-                                   rng, buffers)
+                                   buffers)
     alone = _drawn(config, range(8, 16))
     for part, own in zip(second, alone):
         assert part.tobytes() == own.tobytes()
@@ -1611,9 +1626,9 @@ def test_lemire_redraws_are_written_into_reused_buffers(monkeypatch, dim_a, dim_
     words = np.zeros((len(states), 4), dtype=np.uint64)
     words[:, 0] = np.arange(len(states))
     variates = _logged_replays(monkeypatch, states)[1]
-    rng, buffers = _generator(), _Buffers()
-    ensembles._draw_block(config, words[::-1].copy(), rng, buffers)
-    drawn = ensembles._draw_block(config, words, rng, buffers)
+    buffers = _Buffers()
+    ensembles._draw_block(config, words[::-1].copy(), buffers)
+    drawn = ensembles._draw_block(config, words, buffers)
     assert len(variates) == 4
     for row, state in enumerate(states):
         assert (_trial_bytes(*(x[row] for x in drawn))
